@@ -2,14 +2,13 @@
 with belief-propagation data association, particle filtering and online
 false-alarm-rate adaptation, plus the synthetic experiment harness."""
 
-from .model import (ArrayGeometry, AugmentedState, FarState, HyperParams,
-                    KinematicState, Measurement)
+from .model import ArrayGeometry, HyperParams, KinematicState, Measurement
 from .scenario import Scenario
 from .tracker import FarBelief, PmpcBelief, StepEstimate, TrackerState
 
 __all__ = [
-    "ArrayGeometry", "AugmentedState", "FarState", "HyperParams",
-    "KinematicState", "Measurement", "Scenario",
+    "ArrayGeometry", "HyperParams", "KinematicState", "Measurement",
+    "Scenario",
     "FarBelief", "PmpcBelief", "StepEstimate", "TrackerState",
 ]
 

@@ -60,9 +60,6 @@ def run_single(cfg: ExperimentConfig, run_index: int) -> RunLog:
         tracker.predict(state, cfg.hyper)
         if cfg.mode == "radio_pipeline":
             ms = _radio_measurements(scn, step, cfg, feedback, bank, synth_rng)
-            ms = [z for z in ms
-                  if z.z_u > math.sqrt(cfg.hyper.u_de)
-                  and 0.0 <= z.z_d <= cfg.hyper.d_max]
         else:
             ms = synth.synth_measurements(scn, step, cfg.hyper, cfg.geom,
                                           synth_rng)

@@ -1,13 +1,14 @@
-"""Channel model: domain types, state transitions, measurement likelihoods and
-the association pseudo-likelihood factors used by the tracker.
+"""Channel model: domain types, state transitions, Fisher-information
+variances, detection probability and the measurement and false-alarm
+likelihoods used by the tracker.
 
-All densities are evaluated in natural (linear) space; log-space variants are
-provided where downstream code needs overflow-safe arithmetic. Every function
-is vectorized over numpy arrays where it makes sense (particle sets).
+Likelihoods are evaluated in log space only, for overflow-safe arithmetic;
+the association factors built from them live in dabp.evaluate_weights. Every
+function is vectorized over numpy arrays where it makes sense (particle sets).
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import special
@@ -60,21 +61,10 @@ class KinematicState:
     v_d: float      # m/s
     v_phi: float    # rad/s
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.d, self.phi, self.u, self.v_d, self.v_phi])
-
     @staticmethod
     def from_array(x) -> "KinematicState":
         d, phi, u, v_d, v_phi = (float(v) for v in x)
         return KinematicState(d, phi, u, v_d, v_phi)
-
-
-@dataclass
-class AugmentedState:
-    """Kinematic state plus the binary existence flag. When r == 0 the
-    kinematic content is irrelevant by convention."""
-    x: KinematicState
-    r: int
 
 
 @dataclass(frozen=True)
@@ -83,9 +73,6 @@ class Measurement:
     z_d: float
     z_phi: float
     z_u: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.z_d, self.z_phi, self.z_u])
 
 
 @dataclass
@@ -205,12 +192,6 @@ class HyperParams:
         return problems
 
 
-@dataclass
-class FarState:
-    """Mean false-alarm rate per snapshot (dimensionless count, > 0)."""
-    mu_fa: float
-
-
 # ---------------------------------------------------------------------------
 # State transitions
 # ---------------------------------------------------------------------------
@@ -257,36 +238,11 @@ def propagate_kinematics(particles: np.ndarray, params: HyperParams,
     return out
 
 
-def transition_sample(x: KinematicState, r: int, params: HyperParams,
-                      rng: np.random.Generator) -> AugmentedState:
-    """Draw one step of the augmented-state transition.
-
-    A non-existent component stays non-existent; an existing one survives
-    with probability p_s and then follows the motion model.
-    """
-    if r == 0:
-        return AugmentedState(x, 0)
-    if rng.random() >= params.p_s:
-        return AugmentedState(x, 0)
-    out = propagate_kinematics(x.as_array()[None, :], params, rng)[0]
-    return AugmentedState(KinematicState.from_array(out), 1)
-
-
 def reflect_positive(mu, floor: float = MU_FA_FLOOR):
     """Reflect values at a positive floor. Unlike clamping, reflection leaves
     no absorbing atom at the boundary, which would otherwise capture the
     whole particle set after a run of zero-clutter snapshots."""
     return floor + np.abs(np.asarray(mu) - floor)
-
-
-def far_transition_sample(mu_fa: float, sigma_fa: float,
-                          rng: np.random.Generator) -> FarState:
-    """Gaussian random-walk step of the mean false-alarm rate, reflected at a
-    small positive floor."""
-    if mu_fa <= 0:
-        raise ValueError("mu_fa must be positive")
-    return FarState(float(reflect_positive(
-        mu_fa + sigma_fa * rng.standard_normal())))
 
 
 # ---------------------------------------------------------------------------
@@ -360,20 +316,6 @@ def crlb_amp_scale_numeric(alpha_re: float, alpha_im: float, s_norm_sq: float,
 # Measurement likelihoods
 # ---------------------------------------------------------------------------
 
-def lik_distance(z_d, d, u, geom: ArrayGeometry):
-    """Gaussian distance likelihood with amplitude-dependent variance."""
-    var = sigma_d_sq(u, geom)
-    r = np.asarray(z_d) - np.asarray(d)
-    return np.exp(-0.5 * r * r / var) / np.sqrt(TWO_PI * var)
-
-
-def lik_aoa(z_phi, phi, u, geom: ArrayGeometry):
-    """Gaussian AoA likelihood on the wrapped angular residual."""
-    var = sigma_phi_sq(u, phi, geom)
-    r = ang_diff(z_phi, phi)
-    return np.exp(-0.5 * r * r / var) / np.sqrt(TWO_PI * var)
-
-
 def marcum_q1(a, b):
     """First-order Marcum Q function, via the noncentral chi-square survival
     function with 2 degrees of freedom."""
@@ -406,35 +348,6 @@ def log_detection_prob(u, u_de: float, n_eff, mode: str = "exact"):
     return np.log(np.maximum(detection_prob(u, u_de, n_eff, mode), 1e-300))
 
 
-def log_lik_amplitude(z_u, u, u_de: float, n_eff, mode: str = "gauss"):
-    """Log of the truncated amplitude likelihood; -inf below the threshold.
-
-    "exact" is a Rician truncated at sqrt(u_de) and renormalized by the
-    detection probability; "gauss" the truncated-Gaussian approximation.
-    """
-    z = np.asarray(z_u, dtype=float)
-    u = np.asarray(u, dtype=float)
-    s2 = amp_scale_sq(u, n_eff)
-    if mode == "exact":
-        # Rician density written with the exponentially scaled Bessel i0e for
-        # overflow safety: (z/s2) exp(-(z-u)^2/(2 s2)) i0e(z u / s2).
-        core = (np.log(np.maximum(z, 1e-300)) - np.log(s2)
-                - 0.5 * (z - u) ** 2 / s2
-                + np.log(special.i0e(z * u / s2)))
-        out = core - log_detection_prob(u, u_de, n_eff, "exact")
-    elif mode == "gauss":
-        core = -0.5 * (z - u) ** 2 / s2 - 0.5 * np.log(TWO_PI * s2)
-        out = core - log_detection_prob(u, u_de, n_eff, "gauss")
-    else:
-        raise ValueError(f"unknown amplitude mode: {mode!r}")
-    return np.where(z > math.sqrt(u_de), out, -np.inf)
-
-
-def lik_amplitude(z_u, u, u_de: float, n_eff, mode: str = "gauss"):
-    """Truncated amplitude likelihood (see log_lik_amplitude)."""
-    return np.exp(log_lik_amplitude(z_u, u, u_de, n_eff, mode))
-
-
 def log_fa_density(z: Measurement, u_de: float, d_max: float) -> float:
     """Log of the false-alarm measurement density: uniform in distance and
     angle, truncated Rayleigh (scale^2 = 1/2) in amplitude."""
@@ -445,15 +358,15 @@ def log_fa_density(z: Measurement, u_de: float, d_max: float) -> float:
             - math.log(d_max) - math.log(TWO_PI))
 
 
-def fa_density(z: Measurement, u_de: float, d_max: float) -> float:
-    """False-alarm measurement density (see log_fa_density)."""
-    return float(np.exp(log_fa_density(z, u_de, d_max)))
-
-
 def log_lik_matrix(measurements, particles: np.ndarray, params: HyperParams,
                    geom: ArrayGeometry) -> np.ndarray:
     """Log joint measurement likelihoods log f(z_m | x_j) as a (J, M) matrix.
 
+    The joint likelihood is a Gaussian in distance, a Gaussian on the wrapped
+    angular residual and a truncated amplitude likelihood: in "exact" mode a
+    Rician truncated at sqrt(u_de) and renormalized by the detection
+    probability, in "gauss" mode the truncated-Gaussian approximation.
+    Columns of measurements at or below the threshold are -inf.
     Particle-dependent variances and the amplitude-likelihood normalizer are
     computed once and broadcast across measurements.
     """
@@ -477,6 +390,8 @@ def log_lik_matrix(measurements, particles: np.ndarray, params: HyperParams,
     out = log_norm - 0.5 * rd * rd / var_d - 0.5 * rp * rp / var_p \
         - 0.5 * ru * ru / s2
     if params.amp_mode == "exact":
+        # Rician density written with the exponentially scaled Bessel i0e for
+        # overflow safety: (z/s2) exp(-(z-u)^2/(2 s2)) i0e(z u / s2).
         out += np.log(np.maximum(zu, 1e-300)) - np.log(s2) \
             + np.log(special.i0e(zu * u[:, None] / s2))
     elif params.amp_mode == "gauss":
@@ -486,61 +401,3 @@ def log_lik_matrix(measurements, particles: np.ndarray, params: HyperParams,
     thresh = math.sqrt(params.u_de)
     out[:, (zu <= thresh).reshape(-1)] = -np.inf
     return out
-
-
-def log_lik_measurement(z: Measurement, particles: np.ndarray, params: HyperParams,
-                        geom: ArrayGeometry) -> np.ndarray:
-    """Log joint measurement likelihood log f(z | x_j) for one measurement."""
-    return log_lik_matrix([z], particles, params, geom)[:, 0]
-
-
-# ---------------------------------------------------------------------------
-# Association pseudo-likelihood factors
-# ---------------------------------------------------------------------------
-
-def far_norm(mu_fa: float, M: int, K: int) -> float:
-    """False-alarm-rate normalization constant (exp(-mu) mu^M)^(1/(K+M))."""
-    if K + M < 1:
-        raise ValueError("far_norm requires K + M >= 1")
-    if mu_fa <= 0:
-        raise ValueError("mu_fa must be positive")
-    return math.exp((-mu_fa + M * math.log(mu_fa)) / (K + M))
-
-
-def pseudo_g(x: KinematicState, r: int, a: int, mu_fa: float, z_m,
-             M: int, K: int, params: HyperParams, geom: ArrayGeometry) -> float:
-    """Association factor for a legacy component.
-
-    a = 0 encodes missed detection, a = m >= 1 association with measurement
-    z_m. Non-existent components (r = 0) only admit a = 0.
-    """
-    n = far_norm(mu_fa, M, K)
-    if r == 0:
-        return n if a == 0 else 0.0
-    p_d = float(detection_prob(x.u, params.u_de, geom.n_eff, params.amp_mode))
-    if a == 0:
-        return n * (1.0 - p_d)
-    if z_m is None:
-        raise ValueError("a = m requires the measurement z_m")
-    log_f = float(log_lik_measurement(z_m, x.as_array()[None, :], params, geom)[0])
-    log_fa = log_fa_density(z_m, params.u_de, params.d_max)
-    return float(n * p_d / mu_fa * np.exp(log_f - log_fa))
-
-
-def pseudo_h(x: KinematicState, r: int, b: int, mu_fa: float, z_m: Measurement,
-             M: int, K: int, params: HyperParams, geom: ArrayGeometry) -> float:
-    """Association factor for a measurement-born (new) component.
-
-    b = 0 encodes "not generated by any legacy component"; b = k >= 1 is
-    excluded when the new component exists (the measurement then belongs to
-    legacy component k).
-    """
-    n = far_norm(mu_fa, M, K)
-    if r == 0:
-        return n
-    if b != 0:
-        return 0.0
-    f_n = 1.0 / (TWO_PI * params.d_max)
-    log_f = float(log_lik_measurement(z_m, x.as_array()[None, :], params, geom)[0])
-    log_fa = log_fa_density(z_m, params.u_de, params.d_max)
-    return float(n * params.mu_n * f_n / mu_fa * np.exp(log_f - log_fa))

@@ -189,7 +189,7 @@ def _build_proposal(z: Measurement, params: HyperParams, geom: ArrayGeometry,
     v_phi = params.sigma_v_phi * rng.standard_normal(J)
     particles = np.stack([d, phi, u, v_d, v_phi], axis=1)
 
-    log_lik = model.log_lik_measurement(z, particles, params, geom)
+    log_lik = model.log_lik_matrix([z], particles, params, geom)[:, 0]
     u_prior_max = max(params.u_birth_max, z.z_u + 6.0 * su)
     log_birth = np.where((d >= 0.0) & (d <= params.d_max) & (u <= u_prior_max),
                          -math.log(TWO_PI * params.d_max)
@@ -243,9 +243,11 @@ def _update_legacy(tr: PmpcBelief, w: dabp.AssociationWeights, k: int,
 
 
 def _update_far(state: TrackerState, w: dabp.AssociationWeights,
-                marg: AssociationMarginals, M: int, K: int) -> None:
+                marg: AssociationMarginals, log_d: list, K: int) -> None:
     """Reweight the false-alarm-rate particles by the particle-marginalized
-    association factors evaluated at each rate particle."""
+    association factors evaluated at each rate particle. log_d[m] is
+    log(1 + sum_k zeta[k, m]), measurement m's legacy message sum."""
+    M = len(log_d)
     mu = state.far.particles
     log_mu = np.log(mu)
     log_w = np.log(np.maximum(state.far.weights, 1e-300))
@@ -259,9 +261,8 @@ def _update_far(state: TrackerState, w: dabp.AssociationWeights,
         else:
             log_w = log_w + log_a
     for m in range(M):
-        log_dm = np.logaddexp(0.0, log_sum_exp(marg.log_zeta[:, m])) if K else 0.0
         log_cm = w.log_new_mass[m] - log_t
-        log_w = log_w + np.logaddexp(log_dm, log_cm - log_mu)
+        log_w = log_w + np.logaddexp(log_d[m], log_cm - log_mu)
     shifted = np.exp(log_w - np.max(log_w))
     state.far.weights = shifted / shifted.sum()
 
@@ -270,15 +271,19 @@ def update(state: TrackerState, measurements: Sequence[Measurement],
            params: HyperParams, geom: ArrayGeometry):
     """Process one snapshot's measurement set.
 
-    Returns (state, StepEstimate, AssociationMarginals). Measurements at or
-    below the detection threshold are rejected with a diagnostic. Processing
+    Returns (state, StepEstimate, AssociationMarginals). Measurements with a
+    non-finite field, at or below the detection threshold or outside the
+    distance support are rejected with a diagnostic. Processing
     uses set semantics: measurements are canonically ordered internally, so
     the output is invariant to their input order.
     """
     thresh = math.sqrt(params.u_de)
     ms = []
     for z in measurements:
-        if z.z_u <= thresh:
+        if not all(map(math.isfinite, (z.z_d, z.z_phi, z.z_u))):
+            log.warning("rejecting non-finite measurement: z_d=%.4g "
+                        "z_phi=%.4g z_u=%.4g", z.z_d, z.z_phi, z.z_u)
+        elif z.z_u <= thresh:
             log.warning("rejecting measurement below detection threshold: "
                         "z_u=%.4g <= %.4g", z.z_u, thresh)
         elif not (0.0 <= z.z_d <= params.d_max):
@@ -321,15 +326,16 @@ def update(state: TrackerState, measurements: Sequence[Measurement],
     for k, tr in enumerate(state.legacy):
         _update_legacy(tr, weights, k, marg.log_nu)
 
+    log_d = [np.logaddexp(0.0, log_sum_exp(marg.log_zeta[:, m])) if K else 0.0
+             for m in range(M)]
     new_tracks = []
     for m, prop in enumerate(proposals):
-        log_dm = np.logaddexp(0.0, log_sum_exp(marg.log_zeta[:, m])) if K else 0.0
-        gap = log_dm - weights.log_new_mass[m]
+        gap = log_d[m] - weights.log_new_mass[m]
         p_new = 1.0 / (1.0 + math.exp(min(gap, 700.0)))
         new_tracks.append(PmpcBelief(0, state.step, prop.particles,
                                      prop.weights, p_new))
 
-    _update_far(state, weights, marg, M, K)
+    _update_far(state, weights, marg, log_d, K)
 
     for tr in state.legacy + new_tracks:
         resample(tr, params.J, state.rng)

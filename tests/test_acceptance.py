@@ -42,18 +42,24 @@ def desk_results(tmp_path_factory):
     return {"cfg": cfg, "agg": agg, "out": out, "elapsed": time.time() - t0}
 
 
-def test_c01_likelihood_normalization():
+def test_c01_likelihood_normalization(amp_lik):
+    # Both densities come from the tracker's own kernels: the amplitude
+    # factor of model.log_lik_matrix (see the amp_lik fixture) and
+    # model.log_fa_density, whose distance and angle parts are uniform on
+    # [0, d_max] x [-pi, pi) and integrate to d_max * 2 pi.
     t0 = time.time()
-    u_de = HyperParams().u_de
+    p = HyperParams()
+    u_de = p.u_de
     lo = math.sqrt(u_de)
     worst = 0.0
     for mode in ("exact", "gauss"):
         for u in (0.0, 1.0, 5.0, 20.0):
-            val, _ = quad(lambda z: float(model.lik_amplitude(
-                z, u, u_de, 414, mode)), lo, max(40.0, u + 30.0), limit=300)
+            val, _ = quad(lambda z: amp_lik(z, u, mode), lo,
+                          max(40.0, u + 30.0), limit=300)
             worst = max(worst, abs(val - 1.0))
-    clutter, _ = quad(lambda z: 2 * z * math.exp(-(z * z - u_de)), lo, 40.0,
-                      limit=200)
+    clutter, _ = quad(lambda z: math.exp(model.log_fa_density(
+        Measurement(3.0, 0.1, z), u_de, p.d_max)) * p.d_max * 2 * math.pi,
+        lo, 40.0, limit=200)
     worst = max(worst, abs(clutter - 1.0))
     elapsed = time.time() - t0
     report(1, worst < 1e-6 and elapsed < 1.0,
@@ -146,8 +152,8 @@ def test_c05_single_bernoulli_oracle():
         mu0 = 2.0
         st.far = FarBelief(np.full(J, mu0), np.full(J, 1 / J))
         z = Measurement(5.0 + off, 0.3, 4.0)
-        log_l = float(model.log_lik_measurement(
-            z, np.asarray([state], float), p, GEOM)[0]) \
+        log_l = float(model.log_lik_matrix(
+            [z], np.asarray([state], float), p, GEOM)[0, 0]) \
             - model.log_fa_density(z, p.u_de, p.d_max)
         props = [tracker._build_proposal(z, p, GEOM, J,
                                          np.random.default_rng(0))]

@@ -207,8 +207,8 @@ class TestEvaluateWeights:
         w = dabp.evaluate_weights([tr], [prop], [z], far, PARAMS, GEOM)
         p_d = float(model.detection_prob(4.0, PARAMS.u_de, GEOM.n_eff,
                                          PARAMS.amp_mode))
-        log_f = float(model.log_lik_measurement(
-            z, np.asarray([state], dtype=float), PARAMS, GEOM)[0])
+        log_f = float(model.log_lik_matrix(
+            [z], np.asarray([state], dtype=float), PARAMS, GEOM)[0, 0])
         log_fa = model.log_fa_density(z, PARAMS.u_de, PARAMS.d_max)
         # Unscaled entries: beta0 = 1 - p_d, beta1 = t p_d f/f_fa with t = 1.
         expect0 = 1.0 - p_d

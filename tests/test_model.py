@@ -1,5 +1,10 @@
 """Channel-model tests: transitions, Fisher-information variances,
 likelihood normalization, detection probability and the association factors.
+
+Every likelihood and factor is read from the kernels the tracker runs
+(model.log_lik_matrix, model.log_fa_density, tracker.predict,
+dabp.evaluate_weights and the false-alarm-rate reweighting) and checked
+against closed forms written out in the tests.
 """
 
 import math
@@ -9,10 +14,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.special import log_ndtr, ndtr
 
-from mpctrack import model, radio
-from mpctrack.model import (ArrayGeometry, HyperParams, KinematicState,
-                            Measurement)
+from mpctrack import dabp, model, radio, tracker
+from mpctrack.dabp import AssociationMarginals, AssociationWeights
+from mpctrack.model import ArrayGeometry, HyperParams, Measurement
+from mpctrack.tracker import FarBelief, NewTrackProposal, PmpcBelief
 
 GEOM = radio.default_geometry()
 PARAMS = HyperParams()
@@ -56,56 +63,74 @@ class TestGeometry:
 # State transitions
 # ---------------------------------------------------------------------------
 
+def predicted(params, legacy=(), far=None, seed=0):
+    """Tracker state after one tracker.predict from the given beliefs."""
+    state = tracker.init(params, GEOM, seed)
+    state.legacy = list(legacy)
+    state.far = far
+    return tracker.predict(state, params)
+
+
+def point_track(x, p_exist, J=1):
+    return PmpcBelief(1, 0, np.tile(np.asarray(x, dtype=float), (J, 1)),
+                      np.full(J, 1.0 / J), p_exist)
+
+
+def far_belief(mus):
+    mus = np.asarray(mus, dtype=float)
+    return FarBelief(mus, np.full(len(mus), 1.0 / len(mus)))
+
+
 class TestTransition:
     def test_noiseless_ncv_propagation(self):
         params = HyperParams(p_s=1.0, sigma_d=0.0, sigma_phi=0.0,
                              sigma_u_rel=0.0, delta_t=1.0)
-        x = KinematicState(5.0, 0.0, 10.0, 1.0, 0.1)
-        out = model.transition_sample(x, 1, params, np.random.default_rng(0))
-        assert out.r == 1
-        assert out.x.d == pytest.approx(6.0)
-        assert out.x.phi == pytest.approx(0.1)
-        assert out.x.u == pytest.approx(10.0)
-        assert out.x.v_d == pytest.approx(1.0)
-        assert out.x.v_phi == pytest.approx(0.1)
+        state = predicted(params, [point_track([5.0, 0.0, 10.0, 1.0, 0.1], 1.0)])
+        tr = state.legacy[0]
+        assert tr.p_exist == 1.0
+        d, phi, u, v_d, v_phi = tr.particles[0]
+        assert d == pytest.approx(6.0)
+        assert phi == pytest.approx(0.1)
+        assert u == pytest.approx(10.0)
+        assert v_d == pytest.approx(1.0)
+        assert v_phi == pytest.approx(0.1)
 
     def test_nonexistent_stays_nonexistent(self):
-        x = KinematicState(5.0, 0.0, 10.0, 1.0, 0.1)
-        rng = np.random.default_rng(0)
-        assert all(model.transition_sample(x, 0, PARAMS, rng).r == 0
-                   for _ in range(100))
+        state = predicted(PARAMS, [point_track([5.0, 0.0, 10.0, 1.0, 0.1], 0.0)])
+        for _ in range(99):
+            tracker.predict(state, PARAMS)
+        assert state.legacy[0].p_exist == 0.0
 
     def test_survival_fraction(self):
-        # Monte-Carlo frequency vs p_s = 0.999 over 1e5 draws.
+        # Survival folds into the existence probability: p_s per step.
         params = HyperParams(p_s=0.999)
-        rng = np.random.default_rng(7)
-        n = 100_000
-        x = KinematicState(5.0, 0.0, 10.0, 0.0, 0.0)
-        survived = sum(model.transition_sample(x, 1, params, rng).r
-                       for _ in range(n))
-        assert abs(survived / n - 0.999) < 0.001
+        state = predicted(params, [point_track([5.0, 0.0, 10.0, 0.0, 0.0], 1.0)])
+        assert state.legacy[0].p_exist == 0.999
+        for _ in range(999):
+            tracker.predict(state, params)
+        assert state.legacy[0].p_exist == pytest.approx(0.999**1000,
+                                                        rel=1e-12)
 
     def test_phi_wrapped_and_u_clamped(self):
         params = HyperParams(p_s=1.0, sigma_u_rel=5.0)
-        rng = np.random.default_rng(3)
         parts = np.array([[1.0, 3.1, 0.01, 0.0, 2.0]] * 500)
-        out = model.propagate_kinematics(parts, params, rng)
+        out = predicted(params, [PmpcBelief(1, 0, parts, np.full(500, 1 / 500),
+                                            1.0)], seed=3).legacy[0].particles
         assert np.all(out[:, 1] >= -np.pi) and np.all(out[:, 1] < np.pi)
         assert np.all(out[:, 2] >= 0.0)
 
     def test_far_transition_identity_and_positive(self):
-        rng = np.random.default_rng(0)
-        assert model.far_transition_sample(2.0, 0.0, rng).mu_fa == 2.0
+        still = predicted(HyperParams(sigma_fa=0.0), far=far_belief([2.0]))
+        assert still.far.particles[0] == 2.0
         # Draws landing at or below zero stay positive via reflection.
-        vals = [model.far_transition_sample(0.01, 1.0, rng).mu_fa
-                for _ in range(2000)]
-        assert min(vals) > 0.0
+        moved = predicted(HyperParams(sigma_fa=1.0),
+                          far=far_belief(np.full(2000, 0.01)))
+        assert moved.far.particles.min() > 0.0
 
     def test_far_transition_mean(self):
-        rng = np.random.default_rng(5)
         n = 100_000
-        draws = np.array([model.far_transition_sample(5.0, 0.3, rng).mu_fa
-                          for _ in range(n)])
+        draws = predicted(HyperParams(sigma_fa=0.3),
+                          far=far_belief(np.full(n, 5.0)), seed=5).far.particles
         assert abs(draws.mean() - 5.0) < 3 * 0.3 / math.sqrt(n)
 
 
@@ -214,69 +239,89 @@ class TestCrlbNumeric:
 # Likelihoods
 # ---------------------------------------------------------------------------
 
+def log_lik(z, x, params=PARAMS):
+    """log f(z | x) from model.log_lik_matrix for one measurement (z_d,
+    z_phi, z_u) and one particle (d, phi, u, v_d, v_phi)."""
+    return float(model.log_lik_matrix([Measurement(*z)], np.array([x], float),
+                                      params, GEOM)[0, 0])
+
+
+def log_gauss_amp_at_mode(u, params=PARAMS):
+    """Closed-form log of the gauss-mode truncated amplitude likelihood at
+    z_u = u: 1 / (sqrt(2 pi s^2) Phi((u - sqrt(u_de)) / s))."""
+    s2 = float(model.amp_scale_sq(u, GEOM.n_eff))
+    return -0.5 * math.log(2 * np.pi * s2) \
+        - float(log_ndtr((u - math.sqrt(params.u_de)) / math.sqrt(s2)))
+
+
 class TestDistanceAoaLikelihoods:
     def test_distance_mode_value(self):
-        var = float(model.sigma_d_sq(10.0, GEOM))
-        assert model.lik_distance(5.0, 5.0, 10.0, GEOM) == pytest.approx(
-            1.0 / math.sqrt(2 * np.pi * var))
+        # At zero residuals the joint is the product of three normalizers;
+        # divide out the AoA and amplitude ones.
+        u, phi = 10.0, 0.2
+        var = float(model.sigma_d_sq(u, GEOM))
+        var_p = float(model.sigma_phi_sq(u, phi, GEOM))
+        got = log_lik((5.0, phi, u), (5.0, phi, u, 0, 0)) \
+            + 0.5 * math.log(2 * np.pi * var_p) - log_gauss_amp_at_mode(u)
+        assert math.exp(got) == pytest.approx(1.0 / math.sqrt(2 * np.pi * var))
 
     def test_distance_symmetry_and_one_sigma(self):
-        var = float(model.sigma_d_sq(10.0, GEOM))
-        s = math.sqrt(var)
-        mode = float(model.lik_distance(5.0, 5.0, 10.0, GEOM))
-        assert model.lik_distance(5.0 + 0.01, 5.0, 10.0, GEOM) == \
-            pytest.approx(float(model.lik_distance(5.0 - 0.01, 5.0, 10.0,
-                                                   GEOM)))
-        assert model.lik_distance(5.0 + s, 5.0, 10.0, GEOM) == \
-            pytest.approx(mode * math.exp(-0.5))
+        x = (5.0, 0.2, 10.0, 0.0, 0.0)
+        s = math.sqrt(float(model.sigma_d_sq(10.0, GEOM)))
+        mode = log_lik((5.0, 0.2, 10.0), x)
+        assert math.exp(log_lik((5.0 + 0.01, 0.2, 10.0), x)) == \
+            pytest.approx(math.exp(log_lik((5.0 - 0.01, 0.2, 10.0), x)))
+        assert math.exp(log_lik((5.0 + s, 0.2, 10.0), x) - mode) == \
+            pytest.approx(math.exp(-0.5))
 
     def test_aoa_wrapped_seam(self):
         u = 10.0
-        near = model.lik_aoa(-np.pi + 0.01, np.pi - 0.01, u, GEOM)
-        same = model.lik_aoa(0.02, 0.0, u, GEOM)
-        assert float(near) == pytest.approx(float(same), rel=1e-12)
+        near = log_lik((5.0, -np.pi + 0.01, u), (5.0, np.pi - 0.01, u, 0, 0))
+        same = log_lik((5.0, 0.02, u), (5.0, 0.0, u, 0, 0))
+        assert math.exp(near) == pytest.approx(math.exp(same), rel=1e-12)
 
     def test_aoa_mode_and_one_sigma(self):
         u, phi = 10.0, 0.4
+        x = (5.0, phi, u, 0.0, 0.0)
         var = float(model.sigma_phi_sq(u, phi, GEOM))
+        var_d = float(model.sigma_d_sq(u, GEOM))
         s = math.sqrt(var)
-        mode = float(model.lik_aoa(phi, phi, u, GEOM))
-        assert mode == pytest.approx(1.0 / math.sqrt(2 * np.pi * var))
-        assert float(model.lik_aoa(phi + s, phi, u, GEOM)) == \
-            pytest.approx(mode * math.exp(-0.5))
+        mode = log_lik((5.0, phi, u), x)
+        aoa_mode = mode + 0.5 * math.log(2 * np.pi * var_d) \
+            - log_gauss_amp_at_mode(u)
+        assert math.exp(aoa_mode) == pytest.approx(
+            1.0 / math.sqrt(2 * np.pi * var))
+        assert math.exp(log_lik((5.0, phi + s, u), x) - mode) == \
+            pytest.approx(math.exp(-0.5))
 
 
 class TestAmplitudeLikelihood:
     @pytest.mark.parametrize("mode", ["exact", "gauss"])
     @pytest.mark.parametrize("u", [0.0, 1.0, 5.0, 20.0])
-    def test_normalization(self, mode, u):
+    def test_normalization(self, mode, u, amp_lik):
         u_de = PARAMS.u_de
-        val, _ = quad(lambda z: float(model.lik_amplitude(z, u, u_de, 414,
-                                                          mode)),
+        val, _ = quad(lambda z: amp_lik(z, u, mode),
                       math.sqrt(u_de), max(40.0, u + 30.0), limit=300)
         assert val == pytest.approx(1.0, abs=1e-6)
 
-    def test_zero_below_threshold(self):
-        assert model.lik_amplitude(0.5 * math.sqrt(PARAMS.u_de), 5.0,
-                                   PARAMS.u_de, 414, "exact") == 0.0
+    def test_zero_below_threshold(self, amp_lik):
+        assert amp_lik(0.5 * math.sqrt(PARAMS.u_de), 5.0, "exact") == 0.0
 
-    def test_rayleigh_limit_at_zero_amplitude(self):
+    def test_rayleigh_limit_at_zero_amplitude(self, amp_lik):
         # u = 0 reduces to a truncated Rayleigh with scale^2 = 1/2.
         u_de = PARAMS.u_de
         z = math.sqrt(u_de) + 0.5
         expect = 2 * z * math.exp(-(z * z - u_de))
-        assert float(model.lik_amplitude(z, 0.0, u_de, 414, "exact")) == \
-            pytest.approx(expect, rel=1e-9)
+        assert amp_lik(z, 0.0, "exact") == pytest.approx(expect, rel=1e-9)
 
-    def test_point_value_against_direct_formula(self):
+    def test_point_value_against_direct_formula(self, amp_lik):
         from scipy.special import i0
         u, z, u_de, n_eff = 4.0, 5.0, PARAMS.u_de, 414
         s2 = float(model.amp_scale_sq(u, n_eff))
         rician = (z / s2) * math.exp(-(z * z + u * u) / (2 * s2)) \
             * i0(z * u / s2)
         p_d = float(model.detection_prob(u, u_de, n_eff, "exact"))
-        assert float(model.lik_amplitude(z, u, u_de, n_eff, "exact")) == \
-            pytest.approx(rician / p_d, rel=1e-9)
+        assert amp_lik(z, u, "exact") == pytest.approx(rician / p_d, rel=1e-9)
 
 
 class TestDetectionProb:
@@ -316,125 +361,213 @@ class TestDetectionProb:
             pytest.approx(float(ndtr((u - math.sqrt(u_de)) / s)))
 
 
+def fa_density(z, u_de=PARAMS.u_de, d_max=PARAMS.d_max):
+    return math.exp(model.log_fa_density(z, u_de, d_max))
+
+
 class TestFaDensity:
     def test_normalization(self):
+        # Uniform in distance and angle, so integrating the amplitude
+        # against d_max * 2 pi covers the whole support.
         u_de, d_max = PARAMS.u_de, PARAMS.d_max
-        amp, _ = quad(lambda z: 2 * z * math.exp(-(z * z - u_de)),
-                      math.sqrt(u_de), 40.0, limit=200)
-        assert amp * (1.0) == pytest.approx(1.0, abs=1e-6)
+        amp, _ = quad(lambda z: fa_density(Measurement(3.0, 0.1, z))
+                      * d_max * 2 * np.pi, math.sqrt(u_de), 40.0, limit=200)
+        assert amp == pytest.approx(1.0, abs=1e-6)
         z = Measurement(3.0, 0.1, math.sqrt(u_de) + 0.7)
-        got = model.fa_density(z, u_de, d_max)
         expect = (1 / d_max) * (1 / (2 * np.pi)) \
             * 2 * z.z_u * math.exp(-(z.z_u**2 - u_de))
-        assert got == pytest.approx(expect, rel=1e-12)
+        assert fa_density(z) == pytest.approx(expect, rel=1e-12)
 
     def test_threshold_boundary_value(self):
         u_de = PARAMS.u_de
         eps = 1e-12
         z = Measurement(3.0, 0.0, math.sqrt(u_de) + eps)
-        got = model.fa_density(z, u_de, PARAMS.d_max)
         amp_factor = 2 * math.sqrt(u_de)
-        assert got == pytest.approx(
+        assert fa_density(z) == pytest.approx(
             amp_factor / (PARAMS.d_max * 2 * np.pi), rel=1e-6)
 
     def test_doubling_dmax_halves_density(self):
         z = Measurement(3.0, 0.0, 3.0)
-        assert model.fa_density(z, PARAMS.u_de, 34.0) == pytest.approx(
-            model.fa_density(z, PARAMS.u_de, 17.0) / 2.0)
+        assert fa_density(z, d_max=34.0) == pytest.approx(
+            fa_density(z, d_max=17.0) / 2.0)
 
     def test_outside_support(self):
-        assert model.fa_density(Measurement(3.0, 0.0, 1.0), PARAMS.u_de,
-                                17.0) == 0.0
-        assert model.fa_density(Measurement(20.0, 0.0, 3.0), PARAMS.u_de,
-                                17.0) == 0.0
+        assert fa_density(Measurement(3.0, 0.0, 1.0), d_max=17.0) == 0.0
+        assert fa_density(Measurement(20.0, 0.0, 3.0), d_max=17.0) == 0.0
 
 
 # ---------------------------------------------------------------------------
 # Association factors
 # ---------------------------------------------------------------------------
 
+def far_reweight(mus, M, K):
+    """Weights after the false-alarm-rate reweighting of update for an
+    equally weighted rate belief at mus, with K legacy components that carry
+    only missed-detection weight and M measurements that carry no birth mass.
+    What remains is the product of the K + M normalization factors
+    (exp(-mu) mu^M)^(1/(K+M))."""
+    state = tracker.TrackerState(far=far_belief(mus))
+    log_beta = np.full((K, M + 1), -np.inf)
+    log_beta[:, 0] = 0.0
+    log_xi = np.zeros((M, K + 1))
+    w = AssociationWeights(beta=np.exp(log_beta), xi=np.exp(log_xi),
+                           log_beta=log_beta, log_xi=log_xi,
+                           log_new_mass=np.full(M, -np.inf))
+    marg = AssociationMarginals(np.zeros((K, M + 1)), np.zeros((M, K + 1)), 0,
+                                True, log_nu=np.zeros((M, K)))
+    # No legacy association weight: every log(1 + sum_k zeta[k, m]) is 0.
+    tracker._update_far(state, w, marg, [0.0] * M, K)
+    return state.far.weights
+
+
 class TestFarNorm:
     def test_values(self):
-        assert model.far_norm(1.0, 1, 0) == pytest.approx(math.exp(-1.0))
-        assert model.far_norm(2.0, 4, 6) == pytest.approx(
-            (16 * math.exp(-2.0)) ** 0.1)
-        assert model.far_norm(3.0, 0, 5) == pytest.approx(math.exp(-3.0 / 5))
+        # Rate particles (mu, 1): weight ratio exp(-mu) mu^M / exp(-1).
+        w = far_reweight([1.0, 1.0], 1, 0)
+        assert w[0] / w[1] == pytest.approx(1.0)
+        w = far_reweight([2.0, 1.0], 4, 6)
+        assert w[0] / w[1] == pytest.approx(16 * math.exp(-1.0))
+        w = far_reweight([3.0, 1.0], 0, 5)
+        assert w[0] / w[1] == pytest.approx(math.exp(-2.0))
 
     def test_undefined_exponent(self):
-        with pytest.raises(ValueError):
-            model.far_norm(1.0, 0, 0)
+        # The exponent 1/(K+M) is undefined at K = M = 0; update then
+        # applies the zero-count Poisson evidence exp(-mu) alone. Systematic
+        # resampling puts floor or ceil of J times a contiguous block's
+        # weight into that block.
+        J = 1000
+        params = HyperParams(J=J)
+        state = tracker.init(params, GEOM, 0)
+        state.far = far_belief(np.repeat([1.0, 3.0], J // 2))
+        tracker.update(state, [], params, GEOM)
+        share = math.exp(-3.0) / (math.exp(-1.0) + math.exp(-3.0))
+        count = int(np.sum(state.far.particles == 3.0))
+        assert abs(count - J * share) < 1.0
 
     @given(st.floats(1e-6, 50.0), st.integers(0, 20), st.integers(0, 20))
     @settings(max_examples=200)
     def test_power_identity(self, mu, M, K):
-        if K + M == 0:
-            return
-        n = model.far_norm(mu, M, K)
-        assert n ** (K + M) == pytest.approx(math.exp(-mu) * mu**M,
-                                             rel=1e-12)
+        w = far_reweight([mu, 1.0], M, K)
+        assert w[0] / w[1] == pytest.approx(math.exp(-mu + 1.0) * mu**M,
+                                            rel=1e-12)
+
+
+def birth(log_mass):
+    return NewTrackProposal(np.zeros((1, 5)), np.ones(1), log_mass)
+
+
+def log_ratio_assoc_to_miss(w, k=0, m=1):
+    """log(beta[k, m] / beta[k, 0]); row scaling cancels in the ratio."""
+    return float(w.log_beta[k, m] - w.log_beta[k, 0])
 
 
 class TestPseudoFactors:
-    def setup_method(self):
-        self.x = KinematicState(5.0, 0.2, 8.0, 0.0, 0.0)
-        self.z = Measurement(5.0, 0.2, 8.0)
+    """The association factors that evaluate_weights integrates over
+    one-particle beliefs, against their closed forms. A legacy component
+    that does not exist only admits a missed detection; a new component that
+    exists only admits b = 0."""
+
+    x = (5.0, 0.2, 8.0, 0.0, 0.0)
+    z = Measurement(5.0, 0.2, 8.0)
 
     def test_g_nonexistent(self):
-        assert model.pseudo_g(self.x, 0, 3, 2.0, self.z, 4, 6, PARAMS,
-                              GEOM) == 0.0
-        assert model.pseudo_g(self.x, 0, 0, 2.0, None, 4, 6, PARAMS, GEOM) \
-            == pytest.approx(model.far_norm(2.0, 4, 6))
+        w = dabp.evaluate_weights([point_track(self.x, 0.0)], [birth(0.0)],
+                                  [self.z], far_belief([2.0]), PARAMS, GEOM)
+        assert w.log_beta[0, 0] == 0.0
+        assert w.log_beta[0, 1] == -np.inf
 
     def test_g_missed_detection(self):
-        p_d = float(model.detection_prob(self.x.u, PARAMS.u_de, GEOM.n_eff,
+        # beta[0] / beta[1] = (1 - q p_d) / (q t p_d f / f_fa): scaled by q
+        # its dependence on q is (1 - q p_d) alone.
+        x = (5.0, 0.2, 4.0, 0.0, 0.0)
+        p_d = float(model.detection_prob(4.0, PARAMS.u_de, GEOM.n_eff,
                                          PARAMS.amp_mode))
-        got = model.pseudo_g(self.x, 1, 0, 2.0, None, 4, 6, PARAMS, GEOM)
-        assert got == pytest.approx(model.far_norm(2.0, 4, 6) * (1 - p_d))
+
+        def scaled_miss(q):
+            w = dabp.evaluate_weights([point_track(x, q)], [birth(0.0)],
+                                      [self.z], far_belief([2.0]), PARAMS,
+                                      GEOM)
+            return q * math.exp(-log_ratio_assoc_to_miss(w))
+
+        for q in (0.2, 0.5, 0.9):
+            assert scaled_miss(q) / scaled_miss(1.0) == pytest.approx(
+                (1 - q * p_d) / (1 - p_d), rel=1e-9)
 
     def test_g_association_branch(self):
-        got = model.pseudo_g(self.x, 1, 1, 2.0, self.z, 4, 6, PARAMS, GEOM)
-        n = model.far_norm(2.0, 4, 6)
-        p_d = float(model.detection_prob(self.x.u, PARAMS.u_de, GEOM.n_eff,
-                                         PARAMS.amp_mode))
-        f = math.exp(float(model.log_lik_measurement(
-            self.z, self.x.as_array()[None, :], PARAMS, GEOM)[0]))
-        fa = model.fa_density(self.z, PARAMS.u_de, PARAMS.d_max)
-        assert got == pytest.approx(n * f * p_d / (2.0 * fa), rel=1e-9)
+        # beta[1] / beta[0] = q p_d f(z|x) / (mu f_fa(z)) / (1 - q p_d), with
+        # the gauss-mode joint likelihood and the clutter density written
+        # out in closed form.
+        q, mu = 0.6, 2.0
+        d, phi, u = 5.0, 0.2, 4.0
+        z = Measurement(5.004, 0.23, 4.3)
+        u_de = PARAMS.u_de
+        var_d = float(model.sigma_d_sq(u, GEOM))
+        var_p = float(model.sigma_phi_sq(u, phi, GEOM))
+        s2 = float(model.amp_scale_sq(u, GEOM.n_eff))
+        p_d = float(ndtr((u - math.sqrt(u_de)) / math.sqrt(s2)))
+        log_f = (-0.5 * (z.z_d - d) ** 2 / var_d
+                 - 0.5 * math.log(2 * np.pi * var_d)
+                 - 0.5 * (z.z_phi - phi) ** 2 / var_p
+                 - 0.5 * math.log(2 * np.pi * var_p)
+                 - 0.5 * (z.z_u - u) ** 2 / s2 - 0.5 * math.log(2 * np.pi * s2)
+                 - math.log(p_d))
+        log_fa = (math.log(2 * z.z_u) - (z.z_u**2 - u_de)
+                  - math.log(PARAMS.d_max) - math.log(2 * np.pi))
+        w = dabp.evaluate_weights([point_track((d, phi, u, 0, 0), q)],
+                                  [birth(0.0)], [z], far_belief([mu]), PARAMS,
+                                  GEOM)
+        expect = q * p_d * math.exp(log_f - log_fa) / mu / (1 - q * p_d)
+        assert math.exp(log_ratio_assoc_to_miss(w)) == pytest.approx(
+            expect, rel=1e-9)
 
     def test_h_exclusion_and_nonexistent(self):
-        assert model.pseudo_h(self.x, 1, 2, 2.0, self.z, 4, 6, PARAMS,
-                              GEOM) == 0.0
-        for b in (0, 1, 5):
-            assert model.pseudo_h(self.x, 0, b, 2.0, self.z, 4, 6, PARAMS,
-                                  GEOM) == pytest.approx(
-                                      model.far_norm(2.0, 4, 6))
+        # xi[m, k] for k >= 1 is the non-existence term alone (an existing
+        # new component excludes b = k); xi[m, 0] adds the birth mass.
+        trs = [point_track(self.x, 0.7) for _ in range(3)]
+        for log_mass in (-3.0, 0.0, 4.0):
+            w = dabp.evaluate_weights(trs, [birth(log_mass)], [self.z],
+                                      far_belief([2.0]), PARAMS, GEOM)
+            for k in (1, 2, 3):
+                assert math.exp(w.log_xi[0, 0] - w.log_xi[0, k]) - 1.0 == \
+                    pytest.approx(math.exp(w.log_new_mass[0]), rel=1e-9)
 
     def test_h_birth_branch_arithmetic(self):
-        # With f(z|x) = f_fa(z) the ratio collapses to mu_n / (2 pi d_max mu).
+        # log_new_mass = log t + log mu_n + log_mass, t = E[n/mu] / E[n]
+        # with n(mu) = (exp(-mu) mu^M)^(1/(K+M)).
         params = HyperParams(mu_n=0.008, d_max=17.0)
-        got = model.pseudo_h(self.x, 1, 0, 2.0, self.z, 4, 6, params, GEOM)
-        n = model.far_norm(2.0, 4, 6)
-        f = math.exp(float(model.log_lik_measurement(
-            self.z, self.x.as_array()[None, :], params, GEOM)[0]))
-        fa = model.fa_density(self.z, params.u_de, params.d_max)
-        expect = n * 0.008 / (2 * np.pi * 17.0 * 2.0) * (f / fa)
-        assert got == pytest.approx(expect, rel=1e-9)
+        trs = [point_track(self.x, 0.7)]
+        w = dabp.evaluate_weights(trs, [birth(1.5)], [self.z],
+                                  far_belief([2.0]), params, GEOM)
+        assert math.exp(w.log_new_mass[0]) == pytest.approx(
+            0.008 / 2.0 * math.exp(1.5), rel=1e-9)
+        mus = np.array([1.0, 3.0])
+        n = (np.exp(-mus) * mus) ** (1 / 2)
+        t = float(np.sum(n / mus) / np.sum(n))
+        w = dabp.evaluate_weights(trs, [birth(1.5)], [self.z],
+                                  far_belief(mus), params, GEOM)
+        assert w.far_ratio == pytest.approx(t, rel=1e-12)
+        assert math.exp(w.log_new_mass[0]) == pytest.approx(
+            t * 0.008 * math.exp(1.5), rel=1e-9)
 
-    @given(st.floats(0.5, 30.0), st.floats(0.1, 10.0),
-           st.integers(0, 1), st.integers(0, 3))
+    @given(st.floats(0.5, 30.0), st.floats(0.1, 10.0), st.floats(0.0, 1.0),
+           st.floats(-5.0, 5.0))
     @settings(max_examples=100, deadline=None)
-    def test_factors_nonnegative(self, u, mu, r, a):
-        x = KinematicState(5.0, 0.2, u, 0.0, 0.0)
+    def test_factors_nonnegative(self, u, mu, q, log_mass):
+        x = (5.0, 0.2, u, 0.0, 0.0)
         z = Measurement(5.3, 0.25, max(u, math.sqrt(PARAMS.u_de) + 0.1))
-        g = model.pseudo_g(x, r, a, mu, z if a else None, 3, 2, PARAMS, GEOM)
-        h = model.pseudo_h(x, r, a, mu, z, 3, 2, PARAMS, GEOM)
-        assert g >= 0.0 and h >= 0.0
-        if r == 1 and a >= 1:
-            assert model.pseudo_h(x, 1, a, mu, z, 3, 2, PARAMS, GEOM) == 0.0
+        w = dabp.evaluate_weights([point_track(x, q)] * 2, [birth(log_mass)],
+                                  [z], far_belief([mu]), PARAMS, GEOM)
+        for arr in (w.beta, w.xi):
+            assert not np.any(np.isnan(arr))
+            assert np.all((arr >= 0.0) & (arr <= 1.0))
+        if q == 0.0:
+            assert np.all(w.beta[:, 1:] == 0.0)
 
 
 class TestBatchLikelihood:
     def test_matrix_matches_single(self):
+        # Each column equals the one-measurement call the new-track
+        # proposal makes.
         rng = np.random.default_rng(1)
         particles = np.column_stack([
             rng.uniform(2, 10, 50), rng.uniform(-3, 3, 50),
@@ -443,15 +576,13 @@ class TestBatchLikelihood:
         zs = [Measurement(5.0, 0.2, 10.0), Measurement(7.0, -1.0, 4.0)]
         mat = model.log_lik_matrix(zs, particles, PARAMS, GEOM)
         for m, z in enumerate(zs):
-            single = model.log_lik_measurement(z, particles, PARAMS, GEOM)
+            single = model.log_lik_matrix([z], particles, PARAMS, GEOM)[:, 0]
             assert np.allclose(mat[:, m], single, rtol=1e-12)
 
     @pytest.mark.parametrize("mode", ["exact", "gauss"])
     def test_modes_agree_roughly_at_high_snr(self, mode):
         params = HyperParams(amp_mode=mode)
-        particles = np.array([[5.0, 0.2, 25.0, 0.0, 0.0]])
-        z = Measurement(5.0, 0.2, 25.0)
-        val = model.log_lik_measurement(z, particles, params, GEOM)[0]
+        val = log_lik((5.0, 0.2, 25.0), (5.0, 0.2, 25.0, 0.0, 0.0), params)
         assert np.isfinite(val)
 
 

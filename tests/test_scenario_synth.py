@@ -189,7 +189,7 @@ class TestSynthMeasurements:
         band = 3 * math.sqrt(p_d * (1 - p_d) / n)
         assert abs(hits / n - p_d) < band
 
-    def test_truncated_amplitude_sampler_distribution(self):
+    def test_truncated_amplitude_sampler_distribution(self, amp_lik):
         # Conditional law above the threshold matches the truncated density.
         rng = np.random.default_rng(5)
         u, u_de, n_eff = 2.5, self.params.u_de, GEOM.n_eff
@@ -201,8 +201,8 @@ class TestSynthMeasurements:
             z = np.atleast_1d(z)
             from scipy.integrate import quad
             lo = math.sqrt(u_de)
-            return np.array([quad(lambda t: float(model.lik_amplitude(
-                t, u, u_de, n_eff, "exact")), lo, zi)[0] for zi in z])
+            return np.array([quad(lambda t: amp_lik(t, u, "exact"), lo,
+                                  zi)[0] for zi in z])
 
         qs = np.quantile(draws, [0.25, 0.5, 0.75])
         assert np.allclose(cdf(qs), [0.25, 0.5, 0.75], atol=0.03)

@@ -189,8 +189,8 @@ class TestSingleBernoulliOracle:
         st.far = point_far(mu0, p.J)
         z = Measurement(5.0 + z_off, 0.3, 4.0)
         p_d = float(model.detection_prob(4.0, p.u_de, GEOM.n_eff, p.amp_mode))
-        log_l = float(model.log_lik_measurement(
-            z, np.asarray([state], float), p, GEOM)[0]) \
+        log_l = float(model.log_lik_matrix(
+            [z], np.asarray([state], float), p, GEOM)[0, 0]) \
             - model.log_fa_density(z, p.u_de, p.d_max)
 
         # The birth mass is a Monte-Carlo integral over the tracker's own
@@ -219,8 +219,8 @@ class TestSingleBernoulliOracle:
         st.far = point_far(mu0, p.J)
         z = Measurement(5.02, 0.31, 4.2)
         p_d = float(model.detection_prob(4.0, p.u_de, GEOM.n_eff, p.amp_mode))
-        log_l = float(model.log_lik_measurement(
-            z, np.asarray([state], float), p, GEOM)[0]) \
+        log_l = float(model.log_lik_matrix(
+            [z], np.asarray([state], float), p, GEOM)[0, 0]) \
             - model.log_fa_density(z, p.u_de, p.d_max)
         t = 1.0 / mu0
         l = math.exp(log_l)
@@ -343,3 +343,57 @@ class TestUpdateMechanics:
         a = run([0, 1, 2])
         b = run([2, 0, 1])
         assert a == b
+
+
+class TestInputGate:
+    GOOD = Measurement(5.0, 0.1, 12.0)
+
+    def stepped(self, ms):
+        p = params(J=100)
+        st = tracker.init(p, GEOM, 9)
+        st.legacy = [point_track([5.0, 0.1, 12.0, 0.0, 0.0], 0.9, p.J),
+                     point_track([9.0, -1.0, 7.0, 0.0, 0.0], 0.6, p.J, tid=2)]
+        st.far = point_far(2.0, p.J)
+        tracker.predict(st, p)
+        _, est, _ = tracker.update(st, ms, p, GEOM)
+        return st, est
+
+    @pytest.mark.parametrize("field", ["z_d", "z_phi", "z_u"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_measurement_rejected(self, field, value, caplog):
+        fields = {"z_d": 7.0, "z_phi": 0.5, "z_u": 9.0, field: value}
+        with caplog.at_level("WARNING"):
+            st_bad, est_bad = self.stepped([self.GOOD, Measurement(**fields)])
+        assert "rejecting" in caplog.text
+        st_ok, est_ok = self.stepped([self.GOOD])
+        assert est_bad == est_ok
+        assert st_bad.step == st_ok.step
+        assert [t.id for t in st_bad.legacy] == [t.id for t in st_ok.legacy]
+        for a, b in zip(st_bad.legacy, st_ok.legacy):
+            assert np.array_equal(a.particles, b.particles)
+            assert a.p_exist == b.p_exist
+        assert np.array_equal(st_bad.far.particles, st_ok.far.particles)
+        assert st_bad.rng.random() == st_ok.rng.random()
+
+
+def test_log_lik_matrix_calls_per_update(monkeypatch):
+    # One call per legacy belief in evaluate_weights and one per accepted
+    # measurement in the new-track proposal, through the module attribute.
+    calls = []
+    kernel = model.log_lik_matrix
+
+    def counting(*args, **kwargs):
+        calls.append(len(args[0]))
+        return kernel(*args, **kwargs)
+
+    monkeypatch.setattr(model, "log_lik_matrix", counting)
+    p = params(J=100)
+    st = tracker.init(p, GEOM, 0)
+    st.legacy = [point_track([5.0, 0.1, 12.0, 0.0, 0.0], 0.9, p.J),
+                 point_track([9.0, -1.0, 7.0, 0.0, 0.0], 0.6, p.J, tid=2)]
+    st.far = point_far(2.0, p.J)
+    ms = [Measurement(5.0, 0.1, 12.0), Measurement(9.0, -1.0, 7.0),
+          Measurement(3.0, 2.0, 6.0), Measurement(4.0, 0.0, 0.5)]
+    tracker.update(st, ms, p, GEOM)
+    K, M = 2, 3  # the last measurement is below the detection threshold
+    assert len(calls) == K + M

@@ -37,8 +37,8 @@ class AssociationWeights:
     log_beta: Optional[np.ndarray] = None
     log_xi: Optional[np.ndarray] = None
     far_ratio: float = 1.0              # E[n(mu)/mu] / E[n(mu)] under the FAR belief
-    det_prob: Optional[list] = None     # per track: (J,) detection probabilities
-    log_lratio: Optional[list] = None   # per track: (J, M) log f(z|x)/f_fa(z)
+    det_prob: Optional[list] = None     # per track: (J,) P_d(x), for the miss term
+    log_lratio: Optional[list] = None   # per track: (J, M) log P_d(x) f(z|x)/f_fa(z)
     log_new_mass: Optional[np.ndarray] = None  # (M,) log(far_ratio*mu_n*<f>/f_fa)
 
 
@@ -91,14 +91,13 @@ def evaluate_weights(legacy_beliefs: Sequence, new_proposals: Sequence,
     det_prob: list = []
     log_lratio: list = []
     for k, tr in enumerate(legacy_beliefs):
-        particles = tr.particles
-        lw = np.log(np.maximum(tr.weights, 1e-300))
-        p_d = model.detection_prob(particles[:, 2], params.u_de, geom.n_eff,
+        p_d = model.detection_prob(tr.particles[:, 2], params.u_de, geom.n_eff,
                                    params.amp_mode)
-        log_p_d = model.log_detection_prob(particles[:, 2], params.u_de,
-                                           geom.n_eff, params.amp_mode)
-        llr = model.log_lik_matrix(measurements, particles, params, geom) \
-            - log_fa[None, :]
+        # Detection-weighted ratio log P_d + log f - log f_fa, (J, M) view of
+        # a measurement-major (M, J) array.
+        llr = model.log_lik_matrix(measurements, tr.particles, params, geom,
+                                   True)
+        llr -= log_fa
         det_prob.append(p_d)
         log_lratio.append(llr)
         # Column 0 marginalizes existence: non-existence plus missed detection.
@@ -106,9 +105,9 @@ def evaluate_weights(legacy_beliefs: Sequence, new_proposals: Sequence,
             + tr.p_exist * float(np.sum(tr.weights * (1.0 - p_d)))
         log_beta[k, 0] = np.log(max(miss, 1e-300))
         if M and tr.p_exist > 0.0:
+            lw = np.log(np.maximum(tr.weights, 1e-300))
             log_beta[k, 1:] = (log_t + np.log(tr.p_exist)
-                               + log_sum_exp(lw[:, None] + log_p_d[:, None]
-                                             + llr, axis=0))
+                               + log_sum_exp(llr.T + lw, axis=1))
 
     log_xi = np.zeros((M, K + 1))
     log_new_mass = np.full(M, -np.inf)

@@ -27,8 +27,25 @@ SIGMA_PHI_SQ_MAX = TWO_PI**2
 
 
 def wrap_angle(phi):
-    """Wrap angles (radians) into [-pi, pi). Works on scalars and arrays."""
-    return np.mod(np.asarray(phi) + np.pi, TWO_PI) - np.pi
+    """Wrap angles (radians) into [-pi, pi) as np.mod(phi + pi, 2 pi) - pi.
+    Works on scalars and arrays.
+
+    A float64 array whose shifted values y = phi + pi all lie in
+    [-2 pi, 4 pi), such as a residual of two wrapped angles or an angle one
+    motion step off the circle, is wrapped by adding or subtracting 2 pi
+    where y < 0 or y >= 2 pi. Subtracting is exact (Sterbenz) and adding
+    rounds as np.mod's own correction does, so the result is bit-for-bit the
+    np.mod form at a fraction of its cost. Every other input (0-d, empty,
+    non-finite, further out) takes np.mod.
+    """
+    y = np.asarray(phi) + np.pi
+    if (np.ndim(y) and y.dtype == np.float64 and y.size
+            and y.min() >= -TWO_PI and y.max() < 2.0 * TWO_PI):
+        y -= TWO_PI * (y >= TWO_PI)
+        y += TWO_PI * (y < 0.0)
+        y -= np.pi
+        return y
+    return np.mod(y, TWO_PI) - np.pi
 
 
 def ang_diff(a, b):
@@ -101,6 +118,11 @@ class ArrayGeometry:
         scale = max(1.0, float(np.max(np.abs(xy))) if xy.size else 1.0)
         if np.any(np.abs(xy.mean(axis=0)) > 1e-9 * scale):
             raise ValueError("element centroid must be at the origin")
+        # Closed-form aperture coefficients (see aperture_sq).
+        d2h, two_phi_h = self._polar[:, 0] ** 2, 2.0 * self._polar[:, 1]
+        self._aperture_abc = (float(np.sum(d2h)) / 2.0,
+                              float(np.sum(d2h * np.cos(two_phi_h))) / 2.0,
+                              float(np.sum(d2h * np.sin(two_phi_h))) / 2.0)
 
     @property
     def H(self) -> int:
@@ -258,12 +280,20 @@ def sigma_d_sq(u, geom: ArrayGeometry):
 
 def aperture_sq(phi, geom: ArrayGeometry):
     """Squared array aperture D^2(phi): the summed squared sensitivity of the
-    per-element plane-wave path lengths to the arrival angle (meters^2)."""
-    off = geom._polar
-    d_h = off[:, 0].reshape(-1, *([1] * np.ndim(phi)))
-    phi_h = off[:, 1].reshape(-1, *([1] * np.ndim(phi)))
-    s = d_h * np.sin(np.asarray(phi) - geom.psi - phi_h)
-    return np.sum(s * s, axis=0)
+    per-element plane-wave path lengths to the arrival angle (meters^2),
+    sum_h d_h^2 sin^2(phi - psi - phi_h), shaped like phi.
+
+    Evaluated in closed form, D^2 = a - b cos 2(phi - psi) - c sin 2(phi - psi)
+    with a = sum d_h^2 / 2, b = sum d_h^2 cos(2 phi_h) / 2 and
+    c = sum d_h^2 sin(2 phi_h) / 2 fixed per geometry, and clamped at 0.
+    When |b| + |c| <= 1e-12 a (any array symmetric under a quarter turn,
+    e.g. a square URA) D^2 is the constant a.
+    """
+    a, b, c = geom._aperture_abc
+    if abs(b) + abs(c) <= 1e-12 * a:
+        return np.full(np.shape(phi), a)
+    two = 2.0 * (np.asarray(phi, dtype=float) - geom.psi)
+    return np.maximum(a - b * np.cos(two) - c * np.sin(two), 0.0)
 
 
 def sigma_phi_sq(u, phi, geom: ArrayGeometry):
@@ -272,12 +302,7 @@ def sigma_phi_sq(u, phi, geom: ArrayGeometry):
     u_eff = np.maximum(np.abs(u), U_FLOOR)
     d2 = aperture_sq(phi, geom)
     with np.errstate(divide="ignore"):
-        raw = np.where(
-            d2 > 0.0,
-            geom.c**2 / (8.0 * np.pi**2 * geom.f_c**2 * u_eff**2
-                         * np.where(d2 > 0.0, d2, 1.0)),
-            np.inf,
-        )
+        raw = geom.c**2 / (8.0 * np.pi**2 * geom.f_c**2 * u_eff**2 * d2)
     return np.minimum(raw, SIGMA_PHI_SQ_MAX)
 
 
@@ -359,7 +384,7 @@ def log_fa_density(z: Measurement, u_de: float, d_max: float) -> float:
 
 
 def log_lik_matrix(measurements, particles: np.ndarray, params: HyperParams,
-                   geom: ArrayGeometry) -> np.ndarray:
+                   geom: ArrayGeometry, detected: bool = False) -> np.ndarray:
     """Log joint measurement likelihoods log f(z_m | x_j) as a (J, M) matrix.
 
     The joint likelihood is a Gaussian in distance, a Gaussian on the wrapped
@@ -367,37 +392,53 @@ def log_lik_matrix(measurements, particles: np.ndarray, params: HyperParams,
     Rician truncated at sqrt(u_de) and renormalized by the detection
     probability, in "gauss" mode the truncated-Gaussian approximation.
     Columns of measurements at or below the threshold are -inf.
-    Particle-dependent variances and the amplitude-likelihood normalizer are
-    computed once and broadcast across measurements.
+
+    With the fifth argument `detected` true (pass it positionally), each
+    entry is the detection-weighted log P_d(x_j) + log f(z_m | x_j) instead:
+    the detection probability that normalizes the truncated amplitude
+    likelihood cancels, so it is not evaluated at all.
+
+    Per-particle constants (the three inverse variances and one log
+    normalizer) are J-vectors computed once. The residuals are built
+    measurement-major as an (M, J) array and updated in place; the result
+    is its (J, M) transposed view, so reductions over particles run along
+    contiguous memory.
     """
     J = particles.shape[0]
     M = len(measurements)
     if M == 0:
         return np.zeros((J, 0))
-    d, phi, u = particles[:, 0], particles[:, 1], particles[:, 2]
-    var_d = sigma_d_sq(u, geom)[:, None]
-    var_p = sigma_phi_sq(u, phi, geom)[:, None]
-    s2 = amp_scale_sq(u, geom.n_eff)[:, None]
-    log_norm = (-0.5 * np.log(TWO_PI * var_d) - 0.5 * np.log(TWO_PI * var_p)
-                - log_detection_prob(u, params.u_de, geom.n_eff,
-                                     params.amp_mode)[:, None])
-    zd = np.array([z.z_d for z in measurements])[None, :]
-    zp = np.array([z.z_phi for z in measurements])[None, :]
-    zu = np.array([z.z_u for z in measurements])[None, :]
-    rd = zd - d[:, None]
-    rp = ang_diff(zp, phi[:, None])
-    ru = zu - u[:, None]
-    out = log_norm - 0.5 * rd * rd / var_d - 0.5 * rp * rp / var_p \
-        - 0.5 * ru * ru / s2
-    if params.amp_mode == "exact":
-        # Rician density written with the exponentially scaled Bessel i0e for
-        # overflow safety: (z/s2) exp(-(z-u)^2/(2 s2)) i0e(z u / s2).
-        out += np.log(np.maximum(zu, 1e-300)) - np.log(s2) \
-            + np.log(special.i0e(zu * u[:, None] / s2))
-    elif params.amp_mode == "gauss":
-        out += -0.5 * np.log(TWO_PI * s2)
-    else:
+    exact = params.amp_mode == "exact"
+    if not exact and params.amp_mode != "gauss":
         raise ValueError(f"unknown amplitude mode: {params.amp_mode!r}")
-    thresh = math.sqrt(params.u_de)
-    out[:, (zu <= thresh).reshape(-1)] = -np.inf
-    return out
+    d, phi, u = particles[:, 0], particles[:, 1], particles[:, 2]
+    var_d = sigma_d_sq(u, geom)
+    var_p = sigma_phi_sq(u, phi, geom)
+    s2 = amp_scale_sq(u, geom.n_eff)
+    log_norm = -0.5 * np.log(TWO_PI * var_d) - 0.5 * np.log(TWO_PI * var_p)
+    # Rician: (z/s2) exp(-(z-u)^2/(2 s2)) i0e(z u / s2), written with the
+    # exponentially scaled Bessel i0e for overflow safety.
+    log_norm -= np.log(s2) if exact else 0.5 * np.log(TWO_PI * s2)
+    if not detected:
+        log_norm -= log_detection_prob(u, params.u_de, geom.n_eff,
+                                       params.amp_mode)
+    z = np.array([(m.z_d, m.z_phi, m.z_u) for m in measurements], dtype=float)
+    zd, zp, zu = z[:, 0:1], z[:, 1:2], z[:, 2:3]
+    out = zd - d
+    out *= out
+    out *= 0.5 / var_d
+    r = wrap_angle(zp - phi)
+    r *= r
+    r *= 0.5 / var_p
+    out += r
+    np.subtract(zu, u, out=r)
+    r *= r
+    r *= 0.5 / s2
+    out += r
+    np.subtract(log_norm, out, out=out)
+    if exact:
+        np.multiply(zu, u / s2, out=r)
+        out += np.log(special.i0e(r, out=r), out=r)
+        out += np.log(np.maximum(zu, 1e-300))
+    out[z[:, 2] <= math.sqrt(params.u_de)] = -np.inf
+    return out.T

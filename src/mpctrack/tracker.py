@@ -213,16 +213,13 @@ def _update_legacy(tr: PmpcBelief, w: dabp.AssociationWeights, k: int,
                    log_nu: np.ndarray) -> None:
     """Reweight one legacy belief with the converged extrinsic messages and
     recompute its existence probability."""
-    p_d = w.det_prob[k]
-    llr = w.log_lratio[k]
+    llr = w.log_lratio[k]  # (J, M) detection-weighted, measurement-major
     M = llr.shape[1]
     log_t = math.log(w.far_ratio)
     with np.errstate(divide="ignore"):
-        log_miss = np.log(np.maximum(1.0 - p_d, 0.0))
-        log_p_d = np.log(np.maximum(p_d, 1e-300))
+        log_miss = np.log(np.maximum(1.0 - w.det_prob[k], 0.0))
     if M:
-        assoc = log_sum_exp(log_nu[:, k][None, :] + log_t + log_p_d[:, None] + llr,
-                          axis=1)
+        assoc = log_sum_exp(llr.T + (log_nu[:, k] + log_t)[:, None], axis=0)
         log_psi = np.logaddexp(log_miss, assoc)
     else:
         log_psi = log_miss
@@ -275,7 +272,9 @@ def update(state: TrackerState, measurements: Sequence[Measurement],
     non-finite field, at or below the detection threshold or outside the
     distance support are rejected with a diagnostic. Processing
     uses set semantics: measurements are canonically ordered internally, so
-    the output is invariant to their input order.
+    the output is invariant to their input order. A state with legacy
+    components but no false-alarm-rate belief raises RuntimeError before
+    anything in it changes.
     """
     thresh = math.sqrt(params.u_de)
     ms = []
@@ -292,10 +291,16 @@ def update(state: TrackerState, measurements: Sequence[Measurement],
         else:
             ms.append(z)
     ms.sort(key=lambda z: (z.z_d, z.z_phi, z.z_u))
-
-    state.step += 1
     M = len(ms)
     K = len(state.legacy)
+    # Legacy components only exist after some measurement was processed, so
+    # the rate belief is initialized by the time K > 0.
+    if K and state.far is None:
+        raise RuntimeError(f"tracker state has K={K} legacy components but no "
+                           f"false-alarm-rate belief (M={M} accepted "
+                           "measurements)")
+
+    state.step += 1
 
     if state.far is None and M > 0:
         center = M / 2.0
@@ -312,10 +317,6 @@ def update(state: TrackerState, measurements: Sequence[Measurement],
             resample(state.far, params.J, state.rng)
         return state, estimate(state, params), AssociationMarginals(
             np.zeros((0, 1)), np.zeros((0, 1)), 0, True)
-
-    # Legacy components only exist after some measurement was processed, so
-    # the rate belief is always initialized by the time K > 0.
-    assert state.far is not None
 
     proposals = [_build_proposal(z, params, geom, params.J, state.rng)
                  for z in ms]

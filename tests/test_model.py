@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy.integrate import quad
 from scipy.special import log_ndtr, ndtr
 
@@ -50,6 +51,51 @@ class TestGeometry:
         x = np.linspace(-20, 20, 1001)
         w = model.wrap_angle(x)
         assert np.all(w >= -np.pi) and np.all(w < np.pi)
+
+    @staticmethod
+    def assert_wraps_like_mod(x):
+        # Bit for bit the np.mod form (the int64 view also tells -0 from +0).
+        expect = np.mod(np.asarray(x) + np.pi, model.TWO_PI) - np.pi
+        got = model.wrap_angle(x)
+        assert np.shape(got) == np.shape(expect)
+        assert np.array_equal(np.asarray(got, dtype=float).view(np.int64),
+                              np.asarray(expect, dtype=float).view(np.int64))
+
+    @given(hnp.arrays(np.float64, st.integers(1, 64),
+                      elements=st.floats(-3 * np.pi, 3 * np.pi)))
+    def test_wrap_angle_bits_residual_range(self, x):
+        # Every shifted value in [-2 pi, 4 pi): the arithmetic path.
+        self.assert_wraps_like_mod(x)
+
+    @given(hnp.arrays(np.float64, st.integers(1, 64),
+                      elements=st.floats(-1e300, 1e300)))
+    def test_wrap_angle_bits_any_finite(self, x):
+        self.assert_wraps_like_mod(x)
+
+    @given(st.floats(-1e300, 1e300))
+    def test_wrap_angle_bits_zero_dim(self, x):
+        self.assert_wraps_like_mod(x)
+        self.assert_wraps_like_mod(np.float64(x))
+        self.assert_wraps_like_mod(np.asarray(x))
+
+    EDGES = (0.0, -0.0, np.pi, -np.pi, 2 * np.pi, -2 * np.pi,
+             np.nextafter(3 * np.pi, 0.0), np.nextafter(-np.pi, -4.0),
+             np.nextafter(np.pi, 4.0), np.nextafter(-3 * np.pi, 0.0),
+             1e300, -1e300)
+
+    @pytest.mark.parametrize("x", EDGES)
+    def test_wrap_angle_bits_edges(self, x):
+        self.assert_wraps_like_mod(x)
+        self.assert_wraps_like_mod(np.array([x]))
+        self.assert_wraps_like_mod(np.array([x, 0.5]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_wrap_angle_non_finite_is_nan(self, bad):
+        with np.errstate(invalid="ignore"):
+            assert np.isnan(model.wrap_angle(bad))
+            out = model.wrap_angle(np.array([0.5, bad, -1.0]))
+        assert np.isnan(out[1])
+        assert out[0] == 0.5 and out[2] == -1.0
 
     @given(st.floats(-50, 50), st.floats(-50, 50))
     def test_ang_diff_wraps(self, a, b):
@@ -178,6 +224,52 @@ class TestVariances:
                          for x, y in xy)
             assert model.aperture_sq(phi, GEOM) == pytest.approx(expect,
                                                                  rel=1e-12)
+
+    @staticmethod
+    def aperture_by_elements(phi, geom):
+        # Per-element sum in extended precision at the angle phi - psi the
+        # kernel sees.
+        off = np.asarray(geom.element_offsets, dtype=np.longdouble)
+        t = np.longdouble(phi - geom.psi)
+        return float(np.sum(off[:, 0] ** 2 * np.sin(t - off[:, 1]) ** 2))
+
+    @given(st.floats(0.001, 0.2), st.floats(-np.pi, np.pi),
+           st.lists(st.floats(-np.pi, np.pi), min_size=1, max_size=8))
+    def test_aperture_closed_form_ura(self, spacing, psi, phis):
+        # A 2x3 URA is not symmetric under a quarter turn, so b != 0.
+        g = ArrayGeometry.uniform_rectangular(
+            2, 3, spacing, psi=psi, f_c=6e9, beta_bw_sq=1e16, N_s=46,
+            T_s=1.25e-9)
+        a = 0.5 * sum(d * d for d, _ in g.element_offsets)
+        got = model.aperture_sq(np.array(phis), g)
+        assert got.shape == (len(phis),)
+        for phi, v in zip(phis, got):
+            assert abs(v - self.aperture_by_elements(phi, g)) <= 1e-15 * a
+
+    @given(hnp.arrays(np.float64, st.tuples(st.integers(2, 6), st.just(2)),
+                      elements=st.floats(-0.1, 0.1)),
+           st.floats(-np.pi, np.pi), st.floats(-np.pi, np.pi))
+    def test_aperture_closed_form_random_array(self, xy, psi, phi):
+        xy = xy - xy.mean(axis=0)
+        off = [(math.hypot(x, y), math.atan2(y, x)) for x, y in xy]
+        a = 0.5 * sum(d * d for d, _ in off)
+        g = ArrayGeometry(off, psi, 6e9, 1e16, 46, 1.25e-9)
+        assert abs(float(model.aperture_sq(phi, g))
+                   - self.aperture_by_elements(phi, g)) <= 1e-15 * a
+
+    @given(st.floats(1e-3, 0.5), st.floats(-np.pi, np.pi),
+           st.floats(-np.pi, np.pi), st.integers(-4, 4))
+    def test_aperture_nonnegative_end_fire(self, r, theta, psi, ulps):
+        # Two-element line array along theta: D^2 vanishes at end-fire,
+        # where the closed form's cancellation can round below zero.
+        g = ArrayGeometry([(r, theta), (r, theta + np.pi)], psi, 6e9, 1e16,
+                          46, 1.25e-9)
+        for fire in (psi + theta, psi + theta + np.pi):
+            phi = float(model.wrap_angle(fire))
+            for _ in range(abs(ulps)):
+                phi = np.nextafter(phi, 4.0 * np.sign(ulps))
+            assert model.aperture_sq(phi, g) >= 0.0
+            assert model.aperture_sq(np.array([phi]), g)[0] >= 0.0
 
     def test_sigma_phi_quartering_and_clamp(self):
         assert model.sigma_phi_sq(2.0, 0.0, GEOM) == pytest.approx(
@@ -578,6 +670,36 @@ class TestBatchLikelihood:
         for m, z in enumerate(zs):
             single = model.log_lik_matrix([z], particles, PARAMS, GEOM)[:, 0]
             assert np.allclose(mat[:, m], single, rtol=1e-12)
+
+    @pytest.mark.parametrize("mode", ["exact", "gauss"])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_detected_flag_cancels_detection_probability(self, mode, seed):
+        # log_lik_matrix(..., True) = log_lik_matrix(...) + log P_d(u):
+        # the detection-weighted form the association weights use.
+        params = HyperParams(amp_mode=mode)
+        rng = np.random.default_rng(seed)
+        J = 300
+        particles = np.column_stack([
+            rng.uniform(0.0, 17.0, J), rng.uniform(-np.pi, np.pi, J),
+            rng.uniform(0.0, 40.0, J), rng.normal(0, 0.1, J),
+            rng.normal(0, 0.01, J)])
+        thresh = math.sqrt(params.u_de)
+        z_us = [thresh, 1.0, np.nextafter(thresh, 9.0), 2.5, 6.0, 15.0, 35.0]
+        zs = [Measurement(rng.uniform(0.0, 17.0), rng.uniform(-np.pi, np.pi),
+                          z_u) for z_u in z_us]
+        plain = model.log_lik_matrix(zs, particles, params, GEOM)
+        weighted = model.log_lik_matrix(zs, particles, params, GEOM, True)
+        assert weighted.shape == plain.shape == (J, len(zs))
+        log_p_d = model.log_detection_prob(particles[:, 2], params.u_de,
+                                           GEOM.n_eff, mode)
+        below = np.array(z_us) <= thresh
+        assert np.all(plain[:, below] == -np.inf)
+        assert np.all(weighted[:, below] == -np.inf)
+        finite = np.isfinite(plain)
+        assert np.array_equal(finite, np.isfinite(weighted))
+        assert np.all(finite[:, ~below])
+        expect = (plain + log_p_d[:, None])[finite]
+        assert np.allclose(weighted[finite], expect, rtol=1e-12, atol=1e-12)
 
     @pytest.mark.parametrize("mode", ["exact", "gauss"])
     def test_modes_agree_roughly_at_high_snr(self, mode):

@@ -3,6 +3,7 @@ pruning, determinism and measurement-order invariance."""
 
 import copy
 import math
+import traceback
 
 import numpy as np
 import pytest
@@ -376,18 +377,20 @@ class TestInputGate:
         assert st_bad.rng.random() == st_ok.rng.random()
 
 
-def test_log_lik_matrix_calls_per_update(monkeypatch):
-    # One call per legacy belief in evaluate_weights and one per accepted
-    # measurement in the new-track proposal, through the module attribute.
+def counted_update(monkeypatch, name, p):
+    """One update with K = 2 legacy tracks and M = 3 accepted measurements
+    (the fourth is below the detection threshold), counting the calls of
+    model.<name>; returns (calls, K, M). Each call records whether the
+    new-track proposal made it."""
     calls = []
-    kernel = model.log_lik_matrix
+    kernel = getattr(model, name)
 
     def counting(*args, **kwargs):
-        calls.append(len(args[0]))
+        callers = {frame.name for frame in traceback.extract_stack()}
+        calls.append("_build_proposal" in callers)
         return kernel(*args, **kwargs)
 
-    monkeypatch.setattr(model, "log_lik_matrix", counting)
-    p = params(J=100)
+    monkeypatch.setattr(model, name, counting)
     st = tracker.init(p, GEOM, 0)
     st.legacy = [point_track([5.0, 0.1, 12.0, 0.0, 0.0], 0.9, p.J),
                  point_track([9.0, -1.0, 7.0, 0.0, 0.0], 0.6, p.J, tid=2)]
@@ -395,5 +398,51 @@ def test_log_lik_matrix_calls_per_update(monkeypatch):
     ms = [Measurement(5.0, 0.1, 12.0), Measurement(9.0, -1.0, 7.0),
           Measurement(3.0, 2.0, 6.0), Measurement(4.0, 0.0, 0.5)]
     tracker.update(st, ms, p, GEOM)
-    K, M = 2, 3  # the last measurement is below the detection threshold
+    return calls, 2, 3
+
+
+def test_log_lik_matrix_calls_per_update(monkeypatch):
+    # One call per legacy belief in evaluate_weights and one per accepted
+    # measurement in the new-track proposal, through the module attribute.
+    calls, K, M = counted_update(monkeypatch, "log_lik_matrix", params(J=100))
     assert len(calls) == K + M
+    assert sum(calls) == M
+
+
+def test_marcum_q1_calls_per_update_exact(monkeypatch):
+    # In "exact" mode the Rician tail P_d is evaluated once per legacy belief
+    # (its missed-detection term) and once per proposal (the normalizer of
+    # its likelihood); the legacy likelihoods are detection-weighted, so
+    # P_d cancels there.
+    calls, K, M = counted_update(monkeypatch, "marcum_q1",
+                                 params(J=100, amp_mode="exact"))
+    assert len(calls) == K + M
+    assert sum(calls) == M
+
+
+def test_log_detection_prob_calls_per_update_gauss(monkeypatch):
+    calls, K, M = counted_update(monkeypatch, "log_detection_prob",
+                                 params(J=100, amp_mode="gauss"))
+    assert len(calls) == M
+    assert all(calls)
+
+
+@pytest.mark.parametrize("n_meas", [0, 1])
+def test_legacy_without_far_belief_raises(n_meas):
+    # Legacy components imply a false-alarm-rate belief; a state without one
+    # is refused before anything in it changes.
+    p = params(J=50)
+    st = tracker.init(p, GEOM, 0)
+    st.legacy = [point_track([5.0, 0.1, 12.0, 0.0, 0.0], 0.9, p.J)]
+    before = copy.deepcopy(st)
+    ms = [Measurement(5.0, 0.1, 12.0)][:n_meas]
+    with pytest.raises(RuntimeError, match=rf"K=1 .*M={n_meas} "):
+        tracker.update(st, ms, p, GEOM)
+    assert st.step == before.step
+    assert st.far is None and st.next_id == before.next_id
+    assert len(st.legacy) == 1
+    tr, tr0 = st.legacy[0], before.legacy[0]
+    assert np.array_equal(tr.particles, tr0.particles)
+    assert np.array_equal(tr.weights, tr0.weights)
+    assert tr.p_exist == tr0.p_exist
+    assert st.rng.bit_generator.state == before.rng.bit_generator.state

@@ -286,12 +286,8 @@ def aperture_sq(phi, geom: ArrayGeometry):
     Evaluated in closed form, D^2 = a - b cos 2(phi - psi) - c sin 2(phi - psi)
     with a = sum d_h^2 / 2, b = sum d_h^2 cos(2 phi_h) / 2 and
     c = sum d_h^2 sin(2 phi_h) / 2 fixed per geometry, and clamped at 0.
-    When |b| + |c| <= 1e-12 a (any array symmetric under a quarter turn,
-    e.g. a square URA) D^2 is the constant a.
     """
     a, b, c = geom._aperture_abc
-    if abs(b) + abs(c) <= 1e-12 * a:
-        return np.full(np.shape(phi), a)
     two = 2.0 * (np.asarray(phi, dtype=float) - geom.psi)
     return np.maximum(a - b * np.cos(two) - c * np.sin(two), 0.0)
 

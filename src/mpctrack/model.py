@@ -383,6 +383,11 @@ def log_lik_matrix(measurements, particles: np.ndarray, params: HyperParams,
                    geom: ArrayGeometry, detected: bool = False) -> np.ndarray:
     """Log joint measurement likelihoods log f(z_m | x_j) as a (J, M) matrix.
 
+    particles is either one shared (J, 5) set, scored against every
+    measurement, or a (J, M, 5) array whose column m is measurement m's own
+    particle set (the new-track proposals): entry (j, m) is then
+    log f(z_m | particles[j, m]). Either way len(particles) is J.
+
     The joint likelihood is a Gaussian in distance, a Gaussian on the wrapped
     angular residual and a truncated amplitude likelihood: in "exact" mode a
     Rician truncated at sqrt(u_de) and renormalized by the detection
@@ -395,7 +400,8 @@ def log_lik_matrix(measurements, particles: np.ndarray, params: HyperParams,
     likelihood cancels, so it is not evaluated at all.
 
     Per-particle constants (the three inverse variances and one log
-    normalizer) are J-vectors computed once. The residuals are built
+    normalizer) are computed once, as J-vectors for a shared set and as
+    (M, J) arrays for paired sets. The residuals are built
     measurement-major as an (M, J) array and updated in place; the result
     is its (J, M) transposed view, so reductions over particles run along
     contiguous memory.
@@ -407,7 +413,7 @@ def log_lik_matrix(measurements, particles: np.ndarray, params: HyperParams,
     exact = params.amp_mode == "exact"
     if not exact and params.amp_mode != "gauss":
         raise ValueError(f"unknown amplitude mode: {params.amp_mode!r}")
-    d, phi, u = particles[:, 0], particles[:, 1], particles[:, 2]
+    d, phi, u = (particles[..., i].T for i in range(3))
     var_d = sigma_d_sq(u, geom)
     var_p = sigma_phi_sq(u, phi, geom)
     s2 = amp_scale_sq(u, geom.n_eff)

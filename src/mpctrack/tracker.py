@@ -52,6 +52,11 @@ class NewTrackProposal:
     log_mass is the log importance estimate of
     <f(z | x)>_birth-prior / f_fa(z), the evidence that the measurement was
     produced by a newly appearing component rather than clutter.
+
+    _build_proposals fills the proposals of one snapshot from a field-major
+    (5, M, J) buffer X: particles is the (J, 5) view X.transpose(1, 2, 0)[m]
+    (not contiguous; resampling copies it) and weights a row of one (M, J)
+    array.
     """
     particles: np.ndarray
     weights: np.ndarray
@@ -160,53 +165,98 @@ def estimate(state: TrackerState, params: HyperParams) -> StepEstimate:
 # Measurement update
 # ---------------------------------------------------------------------------
 
-def _build_proposal(z: Measurement, params: HyperParams, geom: ArrayGeometry,
-                    J: int, rng: np.random.Generator) -> NewTrackProposal:
-    """Sample a 5-D Gaussian centered on the measurement and importance-weight
-    it against the birth prior times the measurement likelihood.
+def _build_proposals(ms: Sequence[Measurement], params: HyperParams,
+                     geom: ArrayGeometry, J: int,
+                     rng: np.random.Generator) -> list:
+    """For each measurement, sample a 5-D Gaussian centered on it and
+    importance-weight it against the birth prior times the measurement
+    likelihood; one NewTrackProposal per measurement, in order.
 
     The velocity prior equals the proposal (it cancels); distance and angle
     have the uniform birth density, and the amplitude a uniform prior over a
     plausible range (widened when the measurement itself is stronger, so
     strong components are never gated by it). The weight is therefore
     f_n * f(z | x) / (proposal density over (d, phi, u) * f_fa(z)).
+
+    Only the random draws run per measurement, in the order d, phi, u, the
+    redraws of non-positive u, v_d, v_phi. Everything else runs on (M, J)
+    arrays: the particles live in one field-major (5, M, J) buffer X, one
+    log_lik_matrix call pairs each measurement with its own particle set,
+    and the weights and log masses are reduced row by row.
     """
-    sd = math.sqrt(float(model.sigma_d_sq(z.z_u, geom)))
-    sp = math.sqrt(float(model.sigma_phi_sq(z.z_u, z.z_phi, geom)))
-    su = math.sqrt(float(model.amp_scale_sq(z.z_u, geom.n_eff)))
+    M = len(ms)
+    if M == 0:
+        return []
+    z = np.array([(m.z_d, m.z_phi, m.z_u) for m in ms], dtype=float)
+    zd, zp, zu = z[:, 0:1], z[:, 1:2], z[:, 2:3]
+    # Per measurement as scalars: on a scalar u**2 is pow(), on an array
+    # u*u, and the two differ in the last bit for about 1e-3 of amplitudes.
+    sd = np.array([[math.sqrt(float(model.sigma_d_sq(m.z_u, geom)))]
+                   for m in ms])
+    sp = np.array([[math.sqrt(float(model.sigma_phi_sq(m.z_u, m.z_phi, geom)))]
+                   for m in ms])
+    su = np.sqrt(model.amp_scale_sq(zu, geom.n_eff))
 
-    d = z.z_d + sd * rng.standard_normal(J)
-    phi = wrap_angle(z.z_phi + sp * rng.standard_normal(J))
-    # Amplitude proposal truncated at zero (resample the rare negatives).
-    u = z.z_u + su * rng.standard_normal(J)
-    for _ in range(100):
-        neg = u <= 0.0
-        if not np.any(neg):
-            break
-        u[neg] = z.z_u + su * rng.standard_normal(int(neg.sum()))
-    u = np.maximum(u, model.U_FLOOR)
-    v_d = params.sigma_v_d * rng.standard_normal(J)
-    v_phi = params.sigma_v_phi * rng.standard_normal(J)
-    particles = np.stack([d, phi, u, v_d, v_phi], axis=1)
+    X = np.empty((5, M, J))
+    for m in range(M):
+        X[:3, m] = rng.standard_normal((3, J))
+        # Amplitude proposal truncated at zero: redraw the rare noise values
+        # that give u <= 0. u = z_u + su * n is monotone in n, so the
+        # smallest n decides whether there is any.
+        n_u, z_u, s_u = X[2, m], z[m, 2], su[m, 0]
+        for _ in range(100):
+            if z_u + s_u * n_u.min() > 0.0:
+                break
+            neg = z_u + s_u * n_u <= 0.0
+            n_u[neg] = rng.standard_normal(int(neg.sum()))
+        X[3:, m] = rng.standard_normal((2, J))
+    d, phi, u, v_d, v_phi = X
+    d *= sd
+    d += zd
+    phi *= sp
+    phi += zp
+    phi[...] = wrap_angle(phi)
+    u *= su
+    u += zu
+    np.maximum(u, model.U_FLOOR, out=u)
+    v_d *= params.sigma_v_d
+    v_phi *= params.sigma_v_phi
 
-    log_lik = model.log_lik_matrix([z], particles, params, geom)[:, 0]
-    u_prior_max = max(params.u_birth_max, z.z_u + 6.0 * su)
+    log_lik = model.log_lik_matrix(ms, X.transpose(2, 1, 0), params, geom).T
+    u_prior_max = np.maximum(params.u_birth_max, zu + 6.0 * su)
+    log_c = [[-math.log(TWO_PI * params.d_max) - math.log(x)]
+             for x in u_prior_max[:, 0]]
     log_birth = np.where((d >= 0.0) & (d <= params.d_max) & (u <= u_prior_max),
-                         -math.log(TWO_PI * params.d_max)
-                         - math.log(u_prior_max), -np.inf)
-    log_prop = (-0.5 * ((d - z.z_d) / sd) ** 2 - math.log(sd * math.sqrt(TWO_PI))
-                - 0.5 * (ang_diff(phi, z.z_phi) / sp) ** 2
-                - math.log(sp * math.sqrt(TWO_PI))
-                - 0.5 * ((u - z.z_u) / su) ** 2 - math.log(su * math.sqrt(TWO_PI))
-                - log_ndtr(z.z_u / su))
-    log_fa = model.log_fa_density(z, params.u_de, params.d_max)
+                         log_c, -np.inf)
+    # Log normalizers per measurement on math.log (np.log on an array
+    # differs from it in the last bit for some inputs), subtracted one at a
+    # time in the order of the one-measurement formula, so no float changes.
+    norm_d, norm_p, norm_u = (
+        [[math.log(s * math.sqrt(TWO_PI))] for s in col[:, 0]]
+        for col in (sd, sp, su))
+    log_prop = -0.5 * ((d - zd) / sd) ** 2
+    log_prop -= norm_d
+    log_prop -= 0.5 * (ang_diff(phi, zp) / sp) ** 2
+    log_prop -= norm_p
+    log_prop -= 0.5 * ((u - zu) / su) ** 2
+    log_prop -= norm_u
+    log_prop -= log_ndtr(zu / su)
+    log_fa = [[model.log_fa_density(m, params.u_de, params.d_max)] for m in ms]
     log_w = log_birth + log_lik - log_prop - log_fa
 
-    log_mass = log_sum_exp(log_w) - math.log(J)
-    shifted = np.exp(log_w - np.max(log_w)) if np.isfinite(np.max(log_w)) \
-        else np.full(J, 1.0)
-    weights = shifted / shifted.sum()
-    return NewTrackProposal(particles, weights, float(log_mass))
+    top = np.max(log_w, axis=1, keepdims=True)
+    flat = ~np.isfinite(top[:, 0])
+    top[flat] = 0.0
+    shifted = np.exp(log_w - top)
+    total = np.sum(shifted, axis=1)
+    with np.errstate(divide="ignore"):
+        log_mass = np.log(total) + top[:, 0] - math.log(J)
+    shifted[flat] = 1.0
+    total[flat] = J
+    weights = shifted / total[:, None]
+    P = X.transpose(1, 2, 0)
+    return [NewTrackProposal(P[m], weights[m], float(log_mass[m]))
+            for m in range(M)]
 
 
 def _update_legacy(tr: PmpcBelief, w: dabp.AssociationWeights, k: int,
@@ -240,10 +290,12 @@ def _update_legacy(tr: PmpcBelief, w: dabp.AssociationWeights, k: int,
 
 
 def _update_far(state: TrackerState, w: dabp.AssociationWeights,
-                marg: AssociationMarginals, log_d: list, K: int) -> None:
+                marg: AssociationMarginals, log_d: np.ndarray,
+                K: int) -> None:
     """Reweight the false-alarm-rate particles by the particle-marginalized
-    association factors evaluated at each rate particle. log_d[m] is
-    log(1 + sum_k zeta[k, m]), measurement m's legacy message sum."""
+    association factors evaluated at each rate particle. log_d is the (M,)
+    array of log(1 + sum_k zeta[k, m]), each measurement's legacy message
+    sum."""
     M = len(log_d)
     mu = state.far.particles
     log_mu = np.log(mu)
@@ -318,8 +370,7 @@ def update(state: TrackerState, measurements: Sequence[Measurement],
         return state, estimate(state, params), AssociationMarginals(
             np.zeros((0, 1)), np.zeros((0, 1)), 0, True)
 
-    proposals = [_build_proposal(z, params, geom, params.J, state.rng)
-                 for z in ms]
+    proposals = _build_proposals(ms, params, geom, params.J, state.rng)
     weights = dabp.evaluate_weights(state.legacy, proposals, ms, state.far,
                                     params, geom)
     marg = dabp.loopy_da(weights, params.P, params.da_tol)
@@ -327,8 +378,9 @@ def update(state: TrackerState, measurements: Sequence[Measurement],
     for k, tr in enumerate(state.legacy):
         _update_legacy(tr, weights, k, marg.log_nu)
 
-    log_d = [np.logaddexp(0.0, log_sum_exp(marg.log_zeta[:, m])) if K else 0.0
-             for m in range(M)]
+    # Each measurement's legacy message sum, reduced along contiguous rows.
+    log_d = np.logaddexp(0.0, log_sum_exp(
+        np.ascontiguousarray(marg.log_zeta.T), axis=1)) if K else np.zeros(M)
     new_tracks = []
     for m, prop in enumerate(proposals):
         gap = log_d[m] - weights.log_new_mass[m]
@@ -338,8 +390,14 @@ def update(state: TrackerState, measurements: Sequence[Measurement],
 
     _update_far(state, weights, marg, log_d, K)
 
+    # Beliefs about to be pruned are not resampled; each still consumes the
+    # one uniform resample would draw, so the rng stream does not depend on
+    # the pruning threshold.
     for tr in state.legacy + new_tracks:
-        resample(tr, params.J, state.rng)
+        if tr.p_exist >= params.p_pr:
+            resample(tr, params.J, state.rng)
+        else:
+            state.rng.random()
     resample(state.far, params.J, state.rng)
 
     state.legacy = [tr for tr in state.legacy if tr.p_exist >= params.p_pr]

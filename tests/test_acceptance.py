@@ -155,8 +155,8 @@ def test_c05_single_bernoulli_oracle():
         log_l = float(model.log_lik_matrix(
             [z], np.asarray([state], float), p, GEOM)[0, 0]) \
             - model.log_fa_density(z, p.u_de, p.d_max)
-        props = [tracker._build_proposal(z, p, GEOM, J,
-                                         np.random.default_rng(0))]
+        props = tracker._build_proposals([z], p, GEOM, J,
+                                         np.random.default_rng(0))
         w = dabp.evaluate_weights(st.legacy, props, [z], st.far, p, GEOM)
         xi0 = 1.0 + math.exp(float(w.log_new_mass[0]))
         t = 1.0 / mu0

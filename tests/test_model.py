@@ -658,8 +658,7 @@ class TestPseudoFactors:
 
 class TestBatchLikelihood:
     def test_matrix_matches_single(self):
-        # Each column equals the one-measurement call the new-track
-        # proposal makes.
+        # Each column equals the one-measurement call on the same set.
         rng = np.random.default_rng(1)
         particles = np.column_stack([
             rng.uniform(2, 10, 50), rng.uniform(-3, 3, 50),
@@ -670,6 +669,32 @@ class TestBatchLikelihood:
         for m, z in enumerate(zs):
             single = model.log_lik_matrix([z], particles, PARAMS, GEOM)[:, 0]
             assert np.allclose(mat[:, m], single, rtol=1e-12)
+
+    @pytest.mark.parametrize("detected", [False, True])
+    @pytest.mark.parametrize("mode", ["exact", "gauss"])
+    def test_paired_sets_match_columns(self, mode, detected):
+        # particles of shape (J, M, 5) pair measurement m with its own set
+        # particles[:, m]; each column equals that set's one-column call,
+        # bit for bit.
+        params = HyperParams(amp_mode=mode)
+        rng = np.random.default_rng(7)
+        J, thresh = 200, math.sqrt(params.u_de)
+        zs = [Measurement(rng.uniform(0.0, 17.0), rng.uniform(-np.pi, np.pi),
+                          z_u) for z_u in (thresh, 2.1, 4.0, 9.0, 30.0)]
+        M = len(zs)
+        X = np.stack([rng.uniform(0.0, 17.0, (M, J)),
+                      rng.uniform(-np.pi, np.pi, (M, J)),
+                      rng.uniform(0.0, 40.0, (M, J)),
+                      rng.normal(0, 0.1, (M, J)),
+                      rng.normal(0, 0.01, (M, J))])
+        paired = model.log_lik_matrix(zs, X.transpose(2, 1, 0), params, GEOM,
+                                      detected)
+        assert paired.shape == (J, M)
+        assert np.all(paired[:, 0] == -np.inf)
+        for m, z in enumerate(zs):
+            own = np.ascontiguousarray(X[:, m].T)
+            single = model.log_lik_matrix([z], own, params, GEOM, detected)
+            assert np.array_equal(paired[:, m], single[:, 0])
 
     @pytest.mark.parametrize("mode", ["exact", "gauss"])
     @pytest.mark.parametrize("seed", [0, 1, 2])

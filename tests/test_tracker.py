@@ -198,8 +198,8 @@ class TestSingleBernoulliOracle:
         # proposal draws, so the oracle replays the identical rng stream
         # (seed 42, untouched before the proposal is built); everything
         # else is independent arithmetic.
-        props = [tracker._build_proposal(z, p, GEOM, p.J,
-                                         np.random.default_rng(42))]
+        props = tracker._build_proposals([z], p, GEOM, p.J,
+                                         np.random.default_rng(42))
         w = dabp.evaluate_weights(st.legacy, props, [z], st.far, p, GEOM)
         log_mass = float(w.log_new_mass[0]) - math.log(w.far_ratio) \
             - math.log(p.mu_n)
@@ -381,13 +381,15 @@ def counted_update(monkeypatch, name, p):
     """One update with K = 2 legacy tracks and M = 3 accepted measurements
     (the fourth is below the detection threshold), counting the calls of
     model.<name>; returns (calls, K, M). Each call records whether the
-    new-track proposal made it."""
-    calls = []
+    new-track proposals made it; shapes[i] is the shape of call i's second
+    argument."""
+    calls, shapes = [], []
     kernel = getattr(model, name)
 
     def counting(*args, **kwargs):
         callers = {frame.name for frame in traceback.extract_stack()}
-        calls.append("_build_proposal" in callers)
+        calls.append("_build_proposals" in callers)
+        shapes.append(np.shape(args[1]) if len(args) > 1 else None)
         return kernel(*args, **kwargs)
 
     monkeypatch.setattr(model, name, counting)
@@ -398,32 +400,36 @@ def counted_update(monkeypatch, name, p):
     ms = [Measurement(5.0, 0.1, 12.0), Measurement(9.0, -1.0, 7.0),
           Measurement(3.0, 2.0, 6.0), Measurement(4.0, 0.0, 0.5)]
     tracker.update(st, ms, p, GEOM)
-    return calls, 2, 3
+    return calls, shapes, 2, 3
 
 
 def test_log_lik_matrix_calls_per_update(monkeypatch):
-    # One call per legacy belief in evaluate_weights and one per accepted
-    # measurement in the new-track proposal, through the module attribute.
-    calls, K, M = counted_update(monkeypatch, "log_lik_matrix", params(J=100))
-    assert len(calls) == K + M
-    assert sum(calls) == M
+    # One call per legacy belief in evaluate_weights and one for all
+    # accepted measurements in the new-track proposals, which pairs each
+    # measurement with its own particle set, through the module attribute.
+    p = params(J=100)
+    calls, shapes, K, M = counted_update(monkeypatch, "log_lik_matrix", p)
+    assert len(calls) == K + 1
+    assert sum(calls) == 1
+    assert [s for c, s in zip(calls, shapes) if c] == [(p.J, M, 5)]
+    assert [s for c, s in zip(calls, shapes) if not c] == [(p.J, 5)] * K
 
 
 def test_marcum_q1_calls_per_update_exact(monkeypatch):
     # In "exact" mode the Rician tail P_d is evaluated once per legacy belief
-    # (its missed-detection term) and once per proposal (the normalizer of
-    # its likelihood); the legacy likelihoods are detection-weighted, so
-    # P_d cancels there.
-    calls, K, M = counted_update(monkeypatch, "marcum_q1",
-                                 params(J=100, amp_mode="exact"))
-    assert len(calls) == K + M
-    assert sum(calls) == M
+    # (its missed-detection term) and once for all proposals (the normalizer
+    # of their likelihood); the legacy likelihoods are detection-weighted,
+    # so P_d cancels there.
+    calls, _, K, M = counted_update(monkeypatch, "marcum_q1",
+                                    params(J=100, amp_mode="exact"))
+    assert len(calls) == K + 1
+    assert sum(calls) == 1
 
 
 def test_log_detection_prob_calls_per_update_gauss(monkeypatch):
-    calls, K, M = counted_update(monkeypatch, "log_detection_prob",
-                                 params(J=100, amp_mode="gauss"))
-    assert len(calls) == M
+    calls, _, K, M = counted_update(monkeypatch, "log_detection_prob",
+                                    params(J=100, amp_mode="gauss"))
+    assert len(calls) == 1
     assert all(calls)
 
 
@@ -446,3 +452,96 @@ def test_legacy_without_far_belief_raises(n_meas):
     assert np.array_equal(tr.weights, tr0.weights)
     assert tr.p_exist == tr0.p_exist
     assert st.rng.bit_generator.state == before.rng.bit_generator.state
+
+
+def burst(M, seed):
+    """M accepted measurements spread over the support; the first sits just
+    above the detection threshold (z_u = 2.1), where the amplitude proposal
+    draws non-positive values that must be redrawn."""
+    rng = np.random.default_rng(seed)
+    thresh = math.sqrt(HyperParams().u_de)
+    ms = [Measurement(rng.uniform(0.5, 16.5), rng.uniform(-np.pi, np.pi),
+                      thresh + rng.exponential(3.0)) for _ in range(M - 1)]
+    return [Measurement(5.0, 3.1, 2.1)] + ms
+
+
+class TestBatchedProposals:
+    @pytest.mark.parametrize("mode", ["gauss", "exact"])
+    @pytest.mark.parametrize("M", [1, 3, 200])
+    def test_batch_equals_one_at_a_time(self, M, mode):
+        # The batch draws in the same order as building each proposal alone
+        # from one continuing rng, and computes the same floats.
+        p = params(J=2000, amp_mode=mode)
+        ms = burst(M, M)
+        rng_batch, rng_one = (np.random.default_rng(5) for _ in range(2))
+        batch = tracker._build_proposals(ms, p, GEOM, p.J, rng_batch)
+        alone = [tracker._build_proposals([z], p, GEOM, p.J, rng_one)[0]
+                 for z in ms]
+        assert rng_batch.bit_generator.state == rng_one.bit_generator.state
+        assert len(batch) == len(alone) == M
+        for a, b in zip(batch, alone):
+            assert a.particles.shape == (p.J, 5)
+            assert np.array_equal(a.particles, b.particles)
+            assert np.array_equal(a.weights, b.weights)
+            assert a.log_mass == b.log_mass
+        # The near-threshold measurement's redraws consumed extra normals.
+        plain = np.random.default_rng(5)
+        plain.standard_normal(5 * M * p.J)
+        assert plain.bit_generator.state != rng_batch.bit_generator.state
+        assert np.all(batch[0].particles[:, 2] > 0.0)
+
+    def test_empty_measurement_set(self):
+        rng = np.random.default_rng(0)
+        before = rng.bit_generator.state
+        assert tracker._build_proposals([], params(), GEOM, 400, rng) == []
+        assert rng.bit_generator.state == before
+
+    def test_clutter_burst_update_is_finite(self):
+        p = params(J=500)
+        st = tracker.init(p, GEOM, 4)
+        st.legacy = [point_track([5.0, 0.1, 12.0, 0.0, 0.0], 0.9, p.J),
+                     point_track([9.0, -1.0, 7.0, 0.0, 0.0], 0.6, p.J, tid=2)]
+        st.far = point_far(2.0, p.J)
+        tracker.predict(st, p)
+        _, est, marg = tracker.update(st, burst(200, 200), p, GEOM)
+        assert marg.p_b.shape[0] == 200
+        assert math.isfinite(est.mu_fa_mmse)
+        for t in est.all_tracks:
+            assert all(map(math.isfinite, (t.d, t.phi, t.u, t.sigma_d,
+                                           t.sigma_phi, t.p_exist)))
+        for tr in st.legacy:
+            assert 0.0 <= tr.p_exist <= 1.0
+            assert np.all(np.isfinite(tr.particles))
+
+
+def test_pruned_beliefs_skip_resampling(monkeypatch):
+    # Beliefs below p_pr are dropped without resampling, yet draw the one
+    # uniform resample would have drawn: the rng stream is that of p_pr = 0,
+    # where every belief survives and is resampled.
+    def stepped(p_pr):
+        p = params(J=200, p_pr=p_pr)
+        st = tracker.init(p, GEOM, 12)
+        st.legacy = [point_track([5.0, 0.1, 12.0, 0.0, 0.0], 0.9, p.J),
+                     point_track([9.0, -1.0, 2.5, 0.0, 0.0], 2e-4, p.J, tid=2)]
+        st.far = point_far(2.0, p.J)
+        tracker.predict(st, p)
+        calls = []
+        kernel = tracker.resample
+
+        def counting(*args):
+            calls.append(args[0])
+            return kernel(*args)
+
+        with monkeypatch.context() as mp:
+            mp.setattr(tracker, "resample", counting)
+            tracker.update(st, burst(8, 3), p, GEOM)
+        return st, calls
+
+    st, calls = stepped(HyperParams().p_pr)
+    st_all, calls_all = stepped(0.0)
+    assert len(st_all.legacy) == 2 + 8
+    assert len(st.legacy) < len(st_all.legacy)
+    assert len(calls) == len(st.legacy) + 1
+    assert len(calls_all) == len(st_all.legacy) + 1
+    assert calls[-1] is st.far
+    assert st.rng.bit_generator.state == st_all.rng.bit_generator.state

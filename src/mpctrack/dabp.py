@@ -26,6 +26,13 @@ from . import model
 from .model import ArrayGeometry, HyperParams, Measurement, log_sum_exp
 
 _LOG_TINY = -745.0  # log of the smallest positive double, used as a guard
+# Floor of the log ratio, relative to its row maximum, before it is
+# exponentiated. np.exp is several times slower on arguments that underflow
+# to zero or to subnormals, and most entries of a track's matrix do. A
+# floored entry moves no row sum, whose peak is 1, and lifts only the
+# association sum of a particle that stays some e^-550 below the track's
+# best one, too little to move any sum of particle weights.
+_LOG_RATIO_FLOOR = -600.0
 
 
 @dataclass
@@ -38,7 +45,12 @@ class AssociationWeights:
     log_xi: Optional[np.ndarray] = None
     far_ratio: float = 1.0              # E[n(mu)/mu] / E[n(mu)] under the FAR belief
     det_prob: Optional[list] = None     # per track: (J,) P_d(x), for the miss term
-    log_lratio: Optional[list] = None   # per track: (J, M) log P_d(x) f(z|x)/f_fa(z)
+    # Per track, the detection-weighted ratio P_d(x_j) f(z_m|x_j)/f_fa(z_m)
+    # in the linear domain: ratio[k] is the (M, J) array R with
+    # R[m, j] = exp(max(log ratio[m, j] - c_m, _LOG_RATIO_FLOOR)), whose rows
+    # each peak at 1, and ratio_log_scale[k] the (M,) row scales c_m.
+    ratio: Optional[list] = None
+    ratio_log_scale: Optional[list] = None
     log_new_mass: Optional[np.ndarray] = None  # (M,) log(far_ratio*mu_n*<f>/f_fa)
 
 
@@ -69,6 +81,12 @@ def evaluate_weights(legacy_beliefs: Sequence, new_proposals: Sequence,
     Each beta/xi row is shifted to a unit maximum before exponentiating so
     extreme likelihood ratios cannot overflow; downstream marginals are
     scale-invariant per row, so this is lossless.
+
+    Each legacy track's (M, J) log-ratio matrix is exponentiated once, in
+    place, after subtracting its row maxima c_m (entries more than 600
+    below are raised to that floor, see _LOG_RATIO_FLOOR): the linear
+    matrix R and c give log_beta through R @ weights and are kept for the
+    measurement update (AssociationWeights.ratio, .ratio_log_scale).
     """
     K = len(legacy_beliefs)
     M = len(measurements)
@@ -89,25 +107,32 @@ def evaluate_weights(legacy_beliefs: Sequence, new_proposals: Sequence,
 
     log_beta = np.full((K, M + 1), -np.inf)
     det_prob: list = []
-    log_lratio: list = []
+    ratio: list = []
+    ratio_log_scale: list = []
     for k, tr in enumerate(legacy_beliefs):
         p_d = model.detection_prob(tr.particles[:, 2], params.u_de, geom.n_eff,
                                    params.amp_mode)
-        # Detection-weighted ratio log P_d + log f - log f_fa, (J, M) view of
-        # a measurement-major (M, J) array.
-        llr = model.log_lik_matrix(measurements, tr.particles, params, geom,
-                                   True)
-        llr -= log_fa
+        # Detection-weighted ratio log P_d + log f - log f_fa: the (J, M)
+        # kernel result is a view of a measurement-major (M, J) array, which
+        # becomes R in place.
+        lr = model.log_lik_matrix(measurements, tr.particles, params, geom,
+                                  True).T
+        lr -= log_fa[:, None]
+        c = np.max(lr, axis=1)
+        lr -= c[:, None]
+        np.maximum(lr, _LOG_RATIO_FLOOR, out=lr)
+        np.exp(lr, out=lr)
         det_prob.append(p_d)
-        log_lratio.append(llr)
+        ratio.append(lr)
+        ratio_log_scale.append(c)
         # Column 0 marginalizes existence: non-existence plus missed detection.
         miss = (1.0 - tr.p_exist) \
             + tr.p_exist * float(np.sum(tr.weights * (1.0 - p_d)))
         log_beta[k, 0] = np.log(max(miss, 1e-300))
         if M and tr.p_exist > 0.0:
-            lw = np.log(np.maximum(tr.weights, 1e-300))
-            log_beta[k, 1:] = (log_t + np.log(tr.p_exist)
-                               + log_sum_exp(llr.T + lw, axis=1))
+            with np.errstate(divide="ignore"):
+                log_beta[k, 1:] = (log_t + np.log(tr.p_exist)
+                                   + np.log(lr @ tr.weights) + c)
 
     log_xi = np.zeros((M, K + 1))
     log_new_mass = np.full(M, -np.inf)
@@ -128,7 +153,7 @@ def evaluate_weights(legacy_beliefs: Sequence, new_proposals: Sequence,
         beta=np.exp(log_beta), xi=np.exp(log_xi),
         log_beta=log_beta, log_xi=log_xi,
         far_ratio=float(np.exp(log_t)),
-        det_prob=det_prob, log_lratio=log_lratio,
+        det_prob=det_prob, ratio=ratio, ratio_log_scale=ratio_log_scale,
         log_new_mass=log_new_mass,
     )
 

@@ -7,7 +7,9 @@ the association factors built from them live in dabp.evaluate_weights. Every
 function is vectorized over numpy arrays where it makes sense (particle sets).
 """
 
+import dataclasses
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -120,9 +122,17 @@ class ArrayGeometry:
             raise ValueError("element centroid must be at the origin")
         # Closed-form aperture coefficients (see aperture_sq).
         d2h, two_phi_h = self._polar[:, 0] ** 2, 2.0 * self._polar[:, 1]
-        self._aperture_abc = (float(np.sum(d2h)) / 2.0,
-                              float(np.sum(d2h * np.cos(two_phi_h))) / 2.0,
-                              float(np.sum(d2h * np.sin(two_phi_h))) / 2.0)
+        a, b, c = (float(np.sum(d2h)) / 2.0,
+                   float(np.sum(d2h * np.cos(two_phi_h))) / 2.0,
+                   float(np.sum(d2h * np.sin(two_phi_h))) / 2.0)
+        self._aperture_abc = (a, b, c)
+        # a - b cos - c sin rounds to exactly a at every angle when |b| and
+        # |c| each stay below half the spacing of the floats around a (a
+        # quarter of an ulp when a is a power of two, whose lower neighbour
+        # is half an ulp away). Quarter-turn symmetric arrays, such as the
+        # default 3x3 one, have b and c at rounding level.
+        tol = float(np.spacing(a)) / (4.0 if math.frexp(a)[0] == 0.5 else 2.0)
+        self._aperture_flat = abs(b) < tol and abs(c) < tol
 
     @property
     def H(self) -> int:
@@ -190,27 +200,41 @@ class HyperParams:
     u_birth_max: float = 120.0    # amplitude range of the birth prior
 
     def validate(self) -> list:
-        """Return a list of '(field, message)' problems; empty when valid."""
+        """Return a list of '(field, message)' problems; empty when valid.
+
+        Types come first: J and P must be integers and every other field
+        except amp_mode a finite real number (bool is neither). A field of
+        the wrong type gets that one problem and no range check.
+        """
         problems = []
-        for name in ("p_s", "p_de", "p_pr"):
-            v = getattr(self, name)
-            if not (0.0 <= v <= 1.0):
-                problems.append((name, f"must be in [0, 1], got {v}"))
-        for name in ("mu_n", "u_de", "d_max", "delta_t"):
-            if getattr(self, name) <= 0:
-                problems.append((name, "must be positive"))
-        for name in ("sigma_d", "sigma_phi", "sigma_u_rel", "sigma_fa",
-                     "sigma_fa_ini", "sigma_v_d", "sigma_v_phi", "da_tol"):
-            if getattr(self, name) < 0:
-                problems.append((name, "must be >= 0"))
-        if self.J < 1:
-            problems.append(("J", "must be >= 1"))
-        if self.P < 1:
-            problems.append(("P", "must be >= 1"))
+        for f in dataclasses.fields(self):
+            if f.name == "amp_mode":
+                continue
+            v = getattr(self, f.name)
+            if isinstance(v, bool) or not isinstance(v, numbers.Real):
+                problems.append((f.name, f"must be a number, got {v!r}"))
+            elif f.name in ("J", "P") and not isinstance(v, numbers.Integral):
+                problems.append((f.name, f"must be an integer, got {v!r}"))
+            elif not math.isfinite(v):
+                problems.append((f.name, f"must be finite, got {v!r}"))
+        typed = {name for name, _ in problems}
+
+        def check(names, ok, message):
+            for name in names:
+                v = getattr(self, name)
+                if name not in typed and not ok(v):
+                    problems.append((name, message.format(v)))
+
+        check(("p_s", "p_de", "p_pr"), lambda v: 0.0 <= v <= 1.0,
+              "must be in [0, 1], got {}")
+        check(("mu_n", "u_de", "d_max", "delta_t", "u_birth_max"),
+              lambda v: v > 0, "must be positive")
+        check(("sigma_d", "sigma_phi", "sigma_u_rel", "sigma_fa",
+               "sigma_fa_ini", "sigma_v_d", "sigma_v_phi", "da_tol"),
+              lambda v: v >= 0, "must be >= 0")
+        check(("J", "P"), lambda v: v >= 1, "must be >= 1")
         if self.amp_mode not in ("exact", "gauss"):
             problems.append(("amp_mode", "must be 'exact' or 'gauss'"))
-        if self.u_birth_max <= 0:
-            problems.append(("u_birth_max", "must be positive"))
         return problems
 
 
@@ -286,9 +310,15 @@ def aperture_sq(phi, geom: ArrayGeometry):
     Evaluated in closed form, D^2 = a - b cos 2(phi - psi) - c sin 2(phi - psi)
     with a = sum d_h^2 / 2, b = sum d_h^2 cos(2 phi_h) / 2 and
     c = sum d_h^2 sin(2 phi_h) / 2 fixed per geometry, and clamped at 0.
+    For a geometry whose b and c are too small to move a (see
+    ArrayGeometry), that form is the constant a, returned without computing
+    cos or sin; a + 0 * 2(phi - psi) keeps the shape and turns the angles
+    the form maps to NaN into NaN, so the result is bit for bit the same.
     """
     a, b, c = geom._aperture_abc
     two = 2.0 * (np.asarray(phi, dtype=float) - geom.psi)
+    if geom._aperture_flat:
+        return a + 0.0 * two
     return np.maximum(a - b * np.cos(two) - c * np.sin(two), 0.0)
 
 

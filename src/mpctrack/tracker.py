@@ -262,17 +262,24 @@ def _build_proposals(ms: Sequence[Measurement], params: HyperParams,
 def _update_legacy(tr: PmpcBelief, w: dabp.AssociationWeights, k: int,
                    log_nu: np.ndarray) -> None:
     """Reweight one legacy belief with the converged extrinsic messages and
-    recompute its existence probability."""
-    llr = w.log_lratio[k]  # (J, M) detection-weighted, measurement-major
-    M = llr.shape[1]
+    recompute its existence probability.
+
+    Each particle's association sum log sum_m nu[m] t P_d f(z_m|x)/f_fa(z_m)
+    comes from the linear ratio matrix R = w.ratio[k] as
+    log(exp(b - max b) @ R) + max b, with b = log nu + log t + c and c the
+    row scales of R."""
+    R = w.ratio[k]  # (M, J), rows scaled by exp(-c)
+    M = R.shape[0]
     log_t = math.log(w.far_ratio)
     with np.errstate(divide="ignore"):
         log_miss = np.log(np.maximum(1.0 - w.det_prob[k], 0.0))
-    if M:
-        assoc = log_sum_exp(llr.T + (log_nu[:, k] + log_t)[:, None], axis=0)
-        log_psi = np.logaddexp(log_miss, assoc)
-    else:
-        log_psi = log_miss
+        if M:
+            b = log_nu[:, k] + log_t + w.ratio_log_scale[k]
+            top = np.max(b)
+            assoc = np.log(np.exp(b - top) @ R) + top
+            log_psi = np.logaddexp(log_miss, assoc)
+        else:
+            log_psi = log_miss
     # Existence odds in log space: the alternative (non-existence) branch
     # evaluates the same factor at r = 0, which is the constant 1 here.
     log_lw = np.log(np.maximum(tr.weights, 1e-300))
@@ -295,23 +302,31 @@ def _update_far(state: TrackerState, w: dabp.AssociationWeights,
     """Reweight the false-alarm-rate particles by the particle-marginalized
     association factors evaluated at each rate particle. log_d is the (M,)
     array of log(1 + sum_k zeta[k, m]), each measurement's legacy message
-    sum."""
+    sum.
+
+    Factor i is log(a_i + b_i / mu): one row per legacy component, then one
+    per measurement, all built by one (K+M, J) logaddexp and added to the
+    log weights one row at a time, in that order."""
+    log_d = np.asarray(log_d, dtype=float)
     M = len(log_d)
     mu = state.far.particles
     log_mu = np.log(mu)
     log_w = np.log(np.maximum(state.far.weights, 1e-300))
     log_w = log_w - mu + M * log_mu
     log_t = math.log(w.far_ratio)
-    for k in range(K):
-        log_a = w.log_beta[k, 0]
-        if M:
-            log_b = log_sum_exp(marg.log_nu[:, k] + w.log_beta[k, 1:]) - log_t
-            log_w = log_w + np.logaddexp(log_a, log_b - log_mu)
-        else:
-            log_w = log_w + log_a
-    for m in range(M):
-        log_cm = w.log_new_mass[m] - log_t
-        log_w = log_w + np.logaddexp(log_d[m], log_cm - log_mu)
+    log_a = np.concatenate([w.log_beta[:K, 0], log_d])
+    if M:
+        # Row k's message-weighted association sum. Contiguous rows keep
+        # each row's reduction in the order of a one-row call.
+        log_b = np.concatenate([
+            log_sum_exp(np.ascontiguousarray(marg.log_nu.T)
+                        + w.log_beta[:K, 1:], axis=1),
+            w.log_new_mass]) - log_t
+        rows = np.logaddexp(log_a[:, None], log_b[:, None] - log_mu)
+    else:
+        rows = log_a[:, None]
+    for row in rows:
+        log_w += row
     shifted = np.exp(log_w - np.max(log_w))
     state.far.weights = shifted / shifted.sum()
 

@@ -55,6 +55,20 @@ class TestValidateConfig:
         assert filled.get("hyper.P") == 5000
         assert report.config.hyper.p_s == 0.99
 
+    @pytest.mark.parametrize("field,value", [
+        ("J", 100.5), ("J", "1000"), ("J", True), ("J", None), ("P", 50.0),
+        ("d_max", float("nan")), ("d_max", float("inf")),
+        ("sigma_fa", float("-inf")), ("p_s", "0.9"), ("mu_n", [0.008]),
+    ])
+    def test_mistyped_hyper_field_path(self, tmp_path, field, value):
+        # Non-integer J/P and non-numeric or non-finite numbers are field
+        # errors, not crashes later on (100.5 particles) or never (NaN
+        # compares false against every range bound).
+        path = write(tmp_path, {"hyper": {field: value}})
+        report = validate_config(path)
+        assert not report.ok
+        assert [f for f, _ in report.errors] == [f"hyper.{field}"]
+
     def test_bad_mode(self, tmp_path):
         path = write(tmp_path, {"mode": "streaming"})
         report = validate_config(path)
@@ -176,6 +190,23 @@ class TestCli:
         path = write(tmp_path, {"hyper": {"p_s": 7}})
         res = runner.invoke(main, ["run", path])
         assert res.exit_code == 2
+
+    @pytest.mark.parametrize("hyper", [{"J": 100.5}, {"J": "1000"},
+                                       {"d_max": float("nan")}])
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_mistyped_hyper_exits_2_with_report(self, tmp_path, hyper,
+                                                command):
+        path = write(tmp_path, {"scenario": "desk", "runs": 1,
+                                "out_dir": str(tmp_path / "out"),
+                                "hyper": hyper})
+        res = CliRunner().invoke(main, [command, path])
+        assert res.exit_code == 2, res.output
+        assert res.exception is None or isinstance(res.exception, SystemExit)
+        report = json.loads(res.output)
+        assert report["ok"] is False
+        assert [e["field"] for e in report["errors"]] == \
+            [f"hyper.{next(iter(hyper))}"]
+        assert not os.path.exists(tmp_path / "out")
 
     def test_scenario_emit(self, tmp_path):
         runner = CliRunner()

@@ -5,8 +5,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
-from mpctrack import dabp, model, radio
+from mpctrack import dabp, model, radio, tracker
 from mpctrack.dabp import AssociationWeights, exhaustive_da_oracle, loopy_da
 from mpctrack.model import HyperParams, Measurement
 
@@ -249,3 +250,85 @@ class TestEvaluateWeights:
     def test_nothing_to_associate_raises(self):
         with pytest.raises(ValueError):
             dabp.evaluate_weights([], [], [], PointFar(1.0), PARAMS, GEOM)
+
+
+# ---------------------------------------------------------------------------
+# Linear-domain messages against a log-domain reference
+# ---------------------------------------------------------------------------
+
+def spread_belief(rng, center, J, p_exist, tid):
+    """Particles scattered around center with non-uniform weights."""
+    scale = np.array([0.01, 0.01, 0.3, 0.01, 0.002])
+    parts = np.asarray(center, float) + scale * rng.standard_normal((J, 5))
+    w = rng.exponential(1.0, J)
+    return tracker.PmpcBelief(tid, 0, parts, w / w.sum(), p_exist)
+
+
+def reference_log_beta(trs, zs, log_t, p):
+    """evaluate_weights' log_beta from scipy's logsumexp over the
+    detection-weighted log ratios, row-shifted to a zero maximum."""
+    log_fa = np.array([model.log_fa_density(z, p.u_de, p.d_max) for z in zs])
+    ref = np.empty((len(trs), len(zs) + 1))
+    for k, tr in enumerate(trs):
+        lr = model.log_lik_matrix(zs, tr.particles, p, GEOM, True) - log_fa
+        p_d = model.detection_prob(tr.particles[:, 2], p.u_de, GEOM.n_eff,
+                                   p.amp_mode)
+        ref[k, 0] = math.log(1.0 - tr.p_exist
+                             + tr.p_exist * np.sum(tr.weights * (1.0 - p_d)))
+        ref[k, 1:] = log_t + math.log(tr.p_exist) + logsumexp(
+            lr + np.log(tr.weights)[:, None], axis=0)
+    return ref - ref.max(axis=1, keepdims=True)
+
+
+def reference_legacy_update(tr, zs, log_nu_k, log_t, p):
+    """_update_legacy's weights and existence probability in the log domain:
+    psi(x) = 1 - P_d(x) + sum_m nu[m] t P_d(x) f(z_m|x) / f_fa(z_m)."""
+    log_fa = np.array([model.log_fa_density(z, p.u_de, p.d_max) for z in zs])
+    lr = model.log_lik_matrix(zs, tr.particles, p, GEOM, True) - log_fa
+    p_d = model.detection_prob(tr.particles[:, 2], p.u_de, GEOM.n_eff,
+                               p.amp_mode)
+    with np.errstate(divide="ignore"):
+        log_miss = np.log(1.0 - p_d)
+    log_psi = np.logaddexp(log_miss,
+                           logsumexp(lr + log_nu_k + log_t, axis=1))
+    log_post = np.log(tr.weights) + log_psi
+    log_s1 = math.log(tr.p_exist) + logsumexp(log_post)
+    p_exist = 1.0 / (1.0 + math.exp(math.log(1.0 - tr.p_exist) - log_s1))
+    return np.exp(log_post - logsumexp(log_post)), p_exist
+
+
+class TestLinearDomainMessages:
+    """evaluate_weights exponentiates each legacy log-ratio matrix once
+    (rows scaled by their maxima c) and _update_legacy reuses it; both must
+    agree with the log-domain sums they replace. The third track lies some
+    10 m from every measurement, so its ratios only survive the row
+    scaling: without c they underflow."""
+
+    @pytest.mark.parametrize("mode", ["gauss", "exact"])
+    def test_matches_log_domain_reference(self, mode):
+        p = HyperParams(J=400, amp_mode=mode)
+        rng = np.random.default_rng(17)
+        zs = [Measurement(5.0, 0.2, 9.0), Measurement(5.02, 0.21, 8.6),
+              Measurement(9.0, -1.0, 6.0)]
+        centers = [([5.0, 0.2, 9.0, 0.0, 0.0], 0.9),
+                   ([9.0, -1.0, 6.0, 0.0, 0.0], 0.6),
+                   ([16.0, 2.8, 4.0, 0.0, 0.0], 0.7)]
+        trs = [spread_belief(rng, c, p.J, q, k + 1)
+               for k, (c, q) in enumerate(centers)]
+        props = [PointProposal(x) for x in (0.3, -1.0, 0.5)]
+        w = dabp.evaluate_weights(trs, props, zs, PointFar(2.0), p, GEOM)
+        log_t = math.log(w.far_ratio)
+        assert np.min(w.ratio[2]) < 1e-200
+
+        assert np.all(np.isfinite(w.log_beta))
+        assert w.log_beta == pytest.approx(
+            reference_log_beta(trs, zs, log_t, p), rel=1e-12)
+
+        log_nu = rng.normal(0.0, 1.0, (len(zs), len(trs)))
+        for k, tr in enumerate(trs):
+            want_w, want_p = reference_legacy_update(tr, zs, log_nu[:, k],
+                                                     log_t, p)
+            tracker._update_legacy(tr, w, k, log_nu)
+            assert np.all(np.isfinite(tr.weights))
+            np.testing.assert_allclose(tr.weights, want_w, rtol=1e-12, atol=0)
+            assert tr.p_exist == pytest.approx(want_p, rel=1e-12)

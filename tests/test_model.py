@@ -271,6 +271,86 @@ class TestVariances:
             assert model.aperture_sq(phi, g) >= 0.0
             assert model.aperture_sq(np.array([phi]), g)[0] >= 0.0
 
+    @pytest.mark.parametrize("geom", [
+        GEOM,
+        ArrayGeometry.uniform_rectangular(4, 4, 0.025, psi=0.3, f_c=6e9,
+                                          beta_bw_sq=1e16, N_s=46,
+                                          T_s=1.25e-9)],
+        ids=["default-3x3", "4x4"])
+    def test_constant_aperture_is_the_closed_form(self, geom):
+        # Quarter-turn symmetric arrays take the constant path; it must
+        # return the closed form's bits at every angle, the +-pi seam
+        # included, for arrays, scalars and non-finite angles.
+        assert geom._aperture_flat
+        a, b, c = geom._aperture_abc
+        rng = np.random.default_rng(3)
+        seam = np.array([-np.pi, np.nextafter(-np.pi, 0.0), np.pi,
+                         np.nextafter(np.pi, 0.0), 0.0, -0.0, np.pi / 2,
+                         -np.pi / 2, geom.psi, geom.psi + np.pi / 4])
+        phi = np.concatenate([seam, rng.uniform(-np.pi, np.pi,
+                                                10**5 - seam.size)])
+        two = 2.0 * (phi - geom.psi)
+        want = np.maximum(a - b * np.cos(two) - c * np.sin(two), 0.0)
+        got = model.aperture_sq(phi, geom)
+        assert got.shape == phi.shape
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        for x in seam:
+            assert float(model.aperture_sq(float(x), geom)) == a
+        with np.errstate(invalid="ignore"):  # as cos(inf) warns
+            bad = model.aperture_sq(np.array([np.nan, np.inf, -np.inf]), geom)
+        assert np.all(np.isnan(bad))
+
+    def test_constant_aperture_threshold(self):
+        # 2x2 arrays with spacings s and s' = s + k ulps: b is about
+        # (s^2 - s'^2)/2, from a fraction of an ulp of a to several. Whether
+        # or not the constant path is taken, the result must be the closed
+        # form's bits, at the extremes of cos and sin too; both paths occur.
+        flat = set()
+        for sx, psi in ((0.02, 0.3), (0.03, -0.7), (0.0125, 2.0), (0.5, 0.0)):
+            phis = np.concatenate([psi + np.arange(-4, 4) * np.pi / 4,
+                                   np.random.default_rng(1).uniform(
+                                       -np.pi, np.pi, 2000)])
+            sy = sx
+            for _ in range(6):
+                g = ArrayGeometry([(math.hypot(x, y), math.atan2(y, x))
+                                   for x in (-sx / 2, sx / 2)
+                                   for y in (-sy / 2, sy / 2)],
+                                  psi, 6e9, 1e16, 46, 1.25e-9)
+                a, b, c = g._aperture_abc
+                two = 2.0 * (phis - psi)
+                want = np.maximum(a - b * np.cos(two) - c * np.sin(two), 0.0)
+                got = model.aperture_sq(phis, g)
+                assert np.array_equal(got.view(np.int64),
+                                      want.view(np.int64)), (sx, sy)
+                flat.add(g._aperture_flat)
+                sy = np.nextafter(sy, 1.0)
+        assert flat == {True, False}
+
+    def test_asymmetric_array_takes_general_path(self):
+        # A 2x3 URA has b != 0: its aperture varies with the angle, and a
+        # full update on it stays finite.
+        g = ArrayGeometry.uniform_rectangular(
+            2, 3, 0.02, psi=0.4, f_c=6e9, beta_bw_sq=1e16, N_s=46,
+            T_s=1.25e-9)
+        assert not g._aperture_flat
+        d2 = model.aperture_sq(np.array([0.4, 0.4 + np.pi / 2]), g)
+        assert d2[0] != d2[1]
+        p = HyperParams(J=300)
+        state = tracker.init(p, g, 2)
+        state.legacy = [PmpcBelief(1, 0, np.tile([5.0, 0.3, 12.0, 0.0, 0.0],
+                                                 (p.J, 1)),
+                                   np.full(p.J, 1.0 / p.J), 0.9)]
+        state.far = far_belief(np.full(p.J, 2.0))
+        ms = [Measurement(5.01, 0.31, 11.5), Measurement(9.0, -1.0, 6.0)]
+        for _ in range(3):
+            tracker.predict(state, p)
+            _, est, _ = tracker.update(state, ms, p, g)
+        assert est.nom_hat >= 1
+        for t in est.all_tracks:
+            assert all(map(math.isfinite, (t.d, t.phi, t.u, t.sigma_d,
+                                           t.sigma_phi, t.p_exist)))
+        assert np.all(np.isfinite(state.far.weights))
+
     def test_sigma_phi_quartering_and_clamp(self):
         assert model.sigma_phi_sq(2.0, 0.0, GEOM) == pytest.approx(
             model.sigma_phi_sq(1.0, 0.0, GEOM) / 4.0)

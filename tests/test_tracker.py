@@ -7,6 +7,8 @@ import traceback
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mpctrack import dabp, model, radio, tracker
 from mpctrack.model import HyperParams, Measurement
@@ -545,3 +547,137 @@ def test_pruned_beliefs_skip_resampling(monkeypatch):
     assert len(calls_all) == len(st_all.legacy) + 1
     assert calls[-1] is st.far
     assert st.rng.bit_generator.state == st_all.rng.bit_generator.state
+
+
+# ---------------------------------------------------------------------------
+# Hypothesis properties: measurement order, empty runs, clutter bursts
+# ---------------------------------------------------------------------------
+
+TRUTH = ([5.0, 0.3, 12.0], [9.0, -1.0, 8.0])
+
+
+def truth_measurements(p, rng):
+    """One noisy detection of each TRUTH component, with the model's
+    measurement variances."""
+    out = []
+    for d, phi, u in TRUTH:
+        out.append(Measurement(
+            d + math.sqrt(float(model.sigma_d_sq(u, GEOM)))
+            * rng.standard_normal(),
+            float(model.wrap_angle(phi + math.sqrt(float(
+                model.sigma_phi_sq(u, phi, GEOM))) * rng.standard_normal())),
+            u + math.sqrt(float(model.amp_scale_sq(u, GEOM.n_eff)))
+            * rng.standard_normal()))
+    return out
+
+
+def clutter(M, p, rng):
+    """M false alarms from the false-alarm density: uniform in distance and
+    angle, Rayleigh amplitudes truncated at the detection threshold."""
+    return [Measurement(float(rng.uniform(0.0, p.d_max)),
+                        float(rng.uniform(-np.pi, np.pi)),
+                        math.sqrt(p.u_de + rng.exponential(1.0)))
+            for _ in range(M)]
+
+
+def tracked_state(p, seed):
+    """A state holding both TRUTH components as legacy tracks and a
+    false-alarm-rate belief near one clutter point per snapshot."""
+    st_ = tracker.init(p, GEOM, seed)
+    st_.legacy = [point_track(x + [0.0, 0.0], 0.9, p.J, tid=i + 1)
+                  for i, x in enumerate(TRUTH)]
+    st_.next_id = len(TRUTH) + 1
+    st_.far = point_far(1.0, p.J)
+    return st_
+
+
+def assert_finite_state(st_):
+    for tr in st_.legacy:
+        assert np.all(np.isfinite(tr.particles))
+        assert np.all(np.isfinite(tr.weights))
+        assert 0.0 <= tr.p_exist <= 1.0
+    assert np.all(np.isfinite(st_.far.particles))
+    assert np.all(st_.far.particles > 0.0)
+    assert np.all(st_.far.weights > 0.0)
+    assert np.isclose(st_.far.weights.sum(), 1.0)
+
+
+class TestUpdateProperties:
+    @given(st.integers(0, 2**32 - 1), st.integers(0, 6), st.booleans(),
+           st.randoms(use_true_random=False))
+    @settings(max_examples=25, deadline=None)
+    def test_measurement_order_invariance(self, seed, n_clutter, fresh,
+                                          shuffler):
+        # update sorts the accepted measurements, so any permutation of the
+        # input gives the same floats and leaves the rng at the same state,
+        # with K = 2 legacy tracks or from a fresh state (K = 0, where only
+        # the measurement rows of the false-alarm-rate update act).
+        p = params(J=200)
+        rng = np.random.default_rng(seed)
+        ms = truth_measurements(p, rng) + clutter(n_clutter, p, rng)
+        permuted = list(ms)
+        shuffler.shuffle(permuted)
+
+        def stepped(batch):
+            st_ = tracker.init(p, GEOM, seed) if fresh \
+                else tracked_state(p, seed)
+            tracker.predict(st_, p)
+            _, est, _ = tracker.update(st_, batch, p, GEOM)
+            return st_, est
+
+        (st_a, est_a), (st_b, est_b) = stepped(ms), stepped(permuted)
+        assert est_a == est_b
+        assert st_a.rng.bit_generator.state == st_b.rng.bit_generator.state
+        assert len(st_a.legacy) == len(st_b.legacy)
+        for a, b in zip(st_a.legacy, st_b.legacy):
+            assert np.array_equal(a.particles, b.particles)
+            assert a.p_exist == b.p_exist
+        assert np.array_equal(st_a.far.particles, st_b.far.particles)
+
+    @given(st.integers(0, 2**32 - 1), st.floats(0.3, 1.0),
+           st.floats(1e-3, 30.0))
+    @settings(max_examples=10, deadline=None)
+    def test_fifty_empty_snapshots(self, seed, p_exist, mu):
+        # K > 0 and M = 0: only the legacy rows of the false-alarm-rate
+        # update act, 50 times in a row.
+        p = params(J=200, p_pr=0.0)
+        st_ = tracked_state(p, seed)
+        for tr in st_.legacy:
+            tr.p_exist = p_exist
+        st_.far = point_far(mu, p.J)
+        for _ in range(50):
+            tracker.predict(st_, p)
+            _, est, marg = tracker.update(st_, [], p, GEOM)
+            assert marg.p_a.shape == (len(TRUTH), 1)
+        assert len(st_.legacy) == len(TRUTH)
+        assert_finite_state(st_)
+        assert math.isfinite(est.mu_fa_mmse) and est.mu_fa_mmse > 0.0
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=3, deadline=None)
+    def test_recovers_from_clutter_burst(self, seed):
+        # One snapshot of M = 300 (the two detections and 298 false
+        # alarms), then 20 ordinary snapshots: the detected count returns
+        # to the truth.
+        p = params(J=300)
+        rng = np.random.default_rng(seed)
+        st_ = tracked_state(p, seed)
+        for _ in range(5):
+            tracker.predict(st_, p)
+            _, est, _ = tracker.update(
+                st_, truth_measurements(p, rng) + clutter(1, p, rng), p, GEOM)
+        assert est.nom_hat == len(TRUTH)
+        tracker.predict(st_, p)
+        burst_ms = truth_measurements(p, rng) + clutter(298, p, rng)
+        _, _, marg = tracker.update(st_, burst_ms, p, GEOM)
+        assert marg.p_b.shape[0] == 300
+        assert_finite_state(st_)
+        tentative = len(st_.legacy)
+        assert tentative > 10 * len(TRUTH)
+        for _ in range(20):
+            tracker.predict(st_, p)
+            _, est, _ = tracker.update(
+                st_, truth_measurements(p, rng) + clutter(1, p, rng), p, GEOM)
+        assert_finite_state(st_)
+        assert len(st_.legacy) < tentative
+        assert est.nom_hat == len(TRUTH)

@@ -6,7 +6,7 @@ import json
 from dataclasses import dataclass, field
 
 from .metrics import OspaConfig
-from .model import ArrayGeometry, HyperParams
+from .model import ArrayGeometry, HyperParams, number_problems
 from .radio import default_geometry
 
 
@@ -26,16 +26,31 @@ class ExperimentConfig:
     ospa: OspaConfig = field(default_factory=OspaConfig)
     workers: int = 1
     snapshot_u_de: float = None  # radio mode only; defaults to hyper.u_de
-    snr_1m_db: float = None      # radio mode noise level; None = noiseless
+    # Radio mode noise level: the line-of-sight SNR at 1 m; None = unit noise
+    # variance (the truth amplitudes are then the normalized amplitudes u).
+    snr_1m_db: float = None
 
     def validate(self) -> list:
+        """'(field, message)' problems, empty when valid. runs, workers and
+        base_seed must be integers, snapshot_u_de and snr_1m_db None or
+        finite real numbers (bool is neither); a field of the wrong type
+        gets that one problem and no range check."""
         problems = []
         if self.mode not in MODES:
             problems.append(("mode", f"must be one of {MODES}"))
-        if self.runs < 1:
-            problems.append(("runs", "must be >= 1"))
-        if self.workers < 1:
-            problems.append(("workers", "must be >= 1"))
+        ints = ("runs", "workers", "base_seed")
+        reals = tuple(name for name in ("snapshot_u_de", "snr_1m_db")
+                      if getattr(self, name) is not None)
+        problems.extend(number_problems(self, ints + reals, integers=ints))
+        typed = {name for name, _ in problems}
+        for name, ok, message in (
+                ("runs", lambda v: v >= 1, "must be >= 1"),
+                ("workers", lambda v: v >= 1, "must be >= 1"),
+                ("base_seed", lambda v: v >= 0, "must be >= 0"),
+                ("snapshot_u_de", lambda v: v is None or v > 0,
+                 "must be positive")):
+            if name not in typed and not ok(getattr(self, name)):
+                problems.append((name, message))
         problems.extend((f"hyper.{f}", msg) for f, msg in self.hyper.validate())
         problems.extend((f"ospa.{f}", msg) for f, msg in self.ospa.validate())
         return problems

@@ -26,21 +26,24 @@ def _run_rngs(base_seed: int, run_index: int):
     return np.random.default_rng(synth_seed), tracker_seed
 
 
+def _snapshot_noise_variance(cfg: ExperimentConfig) -> float:
+    """Noise variance of the radio snapshots of one run."""
+    if cfg.snr_1m_db is None:
+        return 1.0  # unit noise floor; truth amplitudes are already u
+    # Noise level pinned by the line-of-sight amplitude at 1 m.
+    s_ref = radio.steering_vector(1.0, 0.0, cfg.geom)
+    return float(np.vdot(s_ref, s_ref).real) / 10.0 ** (cfg.snr_1m_db / 10.0)
+
+
 def _radio_measurements(scn: Scenario, step: int, cfg: ExperimentConfig,
-                        feedback, bank, rng: np.random.Generator) -> list:
-    """Synthesize one radio snapshot from truth and run the snapshot
-    estimator on it."""
+                        sigma_sq: float, feedback, bank,
+                        rng: np.random.Generator) -> list:
+    """Synthesize one radio snapshot from truth with noise variance sigma_sq
+    and run the snapshot estimator on it."""
     truth = []
     for row in scn.truth_arrays(step):
         state = tracker.model.KinematicState.from_array(row)
         truth.append((state, rng.uniform(0.0, 2.0 * np.pi)))
-    if cfg.snr_1m_db is None:
-        sigma_sq = 1.0  # unit noise floor; truth amplitudes are already u
-    else:
-        # Noise level pinned by the line-of-sight amplitude at 1 m.
-        s_ref = radio.steering_vector(1.0, 0.0, cfg.geom)
-        sigma_sq = float(np.vdot(s_ref, s_ref).real) \
-            / 10.0 ** (cfg.snr_1m_db / 10.0)
     snap = radio.synth_radio(truth, cfg.geom, sigma_sq, rng)
     u_de = cfg.snapshot_u_de if cfg.snapshot_u_de is not None \
         else cfg.hyper.u_de
@@ -52,14 +55,16 @@ def run_single(cfg: ExperimentConfig, run_index: int) -> RunLog:
     scn = get_scenario(cfg.scenario)
     synth_rng, tracker_seed = _run_rngs(cfg.base_seed, run_index)
     state = tracker.init(cfg.hyper, cfg.geom, tracker_seed)
-    bank = radio.MatchedFilterBank(cfg.geom) if cfg.mode == "radio_pipeline" \
-        else None
+    if cfg.mode == "radio_pipeline":
+        bank = radio.MatchedFilterBank(cfg.geom)
+        sigma_sq = _snapshot_noise_variance(cfg)
     feedback = []
     log = RunLog()
     for step in range(scn.steps):
         tracker.predict(state, cfg.hyper)
         if cfg.mode == "radio_pipeline":
-            ms = _radio_measurements(scn, step, cfg, feedback, bank, synth_rng)
+            ms = _radio_measurements(scn, step, cfg, sigma_sq, feedback, bank,
+                                     synth_rng)
         else:
             ms = synth.synth_measurements(scn, step, cfg.hyper, cfg.geom,
                                           synth_rng)

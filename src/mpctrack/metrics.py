@@ -8,12 +8,12 @@ record per scenario step and aggregate into per-step means across runs.
 import csv
 import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .model import ang_diff
+from .model import ang_diff, number_problems
 
 
 @dataclass
@@ -26,11 +26,14 @@ class OspaConfig:
     cutoff_snr_db: float = 6.0
 
     def validate(self) -> list:
-        problems = []
-        if self.p < 1:
+        """'(field, message)' problems; a field that is not a finite real
+        number gets that one problem and no range check."""
+        problems = number_problems(self, [f.name for f in fields(self)])
+        typed = {name for name, _ in problems}
+        if "p" not in typed and self.p < 1:
             problems.append(("p", "must be >= 1"))
         for name in ("cutoff_d", "cutoff_phi_deg", "cutoff_snr_db"):
-            if getattr(self, name) <= 0:
+            if name not in typed and getattr(self, name) <= 0:
                 problems.append((name, "must be positive"))
         return problems
 

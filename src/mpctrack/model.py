@@ -174,6 +174,22 @@ class ArrayGeometry:
         return cls(offsets, psi, f_c, beta_bw_sq, N_s, T_s, c)
 
 
+def number_problems(obj, names, integers=()) -> list:
+    """Type problems of obj's fields for a validate() report: each named
+    field must be a finite real number, and an integer if it is also named
+    in integers (bool is neither). Returns '(field, message)' pairs."""
+    problems = []
+    for name in names:
+        v = getattr(obj, name)
+        if isinstance(v, bool) or not isinstance(v, numbers.Real):
+            problems.append((name, f"must be a number, got {v!r}"))
+        elif name in integers and not isinstance(v, numbers.Integral):
+            problems.append((name, f"must be an integer, got {v!r}"))
+        elif not math.isfinite(v):
+            problems.append((name, f"must be finite, got {v!r}"))
+    return problems
+
+
 @dataclass
 class HyperParams:
     """Tracker hyperparameters. Defaults match the standard simulation setup
@@ -206,17 +222,9 @@ class HyperParams:
         except amp_mode a finite real number (bool is neither). A field of
         the wrong type gets that one problem and no range check.
         """
-        problems = []
-        for f in dataclasses.fields(self):
-            if f.name == "amp_mode":
-                continue
-            v = getattr(self, f.name)
-            if isinstance(v, bool) or not isinstance(v, numbers.Real):
-                problems.append((f.name, f"must be a number, got {v!r}"))
-            elif f.name in ("J", "P") and not isinstance(v, numbers.Integral):
-                problems.append((f.name, f"must be an integer, got {v!r}"))
-            elif not math.isfinite(v):
-                problems.append((f.name, f"must be finite, got {v!r}"))
+        problems = number_problems(
+            self, [f.name for f in dataclasses.fields(self)
+                   if f.name != "amp_mode"], integers=("J", "P"))
         typed = {name for name, _ in problems}
 
         def check(names, ok, message):

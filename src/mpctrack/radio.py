@@ -8,6 +8,14 @@ quarter-sample delay grid, 2 degree angle grid), refines candidates with two
 Newton steps on the exact steering vector, estimates the amplitude by least
 squares, subtracts, and repeats while the normalized amplitude exceeds the
 detection threshold. Feedback summaries from the tracker seed the search.
+
+The refinement moves all candidates of a component (the coarse peak and the
+feedback seeds) in lock step: per Newton step, one batched steering-vector
+evaluation covers every candidate's five-point stencil (the first step adds
+the start points) and one covers every candidate's Newton point; a candidate
+leaves the lock step where it would have stopped alone. Each point is scored
+with one vdot per steering row and the score is formed on Python floats, so
+a point's score does not depend on the batch it is in.
 """
 
 import math
@@ -90,17 +98,24 @@ def _pulse_periodic(t, period: float) -> np.ndarray:
     return rrc_pulse(tw)
 
 
-def steering_vector(d: float, phi: float, geom: ArrayGeometry) -> np.ndarray:
-    """Sampled, element-major stacked signal of a unit-amplitude component at
-    distance d and arrival angle phi; shape (N_s * H,)."""
+def steering_vectors(d, phi, geom: ArrayGeometry) -> np.ndarray:
+    """Sampled, element-major stacked signals of unit-amplitude components at
+    distances d and arrival angles phi (equal-length sequences); shape
+    (P, N_s * H), one row per (d, phi) pair."""
+    d = np.asarray(d, dtype=float)
     times = _sample_times(geom)
     period = geom.N_s * geom.T_s
-    g = geom.delay_shift(phi).reshape(-1)          # (H,)
-    tau = d / geom.c - g                           # per-element delay
+    g = geom.delay_shift(np.asarray(phi, dtype=float)).T  # (P, H)
+    tau = d[:, None] / geom.c - g                  # per-element delay
     ph = np.exp(2j * np.pi * geom.f_c * g)         # per-element carrier phase
-    blocks = _pulse_periodic(times[None, :] - tau[:, None], period) \
-        * ph[:, None]
-    return blocks.reshape(-1)
+    blocks = _pulse_periodic(times[None, None, :] - tau[:, :, None], period) \
+        * ph[:, :, None]
+    return blocks.reshape(d.size, -1)
+
+
+def steering_vector(d: float, phi: float, geom: ArrayGeometry) -> np.ndarray:
+    """The one-row case of steering_vectors; shape (N_s * H,)."""
+    return steering_vectors([d], [phi], geom)[0]
 
 
 @dataclass
@@ -203,10 +218,11 @@ class MatchedFilterBank:
         self.angles = np.deg2rad(np.arange(-180.0, 180.0, ANGLE_GRID_DEG))
         # Per-angle, per-element phase factors on each harmonic.
         g = np.stack([geom.delay_shift(a) for a in self.angles])  # (A, H)
-        self.carrier = np.exp(-2j * np.pi * geom.f_c * g)         # (A, H)
-        # e^{-j 2 pi k g / T} for every (A, H, K)
-        self.harm_shift = np.exp(
-            -2j * np.pi * self.ks[None, None, :] * g[:, :, None] / self.period)
+        carrier = np.exp(-2j * np.pi * geom.f_c * g)              # (A, H)
+        # e^{-j 2 pi k g / T} times the carrier for every (A, H, K)
+        self.shifted_carrier = np.exp(
+            -2j * np.pi * self.ks[None, None, :] * g[:, :, None] / self.period
+        ) * carrier[:, :, None]
         i0 = (geom.N_s - 1) / 2.0
         self.center_phase = np.exp(2j * np.pi * self.ks * i0 / geom.N_s)
         # Mean sampled pulse energy per element (grid-stage normalization).
@@ -224,8 +240,7 @@ class MatchedFilterBank:
         Yk = Y[:, np.mod(self.ks, geom.N_s)]          # harmonics k
         base = np.conj(self.coeff)[None, :] * Yk * self.center_phase[None, :]
         # (A, K): coherent element sum with angle-dependent shifts.
-        W = np.einsum("ahk,hk->ak", self.harm_shift * self.carrier[:, :, None],
-                      base)
+        W = np.einsum("ahk,hk->ak", self.shifted_carrier, base)
         # Evaluate C(tau) on the fine grid via an L-point inverse transform.
         Wpad = np.zeros((len(self.angles), self.L), dtype=complex)
         Wpad[:, np.mod(self.ks, self.L)] = W
@@ -236,46 +251,73 @@ class MatchedFilterBank:
         return tau * geom.c, float(self.angles[ai]), float(power[ai, qi])
 
 
-def _objective(residual: np.ndarray, d: float, phi: float,
-               geom: ArrayGeometry):
-    s = steering_vector(d, phi, geom)
-    nsq = float(np.vdot(s, s).real)
-    if nsq <= 0.0:
-        return -np.inf, s, nsq, 0j
-    corr = complex(np.vdot(s, residual))
-    return abs(corr) ** 2 / nsq, s, nsq, corr
+def _match(residual: np.ndarray, points: list, geom: ArrayGeometry):
+    """Steering vectors of the (d, phi) points, from one batched evaluation,
+    and each one's (score, nsq, corr) against the residual: one np.vdot per
+    row and the score |corr|^2 / nsq on Python floats, so a point scores the
+    same in a batch of any size."""
+    d, phi = zip(*points)
+    S = steering_vectors(d, phi, geom)
+    out = []
+    for s in S:
+        nsq = float(np.vdot(s, s).real)
+        if nsq <= 0.0:
+            out.append((-np.inf, nsq, 0j))
+            continue
+        corr = complex(np.vdot(s, residual))
+        out.append((abs(corr) ** 2 / nsq, nsq, corr))
+    return S, out
 
 
-def _newton_refine(residual: np.ndarray, d: float, phi: float,
-                   geom: ArrayGeometry):
-    """Two finite-difference Newton steps on the matched-filter power."""
+def _newton_refine(residual: np.ndarray, starts: list, geom: ArrayGeometry):
+    """Two finite-difference Newton steps on the matched-filter power for
+    every start point (d, phi), moved in lock step.
+
+    Each step scores the five-point stencil of every candidate still
+    improving in one batch (the first step adds the start points), then all
+    their Newton points in a second batch. A candidate stops where the
+    stencil shows no proper local maximum or its Newton point does not score
+    higher. Returns one (d, phi, score) per start point.
+    """
     hd = geom.c * geom.T_s / 50.0
     hp = math.radians(0.2)
-    best, _, _, _ = _objective(residual, d, phi, geom)
-    for _ in range(NEWTON_STEPS):
-        f0, _, _, _ = _objective(residual, d, phi, geom)
-        fdp, _, _, _ = _objective(residual, d + hd, phi, geom)
-        fdm, _, _, _ = _objective(residual, d - hd, phi, geom)
-        fpp, _, _, _ = _objective(residual, d, phi + hp, geom)
-        fpm, _, _, _ = _objective(residual, d, phi - hp, geom)
-        fxy, _, _, _ = _objective(residual, d + hd, phi + hp, geom)
-        gd = (fdp - fdm) / (2 * hd)
-        gp = (fpp - fpm) / (2 * hp)
-        hdd = (fdp - 2 * f0 + fdm) / hd**2
-        hpp = (fpp - 2 * f0 + fpm) / hp**2
-        hdp = (fxy - fdp - fpp + f0) / (hd * hp)
-        det = hdd * hpp - hdp * hdp
-        if det <= 0 or hdd >= 0:  # not a proper local maximum, keep point
+    pts = list(starts)
+    f0 = [None] * len(pts)
+    active = list(range(len(pts)))
+    for step in range(NEWTON_STEPS):
+        if not active:
             break
-        dd = -(hpp * gd - hdp * gp) / det
-        dp = -(-hdp * gd + hdd * gp) / det
-        cand_d, cand_p = d + dd, float(wrap_angle(phi + dp))
-        f1, _, _, _ = _objective(residual, cand_d, cand_p, geom)
-        if f1 <= f0:
-            break
-        d, phi = cand_d, cand_p
-        best = f1
-    return d, float(wrap_angle(phi)), best
+        batch = list(pts) if step == 0 else []
+        for i in active:
+            d, phi = pts[i]
+            batch += [(d + hd, phi), (d - hd, phi), (d, phi + hp),
+                      (d, phi - hp), (d + hd, phi + hp)]
+        f = [score for score, _, _ in _match(residual, batch, geom)[1]]
+        if step == 0:
+            f0, f = f[:len(pts)], f[len(pts):]
+        newton = []
+        for j, i in enumerate(active):
+            fdp, fdm, fpp, fpm, fxy = f[5 * j:5 * j + 5]
+            d, phi = pts[i]
+            gd = (fdp - fdm) / (2 * hd)
+            gp = (fpp - fpm) / (2 * hp)
+            hdd = (fdp - 2 * f0[i] + fdm) / hd**2
+            hpp = (fpp - 2 * f0[i] + fpm) / hp**2
+            hdp = (fxy - fdp - fpp + f0[i]) / (hd * hp)
+            det = hdd * hpp - hdp * hdp
+            if det <= 0 or hdd >= 0:  # not a proper local maximum, keep point
+                continue
+            dd = -(hpp * gd - hdp * gp) / det
+            dp = -(-hdp * gd + hdd * gp) / det
+            newton.append((i, (d + dd, float(wrap_angle(phi + dp)))))
+        active = []
+        if newton:
+            _, scored = _match(residual, [c for _, c in newton], geom)
+            for (i, cand), (f1, _, _) in zip(newton, scored):
+                if f1 > f0[i]:
+                    pts[i], f0[i] = cand, f1
+                    active.append(i)
+    return [(d, float(wrap_angle(phi)), f) for (d, phi), f in zip(pts, f0)]
 
 
 def snapshot_estimate(snap: RadioSnapshot, prior_tracks, geom: ArrayGeometry,
@@ -302,17 +344,12 @@ def snapshot_estimate(snap: RadioSnapshot, prior_tracks, geom: ArrayGeometry,
         # Below this the residual is cancellation error, not signal.
         if initial_energy > 0 and energy < 1e-9 * initial_energy:
             break
-        cands = []
         d0, p0, _ = bank.coarse_peak(residual)
-        cands.append((d0, p0))
-        cands.extend(seeds)
-        best = None
-        for d, phi in cands:
-            dr, pr, score = _newton_refine(residual, d, float(phi), geom)
-            if best is None or score > best[2]:
-                best = (dr, pr, score)
-        d, phi, _ = best
-        _, s, nsq, corr = _objective(residual, d, phi, geom)
+        cands = [(d0, p0)] + [(d, float(phi)) for d, phi in seeds]
+        # max keeps the first of equal scores
+        d, phi, _ = max(_newton_refine(residual, cands, geom),
+                        key=lambda c: c[2])
+        (s,), ((_, nsq, corr),) = _match(residual, [(d, phi)], geom)
         if nsq <= 0.0:
             break
         alpha = corr / nsq
@@ -349,8 +386,8 @@ def calibrate_detection_threshold(geom: ArrayGeometry, fa_prob: float = 0.01,
             / math.sqrt(2.0)
         residual = noise.astype(complex)
         d0, p0, _ = bank.coarse_peak(residual)
-        d, phi, _ = _newton_refine(residual, d0, p0, geom)
-        _, s, nsq, corr = _objective(residual, d, phi, geom)
+        ((d, phi, _),) = _newton_refine(residual, [(d0, p0)], geom)
+        (s,), ((_, nsq, corr),) = _match(residual, [(d, phi)], geom)
         alpha = corr / nsq
         sigma_hat_sq = float(np.vdot(residual - alpha * s,
                                      residual - alpha * s).real) / n

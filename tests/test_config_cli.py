@@ -69,6 +69,34 @@ class TestValidateConfig:
         assert not report.ok
         assert [f for f, _ in report.errors] == [f"hyper.{field}"]
 
+    @pytest.mark.parametrize("doc,field", [
+        ({"runs": "3"}, "runs"), ({"runs": 2.5}, "runs"),
+        ({"runs": True}, "runs"), ({"workers": 1.5}, "workers"),
+        ({"base_seed": False}, "base_seed"), ({"base_seed": 1e3}, "base_seed"),
+        ({"base_seed": -1}, "base_seed"),
+        ({"snapshot_u_de": "25"}, "snapshot_u_de"),
+        ({"snapshot_u_de": float("inf")}, "snapshot_u_de"),
+        ({"snapshot_u_de": 0.0}, "snapshot_u_de"),
+        ({"snr_1m_db": float("nan")}, "snr_1m_db"),
+        ({"snr_1m_db": [30]}, "snr_1m_db"),
+        ({"ospa": {"p": float("nan")}}, "ospa.p"),
+        ({"ospa": {"cutoff_d": "0.1"}}, "ospa.cutoff_d"),
+        ({"ospa": {"cutoff_snr_db": float("inf")}}, "ospa.cutoff_snr_db"),
+    ])
+    def test_mistyped_run_and_ospa_field_path(self, tmp_path, doc, field):
+        # The same type-first check as the hyperparameters: one field-path
+        # error, no comparison of a string against a bound, no NaN passing
+        # every range check.
+        report = validate_config(write(tmp_path, doc))
+        assert not report.ok
+        assert [f for f, _ in report.errors] == [field]
+
+    def test_optional_radio_fields_accept_none_and_numbers(self, tmp_path):
+        for doc in ({"snapshot_u_de": None, "snr_1m_db": None},
+                    {"snapshot_u_de": 25, "snr_1m_db": -3.5}):
+            report = validate_config(write(tmp_path, doc))
+            assert report.ok, report.errors
+
     def test_bad_mode(self, tmp_path):
         path = write(tmp_path, {"mode": "streaming"})
         report = validate_config(path)
@@ -157,6 +185,47 @@ class TestRunExperiment:
         nom = log.column("nom_hat")[10:]
         assert np.mean(nom == 1) >= 0.95
 
+    def test_snr_1m_db_sets_snapshot_noise_variance(self, tmp_path,
+                                                    monkeypatch):
+        # In radio mode the snapshot noise variance is ||s_ref||^2 /
+        # 10^(snr / 10), s_ref the steering vector at 1 m and angle 0, the
+        # same for every snapshot of a run and computed once per run.
+        import numpy as np
+        from mpctrack import radio
+        from mpctrack.scenario import Scenario, get_scenario
+
+        base = get_scenario("pipeline")
+        scn = Scenario(8, base.tracks, base.far_profile[:8], base.u_de,
+                       base.seed)
+        path = tmp_path / "short.json"
+        scn.save(path)
+        snr = 37.5
+        cfg = ExperimentConfig(mode="radio_pipeline", scenario=str(path),
+                               runs=1, base_seed=3, snapshot_u_de=25.0,
+                               snr_1m_db=snr, out_dir=str(tmp_path / "out"))
+        cfg.hyper = HyperParams(J=200, u_de=25.0)
+        s_ref = radio.steering_vector(1.0, 0.0, cfg.geom)
+        want = float(np.vdot(s_ref, s_ref).real) / 10.0 ** (snr / 10.0)
+
+        sigmas, refs = [], []
+        synth, steer = radio.synth_radio, radio.steering_vector
+
+        def recording_synth(truth, geom, sigma_sq, rng):
+            sigmas.append(sigma_sq)
+            return synth(truth, geom, sigma_sq, rng)
+
+        def recording_steer(d, phi, geom):
+            refs.append((d, phi) == (1.0, 0.0))
+            return steer(d, phi, geom)
+
+        monkeypatch.setattr(radio, "synth_radio", recording_synth)
+        monkeypatch.setattr(radio, "steering_vector", recording_steer)
+        log = run_single(cfg, 0)
+        assert len(log.column("nom_hat")) == 8
+        assert sigmas == [want] * 8
+        assert sum(refs) == 1
+        assert want != 1.0   # not the unit floor of snr_1m_db = None
+
 
 class TestCli:
     def test_validate_ok_and_exit_codes(self, tmp_path):
@@ -206,6 +275,25 @@ class TestCli:
         assert report["ok"] is False
         assert [e["field"] for e in report["errors"]] == \
             [f"hyper.{next(iter(hyper))}"]
+        assert not os.path.exists(tmp_path / "out")
+
+    @pytest.mark.parametrize("doc,field", [
+        ({"runs": "3"}, "runs"), ({"runs": 2.5}, "runs"),
+        ({"workers": 1.5}, "workers"),
+        ({"ospa": {"p": float("nan")}}, "ospa.p"),
+    ])
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_mistyped_config_exits_2_with_report(self, tmp_path, doc, field,
+                                                 command):
+        # {"runs": "3"} was a TypeError traceback, the other three "ok".
+        path = write(tmp_path, {"scenario": "desk",
+                                "out_dir": str(tmp_path / "out"), **doc})
+        res = CliRunner().invoke(main, [command, path])
+        assert res.exit_code == 2, res.output
+        assert res.exception is None or isinstance(res.exception, SystemExit)
+        report = json.loads(res.output)
+        assert report["ok"] is False
+        assert [e["field"] for e in report["errors"]] == [field]
         assert not os.path.exists(tmp_path / "out")
 
     def test_scenario_emit(self, tmp_path):

@@ -1,5 +1,6 @@
 """Radio forward model and snapshot-estimator tests: pulse properties,
-steering-vector consistency, linearity, snapshot file format, and the
+steering-vector consistency, linearity, snapshot file format, the batched
+steering kernel and lock-step refinement against one-point oracles, and the
 forward-inverse round trip."""
 
 import math
@@ -9,11 +10,12 @@ import pytest
 from scipy.integrate import quad
 
 from mpctrack import radio
-from mpctrack.model import KinematicState
-from mpctrack.radio import (RadioSnapshot, default_geometry, read_snapshot,
+from mpctrack.model import KinematicState, wrap_angle
+from mpctrack.radio import (RadioSnapshot, _pulse_periodic, _sample_times,
+                            default_geometry, read_snapshot,
                             rrc_mean_square_bandwidth, rrc_pulse,
-                            snapshot_estimate, steering_vector, synth_radio,
-                            write_snapshot)
+                            snapshot_estimate, steering_vector,
+                            steering_vectors, synth_radio, write_snapshot)
 
 GEOM = default_geometry()
 
@@ -173,3 +175,165 @@ class TestSnapshotEstimator:
         ms = snapshot_estimate(snap, [Seed()], GEOM, u_de=25.0)
         assert len(ms) == 1
         assert ms[0].z_d == pytest.approx(7.0, abs=0.02)
+
+
+# ---------------------------------------------------------------------------
+# One-point oracles: the estimator as it was before batching, one steering
+# vector per point and one candidate per refinement.
+# ---------------------------------------------------------------------------
+
+def oracle_steering_vector(d, phi, geom):
+    times = _sample_times(geom)
+    period = geom.N_s * geom.T_s
+    g = geom.delay_shift(phi).reshape(-1)          # (H,)
+    tau = d / geom.c - g                           # per-element delay
+    ph = np.exp(2j * np.pi * geom.f_c * g)         # per-element carrier phase
+    blocks = _pulse_periodic(times[None, :] - tau[:, None], period) \
+        * ph[:, None]
+    return blocks.reshape(-1)
+
+
+def oracle_objective(residual, d, phi, geom):
+    s = oracle_steering_vector(d, phi, geom)
+    nsq = float(np.vdot(s, s).real)
+    if nsq <= 0.0:
+        return -np.inf, s, nsq, 0j
+    corr = complex(np.vdot(s, residual))
+    return abs(corr) ** 2 / nsq, s, nsq, corr
+
+
+def oracle_newton_refine(residual, d, phi, geom):
+    """The one-candidate refinement; also returns why it stopped ("curv":
+    no proper local maximum, "gain": the Newton point scored no higher,
+    "steps": both steps taken) and the number of accepted steps."""
+    hd = geom.c * geom.T_s / 50.0
+    hp = math.radians(0.2)
+    best, _, _, _ = oracle_objective(residual, d, phi, geom)
+    stop, taken = "steps", 0
+    for _ in range(radio.NEWTON_STEPS):
+        f0, _, _, _ = oracle_objective(residual, d, phi, geom)
+        fdp, _, _, _ = oracle_objective(residual, d + hd, phi, geom)
+        fdm, _, _, _ = oracle_objective(residual, d - hd, phi, geom)
+        fpp, _, _, _ = oracle_objective(residual, d, phi + hp, geom)
+        fpm, _, _, _ = oracle_objective(residual, d, phi - hp, geom)
+        fxy, _, _, _ = oracle_objective(residual, d + hd, phi + hp, geom)
+        gd = (fdp - fdm) / (2 * hd)
+        gp = (fpp - fpm) / (2 * hp)
+        hdd = (fdp - 2 * f0 + fdm) / hd**2
+        hpp = (fpp - 2 * f0 + fpm) / hp**2
+        hdp = (fxy - fdp - fpp + f0) / (hd * hp)
+        det = hdd * hpp - hdp * hdp
+        if det <= 0 or hdd >= 0:  # not a proper local maximum, keep point
+            stop = "curv"
+            break
+        dd = -(hpp * gd - hdp * gp) / det
+        dp = -(-hdp * gd + hdd * gp) / det
+        cand_d, cand_p = d + dd, float(wrap_angle(phi + dp))
+        f1, _, _, _ = oracle_objective(residual, cand_d, cand_p, geom)
+        if f1 <= f0:
+            stop = "gain"
+            break
+        d, phi = cand_d, cand_p
+        best = f1
+        taken += 1
+    return (d, float(wrap_angle(phi)), best), (stop, taken)
+
+
+def bits(x):
+    return np.asarray(x, dtype=float).tobytes()
+
+
+def noisy_snapshot(seed):
+    comps = [(KinematicState(4.0, math.radians(-35.0), 40.0, 0, 0), 0.4),
+             (KinematicState(9.5, math.radians(70.0), 25.0, 0, 0), 2.0)]
+    return synth_radio(comps, GEOM, 1.0, np.random.default_rng(seed))
+
+
+class TestBatchedEstimator:
+    @pytest.mark.parametrize("P", [1, 2, 5, 6, 17])
+    def test_steering_rows_equal_oracle(self, P):
+        rng = np.random.default_rng(P)
+        d = rng.uniform(0.1, 20.0, P)
+        phi = rng.uniform(-4.0, 4.0, P)   # past +-pi, as stencil points go
+        S = steering_vectors(d, phi, GEOM)
+        assert S.shape == (P, GEOM.n_eff)
+        for i in range(P):
+            want = oracle_steering_vector(float(d[i]), float(phi[i]), GEOM)
+            assert np.array_equal(S[i].view(float), want.view(float))
+            assert np.array_equal(steering_vector(d[i], phi[i], GEOM), want)
+
+    def test_lock_step_stops_each_candidate_like_the_oracle(self):
+        # Three candidates leave the lock step at different points: one at
+        # once for want of a local maximum, one after its first Newton point
+        # scored no higher, and the coarse peak after both steps.
+        residual = noisy_snapshot(7).samples
+        d0, p0, _ = radio.MatchedFilterBank(GEOM).coarse_peak(residual)
+        starts = [(6.5, math.radians(150.0)), (2.0, -2.5), (d0, p0)]
+        got = radio._newton_refine(residual, starts, GEOM)
+        stops = []
+        for (d, phi), g in zip(starts, got):
+            want, stop = oracle_newton_refine(residual, d, phi, GEOM)
+            stops.append(stop)
+            assert bits(g) == bits(want), (d, phi, stop)
+        assert stops == [("curv", 0), ("gain", 0), ("steps", 2)]
+
+    @pytest.mark.parametrize("seed", [7, 8, 9])
+    def test_lock_step_refinement_equals_oracle(self, seed):
+        residual = noisy_snapshot(seed).samples
+        d0, p0, _ = radio.MatchedFilterBank(GEOM).coarse_peak(residual)
+        # The coarse peak, feedback seeds near both components, and points
+        # away from them; float64 and Python floats mixed as in the estimator.
+        starts = [(d0, p0), (4.03, math.radians(-34.0)),
+                  (9.45, math.radians(71.0))]
+        rng = np.random.default_rng(seed)
+        starts += [(float(rng.uniform(1, 15)), float(rng.uniform(-3, 3)))
+                   for _ in range(15)]
+        got = radio._newton_refine(residual, starts, GEOM)
+        for (d, phi), g in zip(starts, got):
+            want, stop = oracle_newton_refine(residual, d, phi, GEOM)
+            assert bits(g) == bits(want), (d, phi, stop)
+
+    def test_single_candidate_and_empty(self):
+        residual = noisy_snapshot(7).samples
+        want, _ = oracle_newton_refine(residual, 4.03, -0.6, GEOM)
+        (got,) = radio._newton_refine(residual, [(4.03, -0.6)], GEOM)
+        assert bits(got) == bits(want)
+        assert radio._newton_refine(residual, [], GEOM) == []
+
+    @pytest.mark.parametrize("n_seeds", [0, 2, 12])
+    def test_steering_calls_per_component(self, monkeypatch, n_seeds):
+        # Whatever the candidate count, a component costs at most five
+        # batched steering evaluations: stencil and start points, Newton
+        # points, the second stencil, the second Newton points, and the
+        # winner's projection.
+        calls = []
+        kernel = radio.steering_vectors
+
+        def counting(d, phi, geom):
+            calls.append(len(d))
+            return kernel(d, phi, geom)
+
+        class Seed:
+            def __init__(self, d, phi):
+                self.d, self.phi = d, phi
+
+        rng = np.random.default_rng(n_seeds)
+        seeds = [Seed(rng.uniform(1, 15), rng.uniform(-3, 3))
+                 for _ in range(n_seeds)]
+        iterations = []
+        peak = radio.MatchedFilterBank.coarse_peak
+
+        def counting_peak(bank, samples):
+            iterations.append(len(calls))
+            return peak(bank, samples)
+
+        snap = noisy_snapshot(7)
+        monkeypatch.setattr(radio, "steering_vectors", counting)
+        monkeypatch.setattr(radio.MatchedFilterBank, "coarse_peak",
+                            counting_peak)
+        ms = snapshot_estimate(snap, seeds, GEOM, u_de=25.0)
+        assert len(ms) == 2
+        per_component = np.diff(iterations + [len(calls)])
+        assert len(per_component) == 3   # two found, one rejected
+        assert max(per_component) <= 5
+        assert calls[0] == 6 * (1 + n_seeds)   # every start and stencil

@@ -8,6 +8,7 @@ from dataclasses import dataclass, field
 from .metrics import OspaConfig
 from .model import ArrayGeometry, HyperParams, number_problems
 from .radio import default_geometry
+from .scenario import get_scenario
 
 
 CONFIG_SCHEMA_VERSION = 1
@@ -41,18 +42,14 @@ class ExperimentConfig:
         ints = ("runs", "workers", "base_seed")
         reals = tuple(name for name in ("snapshot_u_de", "snr_1m_db")
                       if getattr(self, name) is not None)
-        problems.extend(number_problems(self, ints + reals, integers=ints))
-        typed = {name for name, _ in problems}
-        for name, ok, message in (
-                ("runs", lambda v: v >= 1, "must be >= 1"),
-                ("workers", lambda v: v >= 1, "must be >= 1"),
-                ("base_seed", lambda v: v >= 0, "must be >= 0"),
-                ("snapshot_u_de", lambda v: v is None or v > 0,
-                 "must be positive")):
-            if name not in typed and not ok(getattr(self, name)):
-                problems.append((name, message))
-        problems.extend((f"hyper.{f}", msg) for f, msg in self.hyper.validate())
-        problems.extend((f"ospa.{f}", msg) for f, msg in self.ospa.validate())
+        problems.extend(number_problems(
+            self, ints + reals, integers=ints, rules=(
+                (("runs", "workers"), lambda v: v >= 1, "must be >= 1"),
+                (("base_seed",), lambda v: v >= 0, "must be >= 0"),
+                (("snapshot_u_de",), lambda v: v > 0, "must be positive"))))
+        for section in ("hyper", "ospa", "geom"):
+            problems.extend((f"{section}.{f}", msg)
+                            for f, msg in getattr(self, section).validate())
         return problems
 
 
@@ -72,12 +69,15 @@ class ValidationReport:
         }, indent=1)
 
 
-_GEOM_KEYS = ("element_offsets", "psi", "f_c", "beta_bw_sq", "N_s", "T_s", "c")
+_GEOM_KEYS = tuple(f.name for f in dataclasses.fields(ArrayGeometry))
 
 
 def _fill_dataclass(cls, doc: dict, path: str, errors: list, filled: list):
     """Build a dataclass from a dict, recording defaulted fields and unknown
-    or mistyped keys."""
+    keys. Field values are checked later, by validate()."""
+    if not isinstance(doc, dict):
+        errors.append((path, "must be an object"))
+        return cls()
     names = {f.name for f in dataclasses.fields(cls)}
     for key in doc:
         if key not in names:
@@ -89,11 +89,7 @@ def _fill_dataclass(cls, doc: dict, path: str, errors: list, filled: list):
             kwargs[f.name] = doc[f.name]
         else:
             filled.append((f"{path}.{f.name}", getattr(obj_defaults, f.name)))
-    try:
-        return cls(**kwargs)
-    except (TypeError, ValueError) as exc:
-        errors.append((path, str(exc)))
-        return obj_defaults
+    return cls(**kwargs)
 
 
 def config_from_dict(doc: dict) -> ValidationReport:
@@ -111,19 +107,19 @@ def config_from_dict(doc: dict) -> ValidationReport:
                            errors, filled)
 
     geom_doc = body.pop("geom", None)
+    geom = default_geometry()
     if geom_doc is None:
-        geom = default_geometry()
         filled.append(("geom", "default 3x3 array"))
+    elif not isinstance(geom_doc, dict):
+        errors.append(("geom", "must be an object"))
     else:
-        unknown = set(geom_doc) - set(_GEOM_KEYS)
-        for key in sorted(unknown):
+        for key in sorted(set(geom_doc) - set(_GEOM_KEYS)):
             errors.append((f"geom.{key}", "unknown field"))
         try:
             geom = ArrayGeometry(**{k: v for k, v in geom_doc.items()
                                     if k in _GEOM_KEYS})
         except (TypeError, ValueError) as exc:
             errors.append(("geom", str(exc)))
-            geom = default_geometry()
 
     cfg_defaults = ExperimentConfig()
     kwargs = {}
@@ -137,14 +133,14 @@ def config_from_dict(doc: dict) -> ValidationReport:
     for key in sorted(body):
         errors.append((key, "unknown field"))
 
-    try:
-        cfg = ExperimentConfig(hyper=hyper, geom=geom, ospa=ospa, **kwargs)
-    except (TypeError, ValueError) as exc:
-        errors.append(("", str(exc)))
-        cfg = cfg_defaults
-
+    cfg = ExperimentConfig(hyper=hyper, geom=geom, ospa=ospa, **kwargs)
     if not isinstance(cfg.scenario, str):
         errors.append(("scenario", "must be a builtin name or a path"))
+    else:
+        try:
+            get_scenario(cfg.scenario)
+        except (OSError, ValueError) as exc:
+            errors.append(("scenario", str(exc)))
     errors.extend(cfg.validate())
     return ValidationReport(not errors, errors, filled, cfg)
 
@@ -165,23 +161,7 @@ def validate_config(path: str) -> ValidationReport:
 
 def config_to_dict(cfg: ExperimentConfig) -> dict:
     """Round-trippable dict form (the config echo)."""
-    return {
-        "schema_version": CONFIG_SCHEMA_VERSION,
-        "mode": cfg.mode,
-        "scenario": cfg.scenario,
-        "runs": cfg.runs,
-        "base_seed": cfg.base_seed,
-        "out_dir": cfg.out_dir,
-        "workers": cfg.workers,
-        "snapshot_u_de": cfg.snapshot_u_de,
-        "snr_1m_db": cfg.snr_1m_db,
-        "hyper": dataclasses.asdict(cfg.hyper),
-        "geom": {
-            "element_offsets": [list(map(float, e))
-                                for e in cfg.geom.element_offsets],
-            "psi": cfg.geom.psi, "f_c": cfg.geom.f_c,
-            "beta_bw_sq": cfg.geom.beta_bw_sq, "N_s": cfg.geom.N_s,
-            "T_s": cfg.geom.T_s, "c": cfg.geom.c,
-        },
-        "ospa": dataclasses.asdict(cfg.ospa),
-    }
+    doc = {"schema_version": CONFIG_SCHEMA_VERSION, **dataclasses.asdict(cfg)}
+    doc["geom"]["element_offsets"] = [list(map(float, e))
+                                      for e in cfg.geom.element_offsets]
+    return doc

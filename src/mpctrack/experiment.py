@@ -89,8 +89,8 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     if cfg.workers > 1 and cfg.runs > 1:
         with concurrent.futures.ProcessPoolExecutor(
                 max_workers=cfg.workers) as pool:
-            logs = list(pool.map(_run_for_pool,
-                                 [(cfg, i) for i in range(cfg.runs)]))
+            logs = list(pool.map(run_single, [cfg] * cfg.runs,
+                                 range(cfg.runs)))
     else:
         logs = [run_single(cfg, i) for i in range(cfg.runs)]
 
@@ -108,8 +108,3 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
         json.dump(config_to_dict(cfg), f, indent=1, sort_keys=True)
         f.write("\n")
     return agg
-
-
-def _run_for_pool(args):
-    cfg, i = args
-    return run_single(cfg, i)

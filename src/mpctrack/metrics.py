@@ -28,14 +28,10 @@ class OspaConfig:
     def validate(self) -> list:
         """'(field, message)' problems; a field that is not a finite real
         number gets that one problem and no range check."""
-        problems = number_problems(self, [f.name for f in fields(self)])
-        typed = {name for name, _ in problems}
-        if "p" not in typed and self.p < 1:
-            problems.append(("p", "must be >= 1"))
-        for name in ("cutoff_d", "cutoff_phi_deg", "cutoff_snr_db"):
-            if name not in typed and getattr(self, name) <= 0:
-                problems.append((name, "must be positive"))
-        return problems
+        return number_problems(self, [f.name for f in fields(self)], rules=(
+            (("p",), lambda v: v >= 1, "must be >= 1"),
+            (("cutoff_d", "cutoff_phi_deg", "cutoff_snr_db"), lambda v: v > 0,
+             "must be positive")))
 
 
 def ospa(truth, est, p: float, cutoff: float, angular: bool = False) -> float:
@@ -58,18 +54,6 @@ def ospa(truth, est, p: float, cutoff: float, angular: bool = False) -> float:
     matched = float(cost[ri, ci].sum())
     n_max, n_min = max(n, m), min(n, m)
     return float(((matched + cutoff**p * (n_max - n_min)) / n_max) ** (1.0 / p))
-
-
-def cardinality_error(truth_count: int, est_count: int, p: float,
-                      cutoff: float) -> float:
-    """Cardinality component of the OSPA distance."""
-    if truth_count < 0 or est_count < 0:
-        raise ValueError("counts must be nonnegative")
-    if truth_count == 0 and est_count == 0:
-        return 0.0
-    n_max = max(truth_count, est_count)
-    return float((cutoff**p * abs(truth_count - est_count) / n_max)
-                 ** (1.0 / p))
 
 
 RUNLOG_COLUMNS = ("step", "ospa_d_m", "ospa_phi_deg", "ospa_snr_db",
@@ -97,20 +81,6 @@ class RunLog:
         for r in self.records:
             w.writerow([_fmt(r[c]) for c in RUNLOG_COLUMNS])
         return buf.getvalue()
-
-    @staticmethod
-    def from_csv(text: str) -> "RunLog":
-        rows = list(csv.reader(io.StringIO(text)))
-        if not rows or tuple(rows[0]) != RUNLOG_COLUMNS:
-            raise ValueError("unrecognized run-log header")
-        out = RunLog()
-        for row in rows[1:]:
-            rec = dict(zip(RUNLOG_COLUMNS, (float(v) for v in row)))
-            rec["step"] = int(rec["step"])
-            rec["nom_true"] = int(rec["nom_true"])
-            rec["nom_hat"] = int(rec["nom_hat"])
-            out.records.append(rec)
-        return out
 
 
 def _fmt(v) -> str:

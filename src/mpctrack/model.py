@@ -134,6 +134,21 @@ class ArrayGeometry:
         tol = float(np.spacing(a)) / (4.0 if math.frexp(a)[0] == 0.5 else 2.0)
         self._aperture_flat = abs(b) < tol and abs(c) < tol
 
+    def validate(self) -> list:
+        """'(field, message)' problems, empty when valid: N_s an integer
+        (construction checks N_s >= 1), psi finite, the other numbers finite
+        and positive."""
+        problems = number_problems(
+            self, ("psi", "f_c", "beta_bw_sq", "N_s", "T_s", "c"),
+            integers=("N_s",), rules=((("f_c", "beta_bw_sq", "T_s", "c"),
+                                       lambda v: v > 0, "must be positive"),))
+        if not all(np.ndim(e) == 1 and len(e) == 2
+                   and not any(map(_type_problem, e))
+                   for e in self.element_offsets):
+            problems.append(("element_offsets", "must be (distance, angle) "
+                             "pairs of finite numbers"))
+        return problems
+
     @property
     def H(self) -> int:
         return len(self.element_offsets)
@@ -174,19 +189,31 @@ class ArrayGeometry:
         return cls(offsets, psi, f_c, beta_bw_sq, N_s, T_s, c)
 
 
-def number_problems(obj, names, integers=()) -> list:
-    """Type problems of obj's fields for a validate() report: each named
-    field must be a finite real number, and an integer if it is also named
-    in integers (bool is neither). Returns '(field, message)' pairs."""
-    problems = []
-    for name in names:
-        v = getattr(obj, name)
-        if isinstance(v, bool) or not isinstance(v, numbers.Real):
-            problems.append((name, f"must be a number, got {v!r}"))
-        elif name in integers and not isinstance(v, numbers.Integral):
-            problems.append((name, f"must be an integer, got {v!r}"))
-        elif not math.isfinite(v):
-            problems.append((name, f"must be finite, got {v!r}"))
+def _type_problem(v, integer=False):
+    """The type-check message for v, or None when v is a finite real number
+    (and an integer if integer is set; bool is neither)."""
+    if isinstance(v, bool) or not isinstance(v, numbers.Real):
+        return f"must be a number, got {v!r}"
+    if integer and not isinstance(v, numbers.Integral):
+        return f"must be an integer, got {v!r}"
+    if not math.isfinite(v):
+        return f"must be finite, got {v!r}"
+    return None
+
+
+def number_problems(obj, names, integers=(), rules=()) -> list:
+    """'(field, message)' problems of obj's named fields for a validate()
+    report. Each must be a finite real number (an integer if named in
+    integers); then each (fields, ok, message) rule checks, in order, its
+    named fields that passed, and message may show the value through {}."""
+    problems = [(name, msg) for name in names
+                if (msg := _type_problem(getattr(obj, name),
+                                         name in integers))]
+    typed = {name for name, _ in problems}
+    for fields, ok, message in rules:
+        problems.extend((name, message.format(getattr(obj, name)))
+                        for name in fields if name in names
+                        and name not in typed and not ok(getattr(obj, name)))
     return problems
 
 
@@ -224,23 +251,15 @@ class HyperParams:
         """
         problems = number_problems(
             self, [f.name for f in dataclasses.fields(self)
-                   if f.name != "amp_mode"], integers=("J", "P"))
-        typed = {name for name, _ in problems}
-
-        def check(names, ok, message):
-            for name in names:
-                v = getattr(self, name)
-                if name not in typed and not ok(v):
-                    problems.append((name, message.format(v)))
-
-        check(("p_s", "p_de", "p_pr"), lambda v: 0.0 <= v <= 1.0,
-              "must be in [0, 1], got {}")
-        check(("mu_n", "u_de", "d_max", "delta_t", "u_birth_max"),
-              lambda v: v > 0, "must be positive")
-        check(("sigma_d", "sigma_phi", "sigma_u_rel", "sigma_fa",
-               "sigma_fa_ini", "sigma_v_d", "sigma_v_phi", "da_tol"),
-              lambda v: v >= 0, "must be >= 0")
-        check(("J", "P"), lambda v: v >= 1, "must be >= 1")
+                   if f.name != "amp_mode"], integers=("J", "P"), rules=(
+                (("p_s", "p_de", "p_pr"), lambda v: 0.0 <= v <= 1.0,
+                 "must be in [0, 1], got {}"),
+                (("mu_n", "u_de", "d_max", "delta_t", "u_birth_max"),
+                 lambda v: v > 0, "must be positive"),
+                (("sigma_d", "sigma_phi", "sigma_u_rel", "sigma_fa",
+                  "sigma_fa_ini", "sigma_v_d", "sigma_v_phi", "da_tol"),
+                 lambda v: v >= 0, "must be >= 0"),
+                (("J", "P"), lambda v: v >= 1, "must be >= 1")))
         if self.amp_mode not in ("exact", "gauss"):
             problems.append(("amp_mode", "must be 'exact' or 'gauss'"))
         return problems
@@ -250,46 +269,26 @@ class HyperParams:
 # State transitions
 # ---------------------------------------------------------------------------
 
-def ncv_matrices(delta_t: float):
-    """Transition matrix F (5x5) and noise map G (5x3) of the discretized
-    white-acceleration model on (d, v_d) and (phi, v_phi) with a random walk
-    on u. State order: [d, phi, u, v_d, v_phi]; noise order [eps_d, eps_phi,
-    eps_u]."""
-    dt = delta_t
-    F = np.array([
-        [1, 0, 0, dt, 0],
-        [0, 1, 0, 0, dt],
-        [0, 0, 1, 0, 0],
-        [0, 0, 0, 1, 0],
-        [0, 0, 0, 0, 1],
-    ], dtype=float)
-    G = np.array([
-        [dt**2 / 2, 0, 0],
-        [0, dt**2 / 2, 0],
-        [0, 0, 1],
-        [dt, 0, 0],
-        [0, dt, 0],
-    ], dtype=float)
-    return F, G
-
-
 def propagate_kinematics(particles: np.ndarray, params: HyperParams,
                          rng: np.random.Generator) -> np.ndarray:
-    """Propagate a (J, 5) particle array one step through the motion model.
+    """Propagate a (J, 5) particle array one step through the motion model:
+    d + dt v_d + dt^2/2 eps_d and v_d + dt eps_d, the same for phi, and the
+    random walk u + eps_u.
 
     The amplitude driving noise is scaled per particle: sigma_u_rel * u_j.
     Angles are re-wrapped and amplitudes clamped at zero.
     """
-    F, G = ncv_matrices(params.delta_t)
-    J = particles.shape[0]
-    eps = rng.standard_normal((J, 3))
+    dt = params.delta_t
+    d, phi, u, v_d, v_phi = particles.T
+    eps = rng.standard_normal((particles.shape[0], 3))
     eps[:, 0] *= params.sigma_d
     eps[:, 1] *= params.sigma_phi
-    eps[:, 2] *= params.sigma_u_rel * particles[:, 2]
-    out = particles @ F.T + eps @ G.T
-    out[:, 1] = wrap_angle(out[:, 1])
-    out[:, 2] = np.maximum(out[:, 2], 0.0)
-    return out
+    eps[:, 2] *= params.sigma_u_rel * u
+    return np.stack([d + dt * v_d + dt**2 / 2 * eps[:, 0],
+                     wrap_angle(phi + dt * v_phi + dt**2 / 2 * eps[:, 1]),
+                     np.maximum(u + eps[:, 2], 0.0),
+                     v_d + dt * eps[:, 0],
+                     v_phi + dt * eps[:, 1]], axis=1)
 
 
 def reflect_positive(mu, floor: float = MU_FA_FLOOR):

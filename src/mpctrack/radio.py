@@ -19,7 +19,6 @@ a point's score does not depend on the batch it is in.
 """
 
 import math
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,9 +28,6 @@ from .model import ArrayGeometry, Measurement, wrap_angle
 PULSE_DURATION = 2e-9     # root-raised-cosine symbol period, seconds
 PULSE_ROLLOFF = 0.6
 PULSE_TRUNC_SYMBOLS = 8.0  # pulse support is +- this many symbol periods
-
-_SNAP_MAGIC = b"MPCS"
-_SNAP_VERSION = 1
 
 
 def rrc_pulse(t, T: float = PULSE_DURATION, rolloff: float = PULSE_ROLLOFF):
@@ -149,35 +145,6 @@ def synth_radio(truth: list, geom: ArrayGeometry, sigma_sq: float,
         noise = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         samples += math.sqrt(sigma_sq / 2.0) * noise
     return RadioSnapshot(samples, sigma_sq)
-
-
-def write_snapshot(path, snap: RadioSnapshot, geom: ArrayGeometry) -> None:
-    """Binary dump: little-endian header (magic, version, N_s, H, sigma_sq)
-    followed by interleaved (re, im) float64 samples."""
-    with open(path, "wb") as f:
-        f.write(_SNAP_MAGIC)
-        f.write(struct.pack("<III", _SNAP_VERSION, geom.N_s, geom.H))
-        f.write(struct.pack("<d", snap.sigma_sq))
-        inter = np.empty(2 * snap.samples.size)
-        inter[0::2] = snap.samples.real
-        inter[1::2] = snap.samples.imag
-        f.write(inter.astype("<f8").tobytes())
-
-
-def read_snapshot(path):
-    """Read a snapshot dump; returns (RadioSnapshot, N_s, H)."""
-    with open(path, "rb") as f:
-        if f.read(4) != _SNAP_MAGIC:
-            raise ValueError("not a snapshot file")
-        version, n_s, h = struct.unpack("<III", f.read(12))
-        if version != _SNAP_VERSION:
-            raise ValueError(f"unsupported snapshot version: {version}")
-        (sigma_sq,) = struct.unpack("<d", f.read(8))
-        inter = np.frombuffer(f.read(), dtype="<f8")
-    samples = inter[0::2] + 1j * inter[1::2]
-    if samples.size != n_s * h:
-        raise ValueError("snapshot payload size mismatch")
-    return RadioSnapshot(samples.copy(), sigma_sq), n_s, h
 
 
 # ---------------------------------------------------------------------------

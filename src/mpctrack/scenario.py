@@ -7,6 +7,7 @@ rate. Scenarios serialize to versioned JSON and round-trip bit-exactly.
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,12 +42,9 @@ class Scenario:
     u_de: float
     seed: int
 
-    def alive_tracks(self, step: int) -> list:
-        return [t for t in self.tracks if t.alive(step)]
-
     def truth_arrays(self, step: int) -> np.ndarray:
         """Stacked (L, 5) truth states of the components alive at step."""
-        alive = self.alive_tracks(step)
+        alive = [t for t in self.tracks if t.alive(step)]
         if not alive:
             return np.zeros((0, 5))
         return np.stack([t.state(step) for t in alive])
@@ -71,16 +69,24 @@ class Scenario:
 
     @staticmethod
     def from_json(text: str) -> "Scenario":
+        """Parse a scenario document; a ValueError names the first key that
+        is missing or of the wrong type or shape."""
         doc = json.loads(text)
+        if not isinstance(doc, dict):
+            raise ValueError("scenario root must be an object")
         version = doc.get("schema_version")
         if version != SCHEMA_VERSION:
             raise ValueError(f"unsupported scenario schema version: {version}")
-        tracks = [TrackTruth(t["birth_step"], t["death_step"],
-                             np.array(t["states"], dtype=float))
-                  for t in doc["tracks"]]
-        return Scenario(doc["steps"], tracks,
-                        np.array(doc["far_profile"], dtype=float),
-                        doc["u_de"], doc["seed"])
+        steps = _key(doc, "steps", int)
+        tracks = []
+        for i, t in enumerate(_key(doc, "tracks", list)):
+            where = f"scenario track {i}"
+            birth = _key(t, "birth_step", int, where)
+            death = _key(t, "death_step", int, where)
+            tracks.append(TrackTruth(birth, death, _key(
+                t, "states", (death - birth + 1, 5), where)))
+        return Scenario(steps, tracks, _key(doc, "far_profile", (steps,)),
+                        _key(doc, "u_de", numbers.Real), _key(doc, "seed", int))
 
     def save(self, path) -> None:
         with open(path, "w", encoding="utf-8") as f:
@@ -91,6 +97,27 @@ class Scenario:
     def load(path) -> "Scenario":
         with open(path, "r", encoding="utf-8") as f:
             return Scenario.from_json(f.read())
+
+
+def _key(doc, key, kind, where: str = "scenario"):
+    """doc[key], which must be an instance of kind (bool is no number), or,
+    with kind a shape tuple, finite numbers of that shape, returned as an
+    array."""
+    if not isinstance(doc, dict) or key not in doc:
+        raise ValueError(f"{where}: missing key {key!r}")
+    v = doc[key]
+    if isinstance(kind, tuple):
+        try:
+            a = np.array(v, dtype=float)
+            if a.shape == kind and np.isfinite(a).all():
+                return a
+        except (TypeError, ValueError):
+            pass
+        raise ValueError(f"{where}: {key!r} must be finite numbers of shape "
+                         f"{kind}")
+    if isinstance(v, bool) or not isinstance(v, kind):
+        raise ValueError(f"{where}: {key!r} must be {kind.__name__}, got {v!r}")
+    return v
 
 
 def _track_from_paths(birth: int, death: int, d: np.ndarray, phi: np.ndarray,

@@ -91,6 +91,22 @@ class TestValidateConfig:
         assert not report.ok
         assert [f for f, _ in report.errors] == [field]
 
+    @pytest.mark.parametrize("key,value", [
+        ("psi", "x"), ("N_s", 4.5), ("N_s", True), ("f_c", float("nan")),
+        ("beta_bw_sq", 0.0), ("T_s", -1.25e-9), ("c", float("inf")),
+        ("element_offsets", [[0.0, 0.0], [0.0, float("nan")]]),
+        ("element_offsets", [[0.0, 0.0], [0.0, True]]),
+        ("element_offsets", [[0.0, 0.0, 0.0, 0.0]]),
+    ])
+    def test_mistyped_geom_field_path(self, tmp_path, key, value):
+        # These geometries construct, so validate() reports each problem
+        # at its field.
+        geom = config_to_dict(ExperimentConfig())["geom"]
+        report = validate_config(write(tmp_path, {"geom": {**geom,
+                                                           key: value}}))
+        assert not report.ok
+        assert [f for f, _ in report.errors] == [f"geom.{key}"]
+
     def test_optional_radio_fields_accept_none_and_numbers(self, tmp_path):
         for doc in ({"snapshot_u_de": None, "snr_1m_db": None},
                     {"snapshot_u_de": 25, "snr_1m_db": -3.5}):
@@ -281,11 +297,14 @@ class TestCli:
         ({"runs": "3"}, "runs"), ({"runs": 2.5}, "runs"),
         ({"workers": 1.5}, "workers"),
         ({"ospa": {"p": float("nan")}}, "ospa.p"),
+        ({"hyper": 3}, "hyper"), ({"hyper": None}, "hyper"),
+        ({"ospa": None}, "ospa"), ({"geom": 5}, "geom"),
     ])
     @pytest.mark.parametrize("command", ["validate", "run"])
     def test_mistyped_config_exits_2_with_report(self, tmp_path, doc, field,
                                                  command):
-        # {"runs": "3"} was a TypeError traceback, the other three "ok".
+        # {"runs": "3"} and the sections that are not objects were
+        # tracebacks, the other three "ok".
         path = write(tmp_path, {"scenario": "desk",
                                 "out_dir": str(tmp_path / "out"), **doc})
         res = CliRunner().invoke(main, [command, path])
@@ -294,6 +313,26 @@ class TestCli:
         report = json.loads(res.output)
         assert report["ok"] is False
         assert [e["field"] for e in report["errors"]] == [field]
+        assert not os.path.exists(tmp_path / "out")
+
+    @pytest.mark.parametrize("scenario", [
+        {"schema_version": 1}, [1], "not json", None])
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_bad_scenario_file_exits_2_with_report(self, tmp_path, scenario,
+                                                   command):
+        # {"schema_version": 1} passed validate, then run died with a
+        # KeyError; None stands for a file that does not exist.
+        scn = tmp_path / "scn.json"
+        if scenario is not None:
+            scn.write_text(scenario if isinstance(scenario, str)
+                           else json.dumps(scenario))
+        path = write(tmp_path, {"scenario": str(scn),
+                                "out_dir": str(tmp_path / "out")})
+        res = CliRunner().invoke(main, [command, path])
+        assert res.exit_code == 2, res.output
+        assert res.exception is None or isinstance(res.exception, SystemExit)
+        report = json.loads(res.output)
+        assert [e["field"] for e in report["errors"]] == ["scenario"]
         assert not os.path.exists(tmp_path / "out")
 
     def test_scenario_emit(self, tmp_path):

@@ -127,7 +127,80 @@ def far_belief(mus):
     return FarBelief(mus, np.full(len(mus), 1.0 / len(mus)))
 
 
+def matrix_form_propagation(particles, params, rng):
+    """Oracle: the motion model as the matrix product particles @ F.T +
+    eps @ G.T, with the noise drawn and scaled as propagate_kinematics does.
+    State order [d, phi, u, v_d, v_phi]; noise order [eps_d, eps_phi,
+    eps_u]."""
+    dt = params.delta_t
+    F = np.array([
+        [1, 0, 0, dt, 0],
+        [0, 1, 0, 0, dt],
+        [0, 0, 1, 0, 0],
+        [0, 0, 0, 1, 0],
+        [0, 0, 0, 0, 1],
+    ], dtype=float)
+    G = np.array([
+        [dt**2 / 2, 0, 0],
+        [0, dt**2 / 2, 0],
+        [0, 0, 1],
+        [dt, 0, 0],
+        [0, dt, 0],
+    ], dtype=float)
+    eps = rng.standard_normal((particles.shape[0], 3))
+    eps[:, 0] *= params.sigma_d
+    eps[:, 1] *= params.sigma_phi
+    eps[:, 2] *= params.sigma_u_rel * particles[:, 2]
+    out = particles @ F.T + eps @ G.T
+    out[:, 1] = model.wrap_angle(out[:, 1])
+    out[:, 2] = np.maximum(out[:, 2], 0.0)
+    return out
+
+
+def propagated_both_ways(delta_t, seed, noisy):
+    """propagate_kinematics and the matrix-form oracle on one seeded
+    particle set, each with its own generator from the same seed. The set
+    spans the whole circle, so some angles wrap, and with noisy driving
+    noise some amplitudes clamp at zero."""
+    rng = np.random.default_rng(seed)
+    J = 3000
+    parts = np.column_stack([
+        rng.uniform(0.0, 17.0, J), rng.uniform(-np.pi, np.pi, J),
+        rng.uniform(0.0, 40.0, J), rng.normal(0.0, 0.5, J),
+        rng.normal(0.0, 0.3, J)])
+    params = HyperParams(delta_t=delta_t, **(
+        {"sigma_d": 0.3, "sigma_phi": 0.2, "sigma_u_rel": 0.6} if noisy
+        else {}))
+    return (model.propagate_kinematics(parts, params,
+                                       np.random.default_rng(seed + 1)),
+            matrix_form_propagation(parts, params,
+                                    np.random.default_rng(seed + 1)))
+
+
 class TestTransition:
+    @pytest.mark.parametrize("noisy", [False, True])
+    @pytest.mark.parametrize("delta_t", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_column_form_is_the_matrix_form(self, seed, delta_t, noisy):
+        # dt and dt^2/2 are powers of two, so every product is exact and
+        # the column sums round as the matrix product's do: bit for bit.
+        got, want = propagated_both_ways(delta_t, seed, noisy)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("noisy", [False, True])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_column_form_near_matrix_form_at_fractional_step(self, seed,
+                                                             noisy):
+        # At dt = 0.1 the products round, and a BLAS kernel may fuse a
+        # product with its addition, so each of the two additions may round
+        # differently: within 4 spacings of each column's largest value.
+        got, want = propagated_both_ways(0.1, seed, noisy)
+        for k in range(5):
+            scale = np.max(np.abs(want[:, k]))
+            assert np.max(np.abs(got[:, k] - want[:, k])) \
+                <= 4 * np.spacing(scale), k
+
     def test_noiseless_ncv_propagation(self):
         params = HyperParams(p_s=1.0, sigma_d=0.0, sigma_phi=0.0,
                              sigma_u_rel=0.0, delta_t=1.0)

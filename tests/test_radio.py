@@ -1,6 +1,5 @@
 """Radio forward model and snapshot-estimator tests: pulse properties,
-steering-vector consistency, linearity, snapshot file format, the batched
-steering kernel and lock-step refinement against one-point oracles, and the
+steering-vector consistency, linearity, the batched steering kernel and lock-step refinement against one-point oracles, and the
 forward-inverse round trip."""
 
 import math
@@ -12,10 +11,9 @@ from scipy.integrate import quad
 from mpctrack import radio
 from mpctrack.model import KinematicState, wrap_angle
 from mpctrack.radio import (RadioSnapshot, _pulse_periodic, _sample_times,
-                            default_geometry, read_snapshot,
-                            rrc_mean_square_bandwidth, rrc_pulse,
-                            snapshot_estimate, steering_vector,
-                            steering_vectors, synth_radio, write_snapshot)
+                            default_geometry, rrc_mean_square_bandwidth,
+                            rrc_pulse, snapshot_estimate, steering_vector,
+                            steering_vectors, synth_radio)
 
 GEOM = default_geometry()
 
@@ -104,25 +102,6 @@ class TestSteeringAndSynth:
         n1 = np.linalg.norm(steering_vector(3.0, 0.5, GEOM))
         n2 = np.linalg.norm(steering_vector(12.0, 0.5, GEOM))
         assert n1 == pytest.approx(n2, rel=1e-6)
-
-
-class TestSnapshotFile:
-    def test_round_trip(self, tmp_path):
-        rng = np.random.default_rng(0)
-        snap = synth_radio([(KinematicState(5, 0.3, 10, 0, 0), 1.0)], GEOM,
-                           0.7, rng)
-        path = tmp_path / "snap.bin"
-        write_snapshot(path, snap, GEOM)
-        back, n_s, h = read_snapshot(path)
-        assert (n_s, h) == (GEOM.N_s, GEOM.H)
-        assert back.sigma_sq == snap.sigma_sq
-        assert np.array_equal(back.samples, snap.samples)
-
-    def test_bad_magic(self, tmp_path):
-        path = tmp_path / "bad.bin"
-        path.write_bytes(b"NOPE" + b"\x00" * 32)
-        with pytest.raises(ValueError):
-            read_snapshot(path)
 
 
 class TestSnapshotEstimator:

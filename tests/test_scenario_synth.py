@@ -1,6 +1,7 @@
 """Scenario construction constraints, serialization round trips, and the
 statistical properties of fully synthetic measurement generation."""
 
+import json
 import math
 
 import numpy as np
@@ -116,6 +117,33 @@ class TestSerialization:
                                     '"schema_version": 99')
         with pytest.raises(ValueError):
             Scenario.from_json(bad)
+
+    @pytest.mark.parametrize("key,edit", [
+        ("steps", lambda doc: doc.pop("steps")),
+        ("steps", lambda doc: doc.update(steps=100.0)),
+        ("tracks", lambda doc: doc.update(tracks=5)),
+        ("birth_step", lambda doc: doc["tracks"][0].pop("birth_step")),
+        ("death_step", lambda doc: doc["tracks"][1].update(death_step="99")),
+        ("states", lambda doc: doc["tracks"][2].pop("states")),
+        ("states", lambda doc: doc["tracks"][0]["states"].pop()),
+        ("states", lambda doc: doc["tracks"][0]["states"][3].pop()),
+        ("states", lambda doc: doc["tracks"][0].update(states="x")),
+        ("states", lambda doc: doc["tracks"][1]["states"][5].__setitem__(
+            0, None)),
+        ("far_profile", lambda doc: doc["far_profile"].pop()),
+        ("far_profile", lambda doc: doc["far_profile"].__setitem__(0, "x")),
+        ("u_de", lambda doc: doc.update(u_de=None)),
+        ("seed", lambda doc: doc.update(seed=True)),
+    ])
+    def test_malformed_document_names_the_key(self, key, edit):
+        doc = json.loads(desk_scenario().to_json())
+        edit(doc)
+        with pytest.raises(ValueError, match=repr(key)):
+            Scenario.from_json(json.dumps(doc))
+
+    def test_non_object_document_rejected(self):
+        with pytest.raises(ValueError, match="object"):
+            Scenario.from_json("[1, 2]")
 
     def test_get_scenario_builtin_and_path(self, tmp_path):
         assert get_scenario("desk").steps == 100

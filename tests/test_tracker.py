@@ -2,6 +2,7 @@
 pruning, determinism and measurement-order invariance."""
 
 import copy
+import dataclasses
 import math
 import traceback
 
@@ -681,3 +682,87 @@ class TestUpdateProperties:
         assert_finite_state(st_)
         assert len(st_.legacy) < tentative
         assert est.nom_hat == len(TRUTH)
+
+
+NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
+
+
+def injected(data, ms):
+    """ms with one to three corrupted copies of random members inserted at
+    random places; each copy has NaN or +-inf in a random nonempty set of
+    its fields."""
+    out = list(ms)
+    for _ in range(data.draw(st.integers(1, 3))):
+        z = data.draw(st.sampled_from(ms))
+        fields = data.draw(st.sets(st.sampled_from(("z_d", "z_phi", "z_u")),
+                                   min_size=1))
+        bad = dataclasses.replace(
+            z, **{f: data.draw(NON_FINITE) for f in sorted(fields)})
+        out.insert(data.draw(st.integers(0, len(out))), bad)
+    return out
+
+
+def assert_same_state(a, b):
+    assert (a.step, a.next_id) == (b.step, b.next_id)
+    assert [t.id for t in a.legacy] == [t.id for t in b.legacy]
+    for ta, tb in zip(a.legacy, b.legacy):
+        assert ta.particles.tobytes() == tb.particles.tobytes()
+        assert ta.weights.tobytes() == tb.weights.tobytes()
+        assert ta.p_exist == tb.p_exist
+    assert a.far.particles.tobytes() == b.far.particles.tobytes()
+    assert a.far.weights.tobytes() == b.far.weights.tobytes()
+    assert a.rng.bit_generator.state == b.rng.bit_generator.state
+
+
+class TestNonFiniteInjection:
+    @given(st.integers(0, 2**32 - 1), st.integers(0, 4), st.booleans(),
+           st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_injected_measurements_change_nothing(self, seed, n_clutter,
+                                                  fresh, data):
+        # The gate drops every measurement with a non-finite field before
+        # any stage sees it, from a fresh state (K = 0) or with K = 2.
+        p = params(J=200)
+        rng = np.random.default_rng(seed)
+        good = truth_measurements(p, rng) + clutter(n_clutter, p, rng)
+        mixed = injected(data, good)
+
+        def stepped(ms):
+            st_ = tracker.init(p, GEOM, seed) if fresh \
+                else tracked_state(p, seed)
+            tracker.predict(st_, p)
+            _, est, _ = tracker.update(st_, ms, p, GEOM)
+            return st_, est
+
+        (st_bad, est_bad), (st_ok, est_ok) = stepped(mixed), stepped(good)
+        assert est_bad == est_ok
+        assert_same_state(st_bad, st_ok)
+
+    @given(st.integers(0, 2**32 - 1), st.booleans(), st.data())
+    @settings(max_examples=5, deadline=None)
+    def test_recovers_after_injection(self, seed, fresh, data):
+        # One snapshot with injected measurements, then 20 clean ones:
+        # finite estimates and the detected counts of a run without the
+        # injection.
+        p = params(J=200)
+
+        def run(inject):
+            rng = np.random.default_rng(seed)
+            st_ = tracker.init(p, GEOM, seed) if fresh \
+                else tracked_state(p, seed)
+            counts = []
+            for step in range(21):
+                tracker.predict(st_, p)
+                ms = truth_measurements(p, rng) + clutter(1, p, rng)
+                if inject and step == 0:
+                    ms = injected(data, ms)
+                _, est, _ = tracker.update(st_, ms, p, GEOM)
+                assert math.isfinite(est.mu_fa_mmse)
+                for t in est.all_tracks:
+                    assert all(map(math.isfinite, (
+                        t.d, t.phi, t.u, t.sigma_d, t.sigma_phi, t.p_exist)))
+                counts.append(est.nom_hat)
+            assert_finite_state(st_)
+            return counts
+
+        assert run(True) == run(False)

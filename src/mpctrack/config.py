@@ -4,6 +4,7 @@ and a defaulting report for omitted values."""
 import dataclasses
 import json
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 from .metrics import OspaConfig
 from .model import ArrayGeometry, HyperParams, number_problems
@@ -27,21 +28,17 @@ class ExperimentConfig:
     ospa: OspaConfig = field(default_factory=OspaConfig)
     workers: int = 1
     snapshot_u_de: float = None  # radio mode only; defaults to hyper.u_de
-    # Radio mode noise level: the line-of-sight SNR at 1 m; None = unit noise
-    # variance (the truth amplitudes are then the normalized amplitudes u).
-    snr_1m_db: float = None
 
     def validate(self) -> list:
         """'(field, message)' problems, empty when valid. runs, workers and
-        base_seed must be integers, snapshot_u_de and snr_1m_db None or
-        finite real numbers (bool is neither); a field of the wrong type
-        gets that one problem and no range check."""
+        base_seed must be integers, snapshot_u_de None or a finite real
+        number (bool is neither); a field of the wrong type gets that one
+        problem and no range check."""
         problems = []
         if self.mode not in MODES:
             problems.append(("mode", f"must be one of {MODES}"))
         ints = ("runs", "workers", "base_seed")
-        reals = tuple(name for name in ("snapshot_u_de", "snr_1m_db")
-                      if getattr(self, name) is not None)
+        reals = ("snapshot_u_de",) if self.snapshot_u_de is not None else ()
         problems.extend(number_problems(
             self, ints + reals, integers=ints, rules=(
                 (("runs", "workers"), lambda v: v >= 1, "must be >= 1"),
@@ -69,7 +66,9 @@ class ValidationReport:
         }, indent=1)
 
 
-_GEOM_KEYS = tuple(f.name for f in dataclasses.fields(ArrayGeometry))
+# Each ArrayGeometry field and its default, None for a required one.
+_GEOM_FIELDS = {f.name: None if f.default is dataclasses.MISSING else f.default
+                for f in dataclasses.fields(ArrayGeometry)}
 
 
 def _fill_dataclass(cls, doc: dict, path: str, errors: list, filled: list):
@@ -113,13 +112,18 @@ def config_from_dict(doc: dict) -> ValidationReport:
     elif not isinstance(geom_doc, dict):
         errors.append(("geom", "must be an object"))
     else:
-        for key in sorted(set(geom_doc) - set(_GEOM_KEYS)):
+        for key in sorted(set(geom_doc) - set(_GEOM_FIELDS)):
             errors.append((f"geom.{key}", "unknown field"))
-        try:
-            geom = ArrayGeometry(**{k: v for k, v in geom_doc.items()
-                                    if k in _GEOM_KEYS})
-        except (TypeError, ValueError) as exc:
-            errors.append(("geom", str(exc)))
+        given = {k: v for k, v in geom_doc.items() if k in _GEOM_FIELDS}
+        # Construction assumes the field rules, so they run first.
+        problems = ArrayGeometry.validate(
+            SimpleNamespace(**{**_GEOM_FIELDS, **given}))
+        errors.extend((f"geom.{f}", msg) for f, msg in problems)
+        if not problems:
+            try:
+                geom = ArrayGeometry(**given)
+            except ValueError as exc:
+                errors.append(("geom", str(exc)))
 
     cfg_defaults = ExperimentConfig()
     kwargs = {}

@@ -66,17 +66,16 @@ class AssociationMarginals:
     degenerate_rows: tuple = ()
 
 
-def evaluate_weights(legacy_beliefs: Sequence, new_proposals: Sequence,
+def evaluate_weights(legacy_beliefs: Sequence, log_mass: np.ndarray,
                      measurements: Sequence[Measurement], far_belief,
                      params: HyperParams, geom: ArrayGeometry) -> AssociationWeights:
     """Integrate the association factors over the particle beliefs and the
     false-alarm-rate belief.
 
     legacy_beliefs: objects with .particles (J, 5), .weights (J,) normalized
-    and .p_exist (the predicted existence probability). new_proposals:
-    objects with .log_mass, the log importance estimate of
-    <f(z|x)>_birth / f_fa(z) for their measurement. far_belief: object with
-    .particles (> 0) and .weights.
+    and .p_exist (the predicted existence probability). log_mass: (M,), the
+    log importance estimate of <f(z|x)>_birth / f_fa(z) per measurement.
+    far_belief: object with .particles (> 0) and .weights.
 
     Each beta/xi row is shifted to a unit maximum before exponentiating so
     extreme likelihood ratios cannot overflow; downstream marginals are
@@ -134,11 +133,9 @@ def evaluate_weights(legacy_beliefs: Sequence, new_proposals: Sequence,
                 log_beta[k, 1:] = (log_t + np.log(tr.p_exist)
                                    + np.log(lr @ tr.weights) + c)
 
+    log_new_mass = log_t + np.log(params.mu_n) + log_mass
     log_xi = np.zeros((M, K + 1))
-    log_new_mass = np.full(M, -np.inf)
-    for m, prop in enumerate(new_proposals):
-        log_new_mass[m] = log_t + np.log(params.mu_n) + prop.log_mass
-        log_xi[m, 0] = np.logaddexp(0.0, log_new_mass[m])
+    log_xi[:, 0] = np.logaddexp(0.0, log_new_mass)
 
     # Row scaling (recorded implicitly via the log arrays; marginals unaffected).
     if K:

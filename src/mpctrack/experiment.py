@@ -26,28 +26,20 @@ def _run_rngs(base_seed: int, run_index: int):
     return np.random.default_rng(synth_seed), tracker_seed
 
 
-def _snapshot_noise_variance(cfg: ExperimentConfig) -> float:
-    """Noise variance of the radio snapshots of one run."""
-    if cfg.snr_1m_db is None:
-        return 1.0  # unit noise floor; truth amplitudes are already u
-    # Noise level pinned by the line-of-sight amplitude at 1 m.
-    s_ref = radio.steering_vector(1.0, 0.0, cfg.geom)
-    return float(np.vdot(s_ref, s_ref).real) / 10.0 ** (cfg.snr_1m_db / 10.0)
-
-
 def _radio_measurements(scn: Scenario, step: int, cfg: ExperimentConfig,
-                        sigma_sq: float, feedback, bank,
-                        rng: np.random.Generator) -> list:
-    """Synthesize one radio snapshot from truth with noise variance sigma_sq
-    and run the snapshot estimator on it."""
+                        feedback, bank, rng: np.random.Generator) -> list:
+    """Synthesize one radio snapshot from truth with unit noise variance,
+    so the truth amplitudes are the normalized amplitudes u, and run the
+    snapshot estimator on it."""
     truth = []
     for row in scn.truth_arrays(step):
         state = tracker.model.KinematicState.from_array(row)
         truth.append((state, rng.uniform(0.0, 2.0 * np.pi)))
-    snap = radio.synth_radio(truth, cfg.geom, sigma_sq, rng)
+    samples = radio.synth_radio(truth, cfg.geom, 1.0, rng)
     u_de = cfg.snapshot_u_de if cfg.snapshot_u_de is not None \
         else cfg.hyper.u_de
-    return radio.snapshot_estimate(snap, feedback, cfg.geom, u_de, bank=bank)
+    return radio.snapshot_estimate(samples, feedback, cfg.geom, u_de,
+                                   bank=bank)
 
 
 def run_single(cfg: ExperimentConfig, run_index: int) -> RunLog:
@@ -57,13 +49,12 @@ def run_single(cfg: ExperimentConfig, run_index: int) -> RunLog:
     state = tracker.init(cfg.hyper, cfg.geom, tracker_seed)
     if cfg.mode == "radio_pipeline":
         bank = radio.MatchedFilterBank(cfg.geom)
-        sigma_sq = _snapshot_noise_variance(cfg)
     feedback = []
     log = RunLog()
     for step in range(scn.steps):
         tracker.predict(state, cfg.hyper)
         if cfg.mode == "radio_pipeline":
-            ms = _radio_measurements(scn, step, cfg, sigma_sq, feedback, bank,
+            ms = _radio_measurements(scn, step, cfg, feedback, bank,
                                      synth_rng)
         else:
             ms = synth.synth_measurements(scn, step, cfg.hyper, cfg.geom,

@@ -137,14 +137,16 @@ class ArrayGeometry:
     def validate(self) -> list:
         """'(field, message)' problems, empty when valid: N_s an integer
         (construction checks N_s >= 1), psi finite, the other numbers finite
-        and positive."""
+        and positive. It reads only the fields, so may precede construction."""
         problems = number_problems(
             self, ("psi", "f_c", "beta_bw_sq", "N_s", "T_s", "c"),
             integers=("N_s",), rules=((("f_c", "beta_bw_sq", "T_s", "c"),
                                        lambda v: v > 0, "must be positive"),))
-        if not all(np.ndim(e) == 1 and len(e) == 2
-                   and not any(map(_type_problem, e))
-                   for e in self.element_offsets):
+        seq = (list, tuple, np.ndarray)
+        if not (isinstance(self.element_offsets, seq) and all(
+                isinstance(e, seq) and len(e) == 2
+                and not any(map(_type_problem, e))
+                for e in self.element_offsets)):
             problems.append(("element_offsets", "must be (distance, angle) "
                              "pairs of finite numbers"))
         return problems

@@ -19,7 +19,6 @@ a point's score does not depend on the batch it is in.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -106,26 +105,14 @@ def steering_vectors(d, phi, geom: ArrayGeometry) -> np.ndarray:
     ph = np.exp(2j * np.pi * geom.f_c * g)         # per-element carrier phase
     blocks = _pulse_periodic(times[None, None, :] - tau[:, :, None], period) \
         * ph[:, :, None]
-    return blocks.reshape(d.size, -1)
-
-
-def steering_vector(d: float, phi: float, geom: ArrayGeometry) -> np.ndarray:
-    """The one-row case of steering_vectors; shape (N_s * H,)."""
-    return steering_vectors([d], [phi], geom)[0]
-
-
-@dataclass
-class RadioSnapshot:
-    """One sampled array observation (element-major stacking) and the noise
-    variance used to generate it."""
-    samples: np.ndarray  # complex128, (N_s * H,)
-    sigma_sq: float
+    return blocks.reshape(d.size, geom.n_eff)
 
 
 def synth_radio(truth: list, geom: ArrayGeometry, sigma_sq: float,
-                rng: np.random.Generator) -> RadioSnapshot:
-    """Superimpose components given as (KinematicState, amplitude phase)
-    pairs plus circular complex Gaussian noise.
+                rng: np.random.Generator) -> np.ndarray:
+    """One sampled array observation (complex, (N_s * H,), element-major
+    stacking): components given as (KinematicState, amplitude phase) pairs
+    plus circular complex Gaussian noise of variance sigma_sq.
 
     Each component's amplitude magnitude is set so its normalized amplitude
     (|alpha| ||s|| / sigma) equals the state's u; with zero noise the
@@ -134,8 +121,9 @@ def synth_radio(truth: list, geom: ArrayGeometry, sigma_sq: float,
     n = geom.n_eff
     samples = np.zeros(n, dtype=complex)
     sigma_ref = math.sqrt(sigma_sq) if sigma_sq > 0 else 1.0
-    for state, phase in truth:
-        s = steering_vector(state.d, state.phi, geom)
+    S = steering_vectors([st.d for st, _ in truth],
+                         [st.phi for st, _ in truth], geom)
+    for (state, phase), s in zip(truth, S):
         norm = np.linalg.norm(s)
         if norm == 0.0:
             continue
@@ -144,7 +132,7 @@ def synth_radio(truth: list, geom: ArrayGeometry, sigma_sq: float,
     if sigma_sq > 0:
         noise = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         samples += math.sqrt(sigma_sq / 2.0) * noise
-    return RadioSnapshot(samples, sigma_sq)
+    return samples
 
 
 # ---------------------------------------------------------------------------
@@ -287,9 +275,23 @@ def _newton_refine(residual: np.ndarray, starts: list, geom: ArrayGeometry):
     return [(d, float(wrap_angle(phi)), f) for (d, phi), f in zip(pts, f0)]
 
 
-def snapshot_estimate(snap: RadioSnapshot, prior_tracks, geom: ArrayGeometry,
+def _extract(residual: np.ndarray, seeds: list, bank: "MatchedFilterBank",
+             geom: ArrayGeometry):
+    """The strongest component left in the residual: the coarse grid peak
+    and the seed points (d, phi) refined in lock step, the best of them (max
+    keeps the first of equal scores), its steering vector s and _match's
+    (nsq, corr). Returns (d, phi, s, nsq, corr)."""
+    d0, p0, _ = bank.coarse_peak(residual)
+    d, phi, _ = max(_newton_refine(residual, [(d0, p0)] + seeds, geom),
+                    key=lambda c: c[2])
+    (s,), ((_, nsq, corr),) = _match(residual, [(d, phi)], geom)
+    return d, phi, s, nsq, corr
+
+
+def snapshot_estimate(samples: np.ndarray, prior_tracks, geom: ArrayGeometry,
                       u_de: float, bank: "MatchedFilterBank" = None) -> list:
-    """Extract measurement triples by successive cancellation.
+    """Extract measurement triples from a sample vector by successive
+    cancellation.
 
     prior_tracks: optional iterable of feedback summaries (objects with .d
     and .phi) used as additional search seeds before the global grid. The
@@ -300,10 +302,10 @@ def snapshot_estimate(snap: RadioSnapshot, prior_tracks, geom: ArrayGeometry,
     if bank is None:
         bank = MatchedFilterBank(geom)
     n = geom.n_eff
-    residual = snap.samples.astype(complex).copy()
+    residual = np.array(samples, dtype=complex)
     initial_energy = float(np.vdot(residual, residual).real)
     thresh = math.sqrt(u_de)
-    seeds = [(t.d, t.phi) for t in (prior_tracks or [])]
+    seeds = [(t.d, float(t.phi)) for t in (prior_tracks or [])]
     found = []
 
     for _ in range(MAX_COMPONENTS):
@@ -311,12 +313,7 @@ def snapshot_estimate(snap: RadioSnapshot, prior_tracks, geom: ArrayGeometry,
         # Below this the residual is cancellation error, not signal.
         if initial_energy > 0 and energy < 1e-9 * initial_energy:
             break
-        d0, p0, _ = bank.coarse_peak(residual)
-        cands = [(d0, p0)] + [(d, float(phi)) for d, phi in seeds]
-        # max keeps the first of equal scores
-        d, phi, _ = max(_newton_refine(residual, cands, geom),
-                        key=lambda c: c[2])
-        (s,), ((_, nsq, corr),) = _match(residual, [(d, phi)], geom)
+        d, phi, s, nsq, corr = _extract(residual, seeds, bank, geom)
         if nsq <= 0.0:
             break
         alpha = corr / nsq
@@ -349,12 +346,9 @@ def calibrate_detection_threshold(geom: ArrayGeometry, fa_prob: float = 0.01,
     n = geom.n_eff
     stats = []
     for _ in range(trials):
-        noise = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) \
+        residual = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) \
             / math.sqrt(2.0)
-        residual = noise.astype(complex)
-        d0, p0, _ = bank.coarse_peak(residual)
-        ((d, phi, _),) = _newton_refine(residual, [(d0, p0)], geom)
-        (s,), ((_, nsq, corr),) = _match(residual, [(d, phi)], geom)
+        _, _, s, nsq, corr = _extract(residual, [], bank, geom)
         alpha = corr / nsq
         sigma_hat_sq = float(np.vdot(residual - alpha * s,
                                      residual - alpha * s).real) / n

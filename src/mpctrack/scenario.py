@@ -101,17 +101,19 @@ class Scenario:
 
 def _key(doc, key, kind, where: str = "scenario"):
     """doc[key], which must be an instance of kind (bool is no number), or,
-    with kind a shape tuple, finite numbers of that shape, returned as an
-    array."""
+    with kind a shape tuple, finite JSON numbers (no strings, no booleans)
+    of that shape, returned as an array."""
     if not isinstance(doc, dict) or key not in doc:
         raise ValueError(f"{where}: missing key {key!r}")
     v = doc[key]
     if isinstance(kind, tuple):
         try:
-            a = np.array(v, dtype=float)
-            if a.shape == kind and np.isfinite(a).all():
-                return a
-        except (TypeError, ValueError):
+            a = np.array(v, dtype=object)
+            if a.shape == kind and set(map(type, a.flat)) <= {int, float}:
+                a = a.astype(float)
+                if np.isfinite(a).all():
+                    return a
+        except (TypeError, ValueError, OverflowError):
             pass
         raise ValueError(f"{where}: {key!r} must be finite numbers of shape "
                          f"{kind}")

@@ -46,24 +46,6 @@ class FarBelief:
 
 
 @dataclass
-class NewTrackProposal:
-    """Measurement-centered importance sample for a candidate new component.
-
-    log_mass is the log importance estimate of
-    <f(z | x)>_birth-prior / f_fa(z), the evidence that the measurement was
-    produced by a newly appearing component rather than clutter.
-
-    _build_proposals fills the proposals of one snapshot from a field-major
-    (5, M, J) buffer X: particles is the (J, 5) view X.transpose(1, 2, 0)[m]
-    (not contiguous; resampling copies it) and weights a row of one (M, J)
-    array.
-    """
-    particles: np.ndarray
-    weights: np.ndarray
-    log_mass: float
-
-
-@dataclass
 class TrackEstimate:
     """Posterior summary of one component."""
     id: int
@@ -166,11 +148,15 @@ def estimate(state: TrackerState, params: HyperParams) -> StepEstimate:
 # ---------------------------------------------------------------------------
 
 def _build_proposals(ms: Sequence[Measurement], params: HyperParams,
-                     geom: ArrayGeometry, J: int,
-                     rng: np.random.Generator) -> list:
+                     geom: ArrayGeometry, rng: np.random.Generator) -> tuple:
     """For each measurement, sample a 5-D Gaussian centered on it and
     importance-weight it against the birth prior times the measurement
-    likelihood; one NewTrackProposal per measurement, in order.
+    likelihood. Returns (particles, weights, log_mass), row m for
+    measurement m: particles (M, J, 5), a view of the field-major buffer
+    below (not contiguous; resampling copies it), normalized weights (M, J)
+    and log_mass (M,), the log importance estimate of
+    <f(z | x)>_birth-prior / f_fa(z), the evidence that the measurement was
+    produced by a newly appearing component rather than clutter.
 
     The velocity prior equals the proposal (it cancels); distance and angle
     have the uniform birth density, and the amplitude a uniform prior over a
@@ -184,9 +170,9 @@ def _build_proposals(ms: Sequence[Measurement], params: HyperParams,
     log_lik_matrix call pairs each measurement with its own particle set,
     and the weights and log masses are reduced row by row.
     """
-    M = len(ms)
+    M, J = len(ms), params.J
     if M == 0:
-        return []
+        return np.empty((0, J, 5)), np.empty((0, J)), np.empty(0)
     z = np.array([(m.z_d, m.z_phi, m.z_u) for m in ms], dtype=float)
     zd, zp, zu = z[:, 0:1], z[:, 1:2], z[:, 2:3]
     # Per measurement as scalars: on a scalar u**2 is pow(), on an array
@@ -253,10 +239,7 @@ def _build_proposals(ms: Sequence[Measurement], params: HyperParams,
         log_mass = np.log(total) + top[:, 0] - math.log(J)
     shifted[flat] = 1.0
     total[flat] = J
-    weights = shifted / total[:, None]
-    P = X.transpose(1, 2, 0)
-    return [NewTrackProposal(P[m], weights[m], float(log_mass[m]))
-            for m in range(M)]
+    return X.transpose(1, 2, 0), shifted / total[:, None], log_mass
 
 
 def _update_legacy(tr: PmpcBelief, w: dabp.AssociationWeights, k: int,
@@ -307,7 +290,6 @@ def _update_far(state: TrackerState, w: dabp.AssociationWeights,
     Factor i is log(a_i + b_i / mu): one row per legacy component, then one
     per measurement, all built by one (K+M, J) logaddexp and added to the
     log weights one row at a time, in that order."""
-    log_d = np.asarray(log_d, dtype=float)
     M = len(log_d)
     mu = state.far.particles
     log_mu = np.log(mu)
@@ -385,8 +367,9 @@ def update(state: TrackerState, measurements: Sequence[Measurement],
         return state, estimate(state, params), AssociationMarginals(
             np.zeros((0, 1)), np.zeros((0, 1)), 0, True)
 
-    proposals = _build_proposals(ms, params, geom, params.J, state.rng)
-    weights = dabp.evaluate_weights(state.legacy, proposals, ms, state.far,
+    particles, new_weights, log_mass = _build_proposals(ms, params, geom,
+                                                        state.rng)
+    weights = dabp.evaluate_weights(state.legacy, log_mass, ms, state.far,
                                     params, geom)
     marg = dabp.loopy_da(weights, params.P, params.da_tol)
 
@@ -396,30 +379,27 @@ def update(state: TrackerState, measurements: Sequence[Measurement],
     # Each measurement's legacy message sum, reduced along contiguous rows.
     log_d = np.logaddexp(0.0, log_sum_exp(
         np.ascontiguousarray(marg.log_zeta.T), axis=1)) if K else np.zeros(M)
-    new_tracks = []
-    for m, prop in enumerate(proposals):
-        gap = log_d[m] - weights.log_new_mass[m]
-        p_new = 1.0 / (1.0 + math.exp(min(gap, 700.0)))
-        new_tracks.append(PmpcBelief(0, state.step, prop.particles,
-                                     prop.weights, p_new))
-
     _update_far(state, weights, marg, log_d, K)
 
-    # Beliefs about to be pruned are not resampled; each still consumes the
-    # one uniform resample would draw, so the rng stream does not depend on
-    # the pruning threshold.
-    for tr in state.legacy + new_tracks:
-        if tr.p_exist >= params.p_pr:
-            resample(tr, params.J, state.rng)
-        else:
+    # One pass over legacy, then new beliefs. A belief about to be pruned
+    # (NaN included) is not resampled but still consumes the one uniform
+    # resample would draw, so the rng stream does not depend on the pruning
+    # threshold; new survivors get the next ids.
+    p_new = [1.0 / (1.0 + math.exp(min(gap, 700.0)))
+             for gap in log_d - weights.log_new_mass]
+    new_tracks = [PmpcBelief(0, state.step, *belief)
+                  for belief in zip(particles, new_weights, p_new)]
+    survivors = []
+    for i, tr in enumerate(state.legacy + new_tracks):
+        if not tr.p_exist >= params.p_pr:
             state.rng.random()
-    resample(state.far, params.J, state.rng)
-
-    state.legacy = [tr for tr in state.legacy if tr.p_exist >= params.p_pr]
-    for tr in new_tracks:
-        if tr.p_exist >= params.p_pr:
+            continue
+        resample(tr, params.J, state.rng)
+        if i >= K:
             tr.id = state.next_id
             state.next_id += 1
-            state.legacy.append(tr)
+        survivors.append(tr)
+    resample(state.far, params.J, state.rng)
+    state.legacy = survivors
 
     return state, estimate(state, params), marg

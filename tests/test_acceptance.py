@@ -155,9 +155,9 @@ def test_c05_single_bernoulli_oracle():
         log_l = float(model.log_lik_matrix(
             [z], np.asarray([state], float), p, GEOM)[0, 0]) \
             - model.log_fa_density(z, p.u_de, p.d_max)
-        props = tracker._build_proposals([z], p, GEOM, J,
+        props = tracker._build_proposals([z], p, GEOM,
                                          np.random.default_rng(0))
-        w = dabp.evaluate_weights(st.legacy, props, [z], st.far, p, GEOM)
+        w = dabp.evaluate_weights(st.legacy, props[2], [z], st.far, p, GEOM)
         xi0 = 1.0 + math.exp(float(w.log_new_mass[0]))
         t = 1.0 / mu0
         l = math.exp(log_l)
@@ -267,8 +267,9 @@ def test_c09_radio_pipeline_round_trip():
     # Noiseless single component.
     d_true, phi_true = 5.37, math.radians(23.4)
     s = KinematicState(d_true, phi_true, 30.0, 0.0, 0.0)
-    snap = radio.synth_radio([(s, 0.7)], GEOM, 0.0, np.random.default_rng(0))
-    ms = radio.snapshot_estimate(snap, None, GEOM, u_de=25.0)
+    samples = radio.synth_radio([(s, 0.7)], GEOM, 0.0,
+                                np.random.default_rng(0))
+    ms = radio.snapshot_estimate(samples, None, GEOM, u_de=25.0)
     d_err = abs(ms[0].z_d - d_true) if ms else math.inf
     phi_err = abs(ms[0].z_phi - phi_true) if ms else math.inf
     round_trip_ok = (len(ms) == 1 and d_err < GEOM.c * GEOM.T_s / 20.0

@@ -77,7 +77,7 @@ class TestValidateConfig:
         ({"snapshot_u_de": "25"}, "snapshot_u_de"),
         ({"snapshot_u_de": float("inf")}, "snapshot_u_de"),
         ({"snapshot_u_de": 0.0}, "snapshot_u_de"),
-        ({"snr_1m_db": float("nan")}, "snr_1m_db"),
+        ({"snr_1m_db": float("nan")}, "snr_1m_db"),  # an unknown field
         ({"snr_1m_db": [30]}, "snr_1m_db"),
         ({"ospa": {"p": float("nan")}}, "ospa.p"),
         ({"ospa": {"cutoff_d": "0.1"}}, "ospa.cutoff_d"),
@@ -97,10 +97,13 @@ class TestValidateConfig:
         ("element_offsets", [[0.0, 0.0], [0.0, float("nan")]]),
         ("element_offsets", [[0.0, 0.0], [0.0, True]]),
         ("element_offsets", [[0.0, 0.0, 0.0, 0.0]]),
+        # These three failed inside construction and lost the field path.
+        ("N_s", "x"), ("element_offsets", 5),
+        ("element_offsets", [[0.0, "a"]]),
     ])
     def test_mistyped_geom_field_path(self, tmp_path, key, value):
-        # These geometries construct, so validate() reports each problem
-        # at its field.
+        # validate() checks the fields before construction and reports each
+        # problem at its field.
         geom = config_to_dict(ExperimentConfig())["geom"]
         report = validate_config(write(tmp_path, {"geom": {**geom,
                                                            key: value}}))
@@ -108,10 +111,17 @@ class TestValidateConfig:
         assert [f for f, _ in report.errors] == [f"geom.{key}"]
 
     def test_optional_radio_fields_accept_none_and_numbers(self, tmp_path):
-        for doc in ({"snapshot_u_de": None, "snr_1m_db": None},
-                    {"snapshot_u_de": 25, "snr_1m_db": -3.5}):
+        for doc in ({"snapshot_u_de": None}, {"snapshot_u_de": 25}):
             report = validate_config(write(tmp_path, doc))
             assert report.ok, report.errors
+
+    @pytest.mark.parametrize("value", [None, -3.5, 30, float("nan"), [30]])
+    def test_snr_1m_db_is_an_unknown_field(self, tmp_path, value):
+        # The radio noise variance is the constant 1: synth_radio scales
+        # every amplitude by the noise level, which cancels in the
+        # estimator, so the option could change nothing but rounding.
+        report = validate_config(write(tmp_path, {"snr_1m_db": value}))
+        assert report.errors == [("snr_1m_db", "unknown field")]
 
     def test_bad_mode(self, tmp_path):
         path = write(tmp_path, {"mode": "streaming"})
@@ -201,47 +211,6 @@ class TestRunExperiment:
         nom = log.column("nom_hat")[10:]
         assert np.mean(nom == 1) >= 0.95
 
-    def test_snr_1m_db_sets_snapshot_noise_variance(self, tmp_path,
-                                                    monkeypatch):
-        # In radio mode the snapshot noise variance is ||s_ref||^2 /
-        # 10^(snr / 10), s_ref the steering vector at 1 m and angle 0, the
-        # same for every snapshot of a run and computed once per run.
-        import numpy as np
-        from mpctrack import radio
-        from mpctrack.scenario import Scenario, get_scenario
-
-        base = get_scenario("pipeline")
-        scn = Scenario(8, base.tracks, base.far_profile[:8], base.u_de,
-                       base.seed)
-        path = tmp_path / "short.json"
-        scn.save(path)
-        snr = 37.5
-        cfg = ExperimentConfig(mode="radio_pipeline", scenario=str(path),
-                               runs=1, base_seed=3, snapshot_u_de=25.0,
-                               snr_1m_db=snr, out_dir=str(tmp_path / "out"))
-        cfg.hyper = HyperParams(J=200, u_de=25.0)
-        s_ref = radio.steering_vector(1.0, 0.0, cfg.geom)
-        want = float(np.vdot(s_ref, s_ref).real) / 10.0 ** (snr / 10.0)
-
-        sigmas, refs = [], []
-        synth, steer = radio.synth_radio, radio.steering_vector
-
-        def recording_synth(truth, geom, sigma_sq, rng):
-            sigmas.append(sigma_sq)
-            return synth(truth, geom, sigma_sq, rng)
-
-        def recording_steer(d, phi, geom):
-            refs.append((d, phi) == (1.0, 0.0))
-            return steer(d, phi, geom)
-
-        monkeypatch.setattr(radio, "synth_radio", recording_synth)
-        monkeypatch.setattr(radio, "steering_vector", recording_steer)
-        log = run_single(cfg, 0)
-        assert len(log.column("nom_hat")) == 8
-        assert sigmas == [want] * 8
-        assert sum(refs) == 1
-        assert want != 1.0   # not the unit floor of snr_1m_db = None
-
 
 class TestCli:
     def test_validate_ok_and_exit_codes(self, tmp_path):
@@ -299,6 +268,8 @@ class TestCli:
         ({"ospa": {"p": float("nan")}}, "ospa.p"),
         ({"hyper": 3}, "hyper"), ({"hyper": None}, "hyper"),
         ({"ospa": None}, "ospa"), ({"geom": 5}, "geom"),
+        ({"snr_1m_db": float("nan")}, "snr_1m_db"),
+        ({"snr_1m_db": -3.5}, "snr_1m_db"),
     ])
     @pytest.mark.parametrize("command", ["validate", "run"])
     def test_mistyped_config_exits_2_with_report(self, tmp_path, doc, field,

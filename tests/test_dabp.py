@@ -33,11 +33,6 @@ class PointBelief:
         self.p_exist = p_exist
 
 
-class PointProposal:
-    def __init__(self, log_mass):
-        self.log_mass = log_mass
-
-
 class PointFar:
     def __init__(self, mu, J=64):
         self.particles = np.full(J, mu)
@@ -188,7 +183,8 @@ class TestLoopyDa:
 class TestEvaluateWeights:
     def test_empty_measurement_set(self):
         tr = PointBelief([5.0, 0.2, 8.0, 0.0, 0.0], 0.7)
-        w = dabp.evaluate_weights([tr], [], [], PointFar(2.0), PARAMS, GEOM)
+        w = dabp.evaluate_weights([tr], np.zeros(0), [], PointFar(2.0),
+                                  PARAMS, GEOM)
         assert w.beta.shape == (1, 1)
         p_d = float(model.detection_prob(8.0, PARAMS.u_de, GEOM.n_eff,
                                          PARAMS.amp_mode))
@@ -203,9 +199,9 @@ class TestEvaluateWeights:
         state = [5.0, 0.2, 4.0, 0.0, 0.0]
         z = Measurement(5.0, 0.2, 4.0)
         tr = PointBelief(state, 1.0)
-        prop = PointProposal(log_mass=0.0)
+        log_mass = np.array([0.0])
         far = PointFar(1.0)
-        w = dabp.evaluate_weights([tr], [prop], [z], far, PARAMS, GEOM)
+        w = dabp.evaluate_weights([tr], log_mass, [z], far, PARAMS, GEOM)
         p_d = float(model.detection_prob(4.0, PARAMS.u_de, GEOM.n_eff,
                                          PARAMS.amp_mode))
         log_f = float(model.log_lik_matrix(
@@ -222,14 +218,14 @@ class TestEvaluateWeights:
         tr = PointBelief([5.0, 0.2, 8.0, 0.0, 0.0], 0.5)
         z = Measurement(6.0, 0.0, 5.0)
         far = PointFar(2.5)
-        w = dabp.evaluate_weights([tr], [PointProposal(-1.0)], [z], far,
+        w = dabp.evaluate_weights([tr], np.array([-1.0]), [z], far,
                                   PARAMS, GEOM)
         assert w.far_ratio == pytest.approx(1.0 / 2.5)
 
     def test_xi_coupling_convention(self):
         trs = [PointBelief([5.0, 0.2, 8.0, 0.0, 0.0], 0.5) for _ in range(3)]
         z = Measurement(6.0, 0.0, 5.0)
-        w = dabp.evaluate_weights(trs, [PointProposal(-1.0)], [z],
+        w = dabp.evaluate_weights(trs, np.array([-1.0]), [z],
                                   PointFar(2.0), PARAMS, GEOM)
         # Nonzero columns are equal couplings.
         assert np.allclose(w.xi[0, 1:], w.xi[0, 1])
@@ -240,7 +236,7 @@ class TestEvaluateWeights:
                             rng.uniform(4, 20), 0, 0], 0.8)
                for _ in range(2)]
         zs = [Measurement(5.0, 0.5, 9.0), Measurement(8.0, -0.5, 6.0)]
-        props = [PointProposal(0.5), PointProposal(-0.5)]
+        props = np.array([0.5, -0.5])
         w = dabp.evaluate_weights(trs, props, zs, PointFar(2.0), PARAMS, GEOM)
         out1 = loopy_da(w, 5000, 1e-10)
         w2 = AssociationWeights(beta=w.beta * 13.0, xi=w.xi * 0.03)
@@ -249,7 +245,8 @@ class TestEvaluateWeights:
 
     def test_nothing_to_associate_raises(self):
         with pytest.raises(ValueError):
-            dabp.evaluate_weights([], [], [], PointFar(1.0), PARAMS, GEOM)
+            dabp.evaluate_weights([], np.zeros(0), [], PointFar(1.0), PARAMS,
+                                  GEOM)
 
 
 # ---------------------------------------------------------------------------
@@ -315,7 +312,7 @@ class TestLinearDomainMessages:
                    ([16.0, 2.8, 4.0, 0.0, 0.0], 0.7)]
         trs = [spread_belief(rng, c, p.J, q, k + 1)
                for k, (c, q) in enumerate(centers)]
-        props = [PointProposal(x) for x in (0.3, -1.0, 0.5)]
+        props = np.array([0.3, -1.0, 0.5])
         w = dabp.evaluate_weights(trs, props, zs, PointFar(2.0), p, GEOM)
         log_t = math.log(w.far_ratio)
         assert np.min(w.ratio[2]) < 1e-200

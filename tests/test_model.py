@@ -20,7 +20,7 @@ from scipy.special import log_ndtr, ndtr
 from mpctrack import dabp, model, radio, tracker
 from mpctrack.dabp import AssociationMarginals, AssociationWeights
 from mpctrack.model import ArrayGeometry, HyperParams, Measurement
-from mpctrack.tracker import FarBelief, NewTrackProposal, PmpcBelief
+from mpctrack.tracker import FarBelief, PmpcBelief
 
 GEOM = radio.default_geometry()
 PARAMS = HyperParams()
@@ -661,7 +661,7 @@ def far_reweight(mus, M, K):
     marg = AssociationMarginals(np.zeros((K, M + 1)), np.zeros((M, K + 1)), 0,
                                 True, log_nu=np.zeros((M, K)))
     # No legacy association weight: every log(1 + sum_k zeta[k, m]) is 0.
-    tracker._update_far(state, w, marg, [0.0] * M, K)
+    tracker._update_far(state, w, marg, np.zeros(M), K)
     return state.far.weights
 
 
@@ -698,7 +698,7 @@ class TestFarNorm:
 
 
 def birth(log_mass):
-    return NewTrackProposal(np.zeros((1, 5)), np.ones(1), log_mass)
+    return np.array([log_mass], dtype=float)
 
 
 def log_ratio_assoc_to_miss(w, k=0, m=1):
@@ -716,7 +716,7 @@ class TestPseudoFactors:
     z = Measurement(5.0, 0.2, 8.0)
 
     def test_g_nonexistent(self):
-        w = dabp.evaluate_weights([point_track(self.x, 0.0)], [birth(0.0)],
+        w = dabp.evaluate_weights([point_track(self.x, 0.0)], birth(0.0),
                                   [self.z], far_belief([2.0]), PARAMS, GEOM)
         assert w.log_beta[0, 0] == 0.0
         assert w.log_beta[0, 1] == -np.inf
@@ -729,7 +729,7 @@ class TestPseudoFactors:
                                          PARAMS.amp_mode))
 
         def scaled_miss(q):
-            w = dabp.evaluate_weights([point_track(x, q)], [birth(0.0)],
+            w = dabp.evaluate_weights([point_track(x, q)], birth(0.0),
                                       [self.z], far_belief([2.0]), PARAMS,
                                       GEOM)
             return q * math.exp(-log_ratio_assoc_to_miss(w))
@@ -759,7 +759,7 @@ class TestPseudoFactors:
         log_fa = (math.log(2 * z.z_u) - (z.z_u**2 - u_de)
                   - math.log(PARAMS.d_max) - math.log(2 * np.pi))
         w = dabp.evaluate_weights([point_track((d, phi, u, 0, 0), q)],
-                                  [birth(0.0)], [z], far_belief([mu]), PARAMS,
+                                  birth(0.0), [z], far_belief([mu]), PARAMS,
                                   GEOM)
         expect = q * p_d * math.exp(log_f - log_fa) / mu / (1 - q * p_d)
         assert math.exp(log_ratio_assoc_to_miss(w)) == pytest.approx(
@@ -770,7 +770,7 @@ class TestPseudoFactors:
         # new component excludes b = k); xi[m, 0] adds the birth mass.
         trs = [point_track(self.x, 0.7) for _ in range(3)]
         for log_mass in (-3.0, 0.0, 4.0):
-            w = dabp.evaluate_weights(trs, [birth(log_mass)], [self.z],
+            w = dabp.evaluate_weights(trs, birth(log_mass), [self.z],
                                       far_belief([2.0]), PARAMS, GEOM)
             for k in (1, 2, 3):
                 assert math.exp(w.log_xi[0, 0] - w.log_xi[0, k]) - 1.0 == \
@@ -781,14 +781,14 @@ class TestPseudoFactors:
         # with n(mu) = (exp(-mu) mu^M)^(1/(K+M)).
         params = HyperParams(mu_n=0.008, d_max=17.0)
         trs = [point_track(self.x, 0.7)]
-        w = dabp.evaluate_weights(trs, [birth(1.5)], [self.z],
+        w = dabp.evaluate_weights(trs, birth(1.5), [self.z],
                                   far_belief([2.0]), params, GEOM)
         assert math.exp(w.log_new_mass[0]) == pytest.approx(
             0.008 / 2.0 * math.exp(1.5), rel=1e-9)
         mus = np.array([1.0, 3.0])
         n = (np.exp(-mus) * mus) ** (1 / 2)
         t = float(np.sum(n / mus) / np.sum(n))
-        w = dabp.evaluate_weights(trs, [birth(1.5)], [self.z],
+        w = dabp.evaluate_weights(trs, birth(1.5), [self.z],
                                   far_belief(mus), params, GEOM)
         assert w.far_ratio == pytest.approx(t, rel=1e-12)
         assert math.exp(w.log_new_mass[0]) == pytest.approx(
@@ -800,7 +800,7 @@ class TestPseudoFactors:
     def test_factors_nonnegative(self, u, mu, q, log_mass):
         x = (5.0, 0.2, u, 0.0, 0.0)
         z = Measurement(5.3, 0.25, max(u, math.sqrt(PARAMS.u_de) + 0.1))
-        w = dabp.evaluate_weights([point_track(x, q)] * 2, [birth(log_mass)],
+        w = dabp.evaluate_weights([point_track(x, q)] * 2, birth(log_mass),
                                   [z], far_belief([mu]), PARAMS, GEOM)
         for arr in (w.beta, w.xi):
             assert not np.any(np.isnan(arr))

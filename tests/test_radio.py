@@ -10,10 +10,10 @@ from scipy.integrate import quad
 
 from mpctrack import radio
 from mpctrack.model import KinematicState, wrap_angle
-from mpctrack.radio import (RadioSnapshot, _pulse_periodic, _sample_times,
+from mpctrack.radio import (_pulse_periodic, _sample_times,
                             default_geometry, rrc_mean_square_bandwidth,
-                            rrc_pulse, snapshot_estimate, steering_vector,
-                            steering_vectors, synth_radio)
+                            rrc_pulse, snapshot_estimate, steering_vectors,
+                            synth_radio)
 
 GEOM = default_geometry()
 
@@ -67,24 +67,24 @@ class TestPulse:
 
 class TestSteeringAndSynth:
     def test_zero_components_zero_noise(self):
-        snap = synth_radio([], GEOM, 0.0, np.random.default_rng(0))
-        assert np.all(snap.samples == 0.0)
-        assert snap.samples.shape == (GEOM.n_eff,)
+        samples = synth_radio([], GEOM, 0.0, np.random.default_rng(0))
+        assert np.all(samples == 0.0)
+        assert samples.shape == (GEOM.n_eff,)
 
     def test_opposite_amplitudes_cancel(self):
         s = KinematicState(5.0, 0.3, 10.0, 0.0, 0.0)
-        snap = synth_radio([(s, 0.0), (s, np.pi)], GEOM, 0.0,
-                           np.random.default_rng(0))
-        assert np.allclose(snap.samples, 0.0, atol=1e-12)
+        samples = synth_radio([(s, 0.0), (s, np.pi)], GEOM, 0.0,
+                              np.random.default_rng(0))
+        assert np.allclose(samples, 0.0, atol=1e-12)
 
     def test_component_snr_reproduced(self):
         # With the noiseless reference scale 1, the projected amplitude
         # satisfies |alpha|^2 ||s||^2 = u^2.
         u = 12.0
         s = KinematicState(4.0, -0.7, u, 0.0, 0.0)
-        sv = steering_vector(s.d, s.phi, GEOM)
-        snap = synth_radio([(s, 0.4)], GEOM, 0.0, np.random.default_rng(1))
-        alpha = np.vdot(sv, snap.samples) / np.vdot(sv, sv)
+        sv = steering_vectors([s.d], [s.phi], GEOM)[0]
+        samples = synth_radio([(s, 0.4)], GEOM, 0.0, np.random.default_rng(1))
+        alpha = np.vdot(sv, samples) / np.vdot(sv, sv)
         got = abs(alpha) ** 2 * float(np.vdot(sv, sv).real)
         assert got == pytest.approx(u * u, rel=1e-9)
 
@@ -93,23 +93,27 @@ class TestSteeringAndSynth:
         comps = [(KinematicState(rng.uniform(2, 12), rng.uniform(-3, 3),
                                  rng.uniform(3, 30), 0, 0),
                   rng.uniform(0, 2 * np.pi)) for _ in range(4)]
-        whole = synth_radio(comps, GEOM, 0.0, rng).samples
-        parts = sum(synth_radio([c], GEOM, 0.0, rng).samples for c in comps)
+        whole = synth_radio(comps, GEOM, 0.0, rng)
+        parts = sum(synth_radio([c], GEOM, 0.0, rng) for c in comps)
         assert np.allclose(whole, parts, rtol=1e-10, atol=1e-12)
 
     def test_steering_norm_delay_invariant(self):
         # periodic pulse: the norm does not depend on the delay
-        n1 = np.linalg.norm(steering_vector(3.0, 0.5, GEOM))
-        n2 = np.linalg.norm(steering_vector(12.0, 0.5, GEOM))
+        n1 = np.linalg.norm(steering_vectors([3.0], [0.5], GEOM)[0])
+        n2 = np.linalg.norm(steering_vectors([12.0], [0.5], GEOM)[0])
         assert n1 == pytest.approx(n2, rel=1e-6)
+
+    def test_no_points_no_rows(self):
+        # A step with no alive component asks for zero steering vectors.
+        assert steering_vectors([], [], GEOM).shape == (0, GEOM.n_eff)
 
 
 class TestSnapshotEstimator:
     def test_noiseless_single_component_round_trip(self):
         d_true, phi_true = 5.37, math.radians(23.4)
         s = KinematicState(d_true, phi_true, 30.0, 0.0, 0.0)
-        snap = synth_radio([(s, 0.7)], GEOM, 0.0, np.random.default_rng(0))
-        ms = snapshot_estimate(snap, None, GEOM, u_de=25.0)
+        samples = synth_radio([(s, 0.7)], GEOM, 0.0, np.random.default_rng(0))
+        ms = snapshot_estimate(samples, None, GEOM, u_de=25.0)
         assert len(ms) == 1
         assert abs(ms[0].z_d - d_true) < GEOM.c * GEOM.T_s / 20.0
         assert abs(ms[0].z_phi - phi_true) < math.radians(1.0)
@@ -118,9 +122,9 @@ class TestSnapshotEstimator:
         u = math.sqrt(414 * 10 ** 1.84)
         s1 = KinematicState(3.0, math.radians(-40.0), u, 0, 0)
         s2 = KinematicState(9.0, math.radians(60.0), u, 0, 0)
-        snap = synth_radio([(s1, 0.3), (s2, 2.1)], GEOM, 1.0,
-                           np.random.default_rng(1))
-        ms = snapshot_estimate(snap, None, GEOM, u_de=25.0)
+        samples = synth_radio([(s1, 0.3), (s2, 2.1)], GEOM, 1.0,
+                              np.random.default_rng(1))
+        ms = snapshot_estimate(samples, None, GEOM, u_de=25.0)
         assert len(ms) == 2
         ds = sorted(z.z_d for z in ms)
         assert ds[0] == pytest.approx(3.0, abs=0.05)
@@ -139,19 +143,18 @@ class TestSnapshotEstimator:
         for _ in range(trials):
             noise = (rng.standard_normal(GEOM.n_eff)
                      + 1j * rng.standard_normal(GEOM.n_eff)) / math.sqrt(2)
-            ms = snapshot_estimate(RadioSnapshot(noise, 1.0), None, GEOM,
-                                   u_de=u_de)
+            ms = snapshot_estimate(noise, None, GEOM, u_de=u_de)
             spurious += len(ms)
         assert spurious <= 5  # a handful on average, not per snapshot
 
     def test_feedback_seeds_accepted(self):
         s = KinematicState(7.0, math.radians(-10.0), 40.0, 0.0, 0.0)
-        snap = synth_radio([(s, 1.0)], GEOM, 1.0, np.random.default_rng(4))
+        samples = synth_radio([(s, 1.0)], GEOM, 1.0, np.random.default_rng(4))
 
         class Seed:
             d, phi = 7.02, math.radians(-10.3)
 
-        ms = snapshot_estimate(snap, [Seed()], GEOM, u_de=25.0)
+        ms = snapshot_estimate(samples, [Seed()], GEOM, u_de=25.0)
         assert len(ms) == 1
         assert ms[0].z_d == pytest.approx(7.0, abs=0.02)
 
@@ -239,13 +242,14 @@ class TestBatchedEstimator:
         for i in range(P):
             want = oracle_steering_vector(float(d[i]), float(phi[i]), GEOM)
             assert np.array_equal(S[i].view(float), want.view(float))
-            assert np.array_equal(steering_vector(d[i], phi[i], GEOM), want)
+            assert np.array_equal(steering_vectors([d[i]], [phi[i]], GEOM)[0],
+                                  want)
 
     def test_lock_step_stops_each_candidate_like_the_oracle(self):
         # Three candidates leave the lock step at different points: one at
         # once for want of a local maximum, one after its first Newton point
         # scored no higher, and the coarse peak after both steps.
-        residual = noisy_snapshot(7).samples
+        residual = noisy_snapshot(7)
         d0, p0, _ = radio.MatchedFilterBank(GEOM).coarse_peak(residual)
         starts = [(6.5, math.radians(150.0)), (2.0, -2.5), (d0, p0)]
         got = radio._newton_refine(residual, starts, GEOM)
@@ -258,7 +262,7 @@ class TestBatchedEstimator:
 
     @pytest.mark.parametrize("seed", [7, 8, 9])
     def test_lock_step_refinement_equals_oracle(self, seed):
-        residual = noisy_snapshot(seed).samples
+        residual = noisy_snapshot(seed)
         d0, p0, _ = radio.MatchedFilterBank(GEOM).coarse_peak(residual)
         # The coarse peak, feedback seeds near both components, and points
         # away from them; float64 and Python floats mixed as in the estimator.
@@ -273,7 +277,7 @@ class TestBatchedEstimator:
             assert bits(g) == bits(want), (d, phi, stop)
 
     def test_single_candidate_and_empty(self):
-        residual = noisy_snapshot(7).samples
+        residual = noisy_snapshot(7)
         want, _ = oracle_newton_refine(residual, 4.03, -0.6, GEOM)
         (got,) = radio._newton_refine(residual, [(4.03, -0.6)], GEOM)
         assert bits(got) == bits(want)
@@ -306,11 +310,11 @@ class TestBatchedEstimator:
             iterations.append(len(calls))
             return peak(bank, samples)
 
-        snap = noisy_snapshot(7)
+        samples = noisy_snapshot(7)
         monkeypatch.setattr(radio, "steering_vectors", counting)
         monkeypatch.setattr(radio.MatchedFilterBank, "coarse_peak",
                             counting_peak)
-        ms = snapshot_estimate(snap, seeds, GEOM, u_de=25.0)
+        ms = snapshot_estimate(samples, seeds, GEOM, u_de=25.0)
         assert len(ms) == 2
         per_component = np.diff(iterations + [len(calls)])
         assert len(per_component) == 3   # two found, one rejected

@@ -132,6 +132,11 @@ class TestSerialization:
             0, None)),
         ("far_profile", lambda doc: doc["far_profile"].pop()),
         ("far_profile", lambda doc: doc["far_profile"].__setitem__(0, "x")),
+        # A numeric string or a boolean is no number.
+        ("far_profile", lambda doc: doc["far_profile"].__setitem__(1, "2.5")),
+        ("far_profile", lambda doc: doc["far_profile"].__setitem__(1, True)),
+        ("states", lambda doc: doc["tracks"][0]["states"][2].__setitem__(
+            1, False)),
         ("u_de", lambda doc: doc.update(u_de=None)),
         ("seed", lambda doc: doc.update(seed=True)),
     ])

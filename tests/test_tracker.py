@@ -201,9 +201,9 @@ class TestSingleBernoulliOracle:
         # proposal draws, so the oracle replays the identical rng stream
         # (seed 42, untouched before the proposal is built); everything
         # else is independent arithmetic.
-        props = tracker._build_proposals([z], p, GEOM, p.J,
+        props = tracker._build_proposals([z], p, GEOM,
                                          np.random.default_rng(42))
-        w = dabp.evaluate_weights(st.legacy, props, [z], st.far, p, GEOM)
+        w = dabp.evaluate_weights(st.legacy, props[2], [z], st.far, p, GEOM)
         log_mass = float(w.log_new_mass[0]) - math.log(w.far_ratio) \
             - math.log(p.mu_n)
 
@@ -271,6 +271,38 @@ class TestUpdateMechanics:
         ids = [t.id for t in st.legacy]
         assert len(ids) == len(set(ids))
         assert all(i >= 1 for i in ids)
+
+    def test_survivor_order_and_ids(self):
+        # Surviving legacy tracks keep their order, then the surviving new
+        # tracks follow in canonical measurement order with consecutive ids
+        # from next_id. Track 2 is pruned, and so are some new tracks.
+        p = params(J=300)
+        st = tracker.init(p, GEOM, 7)
+        st.legacy = [point_track([5.0, 0.1, 12.0, 0, 0], 0.9, p.J, tid=4),
+                     point_track([9.0, -1.0, 2.5, 0, 0], 2e-4, p.J, tid=2),
+                     point_track([12.0, 2.0, 10.0, 0, 0], 0.8, p.J, tid=3)]
+        st.next_id = 7
+        st.far = point_far(2.0, p.J)
+        ms = burst(10, 3) + [Measurement(5.0, 0.1, 12.0),
+                             Measurement(12.0, 2.0, 10.0)]
+        canonical = sorted(ms, key=lambda z: (z.z_d, z.z_phi, z.z_u))
+        tracker.update(st, ms[::-1], p, GEOM)
+        new = st.legacy[2:]
+        assert [t.id for t in st.legacy[:2]] == [4, 3]
+        assert all(t.birth_step == 0 for t in st.legacy[:2])
+        assert 2 <= len(new) < len(ms)
+        assert [t.id for t in new] == list(range(7, 7 + len(new)))
+        assert st.next_id == 7 + len(new)
+        assert all(t.birth_step == st.step for t in new)
+        # Each new track's particles sit on the measurement it was born of.
+        born_of = []
+        for t in new:
+            d = np.mean(t.particles[:, 0])
+            phi = np.angle(np.mean(np.exp(1j * t.particles[:, 1])))
+            born_of.append(int(np.argmin([
+                abs(z.z_d - d) + abs(model.ang_diff(z.z_phi, phi))
+                for z in canonical])))
+        assert born_of == sorted(set(born_of))
 
     def test_pruning_threshold_respected(self):
         # u = 2.5 has p_d ~ 0.74: one miss keeps a strong track but pushes
@@ -477,26 +509,30 @@ class TestBatchedProposals:
         p = params(J=2000, amp_mode=mode)
         ms = burst(M, M)
         rng_batch, rng_one = (np.random.default_rng(5) for _ in range(2))
-        batch = tracker._build_proposals(ms, p, GEOM, p.J, rng_batch)
-        alone = [tracker._build_proposals([z], p, GEOM, p.J, rng_one)[0]
-                 for z in ms]
+        particles, weights, log_mass = tracker._build_proposals(
+            ms, p, GEOM, rng_batch)
+        alone = [tracker._build_proposals([z], p, GEOM, rng_one) for z in ms]
         assert rng_batch.bit_generator.state == rng_one.bit_generator.state
-        assert len(batch) == len(alone) == M
-        for a, b in zip(batch, alone):
-            assert a.particles.shape == (p.J, 5)
-            assert np.array_equal(a.particles, b.particles)
-            assert np.array_equal(a.weights, b.weights)
-            assert a.log_mass == b.log_mass
+        assert len(particles) == len(alone) == M
+        assert weights.shape == (M, p.J) and log_mass.shape == (M,)
+        for m, (x, w, lm) in enumerate(alone):
+            assert particles[m].shape == (p.J, 5)
+            assert np.array_equal(particles[m], x[0])
+            assert np.array_equal(weights[m], w[0])
+            assert log_mass[m] == lm[0]
         # The near-threshold measurement's redraws consumed extra normals.
         plain = np.random.default_rng(5)
         plain.standard_normal(5 * M * p.J)
         assert plain.bit_generator.state != rng_batch.bit_generator.state
-        assert np.all(batch[0].particles[:, 2] > 0.0)
+        assert np.all(particles[0][:, 2] > 0.0)
 
     def test_empty_measurement_set(self):
         rng = np.random.default_rng(0)
         before = rng.bit_generator.state
-        assert tracker._build_proposals([], params(), GEOM, 400, rng) == []
+        particles, weights, log_mass = tracker._build_proposals(
+            [], params(J=400), GEOM, rng)
+        assert particles.shape == (0, 400, 5)
+        assert weights.shape == (0, 400) and log_mass.shape == (0,)
         assert rng.bit_generator.state == before
 
     def test_clutter_burst_update_is_finite(self):

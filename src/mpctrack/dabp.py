@@ -17,6 +17,7 @@ overflow; per-row scaling of the weights therefore never changes the output
 marginals.
 """
 
+import logging
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -24,6 +25,8 @@ import numpy as np
 
 from . import model
 from .model import ArrayGeometry, HyperParams, Measurement, log_sum_exp
+
+log = logging.getLogger(__name__)
 
 _LOG_TINY = -745.0  # log of the smallest positive double, used as a guard
 # Floor of the log ratio, relative to its row maximum, before it is
@@ -44,13 +47,13 @@ class AssociationWeights:
     log_beta: Optional[np.ndarray] = None
     log_xi: Optional[np.ndarray] = None
     far_ratio: float = 1.0              # E[n(mu)/mu] / E[n(mu)] under the FAR belief
-    det_prob: Optional[list] = None     # per track: (J,) P_d(x), for the miss term
+    det_prob: Optional[np.ndarray] = None  # (K, J) P_d(x), for the miss term
     # Per track, the detection-weighted ratio P_d(x_j) f(z_m|x_j)/f_fa(z_m)
     # in the linear domain: ratio[k] is the (M, J) array R with
     # R[m, j] = exp(max(log ratio[m, j] - c_m, _LOG_RATIO_FLOOR)), whose rows
     # each peak at 1, and ratio_log_scale[k] the (M,) row scales c_m.
     ratio: Optional[list] = None
-    ratio_log_scale: Optional[list] = None
+    ratio_log_scale: Optional[np.ndarray] = None  # (K, M)
     log_new_mass: Optional[np.ndarray] = None  # (M,) log(far_ratio*mu_n*<f>/f_fa)
 
 
@@ -66,28 +69,28 @@ class AssociationMarginals:
     degenerate_rows: tuple = ()
 
 
-def evaluate_weights(legacy_beliefs: Sequence, log_mass: np.ndarray,
+def evaluate_weights(legacy, log_mass: np.ndarray,
                      measurements: Sequence[Measurement], far_belief,
                      params: HyperParams, geom: ArrayGeometry) -> AssociationWeights:
     """Integrate the association factors over the particle beliefs and the
     false-alarm-rate belief.
 
-    legacy_beliefs: objects with .particles (J, 5), .weights (J,) normalized
-    and .p_exist (the predicted existence probability). log_mass: (M,), the
-    log importance estimate of <f(z|x)>_birth / f_fa(z) per measurement.
+    legacy: stacked beliefs with .particles (5, K, J), .weights (K, J)
+    normalized and .p_exist (K,) (predicted). log_mass: (M,), the log
+    importance estimate of <f(z|x)>_birth / f_fa(z) per measurement.
     far_belief: object with .particles (> 0) and .weights.
 
     Each beta/xi row is shifted to a unit maximum before exponentiating so
     extreme likelihood ratios cannot overflow; downstream marginals are
     scale-invariant per row, so this is lossless.
 
-    Each legacy track's (M, J) log-ratio matrix is exponentiated once, in
+    Each legacy row's (M, J) log-ratio matrix is exponentiated once, in
     place, after subtracting its row maxima c_m (entries more than 600
     below are raised to that floor, see _LOG_RATIO_FLOOR): the linear
     matrix R and c give log_beta through R @ weights and are kept for the
     measurement update (AssociationWeights.ratio, .ratio_log_scale).
     """
-    K = len(legacy_beliefs)
+    K = len(legacy.weights)
     M = len(measurements)
     if K + M == 0:
         raise ValueError("nothing to associate: no tracks and no measurements")
@@ -104,34 +107,35 @@ def evaluate_weights(legacy_beliefs: Sequence, log_mass: np.ndarray,
     log_fa = np.array([model.log_fa_density(z, params.u_de, params.d_max)
                        for z in measurements])
 
-    log_beta = np.full((K, M + 1), -np.inf)
-    det_prob: list = []
-    ratio: list = []
-    ratio_log_scale: list = []
-    for k, tr in enumerate(legacy_beliefs):
-        p_d = model.detection_prob(tr.particles[:, 2], params.u_de, geom.n_eff,
-                                   params.amp_mode)
-        # Detection-weighted ratio log P_d + log f - log f_fa: the (J, M)
-        # kernel result is a view of a measurement-major (M, J) array, which
-        # becomes R in place.
-        lr = model.log_lik_matrix(measurements, tr.particles, params, geom,
-                                  True).T
-        lr -= log_fa[:, None]
-        c = np.max(lr, axis=1)
-        lr -= c[:, None]
+    det_prob = model.detection_prob(legacy.particles[2], params.u_de,
+                                    geom.n_eff, params.amp_mode)
+    # One kernel call scores as many rows as keep its (M, rows * J) arrays
+    # within 2^15 entries, in cache (at J = 10000 each row is its own call).
+    rows = max(1, (1 << 15) // max(M * legacy.weights.shape[1], 1))
+    ratio, ratio_log_scale = [], np.empty((K, M))
+    for k0 in range(0, K, rows):
+        x = legacy.particles[:, k0:k0 + rows]
+        # Detection-weighted ratio log P_d + log f - log f_fa: the kernel
+        # result is a view of a measurement-major (M, rows * J) array.
+        lr = model.log_lik_matrix(measurements, x.reshape(5, -1).T, params,
+                                  geom, True).T.reshape(M, *x.shape[1:])
+        lr -= log_fa[:, None, None]
+        c = np.max(lr, axis=2)
+        lr -= c[:, :, None]
         np.maximum(lr, _LOG_RATIO_FLOOR, out=lr)
         np.exp(lr, out=lr)
-        det_prob.append(p_d)
-        ratio.append(lr)
-        ratio_log_scale.append(c)
-        # Column 0 marginalizes existence: non-existence plus missed detection.
-        miss = (1.0 - tr.p_exist) \
-            + tr.p_exist * float(np.sum(tr.weights * (1.0 - p_d)))
-        log_beta[k, 0] = np.log(max(miss, 1e-300))
-        if M and tr.p_exist > 0.0:
-            with np.errstate(divide="ignore"):
-                log_beta[k, 1:] = (log_t + np.log(tr.p_exist)
-                                   + np.log(lr @ tr.weights) + c)
+        ratio += list(lr.transpose(1, 0, 2))
+        ratio_log_scale[k0:k0 + rows] = c.T
+    mass = np.reshape([R @ w for R, w in zip(ratio, legacy.weights)], (K, M))
+    # Column 0 marginalizes existence: non-existence plus missed detection.
+    q = legacy.p_exist
+    miss = (1.0 - q) + q * np.sum(legacy.weights * (1.0 - det_prob), axis=1)
+    log_beta = np.full((K, M + 1), -np.inf)
+    log_beta[:, 0] = np.log(np.maximum(miss, 1e-300))
+    live = q > 0.0
+    with np.errstate(divide="ignore"):
+        log_beta[live, 1:] = ((log_t + np.log(q[live]))[:, None]
+                              + np.log(mass[live]) + ratio_log_scale[live])
 
     log_new_mass = log_t + np.log(params.mu_n) + log_mass
     log_xi = np.zeros((M, K + 1))
@@ -233,6 +237,9 @@ def loopy_da(w: AssociationWeights, P: int, tol: float) -> AssociationMarginals:
         if delta < tol:
             converged = True
             break
+    if not converged:
+        log.warning("loopy BP did not converge: K=%d M=%d after %d "
+                    "iterations", K, M, iterations)
 
     p_a = _normalize_rows(np.concatenate([lb[:, :1], lb[:, 1:] + log_nu.T], axis=1))
     p_b = _normalize_rows(np.concatenate([lx[:, :1], lx[:, 1:] + log_zeta.T], axis=1))

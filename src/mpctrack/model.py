@@ -273,24 +273,24 @@ class HyperParams:
 
 def propagate_kinematics(particles: np.ndarray, params: HyperParams,
                          rng: np.random.Generator) -> np.ndarray:
-    """Propagate a (J, 5) particle array one step through the motion model:
-    d + dt v_d + dt^2/2 eps_d and v_d + dt eps_d, the same for phi, and the
-    random walk u + eps_u.
+    """Propagate field-major particles (5, ...) one step through the motion
+    model: d + dt v_d + dt^2/2 eps_d and v_d + dt eps_d, the same for phi,
+    and the random walk u + eps_u, with one (..., 3) noise draw.
 
     The amplitude driving noise is scaled per particle: sigma_u_rel * u_j.
     Angles are re-wrapped and amplitudes clamped at zero.
     """
     dt = params.delta_t
-    d, phi, u, v_d, v_phi = particles.T
-    eps = rng.standard_normal((particles.shape[0], 3))
-    eps[:, 0] *= params.sigma_d
-    eps[:, 1] *= params.sigma_phi
-    eps[:, 2] *= params.sigma_u_rel * u
-    return np.stack([d + dt * v_d + dt**2 / 2 * eps[:, 0],
-                     wrap_angle(phi + dt * v_phi + dt**2 / 2 * eps[:, 1]),
-                     np.maximum(u + eps[:, 2], 0.0),
-                     v_d + dt * eps[:, 0],
-                     v_phi + dt * eps[:, 1]], axis=1)
+    d, phi, u, v_d, v_phi = particles
+    eps = rng.standard_normal(u.shape + (3,))
+    eps[..., 0] *= params.sigma_d
+    eps[..., 1] *= params.sigma_phi
+    eps[..., 2] *= params.sigma_u_rel * u
+    return np.stack([d + dt * v_d + dt**2 / 2 * eps[..., 0],
+                     wrap_angle(phi + dt * v_phi + dt**2 / 2 * eps[..., 1]),
+                     np.maximum(u + eps[..., 2], 0.0),
+                     v_d + dt * eps[..., 0],
+                     v_phi + dt * eps[..., 1]])
 
 
 def reflect_positive(mu, floor: float = MU_FA_FLOOR):

@@ -1,10 +1,10 @@
 """Sequential detection and estimation engine.
 
-Maintains one particle belief per potential component plus a particle belief
-over the mean false-alarm rate. Each snapshot is processed by predict()
-followed by update(): measurement evaluation, loopy data association,
-measurement update of legacy and new components, false-alarm-rate update,
-resampling, pruning and estimate extraction.
+Maintains a stack of particle beliefs, one row per potential component,
+plus a particle belief over the mean false-alarm rate. Each snapshot is
+processed by predict() followed by update(): measurement evaluation, loopy
+data association, measurement update of legacy and new components,
+false-alarm-rate update, resampling, pruning and estimate extraction.
 """
 
 import logging
@@ -70,11 +70,23 @@ class StepEstimate:
 
 @dataclass
 class TrackerState:
-    legacy: list = field(default_factory=list)
+    """Legacy beliefs, one row each: particles (5, K, J), weights (K, J)."""
+    particles: np.ndarray = field(default_factory=lambda: np.empty((5, 0, 0)))
+    weights: np.ndarray = field(default_factory=lambda: np.empty((0, 0)))
+    p_exist: np.ndarray = field(default_factory=lambda: np.empty(0))
+    ids: np.ndarray = field(default_factory=lambda: np.empty(0, int))
+    birth_steps: np.ndarray = field(default_factory=lambda: np.empty(0, int))
     far: Optional[FarBelief] = None
     step: int = 0
     rng: Optional[np.random.Generator] = None
     next_id: int = 1
+
+    @property
+    def legacy(self) -> list:
+        """The rows as PmpcBelief, particles and weights viewing the stack."""
+        return [PmpcBelief(int(i), int(b), self.particles[:, k].T,
+                           self.weights[k], float(q)) for k, (i, b, q)
+                in enumerate(zip(self.ids, self.birth_steps, self.p_exist))]
 
 
 # ---------------------------------------------------------------------------
@@ -87,56 +99,58 @@ def init(params: HyperParams, geom: ArrayGeometry, seed) -> TrackerState:
     problems = params.validate()
     if problems:
         raise ValueError(f"invalid hyperparameters: {problems}")
-    return TrackerState(rng=np.random.default_rng(seed))
+    return TrackerState(np.empty((5, 0, params.J)), np.empty((0, params.J)),
+                        rng=np.random.default_rng(seed))
 
 
 def predict(state: TrackerState, params: HyperParams) -> TrackerState:
     """Propagate all beliefs one step: survival folds into the existence
     probability, kinematics follow the motion model, the false-alarm rate
     random-walks."""
-    for tr in state.legacy:
-        tr.p_exist *= params.p_s
-        tr.particles = model.propagate_kinematics(tr.particles, params, state.rng)
+    state.p_exist = state.p_exist * params.p_s
+    state.particles = model.propagate_kinematics(state.particles, params,
+                                                 state.rng)
     if state.far is not None:
         step = params.sigma_fa * state.rng.standard_normal(state.far.particles.shape)
         state.far.particles = model.reflect_positive(state.far.particles + step)
     return state
 
 
-def resample(belief, J: int, rng: np.random.Generator):
-    """Systematic resampling to J equally weighted particles (in place)."""
-    w = np.asarray(belief.weights, dtype=float)
+def _systematic(w: np.ndarray, u: float, J: int) -> np.ndarray:
+    """Indices of systematic resampling of w to J particles at uniform u."""
     total = w.sum()
     if not np.isfinite(total) or total <= 0.0:
         raise ValueError("degenerate particle weights")
-    positions = (rng.random() + np.arange(J)) / J
-    idx = np.searchsorted(np.cumsum(w / total), positions)
-    idx = np.minimum(idx, len(w) - 1)
-    belief.particles = belief.particles[idx]
+    idx = np.searchsorted(np.cumsum(w / total), (u + np.arange(J)) / J)
+    return np.minimum(idx, len(w) - 1)
+
+
+def resample(belief, J: int, rng: np.random.Generator):
+    """Systematic resampling to J equally weighted particles (in place)."""
+    belief.particles = belief.particles[_systematic(
+        np.asarray(belief.weights, dtype=float), rng.random(), J)]
     belief.weights = np.full(J, 1.0 / J)
     return belief
 
 
-def _weighted_summary(tr: PmpcBelief) -> TrackEstimate:
-    """Posterior means and stds. The angle uses the circular mean and the
-    wrapped second moment, since the particle cloud may straddle +-pi."""
-    w = tr.weights
-    p = tr.particles
-    d = float(np.sum(w * p[:, 0]))
-    u = float(np.sum(w * p[:, 2]))
-    phi = float(np.arctan2(np.sum(w * np.sin(p[:, 1])),
-                           np.sum(w * np.cos(p[:, 1]))))
-    sigma_d = float(np.sqrt(max(np.sum(w * (p[:, 0] - d) ** 2), 0.0)))
-    dphi = ang_diff(p[:, 1], phi)
-    sigma_phi = float(np.sqrt(max(np.sum(w * dphi * dphi), 0.0)))
-    return TrackEstimate(tr.id, d, float(wrap_angle(phi)), u,
-                         sigma_d, sigma_phi, tr.p_exist)
-
-
 def estimate(state: TrackerState, params: HyperParams) -> StepEstimate:
     """Detection (p_exist strictly above p_de) and posterior-mean extraction
-    for every maintained component, plus the false-alarm-rate estimate."""
-    all_tracks = [_weighted_summary(tr) for tr in state.legacy]
+    for every maintained component, plus the false-alarm-rate estimate. The
+    angle takes the circular mean and wrapped second moment (clouds may
+    straddle +-pi)."""
+    w = state.weights
+    d_j, phi_j, u_j = state.particles[:3]
+    d = np.sum(w * d_j, axis=1)
+    u = np.sum(w * u_j, axis=1)
+    phi = np.arctan2(np.sum(w * np.sin(phi_j), axis=1),
+                     np.sum(w * np.cos(phi_j), axis=1))
+    sigma_d = np.sqrt(np.maximum(np.sum(w * (d_j - d[:, None]) ** 2, axis=1),
+                                 0.0))
+    dphi = ang_diff(phi_j, phi[:, None])
+    sigma_phi = np.sqrt(np.maximum(np.sum(w * dphi * dphi, axis=1), 0.0))
+    all_tracks = [TrackEstimate(*row) for row in zip(
+        state.ids.tolist(), d.tolist(), wrap_angle(phi).tolist(), u.tolist(),
+        sigma_d.tolist(), sigma_phi.tolist(), state.p_exist.tolist())]
     detected = [t for t in all_tracks if t.p_exist > params.p_de]
     mu_fa = float(np.sum(state.far.weights * state.far.particles)) \
         if state.far is not None else float("nan")
@@ -152,9 +166,9 @@ def _build_proposals(ms: Sequence[Measurement], params: HyperParams,
     """For each measurement, sample a 5-D Gaussian centered on it and
     importance-weight it against the birth prior times the measurement
     likelihood. Returns (particles, weights, log_mass), row m for
-    measurement m: particles (M, J, 5), a view of the field-major buffer
-    below (not contiguous; resampling copies it), normalized weights (M, J)
-    and log_mass (M,), the log importance estimate of
+    measurement m: field-major particles (5, M, J), laid out like the
+    legacy stack, normalized weights (M, J) and log_mass (M,), the log
+    importance estimate of
     <f(z | x)>_birth-prior / f_fa(z), the evidence that the measurement was
     produced by a newly appearing component rather than clutter.
 
@@ -172,7 +186,7 @@ def _build_proposals(ms: Sequence[Measurement], params: HyperParams,
     """
     M, J = len(ms), params.J
     if M == 0:
-        return np.empty((0, J, 5)), np.empty((0, J)), np.empty(0)
+        return np.empty((5, 0, J)), np.empty((0, J)), np.empty(0)
     z = np.array([(m.z_d, m.z_phi, m.z_u) for m in ms], dtype=float)
     zd, zp, zu = z[:, 0:1], z[:, 1:2], z[:, 2:3]
     # Per measurement as scalars: on a scalar u**2 is pow(), on an array
@@ -239,44 +253,40 @@ def _build_proposals(ms: Sequence[Measurement], params: HyperParams,
         log_mass = np.log(total) + top[:, 0] - math.log(J)
     shifted[flat] = 1.0
     total[flat] = J
-    return X.transpose(1, 2, 0), shifted / total[:, None], log_mass
+    return X, shifted / total[:, None], log_mass
 
 
-def _update_legacy(tr: PmpcBelief, w: dabp.AssociationWeights, k: int,
+def _update_legacy(state: TrackerState, w: dabp.AssociationWeights,
                    log_nu: np.ndarray) -> None:
-    """Reweight one legacy belief with the converged extrinsic messages and
+    """Reweight every legacy row with the converged extrinsic messages and
     recompute its existence probability.
 
-    Each particle's association sum log sum_m nu[m] t P_d f(z_m|x)/f_fa(z_m)
-    comes from the linear ratio matrix R = w.ratio[k] as
+    Row k's association sum per particle, log sum_m nu[m] t P_d f(z_m|x) /
+    f_fa(z_m), comes from the linear ratio matrix R = w.ratio[k] as
     log(exp(b - max b) @ R) + max b, with b = log nu + log t + c and c the
-    row scales of R."""
-    R = w.ratio[k]  # (M, J), rows scaled by exp(-c)
-    M = R.shape[0]
+    row scales of R: one vector-matrix product per row."""
+    M = w.ratio_log_scale.shape[1]
     log_t = math.log(w.far_ratio)
-    with np.errstate(divide="ignore"):
-        log_miss = np.log(np.maximum(1.0 - w.det_prob[k], 0.0))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_psi = np.log(np.maximum(1.0 - w.det_prob, 0.0))
         if M:
-            b = log_nu[:, k] + log_t + w.ratio_log_scale[k]
-            top = np.max(b)
-            assoc = np.log(np.exp(b - top) @ R) + top
-            log_psi = np.logaddexp(log_miss, assoc)
-        else:
-            log_psi = log_miss
-    # Existence odds in log space: the alternative (non-existence) branch
-    # evaluates the same factor at r = 0, which is the constant 1 here.
-    log_lw = np.log(np.maximum(tr.weights, 1e-300))
-    log_s1 = math.log(tr.p_exist) + log_sum_exp(log_lw + log_psi) \
-        if tr.p_exist > 0.0 else -np.inf
-    log_s0 = math.log(1.0 - tr.p_exist) if tr.p_exist < 1.0 else -np.inf
-    if log_s1 == -np.inf and log_s0 == -np.inf:
-        tr.p_exist = 0.0
-    else:
-        gap = min(log_s0 - log_s1, 700.0) if log_s1 > -np.inf else np.inf
-        tr.p_exist = 0.0 if gap == np.inf else 1.0 / (1.0 + math.exp(gap))
-    new_w = np.exp(log_lw + log_psi - np.max(log_lw + log_psi)) \
-        if np.any(np.isfinite(log_psi)) else np.ones_like(tr.weights)
-    tr.weights = new_w / new_w.sum()
+            b = log_nu.T + log_t + w.ratio_log_scale
+            top = np.max(b, axis=1, keepdims=True)
+            assoc = np.reshape([x @ R for x, R in zip(np.exp(b - top), w.ratio)],
+                               log_psi.shape)
+            log_psi = np.logaddexp(log_psi, np.log(assoc) + top)
+        log_post = np.log(np.maximum(state.weights, 1e-300)) + log_psi
+        new_w = np.exp(log_post - np.max(log_post, axis=1, keepdims=True))
+    new_w[~np.any(np.isfinite(log_psi), axis=1)] = 1.0
+    state.weights = new_w / new_w.sum(axis=1, keepdims=True)
+    # Existence odds in log space, on scalar math: the alternative
+    # (non-existence) branch evaluates the same factor at r = 0, i.e. 1.
+    for k, (q, s) in enumerate(zip(state.p_exist.tolist(),
+                                   log_sum_exp(log_post, axis=1).tolist())):
+        log_s1 = math.log(q) + s if q > 0.0 else -math.inf
+        log_s0 = math.log(1.0 - q) if q < 1.0 else -math.inf
+        gap = min(log_s0 - log_s1, 700.0) if log_s1 > -math.inf else math.inf
+        state.p_exist[k] = 0.0 if gap == math.inf else 1.0 / (1.0 + math.exp(gap))
 
 
 def _update_far(state: TrackerState, w: dabp.AssociationWeights,
@@ -313,6 +323,32 @@ def _update_far(state: TrackerState, w: dabp.AssociationWeights,
     state.far.weights = shifted / shifted.sum()
 
 
+def _prune_and_resample(state: TrackerState, particles: np.ndarray,
+                        weights: np.ndarray, p_new: list, params) -> None:
+    """Replace the stack by its surviving rows, then the surviving new rows
+    (particles, weights, p_new), each resampled to J equal weights. Every
+    row draws one uniform, so pruning (NaN included) keeps the rng stream."""
+    K, J = len(state.p_exist), params.J
+    p_all = np.concatenate([state.p_exist, p_new])
+    keep = p_all >= params.p_pr
+    uniforms = state.rng.random(len(keep))
+    stack = np.empty((5, int(np.sum(keep)), J))
+    for n, i in enumerate(np.flatnonzero(keep)):
+        x, w = (state.particles[:, i], state.weights[i]) if i < K \
+            else (particles[:, i - K], weights[i - K])
+        idx = _systematic(w, uniforms[i], J)
+        for f in range(5):
+            stack[f, n] = x[f][idx]
+    state.particles, state.weights = stack, np.full(stack.shape[1:], 1.0 / J)
+    state.p_exist = p_all[keep]
+    # New row i, if kept, is the n-th new survivor and gets next_id - 1 + n.
+    born = np.cumsum(keep[K:])
+    state.ids = np.concatenate([state.ids, state.next_id - 1 + born])[keep]
+    state.birth_steps = np.concatenate([
+        state.birth_steps, np.full(len(born), state.step)])[keep]
+    state.next_id += int(born[-1]) if len(born) else 0
+
+
 def update(state: TrackerState, measurements: Sequence[Measurement],
            params: HyperParams, geom: ArrayGeometry):
     """Process one snapshot's measurement set.
@@ -341,7 +377,7 @@ def update(state: TrackerState, measurements: Sequence[Measurement],
             ms.append(z)
     ms.sort(key=lambda z: (z.z_d, z.z_phi, z.z_u))
     M = len(ms)
-    K = len(state.legacy)
+    K = len(state.p_exist)
     # Legacy components only exist after some measurement was processed, so
     # the rate belief is initialized by the time K > 0.
     if K and state.far is None:
@@ -369,37 +405,19 @@ def update(state: TrackerState, measurements: Sequence[Measurement],
 
     particles, new_weights, log_mass = _build_proposals(ms, params, geom,
                                                         state.rng)
-    weights = dabp.evaluate_weights(state.legacy, log_mass, ms, state.far,
-                                    params, geom)
+    weights = dabp.evaluate_weights(state, log_mass, ms, state.far, params,
+                                    geom)
     marg = dabp.loopy_da(weights, params.P, params.da_tol)
-
-    for k, tr in enumerate(state.legacy):
-        _update_legacy(tr, weights, k, marg.log_nu)
+    _update_legacy(state, weights, marg.log_nu)
 
     # Each measurement's legacy message sum, reduced along contiguous rows.
     log_d = np.logaddexp(0.0, log_sum_exp(
         np.ascontiguousarray(marg.log_zeta.T), axis=1)) if K else np.zeros(M)
     _update_far(state, weights, marg, log_d, K)
 
-    # One pass over legacy, then new beliefs. A belief about to be pruned
-    # (NaN included) is not resampled but still consumes the one uniform
-    # resample would draw, so the rng stream does not depend on the pruning
-    # threshold; new survivors get the next ids.
-    p_new = [1.0 / (1.0 + math.exp(min(gap, 700.0)))
-             for gap in log_d - weights.log_new_mass]
-    new_tracks = [PmpcBelief(0, state.step, *belief)
-                  for belief in zip(particles, new_weights, p_new)]
-    survivors = []
-    for i, tr in enumerate(state.legacy + new_tracks):
-        if not tr.p_exist >= params.p_pr:
-            state.rng.random()
-            continue
-        resample(tr, params.J, state.rng)
-        if i >= K:
-            tr.id = state.next_id
-            state.next_id += 1
-        survivors.append(tr)
+    _prune_and_resample(state, particles, new_weights, [
+        1.0 / (1.0 + math.exp(min(gap, 700.0)))
+        for gap in (log_d - weights.log_new_mass).tolist()], params)
     resample(state.far, params.J, state.rng)
-    state.legacy = survivors
 
     return state, estimate(state, params), marg

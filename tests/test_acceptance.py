@@ -21,6 +21,8 @@ from mpctrack.model import HyperParams, KinematicState, Measurement
 from mpctrack.scenario import desk_scenario
 from mpctrack.tracker import FarBelief, PmpcBelief
 
+from conftest import stacked
+
 GEOM = radio.default_geometry()
 
 
@@ -134,8 +136,8 @@ def test_c05_single_bernoulli_oracle():
 
     # M = 0: pure missed-detection update.
     st = tracker.init(p, GEOM, 0)
-    st.legacy = [PmpcBelief(1, 0, np.tile(np.asarray(state), (J, 1)),
-                            np.full(J, 1 / J), 0.8)]
+    stacked([PmpcBelief(1, 0, np.tile(np.asarray(state), (J, 1)),
+                        np.full(J, 1 / J), 0.8)], st)
     st.far = FarBelief(np.full(J, 2.0), np.full(J, 1 / J))
     p_d = float(model.detection_prob(4.0, p.u_de, GEOM.n_eff, p.amp_mode))
     tracker.update(st, [], p, GEOM)
@@ -147,8 +149,8 @@ def test_c05_single_bernoulli_oracle():
     # proposal draws, so the oracle replays the identical rng stream.
     for q, off in [(0.5, 0.0), (0.8, 0.05), (0.2, 0.3)]:
         st = tracker.init(p, GEOM, 0)
-        st.legacy = [PmpcBelief(1, 0, np.tile(np.asarray(state), (J, 1)),
-                                np.full(J, 1 / J), q)]
+        stacked([PmpcBelief(1, 0, np.tile(np.asarray(state), (J, 1)),
+                            np.full(J, 1 / J), q)], st)
         mu0 = 2.0
         st.far = FarBelief(np.full(J, mu0), np.full(J, 1 / J))
         z = Measurement(5.0 + off, 0.3, 4.0)
@@ -157,7 +159,7 @@ def test_c05_single_bernoulli_oracle():
             - model.log_fa_density(z, p.u_de, p.d_max)
         props = tracker._build_proposals([z], p, GEOM,
                                          np.random.default_rng(0))
-        w = dabp.evaluate_weights(st.legacy, props[2], [z], st.far, p, GEOM)
+        w = dabp.evaluate_weights(st, props[2], [z], st.far, p, GEOM)
         xi0 = 1.0 + math.exp(float(w.log_new_mass[0]))
         t = 1.0 / mu0
         l = math.exp(log_l)

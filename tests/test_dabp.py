@@ -11,6 +11,8 @@ from mpctrack import dabp, model, radio, tracker
 from mpctrack.dabp import AssociationWeights, exhaustive_da_oracle, loopy_da
 from mpctrack.model import HyperParams, Measurement
 
+from conftest import stacked
+
 GEOM = radio.default_geometry()
 PARAMS = HyperParams(J=200)
 
@@ -166,6 +168,19 @@ class TestLoopyDa:
         assert np.allclose(out.p_a, 1.0)
         assert out.p_b.shape == (0, 3)
 
+    def test_non_convergence_logs_one_warning(self, caplog):
+        # P = 1 stops before the messages settle: one WARNING names K, M
+        # and the iterations used; a run that converges logs nothing.
+        w = random_instance(np.random.default_rng(8), 3, 4)
+        with caplog.at_level("WARNING", logger="mpctrack.dabp"):
+            out = loopy_da(w, 1, 1e-12)
+            settled = loopy_da(w, 5000, 1e-10)
+        records = [r for r in caplog.records if r.name == "mpctrack.dabp"]
+        assert len(records) == 1 and records[0].levelname == "WARNING"
+        assert "K=3 M=4 after 1 iterations" in records[0].getMessage()
+        assert not out.converged and out.iterations_used == 1
+        assert settled.converged and settled.iterations_used > 1
+
     def test_extreme_ratios_do_not_overflow(self):
         lb = np.array([[0.0, 900.0, -900.0]])
         lx = np.zeros((2, 2))
@@ -183,8 +198,8 @@ class TestLoopyDa:
 class TestEvaluateWeights:
     def test_empty_measurement_set(self):
         tr = PointBelief([5.0, 0.2, 8.0, 0.0, 0.0], 0.7)
-        w = dabp.evaluate_weights([tr], np.zeros(0), [], PointFar(2.0),
-                                  PARAMS, GEOM)
+        w = dabp.evaluate_weights(stacked([tr]), np.zeros(0), [],
+                                  PointFar(2.0), PARAMS, GEOM)
         assert w.beta.shape == (1, 1)
         p_d = float(model.detection_prob(8.0, PARAMS.u_de, GEOM.n_eff,
                                          PARAMS.amp_mode))
@@ -201,7 +216,8 @@ class TestEvaluateWeights:
         tr = PointBelief(state, 1.0)
         log_mass = np.array([0.0])
         far = PointFar(1.0)
-        w = dabp.evaluate_weights([tr], log_mass, [z], far, PARAMS, GEOM)
+        w = dabp.evaluate_weights(stacked([tr]), log_mass, [z], far, PARAMS,
+                                  GEOM)
         p_d = float(model.detection_prob(4.0, PARAMS.u_de, GEOM.n_eff,
                                          PARAMS.amp_mode))
         log_f = float(model.log_lik_matrix(
@@ -218,14 +234,14 @@ class TestEvaluateWeights:
         tr = PointBelief([5.0, 0.2, 8.0, 0.0, 0.0], 0.5)
         z = Measurement(6.0, 0.0, 5.0)
         far = PointFar(2.5)
-        w = dabp.evaluate_weights([tr], np.array([-1.0]), [z], far,
+        w = dabp.evaluate_weights(stacked([tr]), np.array([-1.0]), [z], far,
                                   PARAMS, GEOM)
         assert w.far_ratio == pytest.approx(1.0 / 2.5)
 
     def test_xi_coupling_convention(self):
         trs = [PointBelief([5.0, 0.2, 8.0, 0.0, 0.0], 0.5) for _ in range(3)]
         z = Measurement(6.0, 0.0, 5.0)
-        w = dabp.evaluate_weights(trs, np.array([-1.0]), [z],
+        w = dabp.evaluate_weights(stacked(trs), np.array([-1.0]), [z],
                                   PointFar(2.0), PARAMS, GEOM)
         # Nonzero columns are equal couplings.
         assert np.allclose(w.xi[0, 1:], w.xi[0, 1])
@@ -237,7 +253,8 @@ class TestEvaluateWeights:
                for _ in range(2)]
         zs = [Measurement(5.0, 0.5, 9.0), Measurement(8.0, -0.5, 6.0)]
         props = np.array([0.5, -0.5])
-        w = dabp.evaluate_weights(trs, props, zs, PointFar(2.0), PARAMS, GEOM)
+        w = dabp.evaluate_weights(stacked(trs), props, zs, PointFar(2.0),
+                                  PARAMS, GEOM)
         out1 = loopy_da(w, 5000, 1e-10)
         w2 = AssociationWeights(beta=w.beta * 13.0, xi=w.xi * 0.03)
         out2 = loopy_da(w2, 5000, 1e-10)
@@ -245,8 +262,8 @@ class TestEvaluateWeights:
 
     def test_nothing_to_associate_raises(self):
         with pytest.raises(ValueError):
-            dabp.evaluate_weights([], np.zeros(0), [], PointFar(1.0), PARAMS,
-                                  GEOM)
+            dabp.evaluate_weights(stacked([]), np.zeros(0), [],
+                                  PointFar(1.0), PARAMS, GEOM)
 
 
 # ---------------------------------------------------------------------------
@@ -313,7 +330,8 @@ class TestLinearDomainMessages:
         trs = [spread_belief(rng, c, p.J, q, k + 1)
                for k, (c, q) in enumerate(centers)]
         props = np.array([0.3, -1.0, 0.5])
-        w = dabp.evaluate_weights(trs, props, zs, PointFar(2.0), p, GEOM)
+        w = dabp.evaluate_weights(stacked(trs), props, zs, PointFar(2.0), p,
+                                  GEOM)
         log_t = math.log(w.far_ratio)
         assert np.min(w.ratio[2]) < 1e-200
 
@@ -322,10 +340,11 @@ class TestLinearDomainMessages:
             reference_log_beta(trs, zs, log_t, p), rel=1e-12)
 
         log_nu = rng.normal(0.0, 1.0, (len(zs), len(trs)))
-        for k, tr in enumerate(trs):
+        st = stacked(trs)
+        tracker._update_legacy(st, w, log_nu)
+        for k, (tr, got) in enumerate(zip(trs, st.legacy)):
             want_w, want_p = reference_legacy_update(tr, zs, log_nu[:, k],
                                                      log_t, p)
-            tracker._update_legacy(tr, w, k, log_nu)
-            assert np.all(np.isfinite(tr.weights))
-            np.testing.assert_allclose(tr.weights, want_w, rtol=1e-12, atol=0)
-            assert tr.p_exist == pytest.approx(want_p, rel=1e-12)
+            assert np.all(np.isfinite(got.weights))
+            np.testing.assert_allclose(got.weights, want_w, rtol=1e-12, atol=0)
+            assert got.p_exist == pytest.approx(want_p, rel=1e-12)

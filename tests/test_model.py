@@ -22,6 +22,8 @@ from mpctrack.dabp import AssociationMarginals, AssociationWeights
 from mpctrack.model import ArrayGeometry, HyperParams, Measurement
 from mpctrack.tracker import FarBelief, PmpcBelief
 
+from conftest import stacked
+
 GEOM = radio.default_geometry()
 PARAMS = HyperParams()
 
@@ -112,7 +114,7 @@ class TestGeometry:
 def predicted(params, legacy=(), far=None, seed=0):
     """Tracker state after one tracker.predict from the given beliefs."""
     state = tracker.init(params, GEOM, seed)
-    state.legacy = list(legacy)
+    stacked(legacy, state)
     state.far = far
     return tracker.predict(state, params)
 
@@ -171,8 +173,8 @@ def propagated_both_ways(delta_t, seed, noisy):
     params = HyperParams(delta_t=delta_t, **(
         {"sigma_d": 0.3, "sigma_phi": 0.2, "sigma_u_rel": 0.6} if noisy
         else {}))
-    return (model.propagate_kinematics(parts, params,
-                                       np.random.default_rng(seed + 1)),
+    return (model.propagate_kinematics(parts.T, params,
+                                       np.random.default_rng(seed + 1)).T,
             matrix_form_propagation(parts, params,
                                     np.random.default_rng(seed + 1)))
 
@@ -410,9 +412,9 @@ class TestVariances:
         assert d2[0] != d2[1]
         p = HyperParams(J=300)
         state = tracker.init(p, g, 2)
-        state.legacy = [PmpcBelief(1, 0, np.tile([5.0, 0.3, 12.0, 0.0, 0.0],
-                                                 (p.J, 1)),
-                                   np.full(p.J, 1.0 / p.J), 0.9)]
+        stacked([PmpcBelief(1, 0, np.tile([5.0, 0.3, 12.0, 0.0, 0.0],
+                                          (p.J, 1)),
+                            np.full(p.J, 1.0 / p.J), 0.9)], state)
         state.far = far_belief(np.full(p.J, 2.0))
         ms = [Measurement(5.01, 0.31, 11.5), Measurement(9.0, -1.0, 6.0)]
         for _ in range(3):
@@ -716,8 +718,9 @@ class TestPseudoFactors:
     z = Measurement(5.0, 0.2, 8.0)
 
     def test_g_nonexistent(self):
-        w = dabp.evaluate_weights([point_track(self.x, 0.0)], birth(0.0),
-                                  [self.z], far_belief([2.0]), PARAMS, GEOM)
+        w = dabp.evaluate_weights(stacked([point_track(self.x, 0.0)]),
+                                  birth(0.0), [self.z], far_belief([2.0]),
+                                  PARAMS, GEOM)
         assert w.log_beta[0, 0] == 0.0
         assert w.log_beta[0, 1] == -np.inf
 
@@ -729,7 +732,7 @@ class TestPseudoFactors:
                                          PARAMS.amp_mode))
 
         def scaled_miss(q):
-            w = dabp.evaluate_weights([point_track(x, q)], birth(0.0),
+            w = dabp.evaluate_weights(stacked([point_track(x, q)]), birth(0.0),
                                       [self.z], far_belief([2.0]), PARAMS,
                                       GEOM)
             return q * math.exp(-log_ratio_assoc_to_miss(w))
@@ -758,7 +761,7 @@ class TestPseudoFactors:
                  - math.log(p_d))
         log_fa = (math.log(2 * z.z_u) - (z.z_u**2 - u_de)
                   - math.log(PARAMS.d_max) - math.log(2 * np.pi))
-        w = dabp.evaluate_weights([point_track((d, phi, u, 0, 0), q)],
+        w = dabp.evaluate_weights(stacked([point_track((d, phi, u, 0, 0), q)]),
                                   birth(0.0), [z], far_belief([mu]), PARAMS,
                                   GEOM)
         expect = q * p_d * math.exp(log_f - log_fa) / mu / (1 - q * p_d)
@@ -770,7 +773,7 @@ class TestPseudoFactors:
         # new component excludes b = k); xi[m, 0] adds the birth mass.
         trs = [point_track(self.x, 0.7) for _ in range(3)]
         for log_mass in (-3.0, 0.0, 4.0):
-            w = dabp.evaluate_weights(trs, birth(log_mass), [self.z],
+            w = dabp.evaluate_weights(stacked(trs), birth(log_mass), [self.z],
                                       far_belief([2.0]), PARAMS, GEOM)
             for k in (1, 2, 3):
                 assert math.exp(w.log_xi[0, 0] - w.log_xi[0, k]) - 1.0 == \
@@ -781,14 +784,14 @@ class TestPseudoFactors:
         # with n(mu) = (exp(-mu) mu^M)^(1/(K+M)).
         params = HyperParams(mu_n=0.008, d_max=17.0)
         trs = [point_track(self.x, 0.7)]
-        w = dabp.evaluate_weights(trs, birth(1.5), [self.z],
+        w = dabp.evaluate_weights(stacked(trs), birth(1.5), [self.z],
                                   far_belief([2.0]), params, GEOM)
         assert math.exp(w.log_new_mass[0]) == pytest.approx(
             0.008 / 2.0 * math.exp(1.5), rel=1e-9)
         mus = np.array([1.0, 3.0])
         n = (np.exp(-mus) * mus) ** (1 / 2)
         t = float(np.sum(n / mus) / np.sum(n))
-        w = dabp.evaluate_weights(trs, birth(1.5), [self.z],
+        w = dabp.evaluate_weights(stacked(trs), birth(1.5), [self.z],
                                   far_belief(mus), params, GEOM)
         assert w.far_ratio == pytest.approx(t, rel=1e-12)
         assert math.exp(w.log_new_mass[0]) == pytest.approx(
@@ -800,8 +803,9 @@ class TestPseudoFactors:
     def test_factors_nonnegative(self, u, mu, q, log_mass):
         x = (5.0, 0.2, u, 0.0, 0.0)
         z = Measurement(5.3, 0.25, max(u, math.sqrt(PARAMS.u_de) + 0.1))
-        w = dabp.evaluate_weights([point_track(x, q)] * 2, birth(log_mass),
-                                  [z], far_belief([mu]), PARAMS, GEOM)
+        w = dabp.evaluate_weights(stacked([point_track(x, q)] * 2),
+                                  birth(log_mass), [z], far_belief([mu]),
+                                  PARAMS, GEOM)
         for arr in (w.beta, w.xi):
             assert not np.any(np.isnan(arr))
             assert np.all((arr >= 0.0) & (arr <= 1.0))

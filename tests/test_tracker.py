@@ -15,6 +15,8 @@ from mpctrack import dabp, model, radio, tracker
 from mpctrack.model import HyperParams, Measurement
 from mpctrack.tracker import FarBelief, PmpcBelief
 
+from conftest import stacked
+
 GEOM = radio.default_geometry()
 
 
@@ -59,7 +61,7 @@ class TestPredict:
     def test_deterministic_advance(self):
         p = params(p_s=1.0, sigma_d=0.0, sigma_phi=0.0, sigma_u_rel=0.0)
         st = tracker.init(p, GEOM, 0)
-        st.legacy = [point_track([5.0, 0.0, 10.0, 1.0, 0.1], 0.5, p.J)]
+        stacked([point_track([5.0, 0.0, 10.0, 1.0, 0.1], 0.5, p.J)], st)
         tracker.predict(st, p)
         assert np.allclose(st.legacy[0].particles[:, 0], 6.0)
         assert st.legacy[0].p_exist == pytest.approx(0.5)
@@ -67,14 +69,14 @@ class TestPredict:
     def test_death_branch(self):
         p = params(p_s=0.0)
         st = tracker.init(p, GEOM, 0)
-        st.legacy = [point_track([5.0, 0.0, 10.0, 0.0, 0.0], 0.9, p.J)]
+        stacked([point_track([5.0, 0.0, 10.0, 0.0, 0.0], 0.9, p.J)], st)
         tracker.predict(st, p)
         assert st.legacy[0].p_exist == 0.0
 
     def test_existence_product(self):
         p = params(p_s=0.999)
         st = tracker.init(p, GEOM, 0)
-        st.legacy = [point_track([5.0, 0.0, 10.0, 0.0, 0.0], 0.8, p.J)]
+        stacked([point_track([5.0, 0.0, 10.0, 0.0, 0.0], 0.8, p.J)], st)
         tracker.predict(st, p)
         assert st.legacy[0].p_exist == pytest.approx(0.7992)
 
@@ -112,7 +114,7 @@ class TestEstimate:
     def test_point_mass_estimate(self):
         p = params()
         st = tracker.init(p, GEOM, 0)
-        st.legacy = [point_track([5.0, 0.3, 8.0, 0.0, 0.0], 0.9, p.J)]
+        stacked([point_track([5.0, 0.3, 8.0, 0.0, 0.0], 0.9, p.J)], st)
         st.far = point_far(2.0, p.J)
         est = tracker.estimate(st, p)
         t = est.detected[0]
@@ -126,15 +128,15 @@ class TestEstimate:
         b = point_track([0, 0, 0, 0, 0], 0.9, 2)
         b.particles = np.array([[4.0, 0.1, 5.0, 0, 0], [8.0, 0.1, 5.0, 0, 0]])
         b.weights = np.array([0.25, 0.75])
-        st.legacy = [b]
+        stacked([b], st)
         est = tracker.estimate(st, p)
         assert est.detected[0].d == pytest.approx(7.0)
 
     def test_detection_strictly_above_threshold(self):
         p = params(p_de=0.5)
         st = tracker.init(p, GEOM, 0)
-        st.legacy = [point_track([5, 0, 8, 0, 0], 0.5, p.J, tid=1),
-                     point_track([6, 0, 8, 0, 0], 0.5001, p.J, tid=2)]
+        stacked([point_track([5, 0, 8, 0, 0], 0.5, p.J, tid=1),
+                 point_track([6, 0, 8, 0, 0], 0.5001, p.J, tid=2)], st)
         est = tracker.estimate(st, p)
         assert [t.id for t in est.detected] == [2]
         assert est.nom_hat == 1
@@ -146,7 +148,7 @@ class TestEstimate:
         b.particles = np.array([[5.0, np.pi - 0.05, 8.0, 0, 0],
                                 [5.0, -np.pi + 0.05, 8.0, 0, 0]])
         b.weights = np.array([0.5, 0.5])
-        st.legacy = [b]
+        stacked([b], st)
         est = tracker.estimate(st, p)
         assert abs(model.ang_diff(est.detected[0].phi, np.pi)) < 1e-9
         assert est.detected[0].sigma_phi == pytest.approx(0.05)
@@ -176,7 +178,7 @@ class TestSingleBernoulliOracle:
     def test_miss_only_update(self):
         p = params()
         st = tracker.init(p, GEOM, 0)
-        st.legacy = [point_track([5.0, 0.3, 2.5, 0.0, 0.0], 0.8, p.J)]
+        stacked([point_track([5.0, 0.3, 2.5, 0.0, 0.0], 0.8, p.J)], st)
         st.far = point_far(2.0, p.J)
         p_d = float(model.detection_prob(2.5, p.u_de, GEOM.n_eff, p.amp_mode))
         tracker.update(st, [], p, GEOM)
@@ -188,7 +190,7 @@ class TestSingleBernoulliOracle:
         p = params()
         st = tracker.init(p, GEOM, 42)
         state = [5.0, 0.3, 4.0, 0.0, 0.0]
-        st.legacy = [point_track(state, q, p.J)]
+        stacked([point_track(state, q, p.J)], st)
         mu0 = 2.0
         st.far = point_far(mu0, p.J)
         z = Measurement(5.0 + z_off, 0.3, 4.0)
@@ -203,7 +205,7 @@ class TestSingleBernoulliOracle:
         # else is independent arithmetic.
         props = tracker._build_proposals([z], p, GEOM,
                                          np.random.default_rng(42))
-        w = dabp.evaluate_weights(st.legacy, props[2], [z], st.far, p, GEOM)
+        w = dabp.evaluate_weights(st, props[2], [z], st.far, p, GEOM)
         log_mass = float(w.log_new_mass[0]) - math.log(w.far_ratio) \
             - math.log(p.mu_n)
 
@@ -219,7 +221,7 @@ class TestSingleBernoulliOracle:
         st = tracker.init(p, GEOM, 0)
         state = [5.0, 0.3, 4.0, 0.0, 0.0]
         q, mu0 = 0.6, 1.5
-        st.legacy = [point_track(state, q, p.J)]
+        stacked([point_track(state, q, p.J)], st)
         st.far = point_far(mu0, p.J)
         z = Measurement(5.02, 0.31, 4.2)
         p_d = float(model.detection_prob(4.0, p.u_de, GEOM.n_eff, p.amp_mode))
@@ -236,7 +238,7 @@ class TestSingleBernoulliOracle:
     def test_strong_association_marginal(self):
         p = params()
         st = tracker.init(p, GEOM, 0)
-        st.legacy = [point_track([5.0, 0.3, 30.0, 0.0, 0.0], 0.8, p.J)]
+        stacked([point_track([5.0, 0.3, 30.0, 0.0, 0.0], 0.8, p.J)], st)
         st.far = point_far(2.0, p.J)
         before = st.legacy[0].p_exist
         _, _, marg = tracker.update(st, [Measurement(5.0, 0.3, 30.0)], p,
@@ -278,9 +280,9 @@ class TestUpdateMechanics:
         # from next_id. Track 2 is pruned, and so are some new tracks.
         p = params(J=300)
         st = tracker.init(p, GEOM, 7)
-        st.legacy = [point_track([5.0, 0.1, 12.0, 0, 0], 0.9, p.J, tid=4),
-                     point_track([9.0, -1.0, 2.5, 0, 0], 2e-4, p.J, tid=2),
-                     point_track([12.0, 2.0, 10.0, 0, 0], 0.8, p.J, tid=3)]
+        stacked([point_track([5.0, 0.1, 12.0, 0, 0], 0.9, p.J, tid=4),
+                 point_track([9.0, -1.0, 2.5, 0, 0], 2e-4, p.J, tid=2),
+                 point_track([12.0, 2.0, 10.0, 0, 0], 0.8, p.J, tid=3)], st)
         st.next_id = 7
         st.far = point_far(2.0, p.J)
         ms = burst(10, 3) + [Measurement(5.0, 0.1, 12.0),
@@ -309,8 +311,8 @@ class TestUpdateMechanics:
         # a marginal one below the pruning threshold.
         p = params(p_pr=1e-4)
         st = tracker.init(p, GEOM, 0)
-        st.legacy = [point_track([5, 0, 2.5, 0, 0], 2e-4, p.J, tid=1),
-                     point_track([9, 1, 2.5, 0, 0], 0.9, p.J, tid=2)]
+        stacked([point_track([5, 0, 2.5, 0, 0], 2e-4, p.J, tid=1),
+                 point_track([9, 1, 2.5, 0, 0], 0.9, p.J, tid=2)], st)
         st.far = point_far(2.0, p.J)
         tracker.update(st, [], p, GEOM)
         assert [t.id for t in st.legacy] == [2]
@@ -319,7 +321,7 @@ class TestUpdateMechanics:
     def test_existence_decays_without_measurements(self):
         p = params(p_s=0.99)
         st = tracker.init(p, GEOM, 0)
-        st.legacy = [point_track([5.0, 0.3, 3.0, 0.0, 0.0], 0.95, p.J)]
+        stacked([point_track([5.0, 0.3, 3.0, 0.0, 0.0], 0.95, p.J)], st)
         st.far = point_far(2.0, p.J)
         history = [st.legacy[0].p_exist]
         for _ in range(8):
@@ -387,8 +389,8 @@ class TestInputGate:
     def stepped(self, ms):
         p = params(J=100)
         st = tracker.init(p, GEOM, 9)
-        st.legacy = [point_track([5.0, 0.1, 12.0, 0.0, 0.0], 0.9, p.J),
-                     point_track([9.0, -1.0, 7.0, 0.0, 0.0], 0.6, p.J, tid=2)]
+        stacked([point_track([5.0, 0.1, 12.0, 0.0, 0.0], 0.9, p.J),
+                 point_track([9.0, -1.0, 7.0, 0.0, 0.0], 0.6, p.J, tid=2)], st)
         st.far = point_far(2.0, p.J)
         tracker.predict(st, p)
         _, est, _ = tracker.update(st, ms, p, GEOM)
@@ -429,8 +431,8 @@ def counted_update(monkeypatch, name, p):
 
     monkeypatch.setattr(model, name, counting)
     st = tracker.init(p, GEOM, 0)
-    st.legacy = [point_track([5.0, 0.1, 12.0, 0.0, 0.0], 0.9, p.J),
-                 point_track([9.0, -1.0, 7.0, 0.0, 0.0], 0.6, p.J, tid=2)]
+    stacked([point_track([5.0, 0.1, 12.0, 0.0, 0.0], 0.9, p.J),
+             point_track([9.0, -1.0, 7.0, 0.0, 0.0], 0.6, p.J, tid=2)], st)
     st.far = point_far(2.0, p.J)
     ms = [Measurement(5.0, 0.1, 12.0), Measurement(9.0, -1.0, 7.0),
           Measurement(3.0, 2.0, 6.0), Measurement(4.0, 0.0, 0.5)]
@@ -439,25 +441,27 @@ def counted_update(monkeypatch, name, p):
 
 
 def test_log_lik_matrix_calls_per_update(monkeypatch):
-    # One call per legacy belief in evaluate_weights and one for all
-    # accepted measurements in the new-track proposals, which pairs each
-    # measurement with its own particle set, through the module attribute.
+    # One call in evaluate_weights for a block of legacy rows scored as one
+    # shared set (at M * K * J = 600 entries all K rows fit one block) and
+    # one for all accepted measurements in the new-track proposals, which
+    # pairs each measurement with its own particle set, through the module
+    # attribute.
     p = params(J=100)
     calls, shapes, K, M = counted_update(monkeypatch, "log_lik_matrix", p)
-    assert len(calls) == K + 1
+    assert len(calls) == 2
     assert sum(calls) == 1
     assert [s for c, s in zip(calls, shapes) if c] == [(p.J, M, 5)]
-    assert [s for c, s in zip(calls, shapes) if not c] == [(p.J, 5)] * K
+    assert [s for c, s in zip(calls, shapes) if not c] == [(K * p.J, 5)]
 
 
 def test_marcum_q1_calls_per_update_exact(monkeypatch):
-    # In "exact" mode the Rician tail P_d is evaluated once per legacy belief
-    # (its missed-detection term) and once for all proposals (the normalizer
-    # of their likelihood); the legacy likelihoods are detection-weighted,
-    # so P_d cancels there.
+    # In "exact" mode the Rician tail P_d is evaluated once for the legacy
+    # stack (its missed-detection terms) and once for all proposals (the
+    # normalizer of their likelihood); the legacy likelihoods are
+    # detection-weighted, so P_d cancels there.
     calls, _, K, M = counted_update(monkeypatch, "marcum_q1",
                                     params(J=100, amp_mode="exact"))
-    assert len(calls) == K + 1
+    assert len(calls) == 2
     assert sum(calls) == 1
 
 
@@ -474,7 +478,7 @@ def test_legacy_without_far_belief_raises(n_meas):
     # is refused before anything in it changes.
     p = params(J=50)
     st = tracker.init(p, GEOM, 0)
-    st.legacy = [point_track([5.0, 0.1, 12.0, 0.0, 0.0], 0.9, p.J)]
+    stacked([point_track([5.0, 0.1, 12.0, 0.0, 0.0], 0.9, p.J)], st)
     before = copy.deepcopy(st)
     ms = [Measurement(5.0, 0.1, 12.0)][:n_meas]
     with pytest.raises(RuntimeError, match=rf"K=1 .*M={n_meas} "):
@@ -513,33 +517,33 @@ class TestBatchedProposals:
             ms, p, GEOM, rng_batch)
         alone = [tracker._build_proposals([z], p, GEOM, rng_one) for z in ms]
         assert rng_batch.bit_generator.state == rng_one.bit_generator.state
-        assert len(particles) == len(alone) == M
+        assert particles.shape[1] == len(alone) == M
         assert weights.shape == (M, p.J) and log_mass.shape == (M,)
         for m, (x, w, lm) in enumerate(alone):
-            assert particles[m].shape == (p.J, 5)
-            assert np.array_equal(particles[m], x[0])
+            assert particles[:, m].shape == (5, p.J)
+            assert np.array_equal(particles[:, m], x[:, 0])
             assert np.array_equal(weights[m], w[0])
             assert log_mass[m] == lm[0]
         # The near-threshold measurement's redraws consumed extra normals.
         plain = np.random.default_rng(5)
         plain.standard_normal(5 * M * p.J)
         assert plain.bit_generator.state != rng_batch.bit_generator.state
-        assert np.all(particles[0][:, 2] > 0.0)
+        assert np.all(particles[2, 0] > 0.0)
 
     def test_empty_measurement_set(self):
         rng = np.random.default_rng(0)
         before = rng.bit_generator.state
         particles, weights, log_mass = tracker._build_proposals(
             [], params(J=400), GEOM, rng)
-        assert particles.shape == (0, 400, 5)
+        assert particles.shape == (5, 0, 400)
         assert weights.shape == (0, 400) and log_mass.shape == (0,)
         assert rng.bit_generator.state == before
 
     def test_clutter_burst_update_is_finite(self):
         p = params(J=500)
         st = tracker.init(p, GEOM, 4)
-        st.legacy = [point_track([5.0, 0.1, 12.0, 0.0, 0.0], 0.9, p.J),
-                     point_track([9.0, -1.0, 7.0, 0.0, 0.0], 0.6, p.J, tid=2)]
+        stacked([point_track([5.0, 0.1, 12.0, 0.0, 0.0], 0.9, p.J),
+                 point_track([9.0, -1.0, 7.0, 0.0, 0.0], 0.6, p.J, tid=2)], st)
         st.far = point_far(2.0, p.J)
         tracker.predict(st, p)
         _, est, marg = tracker.update(st, burst(200, 200), p, GEOM)
@@ -555,33 +559,42 @@ class TestBatchedProposals:
 
 def test_pruned_beliefs_skip_resampling(monkeypatch):
     # Beliefs below p_pr are dropped without resampling, yet draw the one
-    # uniform resample would have drawn: the rng stream is that of p_pr = 0,
-    # where every belief survives and is resampled.
+    # uniform resampling would have drawn: the rng stream is that of
+    # p_pr = 0, where every belief survives and is resampled. Legacy and new
+    # rows are resampled in the stack (rows records each call of the
+    # systematic kernel), the false-alarm-rate belief through resample.
     def stepped(p_pr):
         p = params(J=200, p_pr=p_pr)
         st = tracker.init(p, GEOM, 12)
-        st.legacy = [point_track([5.0, 0.1, 12.0, 0.0, 0.0], 0.9, p.J),
-                     point_track([9.0, -1.0, 2.5, 0.0, 0.0], 2e-4, p.J, tid=2)]
+        stacked([point_track([5.0, 0.1, 12.0, 0.0, 0.0], 0.9, p.J),
+                 point_track([9.0, -1.0, 2.5, 0.0, 0.0], 2e-4, p.J, tid=2)],
+                st)
         st.far = point_far(2.0, p.J)
         tracker.predict(st, p)
-        calls = []
-        kernel = tracker.resample
+        calls, rows = [], []
+        kernel, row_kernel = tracker.resample, tracker._systematic
 
         def counting(*args):
             calls.append(args[0])
             return kernel(*args)
 
+        def counting_rows(*args):
+            rows.append(args[0])
+            return row_kernel(*args)
+
         with monkeypatch.context() as mp:
             mp.setattr(tracker, "resample", counting)
+            mp.setattr(tracker, "_systematic", counting_rows)
             tracker.update(st, burst(8, 3), p, GEOM)
-        return st, calls
+        return st, calls, rows
 
-    st, calls = stepped(HyperParams().p_pr)
-    st_all, calls_all = stepped(0.0)
+    st, calls, rows = stepped(HyperParams().p_pr)
+    st_all, calls_all, rows_all = stepped(0.0)
     assert len(st_all.legacy) == 2 + 8
     assert len(st.legacy) < len(st_all.legacy)
-    assert len(calls) == len(st.legacy) + 1
-    assert len(calls_all) == len(st_all.legacy) + 1
+    assert len(rows) == len(st.legacy) + 1
+    assert len(rows_all) == len(st_all.legacy) + 1
+    assert len(calls) == len(calls_all) == 1
     assert calls[-1] is st.far
     assert st.rng.bit_generator.state == st_all.rng.bit_generator.state
 
@@ -621,8 +634,8 @@ def tracked_state(p, seed):
     """A state holding both TRUTH components as legacy tracks and a
     false-alarm-rate belief near one clutter point per snapshot."""
     st_ = tracker.init(p, GEOM, seed)
-    st_.legacy = [point_track(x + [0.0, 0.0], 0.9, p.J, tid=i + 1)
-                  for i, x in enumerate(TRUTH)]
+    stacked([point_track(x + [0.0, 0.0], 0.9, p.J, tid=i + 1)
+             for i, x in enumerate(TRUTH)], st_)
     st_.next_id = len(TRUTH) + 1
     st_.far = point_far(1.0, p.J)
     return st_
@@ -679,8 +692,7 @@ class TestUpdateProperties:
         # update act, 50 times in a row.
         p = params(J=200, p_pr=0.0)
         st_ = tracked_state(p, seed)
-        for tr in st_.legacy:
-            tr.p_exist = p_exist
+        st_.p_exist[:] = p_exist
         st_.far = point_far(mu, p.J)
         for _ in range(50):
             tracker.predict(st_, p)
@@ -802,3 +814,289 @@ class TestNonFiniteInjection:
             return counts
 
         assert run(True) == run(False)
+
+
+# ---------------------------------------------------------------------------
+# The stacked layout against the per-track code it replaced
+# ---------------------------------------------------------------------------
+#
+# The oracles below are the per-belief predict, legacy-weight evaluation,
+# legacy update, posterior summary and survivor loop the tracker ran before
+# its beliefs were stacked into arrays. They run on lists of PmpcBelief, and
+# the stacked code must reproduce them bit for bit: states, estimates and
+# the rng state.
+
+def oracle_propagate(particles, params, rng):
+    """Per-track motion model on one (J, 5) particle set."""
+    dt = params.delta_t
+    d, phi, u, v_d, v_phi = particles.T
+    eps = rng.standard_normal((particles.shape[0], 3))
+    eps[:, 0] *= params.sigma_d
+    eps[:, 1] *= params.sigma_phi
+    eps[:, 2] *= params.sigma_u_rel * u
+    return np.stack([d + dt * v_d + dt**2 / 2 * eps[:, 0],
+                     model.wrap_angle(phi + dt * v_phi + dt**2 / 2 * eps[:, 1]),
+                     np.maximum(u + eps[:, 2], 0.0),
+                     v_d + dt * eps[:, 0],
+                     v_phi + dt * eps[:, 1]], axis=1)
+
+
+def oracle_predict(beliefs, far, params, rng):
+    for tr in beliefs:
+        tr.p_exist *= params.p_s
+        tr.particles = oracle_propagate(tr.particles, params, rng)
+    if far is not None:
+        step = params.sigma_fa * rng.standard_normal(far.particles.shape)
+        far.particles = model.reflect_positive(far.particles + step)
+
+
+def oracle_legacy_weights(beliefs, ms, far, params):
+    """Per-track det_prob, ratio matrices R, row scales c and unshifted
+    log_beta of evaluate_weights."""
+    K, M = len(beliefs), len(ms)
+    log_n = (-far.particles + M * np.log(far.particles)) / (K + M)
+    log_w = np.log(np.maximum(far.weights, 1e-300))
+    log_t = model.log_sum_exp(log_n - np.log(far.particles) + log_w) \
+        - model.log_sum_exp(log_n + log_w)
+    log_fa = np.array([model.log_fa_density(z, params.u_de, params.d_max)
+                       for z in ms])
+    det_prob, ratio, scale = [], [], []
+    log_beta = np.full((len(beliefs), M + 1), -np.inf)
+    for k, tr in enumerate(beliefs):
+        p_d = model.detection_prob(tr.particles[:, 2], params.u_de,
+                                   GEOM.n_eff, params.amp_mode)
+        lr = model.log_lik_matrix(ms, tr.particles, params, GEOM, True).T
+        lr -= log_fa[:, None]
+        c = np.max(lr, axis=1)
+        lr -= c[:, None]
+        np.maximum(lr, dabp._LOG_RATIO_FLOOR, out=lr)
+        np.exp(lr, out=lr)
+        det_prob.append(p_d)
+        ratio.append(lr)
+        scale.append(c)
+        miss = (1.0 - tr.p_exist) \
+            + tr.p_exist * float(np.sum(tr.weights * (1.0 - p_d)))
+        log_beta[k, 0] = np.log(max(miss, 1e-300))
+        if M and tr.p_exist > 0.0:
+            with np.errstate(divide="ignore"):
+                log_beta[k, 1:] = (log_t + np.log(tr.p_exist)
+                                   + np.log(lr @ tr.weights) + c)
+    return det_prob, ratio, scale, log_beta
+
+
+def oracle_update_legacy(tr, w, k, log_nu):
+    R = w.ratio[k]
+    M = R.shape[0]
+    log_t = math.log(w.far_ratio)
+    with np.errstate(divide="ignore"):
+        log_miss = np.log(np.maximum(1.0 - w.det_prob[k], 0.0))
+        if M:
+            b = log_nu[:, k] + log_t + w.ratio_log_scale[k]
+            top = np.max(b)
+            assoc = np.log(np.exp(b - top) @ R) + top
+            log_psi = np.logaddexp(log_miss, assoc)
+        else:
+            log_psi = log_miss
+    log_lw = np.log(np.maximum(tr.weights, 1e-300))
+    log_s1 = math.log(tr.p_exist) + model.log_sum_exp(log_lw + log_psi) \
+        if tr.p_exist > 0.0 else -np.inf
+    log_s0 = math.log(1.0 - tr.p_exist) if tr.p_exist < 1.0 else -np.inf
+    if log_s1 == -np.inf and log_s0 == -np.inf:
+        tr.p_exist = 0.0
+    else:
+        gap = min(log_s0 - log_s1, 700.0) if log_s1 > -np.inf else np.inf
+        tr.p_exist = 0.0 if gap == np.inf else 1.0 / (1.0 + math.exp(gap))
+    with np.errstate(invalid="ignore"):
+        new_w = np.exp(log_lw + log_psi - np.max(log_lw + log_psi)) \
+            if np.any(np.isfinite(log_psi)) else np.ones_like(tr.weights)
+    tr.weights = new_w / new_w.sum()
+
+
+def oracle_summary(tr):
+    w, p = tr.weights, tr.particles
+    d = float(np.sum(w * p[:, 0]))
+    u = float(np.sum(w * p[:, 2]))
+    phi = float(np.arctan2(np.sum(w * np.sin(p[:, 1])),
+                           np.sum(w * np.cos(p[:, 1]))))
+    sigma_d = float(np.sqrt(max(np.sum(w * (p[:, 0] - d) ** 2), 0.0)))
+    dphi = model.ang_diff(p[:, 1], phi)
+    sigma_phi = float(np.sqrt(max(np.sum(w * dphi * dphi), 0.0)))
+    return tracker.TrackEstimate(tr.id, d, float(model.wrap_angle(phi)), u,
+                                 sigma_d, sigma_phi, tr.p_exist)
+
+
+def oracle_survivors(legacy, new, step, next_id, p_pr, J, rng):
+    """The survivor loop: one uniform per belief, legacy then new; pruned
+    beliefs draw theirs and are dropped, survivors are resampled one at a
+    time and new survivors numbered from next_id."""
+    survivors = []
+    for i, tr in enumerate(legacy + new):
+        if not tr.p_exist >= p_pr:
+            rng.random()
+            continue
+        w = np.asarray(tr.weights, dtype=float)
+        total = w.sum()
+        positions = (rng.random() + np.arange(J)) / J
+        idx = np.minimum(np.searchsorted(np.cumsum(w / total), positions),
+                         len(w) - 1)
+        tr.particles, tr.weights = tr.particles[idx], np.full(J, 1.0 / J)
+        if i >= len(legacy):
+            tr.id, tr.birth_step = next_id, step
+            next_id += 1
+        survivors.append(tr)
+    return survivors, next_id
+
+
+def random_beliefs(rng, K, J, zero_weights=True):
+    """K beliefs with scattered particles, amplitude clouds near the
+    detection threshold and angle clouds straddling +-pi (every third
+    belief), non-uniform weights with some exact zeros, and existence
+    probabilities including 0 and 1."""
+    out = []
+    for k in range(K):
+        center = np.array([rng.uniform(1.0, 16.0), rng.uniform(-np.pi, np.pi),
+                           rng.uniform(1.5, 20.0), rng.normal(0.0, 0.2),
+                           rng.normal(0.0, 0.05)])
+        if k % 3 == 0:
+            center[1] = np.pi - 0.01
+        scale = np.array([0.05, 0.03, 0.4 * center[2], 0.02, 0.01])
+        parts = center + scale * rng.standard_normal((J, 5))
+        parts[:, 1] = model.wrap_angle(parts[:, 1])
+        parts[:, 2] = np.abs(parts[:, 2])
+        w = rng.exponential(1.0, J)
+        if zero_weights:
+            w[rng.random(J) < 0.2] = 0.0
+        q = (0.0, 1.0, 0.5)[k] if k < 3 and K > 3 else rng.uniform(0.01, 1.0)
+        out.append(PmpcBelief(k + 1, k, parts, w / w.sum(), q))
+    return out
+
+
+def assert_rows_equal(state, beliefs):
+    assert [tr.id for tr in state.legacy] == [tr.id for tr in beliefs]
+    assert [tr.birth_step for tr in state.legacy] \
+        == [tr.birth_step for tr in beliefs]
+    for got, want in zip(state.legacy, beliefs):
+        assert got.particles.tobytes() == want.particles.tobytes()
+        assert got.weights.tobytes() == want.weights.tobytes()
+        assert got.p_exist == want.p_exist
+
+
+STACK_SIZES = [(K, J) for K in (1, 4, 12) for J in (1000, 10000)]
+
+
+class TestStackedEqualsPerTrack:
+    @pytest.mark.parametrize("K,J", STACK_SIZES)
+    def test_predict(self, K, J):
+        p = params(J=J, p_s=0.97, sigma_u_rel=0.3)
+        beliefs = random_beliefs(np.random.default_rng(K * J), K, J)
+        st = stacked(copy.deepcopy(beliefs), tracker.init(p, GEOM, 5))
+        st.far = point_far(2.0, J)
+        far = copy.deepcopy(st.far)
+        rng = np.random.default_rng(5)
+        tracker.predict(st, p)
+        oracle_predict(beliefs, far, p, rng)
+        assert_rows_equal(st, beliefs)
+        assert st.far.particles.tobytes() == far.particles.tobytes()
+        assert st.rng.bit_generator.state == rng.bit_generator.state
+
+    @pytest.mark.parametrize("K,J", STACK_SIZES)
+    def test_estimate(self, K, J):
+        p = params(J=J)
+        beliefs = random_beliefs(np.random.default_rng(K + J), K, J)
+        est = tracker.estimate(stacked(beliefs), p)
+        assert est.all_tracks == [oracle_summary(tr) for tr in beliefs]
+        assert est.detected == [t for t in est.all_tracks
+                                if t.p_exist > p.p_de]
+
+    @pytest.mark.parametrize("mode", ["gauss", "exact"])
+    @pytest.mark.parametrize("K,J", STACK_SIZES)
+    def test_weights_and_legacy_update(self, K, J, mode):
+        # evaluate_weights scores blocks of rows in one kernel call (at
+        # J = 1000 and M = 3 up to ten rows) and _update_legacy runs on the
+        # whole stack; both equal the per-track loops.
+        p = params(J=J, amp_mode=mode)
+        rng = np.random.default_rng(3 * K + J)
+        beliefs = random_beliefs(rng, K, J)
+        ms = sorted([Measurement(tr.particles[0, 0] + 0.01,
+                                 tr.particles[0, 1], 8.0)
+                     for tr in beliefs[:3]],
+                    key=lambda z: (z.z_d, z.z_phi, z.z_u))
+        st = stacked(copy.deepcopy(beliefs))
+        far = FarBelief(rng.uniform(0.5, 4.0, J), np.full(J, 1.0 / J))
+        w = dabp.evaluate_weights(st, np.zeros(len(ms)), ms, far, p, GEOM)
+        det_prob, ratio, scale, log_beta = oracle_legacy_weights(
+            beliefs, ms, far, p)
+        assert w.det_prob.tobytes() == np.array(det_prob).tobytes()
+        assert all(np.array_equal(a, b) for a, b in zip(w.ratio, ratio))
+        assert w.ratio_log_scale.tobytes() == np.array(scale).tobytes()
+        shift = np.max(log_beta, axis=1, keepdims=True)
+        assert w.log_beta.tobytes() == (log_beta - shift).tobytes()
+
+        log_nu = rng.normal(0.0, 1.0, (len(ms), K))
+        tracker._update_legacy(st, w, log_nu)
+        for k, tr in enumerate(beliefs):
+            oracle_update_legacy(tr, w, k, log_nu)
+        assert_rows_equal(st, beliefs)
+
+    @pytest.mark.parametrize("K,J", STACK_SIZES)
+    def test_survivors(self, K, J):
+        # Legacy rows with p_exist 0 and NaN and new rows below p_pr are
+        # pruned; the rest are resampled from one uniform each.
+        p = params(J=J, p_pr=0.05)
+        rng = np.random.default_rng(7 * K + J)
+        legacy = random_beliefs(rng, K, J)
+        new = random_beliefs(rng, 5, J, zero_weights=False)
+        legacy[-1].p_exist = math.nan
+        p_new = [1e-3, 0.5, math.nan, 0.9, 0.05]
+        for tr, q in zip(new, p_new):
+            tr.p_exist = q
+        st = stacked(copy.deepcopy(legacy), tracker.init(p, GEOM, 11))
+        st.step, st.next_id = 9, 40
+        X = np.stack([tr.particles.T for tr in new], axis=1)
+        tracker._prune_and_resample(st, X, np.array([tr.weights for tr in new]),
+                                    p_new, p)
+        want, next_id = oracle_survivors(legacy, new, 9, 40, p.p_pr, J,
+                                         np.random.default_rng(11))
+        assert len(st.legacy) == len(want) == sum(
+            tr.p_exist >= p.p_pr for tr in legacy) + 3
+        assert_rows_equal(st, want)
+        assert st.next_id == next_id == 43
+        oracle_rng = np.random.default_rng(11)
+        oracle_rng.random(K + 5)
+        assert st.rng.bit_generator.state == oracle_rng.bit_generator.state
+
+
+class TestEmptyStack:
+    def test_zero_to_n_to_zero(self):
+        # An empty (5, 0, J) stack runs through predict, update and
+        # estimate; births fill it from empty, a step that prunes every row
+        # empties it again, and ids continue across.
+        p = params(J=300)
+        st = tracker.init(p, GEOM, 21)
+        assert st.particles.shape == (5, 0, p.J)
+        assert st.weights.shape == (0, p.J)
+        tracker.predict(st, p)
+        _, est, _ = tracker.update(st, [], p, GEOM)
+        assert st.particles.shape == (5, 0, p.J) and est.all_tracks == []
+
+        ms = [Measurement(5.0, 0.3, 30.0), Measurement(9.0, -2.0, 25.0)]
+        tracker.predict(st, p)
+        _, est, _ = tracker.update(st, ms, p, GEOM)
+        K = len(st.p_exist)
+        assert K == 2 and st.particles.shape == (5, K, p.J)
+        assert st.ids.tolist() == [1, 2] and st.next_id == 3
+        assert st.birth_steps.tolist() == [st.step] * K
+        assert [t.id for t in est.all_tracks] == [1, 2]
+
+        st.p_exist[:] = 1e-9
+        tracker.predict(st, p)
+        _, est, _ = tracker.update(st, [], p, GEOM)
+        assert st.particles.shape == (5, 0, p.J)
+        assert st.weights.shape == (0, p.J)
+        assert st.p_exist.shape == st.ids.shape == st.birth_steps.shape \
+            == (0,)
+        assert st.legacy == [] and est.all_tracks == [] and est.nom_hat == 0
+
+        tracker.predict(st, p)
+        tracker.update(st, [Measurement(12.0, 1.0, 30.0)], p, GEOM)
+        assert st.ids.tolist() == [3] and st.next_id == 4

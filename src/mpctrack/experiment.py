@@ -35,7 +35,7 @@ def _radio_measurements(scn: Scenario, step: int, cfg: ExperimentConfig,
     for row in scn.truth_arrays(step):
         state = tracker.model.KinematicState.from_array(row)
         truth.append((state, rng.uniform(0.0, 2.0 * np.pi)))
-    samples = radio.synth_radio(truth, cfg.geom, 1.0, rng)
+    samples = radio.synth_radio(truth, cfg.geom, rng)
     u_de = cfg.snapshot_u_de if cfg.snapshot_u_de is not None \
         else cfg.hyper.u_de
     return radio.snapshot_estimate(samples, feedback, cfg.geom, u_de,

@@ -28,26 +28,32 @@ MU_FA_FLOOR = 1e-6
 SIGMA_PHI_SQ_MAX = TWO_PI**2
 
 
-def wrap_angle(phi):
-    """Wrap angles (radians) into [-pi, pi) as np.mod(phi + pi, 2 pi) - pi.
-    Works on scalars and arrays.
+def wrap_periodic(x, period: float):
+    """Wrap x into [-period/2, period/2) as
+    np.mod(x + period/2, period) - period/2. Works on scalars and arrays.
 
-    A float64 array whose shifted values y = phi + pi all lie in
-    [-2 pi, 4 pi), such as a residual of two wrapped angles or an angle one
-    motion step off the circle, is wrapped by adding or subtracting 2 pi
-    where y < 0 or y >= 2 pi. Subtracting is exact (Sterbenz) and adding
-    rounds as np.mod's own correction does, so the result is bit-for-bit the
-    np.mod form at a fraction of its cost. Every other input (0-d, empty,
+    A float64 array whose shifted values y = x + period/2 all lie in
+    [-period, 2 period), such as a residual of two wrapped angles, an angle
+    one motion step off the circle or the radio's sample-time-minus-delay
+    grid, is wrapped by adding or subtracting the period where y < 0 or
+    y >= period. Subtracting is exact (Sterbenz) and adding rounds as
+    np.mod's own correction does, so the result is bit-for-bit the np.mod
+    form at a fraction of its cost. Every other input (0-d, empty,
     non-finite, further out) takes np.mod.
     """
-    y = np.asarray(phi) + np.pi
+    y = np.asarray(x) + period / 2.0
     if (np.ndim(y) and y.dtype == np.float64 and y.size
-            and y.min() >= -TWO_PI and y.max() < 2.0 * TWO_PI):
-        y -= TWO_PI * (y >= TWO_PI)
-        y += TWO_PI * (y < 0.0)
-        y -= np.pi
+            and y.min() >= -period and y.max() < 2.0 * period):
+        y -= period * (y >= period)
+        y += period * (y < 0.0)
+        y -= period / 2.0
         return y
-    return np.mod(y, TWO_PI) - np.pi
+    return np.mod(y, period) - period / 2.0
+
+
+def wrap_angle(phi):
+    """Wrap angles (radians) into [-pi, pi): wrap_periodic with period 2 pi."""
+    return wrap_periodic(phi, TWO_PI)
 
 
 def ang_diff(a, b):
@@ -122,6 +128,15 @@ class ArrayGeometry:
             raise ValueError("element centroid must be at the origin")
         # Closed-form aperture coefficients (see aperture_sq).
         d2h, two_phi_h = self._polar[:, 0] ** 2, 2.0 * self._polar[:, 1]
+        # A subnormal, underflowed or overflowed square has no relative
+        # precision, so the aperture would be rounding noise.
+        fi = np.finfo(float)
+        bad = (self._polar[:, 0] != 0.0) & ~((d2h >= fi.tiny)
+                                             & (d2h <= fi.max))
+        if np.any(bad):
+            raise ValueError("element distances must be 0 or have squares in "
+                             "the normal float range; got "
+                             f"{self._polar[bad, 0].tolist()}")
         a, b, c = (float(np.sum(d2h)) / 2.0,
                    float(np.sum(d2h * np.cos(two_phi_h))) / 2.0,
                    float(np.sum(d2h * np.sin(two_phi_h))) / 2.0)

@@ -31,6 +31,21 @@ def stacked(beliefs, state=None):
     return st
 
 
+def component_sum(truth, geom):
+    """The noiseless part of radio.synth_radio's observation: each
+    (KinematicState, phase) component's steering row scaled to normalized
+    amplitude u at unit noise variance, summed in order. test_radio pins
+    synth_radio to this sum plus its noise, bit for bit."""
+    samples = np.zeros(geom.n_eff, dtype=complex)
+    S = radio.steering_vectors([st.d for st, _ in truth],
+                               [st.phi for st, _ in truth], geom)
+    for (state, phase), s in zip(truth, S):
+        norm = np.linalg.norm(s)
+        if norm > 0.0:
+            samples += state.u / norm * np.exp(1j * phase) * s
+    return samples
+
+
 @pytest.fixture(scope="session")
 def amp_lik():
     """The amplitude likelihood f(z_u | u) as the tracker evaluates it.

@@ -21,7 +21,7 @@ from mpctrack.model import HyperParams, KinematicState, Measurement
 from mpctrack.scenario import desk_scenario
 from mpctrack.tracker import FarBelief, PmpcBelief
 
-from conftest import stacked
+from conftest import component_sum, stacked
 
 GEOM = radio.default_geometry()
 
@@ -269,8 +269,7 @@ def test_c09_radio_pipeline_round_trip():
     # Noiseless single component.
     d_true, phi_true = 5.37, math.radians(23.4)
     s = KinematicState(d_true, phi_true, 30.0, 0.0, 0.0)
-    samples = radio.synth_radio([(s, 0.7)], GEOM, 0.0,
-                                np.random.default_rng(0))
+    samples = component_sum([(s, 0.7)], GEOM)
     ms = radio.snapshot_estimate(samples, None, GEOM, u_de=25.0)
     d_err = abs(ms[0].z_d - d_true) if ms else math.inf
     phi_err = abs(ms[0].z_phi - phi_true) if ms else math.inf

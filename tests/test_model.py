@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.integrate import quad
@@ -321,16 +321,35 @@ class TestVariances:
         for phi, v in zip(phis, got):
             assert abs(v - self.aperture_by_elements(phi, g)) <= 1e-15 * a
 
+    SUBNORMAL_XY = np.array([[1.16e-161, 0.0], [0.0, 0.0], [0.0, 0.0],
+                             [0.0, 0.0]])
+
     @given(hnp.arrays(np.float64, st.tuples(st.integers(2, 6), st.just(2)),
                       elements=st.floats(-0.1, 0.1)),
            st.floats(-np.pi, np.pi), st.floats(-np.pi, np.pi))
+    @example(SUBNORMAL_XY, -3.0, 0.3)
+    @example(SUBNORMAL_XY, -3.0, 2.0)
     def test_aperture_closed_form_random_array(self, xy, psi, phi):
         xy = xy - xy.mean(axis=0)
         off = [(math.hypot(x, y), math.atan2(y, x)) for x, y in xy]
         a = 0.5 * sum(d * d for d, _ in off)
-        g = ArrayGeometry(off, psi, 6e9, 1e16, 46, 1.25e-9)
+        try:
+            g = ArrayGeometry(off, psi, 6e9, 1e16, 46, 1.25e-9)
+        except ValueError as exc:
+            # Distances whose squares leave the normal float range.
+            assert "normal float range" in str(exc)
+            reject()
         assert abs(float(model.aperture_sq(phi, g))
                    - self.aperture_by_elements(phi, g)) <= 1e-15 * a
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered in square")
+    @pytest.mark.parametrize("dist", [1.16e-161, 1e-300, 2e154])
+    def test_distance_squares_outside_normal_range_rejected(self, dist):
+        # 1.16e-161 is the offset hypothesis found for the closed form
+        # above: it squares to a subnormal, where the 1e-15 * a bound is 0.
+        off = [(dist, 0.0), (dist, np.pi), (0.0, 0.0)]
+        with pytest.raises(ValueError, match="normal float range"):
+            ArrayGeometry(off, 0.0, 6e9, 1e16, 46, 1.25e-9)
 
     @given(st.floats(1e-3, 0.5), st.floats(-np.pi, np.pi),
            st.floats(-np.pi, np.pi), st.integers(-4, 4))

@@ -2,12 +2,12 @@
 with belief-propagation data association, particle filtering and online
 false-alarm-rate adaptation, plus the synthetic experiment harness."""
 
-from .model import ArrayGeometry, HyperParams, KinematicState, Measurement
+from .model import ArrayGeometry, HyperParams, Measurement
 from .scenario import Scenario
 from .tracker import FarBelief, PmpcBelief, StepEstimate, TrackerState
 
 __all__ = [
-    "ArrayGeometry", "HyperParams", "KinematicState", "Measurement",
+    "ArrayGeometry", "HyperParams", "Measurement",
     "Scenario",
     "FarBelief", "PmpcBelief", "StepEstimate", "TrackerState",
 ]

@@ -28,21 +28,14 @@ def main():
                                            "radio_pipeline"]), default=None)
 def run(config, runs, seed, out, workers, mode):
     """Run the Monte-Carlo experiment described by CONFIG."""
-    report = validate_config(config)
+    overrides = {"runs": runs, "base_seed": seed, "out_dir": out,
+                 "workers": workers, "mode": mode}
+    report = validate_config(config, {k: v for k, v in overrides.items()
+                                      if v is not None})
     if not report.ok:
         click.echo(report.to_json(), err=True)
         sys.exit(2)
     cfg = report.config
-    if runs is not None:
-        cfg.runs = runs
-    if seed is not None:
-        cfg.base_seed = seed
-    if out is not None:
-        cfg.out_dir = out
-    if workers is not None:
-        cfg.workers = workers
-    if mode is not None:
-        cfg.mode = mode
     try:
         agg = run_experiment(cfg)
     except (ValueError, OSError) as exc:

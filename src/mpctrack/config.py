@@ -149,8 +149,9 @@ def config_from_dict(doc: dict) -> ValidationReport:
     return ValidationReport(not errors, errors, filled, cfg)
 
 
-def validate_config(path: str) -> ValidationReport:
-    """Parse and validate a config file; never raises on content problems."""
+def validate_config(path: str, overrides: dict = None) -> ValidationReport:
+    """Parse and validate a config file, with the top-level fields in
+    overrides replacing the file's; never raises on content problems."""
     try:
         with open(path, "r", encoding="utf-8") as f:
             doc = json.load(f)
@@ -160,7 +161,7 @@ def validate_config(path: str) -> ValidationReport:
         return ValidationReport(False, [("", f"config is not valid JSON: {exc}")], [])
     if not isinstance(doc, dict):
         return ValidationReport(False, [("", "config root must be an object")], [])
-    return config_from_dict(doc)
+    return config_from_dict({**doc, **(overrides or {})})
 
 
 def config_to_dict(cfg: ExperimentConfig) -> dict:

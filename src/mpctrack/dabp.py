@@ -4,7 +4,7 @@ The bipartite association problem couples track-oriented variables a_k (0 =
 missed detection, m >= 1 = measurement index) with measurement-oriented
 variables b_m (0 = new component or clutter, k >= 1 = legacy index) through
 pairwise exclusion constraints. Local evidence enters through two weight
-matrices:
+matrices, stored as their logs (AssociationWeights.log_beta, .log_xi):
 
   beta[k, m]  -- legacy k associating with measurement m (column 0 = miss),
                  particle- and FAR-integrated, marginalized over existence;
@@ -18,13 +18,13 @@ marginals.
 """
 
 import logging
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from dataclasses import InitVar, dataclass, field
+from typing import Optional
 
 import numpy as np
 
 from . import model
-from .model import ArrayGeometry, HyperParams, Measurement, log_sum_exp
+from .model import ArrayGeometry, HyperParams, log_sum_exp
 
 log = logging.getLogger(__name__)
 
@@ -40,12 +40,13 @@ _LOG_RATIO_FLOOR = -600.0
 
 @dataclass
 class AssociationWeights:
-    """DA factor weights plus optional per-particle caches used downstream by
+    """DA factor weights, kept as logs only (beta or xi given instead is
+    stored as its log), plus optional per-particle caches used downstream by
     the measurement update (filled by evaluate_weights, ignored by the BP)."""
-    beta: np.ndarray                    # (K, M+1), row-scaled
-    xi: np.ndarray                      # (M, K+1), row-scaled
-    log_beta: Optional[np.ndarray] = None
-    log_xi: Optional[np.ndarray] = None
+    beta: InitVar[Optional[np.ndarray]] = None
+    xi: InitVar[Optional[np.ndarray]] = None
+    log_beta: Optional[np.ndarray] = None  # (K, M+1), row-scaled
+    log_xi: Optional[np.ndarray] = None    # (M, K+1), row-scaled
     far_ratio: float = 1.0              # E[n(mu)/mu] / E[n(mu)] under the FAR belief
     det_prob: Optional[np.ndarray] = None  # (K, J) P_d(x), for the miss term
     # Per track, the detection-weighted ratio P_d(x_j) f(z_m|x_j)/f_fa(z_m)
@@ -55,6 +56,16 @@ class AssociationWeights:
     ratio: Optional[list] = None
     ratio_log_scale: Optional[np.ndarray] = None  # (K, M)
     log_new_mass: Optional[np.ndarray] = None  # (M,) log(far_ratio*mu_n*<f>/f_fa)
+
+    def __post_init__(self, beta, xi):
+        with np.errstate(divide="ignore"):
+            if self.log_beta is None:
+                self.log_beta = np.log(beta)
+            if self.log_xi is None:
+                self.log_xi = np.log(xi)
+
+
+del AssociationWeights.beta, AssociationWeights.xi  # no InitVar defaults
 
 
 @dataclass
@@ -69,20 +80,21 @@ class AssociationMarginals:
     degenerate_rows: tuple = ()
 
 
-def evaluate_weights(legacy, log_mass: np.ndarray,
-                     measurements: Sequence[Measurement], far_belief,
-                     params: HyperParams, geom: ArrayGeometry) -> AssociationWeights:
+def evaluate_weights(legacy, log_mass: np.ndarray, z: np.ndarray,
+                     log_fa: np.ndarray, far_belief, params: HyperParams,
+                     geom: ArrayGeometry) -> AssociationWeights:
     """Integrate the association factors over the particle beliefs and the
     false-alarm-rate belief.
 
     legacy: stacked beliefs with .particles (5, K, J), .weights (K, J)
     normalized and .p_exist (K,) (predicted). log_mass: (M,), the log
     importance estimate of <f(z|x)>_birth / f_fa(z) per measurement.
-    far_belief: object with .particles (> 0) and .weights.
+    z: (M, 3) measurement rows (z_d, z_phi, z_u), log_fa: (M,) their
+    clutter log densities. far_belief: object with .particles (> 0) and
+    .weights.
 
-    Each beta/xi row is shifted to a unit maximum before exponentiating so
-    extreme likelihood ratios cannot overflow; downstream marginals are
-    scale-invariant per row, so this is lossless.
+    Each log_beta/log_xi row is shifted to a zero maximum; downstream
+    marginals are scale-invariant per row, so this is lossless.
 
     Each legacy row's (M, J) log-ratio matrix is exponentiated once, in
     place, after subtracting its row maxima c_m (entries more than 600
@@ -91,7 +103,7 @@ def evaluate_weights(legacy, log_mass: np.ndarray,
     measurement update (AssociationWeights.ratio, .ratio_log_scale).
     """
     K = len(legacy.weights)
-    M = len(measurements)
+    M = len(z)
     if K + M == 0:
         raise ValueError("nothing to associate: no tracks and no measurements")
 
@@ -104,9 +116,6 @@ def evaluate_weights(legacy, log_mass: np.ndarray,
     log_ntil = log_sum_exp(log_n - np.log(mu) + log_w)
     log_t = log_ntil - log_nbar  # log of the 1/mu_fa weighting ratio
 
-    log_fa = np.array([model.log_fa_density(z, params.u_de, params.d_max)
-                       for z in measurements])
-
     det_prob = model.detection_prob(legacy.particles[2], params.u_de,
                                     geom.n_eff, params.amp_mode)
     # One kernel call scores as many rows as keep its (M, rows * J) arrays
@@ -117,7 +126,7 @@ def evaluate_weights(legacy, log_mass: np.ndarray,
         x = legacy.particles[:, k0:k0 + rows]
         # Detection-weighted ratio log P_d + log f - log f_fa: the kernel
         # result is a view of a measurement-major (M, rows * J) array.
-        lr = model.log_lik_matrix(measurements, x.reshape(5, -1).T, params,
+        lr = model.log_lik_matrix(z, x.reshape(5, -1).T, params,
                                   geom, True).T.reshape(M, *x.shape[1:])
         lr -= log_fa[:, None, None]
         c = np.max(lr, axis=2)
@@ -151,20 +160,11 @@ def evaluate_weights(legacy, log_mass: np.ndarray,
         log_xi = log_xi - shift_x
 
     return AssociationWeights(
-        beta=np.exp(log_beta), xi=np.exp(log_xi),
         log_beta=log_beta, log_xi=log_xi,
         far_ratio=float(np.exp(log_t)),
         det_prob=det_prob, ratio=ratio, ratio_log_scale=ratio_log_scale,
         log_new_mass=log_new_mass,
     )
-
-
-def _log_weights(w: AssociationWeights):
-    if w.log_beta is not None and w.log_xi is not None:
-        return np.array(w.log_beta, dtype=float), np.array(w.log_xi, dtype=float)
-    with np.errstate(divide="ignore"):
-        return np.log(np.asarray(w.beta, dtype=float)), \
-            np.log(np.asarray(w.xi, dtype=float))
 
 
 def _fix_degenerate_rows(lw: np.ndarray, tag: str, flagged: list) -> np.ndarray:
@@ -204,7 +204,7 @@ def loopy_da(w: AssociationWeights, P: int, tol: float) -> AssociationMarginals:
     legacy-to-measurement messages (zeta) are refreshed from the previous
     measurement-to-legacy messages (nu), then nu from the new zeta.
     """
-    lb, lx = _log_weights(w)
+    lb, lx = w.log_beta, w.log_xi
     K = lb.shape[0]
     M = lx.shape[0]
     if lb.shape != (K, M + 1) or lx.shape != (M, K + 1):
@@ -256,8 +256,8 @@ def exhaustive_da_oracle(w: AssociationWeights) -> AssociationMarginals:
     """Exact association marginals by enumerating every admissible (a, b)
     configuration: each a_k picks a distinct measurement or 0, and b is the
     implied inverse. Only feasible for small instances."""
-    beta = np.asarray(w.beta, dtype=float)
-    xi = np.asarray(w.xi, dtype=float)
+    beta = np.exp(w.log_beta)
+    xi = np.exp(w.log_xi)
     K = beta.shape[0]
     M = xi.shape[0]
     if K > 8 or M > 8:

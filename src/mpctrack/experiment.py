@@ -31,11 +31,9 @@ def _radio_measurements(scn: Scenario, step: int, cfg: ExperimentConfig,
     """Synthesize one radio snapshot from truth with unit noise variance,
     so the truth amplitudes are the normalized amplitudes u, and run the
     snapshot estimator on it."""
-    truth = []
-    for row in scn.truth_arrays(step):
-        state = tracker.model.KinematicState.from_array(row)
-        truth.append((state, rng.uniform(0.0, 2.0 * np.pi)))
-    samples = radio.synth_radio(truth, cfg.geom, rng)
+    truth = scn.truth_arrays(step)
+    phases = rng.uniform(0.0, 2.0 * np.pi, len(truth))
+    samples = radio.synth_radio(truth, phases, cfg.geom, rng)
     u_de = cfg.snapshot_u_de if cfg.snapshot_u_de is not None \
         else cfg.hyper.u_de
     return radio.snapshot_estimate(samples, feedback, cfg.geom, u_de,

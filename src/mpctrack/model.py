@@ -11,6 +11,7 @@ import dataclasses
 import math
 import numbers
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy import special
@@ -76,24 +77,7 @@ def log_sum_exp(a: np.ndarray, axis=None):
 # Domain types
 # ---------------------------------------------------------------------------
 
-@dataclass
-class KinematicState:
-    """Single-component kinematic state: distance, angle-of-arrival,
-    normalized amplitude, distance velocity and angular velocity."""
-    d: float        # meters
-    phi: float      # radians, in [-pi, pi)
-    u: float        # dimensionless, sqrt of component SNR, >= 0
-    v_d: float      # m/s
-    v_phi: float    # rad/s
-
-    @staticmethod
-    def from_array(x) -> "KinematicState":
-        d, phi, u, v_d, v_phi = (float(v) for v in x)
-        return KinematicState(d, phi, u, v_d, v_phi)
-
-
-@dataclass(frozen=True)
-class Measurement:
+class Measurement(NamedTuple):
     """One snapshot-estimator output: distance, AoA and normalized amplitude."""
     z_d: float
     z_phi: float
@@ -437,6 +421,7 @@ def log_lik_matrix(measurements, particles: np.ndarray, params: HyperParams,
                    geom: ArrayGeometry, detected: bool = False) -> np.ndarray:
     """Log joint measurement likelihoods log f(z_m | x_j) as a (J, M) matrix.
 
+    measurements is M Measurement tuples or an (M, 3) array of such rows.
     particles is either one shared (J, 5) set, scored against every
     measurement, or a (J, M, 5) array whose column m is measurement m's own
     particle set (the new-track proposals): entry (j, m) is then
@@ -478,7 +463,7 @@ def log_lik_matrix(measurements, particles: np.ndarray, params: HyperParams,
     if not detected:
         log_norm -= log_detection_prob(u, params.u_de, geom.n_eff,
                                        params.amp_mode)
-    z = np.array([(m.z_d, m.z_phi, m.z_u) for m in measurements], dtype=float)
+    z = np.asarray(measurements, dtype=float).reshape(M, 3)
     zd, zp, zu = z[:, 0:1], z[:, 1:2], z[:, 2:3]
     out = zd - d
     out *= out

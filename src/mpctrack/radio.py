@@ -19,13 +19,6 @@ a point's score does not depend on the batch it is in. The winner keeps the
 steering row and (nsq, corr) it was scored with, so a component costs four
 batched steering evaluations (five when the winner is a start point whose
 phi wrapping changes).
-
-The pulse formula runs only on the samples inside its support (about 56% of
-the steering samples), and delays wrap with model.wrap_periodic's
-add-or-subtract fast path; both are bit-for-bit the full evaluation after
-np.mod. On the benchmark's pipeline workload (K = 2.0 tracks, M = 2.0
-measurements, J = 1000 particles, 2 vCPUs) that took snapshot_estimate from
-6.27 to 5.46 ms per snapshot, with identical outputs.
 """
 
 import logging
@@ -124,23 +117,23 @@ def steering_vectors(d, phi, geom: ArrayGeometry) -> np.ndarray:
     return blocks.reshape(d.size, geom.n_eff)
 
 
-def synth_radio(truth: list, geom: ArrayGeometry,
+def synth_radio(truth: np.ndarray, phases: np.ndarray, geom: ArrayGeometry,
                 rng: np.random.Generator) -> np.ndarray:
     """One sampled array observation (complex, (N_s * H,), element-major
-    stacking): components given as (KinematicState, amplitude phase) pairs
-    plus circular complex Gaussian noise of unit variance.
+    stacking): components given as (P, 5) truth rows (d, phi, u, v_d, v_phi)
+    with (P,) amplitude phases, plus circular complex Gaussian noise of unit
+    variance.
 
     Each component's amplitude magnitude is set so its normalized amplitude
-    (|alpha| ||s|| / sigma) equals the state's u.
+    (|alpha| ||s|| / sigma) equals the row's u.
     """
     samples = np.zeros(geom.n_eff, dtype=complex)
-    S = steering_vectors([st.d for st, _ in truth],
-                         [st.phi for st, _ in truth], geom)
-    for (state, phase), s in zip(truth, S):
+    S = steering_vectors(truth[:, 0], truth[:, 1], geom)
+    for u, phase, s in zip(truth[:, 2].tolist(), phases.tolist(), S):
         norm = np.linalg.norm(s)
         if norm == 0.0:
             continue
-        samples += state.u / norm * np.exp(1j * phase) * s
+        samples += u / norm * np.exp(1j * phase) * s
     samples += math.sqrt(0.5) * (rng.standard_normal(geom.n_eff)
                                  + 1j * rng.standard_normal(geom.n_eff))
     return samples
@@ -341,6 +334,15 @@ def snapshot_estimate(samples: np.ndarray, prior_tracks, geom: ArrayGeometry,
                     "energy %.3g out of range; no measurements",
                     np.count_nonzero(~np.isfinite(residual)), n, energy)
         return []
+    # Far from unit scale the Newton determinant over- or underflows; a
+    # power of two brings the largest sample into [1, 2), in two exact
+    # steps so each factor stays representable. Every output is scale-free.
+    peak = float(np.max(np.abs(residual)))
+    if peak and not 2.0**-64 <= peak <= 2.0**64:
+        k = 1 - math.frexp(peak)[1]
+        residual *= 2.0 ** (k // 2)
+        residual *= 2.0 ** (k - k // 2)
+        energy = initial_energy = float(np.vdot(residual, residual).real)
     thresh = math.sqrt(u_de)
     seeds = [(t.d, float(t.phi)) for t in (prior_tracks or [])]
     found = []

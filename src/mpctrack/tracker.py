@@ -161,16 +161,17 @@ def estimate(state: TrackerState, params: HyperParams) -> StepEstimate:
 # Measurement update
 # ---------------------------------------------------------------------------
 
-def _build_proposals(ms: Sequence[Measurement], params: HyperParams,
+def _build_proposals(z: np.ndarray, log_fa: np.ndarray, params: HyperParams,
                      geom: ArrayGeometry, rng: np.random.Generator) -> tuple:
-    """For each measurement, sample a 5-D Gaussian centered on it and
-    importance-weight it against the birth prior times the measurement
+    """For each measurement row (z_d, z_phi, z_u) of z (M, 3), whose
+    clutter log density is log_fa[m], sample a 5-D Gaussian centered on it
+    and importance-weight it against the birth prior times the measurement
     likelihood. Returns (particles, weights, log_mass), row m for
     measurement m: field-major particles (5, M, J), laid out like the
     legacy stack, normalized weights (M, J) and log_mass (M,), the log
-    importance estimate of
-    <f(z | x)>_birth-prior / f_fa(z), the evidence that the measurement was
-    produced by a newly appearing component rather than clutter.
+    importance estimate of <f(z | x)>_birth-prior / f_fa(z), the evidence
+    that the measurement was produced by a newly appearing component
+    rather than clutter.
 
     The velocity prior equals the proposal (it cancels); distance and angle
     have the uniform birth density, and the amplitude a uniform prior over a
@@ -184,17 +185,16 @@ def _build_proposals(ms: Sequence[Measurement], params: HyperParams,
     log_lik_matrix call pairs each measurement with its own particle set,
     and the weights and log masses are reduced row by row.
     """
-    M, J = len(ms), params.J
+    M, J = len(z), params.J
     if M == 0:
         return np.empty((5, 0, J)), np.empty((0, J)), np.empty(0)
-    z = np.array([(m.z_d, m.z_phi, m.z_u) for m in ms], dtype=float)
     zd, zp, zu = z[:, 0:1], z[:, 1:2], z[:, 2:3]
     # Per measurement as scalars: on a scalar u**2 is pow(), on an array
     # u*u, and the two differ in the last bit for about 1e-3 of amplitudes.
-    sd = np.array([[math.sqrt(float(model.sigma_d_sq(m.z_u, geom)))]
-                   for m in ms])
-    sp = np.array([[math.sqrt(float(model.sigma_phi_sq(m.z_u, m.z_phi, geom)))]
-                   for m in ms])
+    sd = np.array([[math.sqrt(float(model.sigma_d_sq(u, geom)))]
+                   for _, _, u in z.tolist()])
+    sp = np.array([[math.sqrt(float(model.sigma_phi_sq(u, phi, geom)))]
+                   for _, phi, u in z.tolist()])
     su = np.sqrt(model.amp_scale_sq(zu, geom.n_eff))
 
     X = np.empty((5, M, J))
@@ -222,7 +222,7 @@ def _build_proposals(ms: Sequence[Measurement], params: HyperParams,
     v_d *= params.sigma_v_d
     v_phi *= params.sigma_v_phi
 
-    log_lik = model.log_lik_matrix(ms, X.transpose(2, 1, 0), params, geom).T
+    log_lik = model.log_lik_matrix(z, X.transpose(2, 1, 0), params, geom).T
     u_prior_max = np.maximum(params.u_birth_max, zu + 6.0 * su)
     log_c = [[-math.log(TWO_PI * params.d_max) - math.log(x)]
              for x in u_prior_max[:, 0]]
@@ -241,8 +241,7 @@ def _build_proposals(ms: Sequence[Measurement], params: HyperParams,
     log_prop -= 0.5 * ((u - zu) / su) ** 2
     log_prop -= norm_u
     log_prop -= log_ndtr(zu / su)
-    log_fa = [[model.log_fa_density(m, params.u_de, params.d_max)] for m in ms]
-    log_w = log_birth + log_lik - log_prop - log_fa
+    log_w = log_birth + log_lik - log_prop - log_fa[:, None]
 
     top = np.max(log_w, axis=1, keepdims=True)
     flat = ~np.isfinite(top[:, 0])
@@ -290,8 +289,7 @@ def _update_legacy(state: TrackerState, w: dabp.AssociationWeights,
 
 
 def _update_far(state: TrackerState, w: dabp.AssociationWeights,
-                marg: AssociationMarginals, log_d: np.ndarray,
-                K: int) -> None:
+                marg: AssociationMarginals, log_d: np.ndarray) -> None:
     """Reweight the false-alarm-rate particles by the particle-marginalized
     association factors evaluated at each rate particle. log_d is the (M,)
     array of log(1 + sum_k zeta[k, m]), each measurement's legacy message
@@ -306,13 +304,13 @@ def _update_far(state: TrackerState, w: dabp.AssociationWeights,
     log_w = np.log(np.maximum(state.far.weights, 1e-300))
     log_w = log_w - mu + M * log_mu
     log_t = math.log(w.far_ratio)
-    log_a = np.concatenate([w.log_beta[:K, 0], log_d])
+    log_a = np.concatenate([w.log_beta[:, 0], log_d])
     if M:
         # Row k's message-weighted association sum. Contiguous rows keep
         # each row's reduction in the order of a one-row call.
         log_b = np.concatenate([
             log_sum_exp(np.ascontiguousarray(marg.log_nu.T)
-                        + w.log_beta[:K, 1:], axis=1),
+                        + w.log_beta[:, 1:], axis=1),
             w.log_new_mass]) - log_t
         rows = np.logaddexp(log_a[:, None], log_b[:, None] - log_mu)
     else:
@@ -375,7 +373,7 @@ def update(state: TrackerState, measurements: Sequence[Measurement],
                         "z_d=%.4g", z.z_d)
         else:
             ms.append(z)
-    ms.sort(key=lambda z: (z.z_d, z.z_phi, z.z_u))
+    ms = sorted(ms)
     M = len(ms)
     K = len(state.p_exist)
     # Legacy components only exist after some measurement was processed, so
@@ -403,17 +401,21 @@ def update(state: TrackerState, measurements: Sequence[Measurement],
         return state, estimate(state, params), AssociationMarginals(
             np.zeros((0, 1)), np.zeros((0, 1)), 0, True)
 
-    particles, new_weights, log_mass = _build_proposals(ms, params, geom,
-                                                        state.rng)
-    weights = dabp.evaluate_weights(state, log_mass, ms, state.far, params,
-                                    geom)
+    z = np.array(ms, dtype=float).reshape(-1, 3)
+    # Scalar calls: an array np.log differs from math.log in the last bit.
+    log_fa = np.array([model.log_fa_density(m, params.u_de, params.d_max)
+                       for m in ms])
+    particles, new_weights, log_mass = _build_proposals(z, log_fa, params,
+                                                        geom, state.rng)
+    weights = dabp.evaluate_weights(state, log_mass, z, log_fa, state.far,
+                                    params, geom)
     marg = dabp.loopy_da(weights, params.P, params.da_tol)
     _update_legacy(state, weights, marg.log_nu)
 
     # Each measurement's legacy message sum, reduced along contiguous rows.
     log_d = np.logaddexp(0.0, log_sum_exp(
         np.ascontiguousarray(marg.log_zeta.T), axis=1)) if K else np.zeros(M)
-    _update_far(state, weights, marg, log_d, K)
+    _update_far(state, weights, marg, log_d)
 
     _prune_and_resample(state, particles, new_weights, [
         1.0 / (1.0 + math.exp(min(gap, 700.0)))

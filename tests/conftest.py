@@ -31,18 +31,32 @@ def stacked(beliefs, state=None):
     return st
 
 
-def component_sum(truth, geom):
-    """The noiseless part of radio.synth_radio's observation: each
-    (KinematicState, phase) component's steering row scaled to normalized
-    amplitude u at unit noise variance, summed in order. test_radio pins
+def packed(ms, params):
+    """The (M, 3) measurement rows and (M,) clutter log densities that
+    tracker.update hands to _build_proposals and evaluate_weights."""
+    return (np.array(ms, dtype=float).reshape(-1, 3),
+            np.array([model.log_fa_density(m, params.u_de, params.d_max)
+                      for m in ms]))
+
+
+def rows(comps):
+    """The (P, 5) truth rows and (P,) amplitude phases, the arguments of
+    radio.synth_radio, of ((d, phi, u, v_d, v_phi), phase) pairs."""
+    return (np.array([x for x, _ in comps], dtype=float).reshape(-1, 5),
+            np.array([phase for _, phase in comps], dtype=float))
+
+
+def component_sum(truth, phases, geom):
+    """The noiseless part of radio.synth_radio's observation: each truth
+    row's steering row scaled to normalized amplitude u at unit noise
+    variance and turned by its phase, summed in order. test_radio pins
     synth_radio to this sum plus its noise, bit for bit."""
     samples = np.zeros(geom.n_eff, dtype=complex)
-    S = radio.steering_vectors([st.d for st, _ in truth],
-                               [st.phi for st, _ in truth], geom)
-    for (state, phase), s in zip(truth, S):
+    S = radio.steering_vectors(truth[:, 0], truth[:, 1], geom)
+    for u, phase, s in zip(truth[:, 2].tolist(), phases.tolist(), S):
         norm = np.linalg.norm(s)
         if norm > 0.0:
-            samples += state.u / norm * np.exp(1j * phase) * s
+            samples += u / norm * np.exp(1j * phase) * s
     return samples
 
 

@@ -17,11 +17,11 @@ from mpctrack.config import ExperimentConfig
 from mpctrack.dabp import AssociationWeights, exhaustive_da_oracle, loopy_da
 from mpctrack.experiment import run_experiment, run_single
 from mpctrack.metrics import aggregate, ospa
-from mpctrack.model import HyperParams, KinematicState, Measurement
+from mpctrack.model import HyperParams, Measurement
 from mpctrack.scenario import desk_scenario
 from mpctrack.tracker import FarBelief, PmpcBelief
 
-from conftest import component_sum, stacked
+from conftest import component_sum, packed, rows, stacked
 
 GEOM = radio.default_geometry()
 
@@ -157,9 +157,10 @@ def test_c05_single_bernoulli_oracle():
         log_l = float(model.log_lik_matrix(
             [z], np.asarray([state], float), p, GEOM)[0, 0]) \
             - model.log_fa_density(z, p.u_de, p.d_max)
-        props = tracker._build_proposals([z], p, GEOM,
+        props = tracker._build_proposals(*packed([z], p), p, GEOM,
                                          np.random.default_rng(0))
-        w = dabp.evaluate_weights(st, props[2], [z], st.far, p, GEOM)
+        w = dabp.evaluate_weights(st, props[2], *packed([z], p), st.far, p,
+                                  GEOM)
         xi0 = 1.0 + math.exp(float(w.log_new_mass[0]))
         t = 1.0 / mu0
         l = math.exp(log_l)
@@ -268,8 +269,8 @@ def test_c08_ospa_metric_suite():
 def test_c09_radio_pipeline_round_trip():
     # Noiseless single component.
     d_true, phi_true = 5.37, math.radians(23.4)
-    s = KinematicState(d_true, phi_true, 30.0, 0.0, 0.0)
-    samples = component_sum([(s, 0.7)], GEOM)
+    s = (d_true, phi_true, 30.0, 0.0, 0.0)
+    samples = component_sum(*rows([(s, 0.7)]), GEOM)
     ms = radio.snapshot_estimate(samples, None, GEOM, u_de=25.0)
     d_err = abs(ms[0].z_d - d_true) if ms else math.inf
     phi_err = abs(ms[0].z_phi - phi_true) if ms else math.inf

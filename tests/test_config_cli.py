@@ -239,6 +239,22 @@ class TestCli:
         payload = json.loads(res.output)
         assert payload["ok"] and payload["runs"] == 1
 
+    @pytest.mark.parametrize("flag,value,field", [
+        ("--runs", "0", "runs"), ("--seed", "-3", "base_seed"),
+        ("--workers", "0", "workers")])
+    def test_invalid_override_exits_2_with_report(self, tmp_path, flag,
+                                                  value, field):
+        # An override is checked like the config field it replaces.
+        out_dir = tmp_path / "never"
+        res = CliRunner().invoke(main, [
+            "run", os.path.join(REPO, "configs", "desk.json"), flag, value,
+            "--out", str(out_dir)])
+        assert res.exit_code == 2, res.output
+        report = json.loads(res.output)
+        assert report["ok"] is False
+        assert [e["field"] for e in report["errors"]] == [field]
+        assert not out_dir.exists()
+
     def test_run_invalid_config_fails(self, tmp_path):
         runner = CliRunner()
         path = write(tmp_path, {"hyper": {"p_s": 7}})

@@ -11,7 +11,7 @@ from mpctrack import dabp, model, radio, tracker
 from mpctrack.dabp import AssociationWeights, exhaustive_da_oracle, loopy_da
 from mpctrack.model import HyperParams, Measurement
 
-from conftest import stacked
+from conftest import packed, stacked
 
 GEOM = radio.default_geometry()
 PARAMS = HyperParams(J=200)
@@ -137,9 +137,9 @@ class TestLoopyDa:
         rng = np.random.default_rng(11)
         w = random_instance(rng, 3, 3)
         base = loopy_da(w, 5000, 1e-10)
-        scaled = AssociationWeights(beta=w.beta * np.array([[7.0], [0.01],
-                                                            [300.0]]),
-                                    xi=w.xi.copy())
+        scaled = AssociationWeights(beta=np.exp(w.log_beta)
+                                    * np.array([[7.0], [0.01], [300.0]]),
+                                    xi=np.exp(w.log_xi))
         out = loopy_da(scaled, 5000, 1e-10)
         assert np.allclose(out.p_a, base.p_a, atol=1e-12)
         assert np.allclose(out.p_b, base.p_b, atol=1e-12)
@@ -181,6 +181,23 @@ class TestLoopyDa:
         assert not out.converged and out.iterations_used == 1
         assert settled.converged and settled.iterations_used > 1
 
+    def test_linear_and_log_construction_agree(self):
+        # The linear weights are constructor arguments only: they are
+        # stored as their logs, bit for bit, and the BP sees the same input.
+        rng = np.random.default_rng(12)
+        beta = rng.uniform(0.1, 10.0, size=(3, 5))
+        beta[1, 2] = 0.0
+        xi = np.ones((4, 4))
+        xi[:, 0] = rng.uniform(0.1, 10.0, size=4)
+        lin = AssociationWeights(beta=beta, xi=xi)
+        with np.errstate(divide="ignore"):
+            log = AssociationWeights(log_beta=np.log(beta), log_xi=np.log(xi))
+        assert lin.log_beta.tobytes() == log.log_beta.tobytes()
+        assert lin.log_xi.tobytes() == log.log_xi.tobytes()
+        a, b = loopy_da(lin, 5000, 1e-10), loopy_da(log, 5000, 1e-10)
+        assert a.p_a.tobytes() == b.p_a.tobytes()
+        assert a.p_b.tobytes() == b.p_b.tobytes()
+
     def test_extreme_ratios_do_not_overflow(self):
         lb = np.array([[0.0, 900.0, -900.0]])
         lx = np.zeros((2, 2))
@@ -198,13 +215,14 @@ class TestLoopyDa:
 class TestEvaluateWeights:
     def test_empty_measurement_set(self):
         tr = PointBelief([5.0, 0.2, 8.0, 0.0, 0.0], 0.7)
-        w = dabp.evaluate_weights(stacked([tr]), np.zeros(0), [],
-                                  PointFar(2.0), PARAMS, GEOM)
-        assert w.beta.shape == (1, 1)
+        w = dabp.evaluate_weights(stacked([tr]), np.zeros(0),
+                                  *packed([], PARAMS), PointFar(2.0), PARAMS,
+                                  GEOM)
+        assert np.exp(w.log_beta).shape == (1, 1)
         p_d = float(model.detection_prob(8.0, PARAMS.u_de, GEOM.n_eff,
                                          PARAMS.amp_mode))
         # Row scaling maps the only entry to 1; the cached log carries it.
-        assert w.beta[0, 0] == pytest.approx(1.0)
+        assert np.exp(w.log_beta)[0, 0] == pytest.approx(1.0)
         assert w.det_prob[0][0] == pytest.approx(p_d)
 
     def test_single_particle_closed_form(self):
@@ -216,8 +234,8 @@ class TestEvaluateWeights:
         tr = PointBelief(state, 1.0)
         log_mass = np.array([0.0])
         far = PointFar(1.0)
-        w = dabp.evaluate_weights(stacked([tr]), log_mass, [z], far, PARAMS,
-                                  GEOM)
+        w = dabp.evaluate_weights(stacked([tr]), log_mass,
+                                  *packed([z], PARAMS), far, PARAMS, GEOM)
         p_d = float(model.detection_prob(4.0, PARAMS.u_de, GEOM.n_eff,
                                          PARAMS.amp_mode))
         log_f = float(model.log_lik_matrix(
@@ -226,25 +244,35 @@ class TestEvaluateWeights:
         # Unscaled entries: beta0 = 1 - p_d, beta1 = t p_d f/f_fa with t = 1.
         expect0 = 1.0 - p_d
         expect1 = p_d * math.exp(log_f - log_fa)
-        ratio = w.beta[0, 0] / w.beta[0, 1]
+        ratio = np.exp(w.log_beta)[0, 0] / np.exp(w.log_beta)[0, 1]
         assert ratio == pytest.approx(expect0 / expect1, rel=1e-9)
         assert w.far_ratio == pytest.approx(1.0)
+
+    def test_weights_are_stored_as_logs_only(self):
+        tr = PointBelief([5.0, 0.2, 8.0, 0.0, 0.0], 0.5)
+        z = Measurement(6.0, 0.0, 5.0)
+        w = dabp.evaluate_weights(stacked([tr]), np.array([-1.0]),
+                                  *packed([z], PARAMS), PointFar(2.0), PARAMS,
+                                  GEOM)
+        assert not hasattr(w, "beta") and not hasattr(w, "xi")
+        assert w.log_beta.shape == (1, 2) and w.log_xi.shape == (1, 2)
 
     def test_far_ratio_integrates_one_over_mu(self):
         tr = PointBelief([5.0, 0.2, 8.0, 0.0, 0.0], 0.5)
         z = Measurement(6.0, 0.0, 5.0)
         far = PointFar(2.5)
-        w = dabp.evaluate_weights(stacked([tr]), np.array([-1.0]), [z], far,
-                                  PARAMS, GEOM)
+        w = dabp.evaluate_weights(stacked([tr]), np.array([-1.0]),
+                                  *packed([z], PARAMS), far, PARAMS, GEOM)
         assert w.far_ratio == pytest.approx(1.0 / 2.5)
 
     def test_xi_coupling_convention(self):
         trs = [PointBelief([5.0, 0.2, 8.0, 0.0, 0.0], 0.5) for _ in range(3)]
         z = Measurement(6.0, 0.0, 5.0)
-        w = dabp.evaluate_weights(stacked(trs), np.array([-1.0]), [z],
-                                  PointFar(2.0), PARAMS, GEOM)
+        w = dabp.evaluate_weights(stacked(trs), np.array([-1.0]),
+                                  *packed([z], PARAMS), PointFar(2.0), PARAMS,
+                                  GEOM)
         # Nonzero columns are equal couplings.
-        assert np.allclose(w.xi[0, 1:], w.xi[0, 1])
+        assert np.allclose(np.exp(w.log_xi)[0, 1:], np.exp(w.log_xi)[0, 1])
 
     def test_row_scaling_leaves_marginals_unchanged(self):
         rng = np.random.default_rng(2)
@@ -253,17 +281,19 @@ class TestEvaluateWeights:
                for _ in range(2)]
         zs = [Measurement(5.0, 0.5, 9.0), Measurement(8.0, -0.5, 6.0)]
         props = np.array([0.5, -0.5])
-        w = dabp.evaluate_weights(stacked(trs), props, zs, PointFar(2.0),
-                                  PARAMS, GEOM)
+        w = dabp.evaluate_weights(stacked(trs), props, *packed(zs, PARAMS),
+                                  PointFar(2.0), PARAMS, GEOM)
         out1 = loopy_da(w, 5000, 1e-10)
-        w2 = AssociationWeights(beta=w.beta * 13.0, xi=w.xi * 0.03)
+        w2 = AssociationWeights(beta=np.exp(w.log_beta) * 13.0,
+                                xi=np.exp(w.log_xi) * 0.03)
         out2 = loopy_da(w2, 5000, 1e-10)
         assert np.allclose(out1.p_a, out2.p_a, atol=1e-12)
 
     def test_nothing_to_associate_raises(self):
         with pytest.raises(ValueError):
-            dabp.evaluate_weights(stacked([]), np.zeros(0), [],
-                                  PointFar(1.0), PARAMS, GEOM)
+            dabp.evaluate_weights(stacked([]), np.zeros(0),
+                                  *packed([], PARAMS), PointFar(1.0), PARAMS,
+                                  GEOM)
 
 
 # ---------------------------------------------------------------------------
@@ -330,8 +360,8 @@ class TestLinearDomainMessages:
         trs = [spread_belief(rng, c, p.J, q, k + 1)
                for k, (c, q) in enumerate(centers)]
         props = np.array([0.3, -1.0, 0.5])
-        w = dabp.evaluate_weights(stacked(trs), props, zs, PointFar(2.0), p,
-                                  GEOM)
+        w = dabp.evaluate_weights(stacked(trs), props, *packed(zs, p),
+                                  PointFar(2.0), p, GEOM)
         log_t = math.log(w.far_ratio)
         assert np.min(w.ratio[2]) < 1e-200
 

@@ -22,7 +22,7 @@ from mpctrack.dabp import AssociationMarginals, AssociationWeights
 from mpctrack.model import ArrayGeometry, HyperParams, Measurement
 from mpctrack.tracker import FarBelief, PmpcBelief
 
-from conftest import stacked
+from conftest import packed, stacked
 
 GEOM = radio.default_geometry()
 PARAMS = HyperParams()
@@ -682,7 +682,7 @@ def far_reweight(mus, M, K):
     marg = AssociationMarginals(np.zeros((K, M + 1)), np.zeros((M, K + 1)), 0,
                                 True, log_nu=np.zeros((M, K)))
     # No legacy association weight: every log(1 + sum_k zeta[k, m]) is 0.
-    tracker._update_far(state, w, marg, np.zeros(M), K)
+    tracker._update_far(state, w, marg, np.zeros(M))
     return state.far.weights
 
 
@@ -738,8 +738,8 @@ class TestPseudoFactors:
 
     def test_g_nonexistent(self):
         w = dabp.evaluate_weights(stacked([point_track(self.x, 0.0)]),
-                                  birth(0.0), [self.z], far_belief([2.0]),
-                                  PARAMS, GEOM)
+                                  birth(0.0), *packed([self.z], PARAMS),
+                                  far_belief([2.0]), PARAMS, GEOM)
         assert w.log_beta[0, 0] == 0.0
         assert w.log_beta[0, 1] == -np.inf
 
@@ -752,8 +752,8 @@ class TestPseudoFactors:
 
         def scaled_miss(q):
             w = dabp.evaluate_weights(stacked([point_track(x, q)]), birth(0.0),
-                                      [self.z], far_belief([2.0]), PARAMS,
-                                      GEOM)
+                                      *packed([self.z], PARAMS),
+                                      far_belief([2.0]), PARAMS, GEOM)
             return q * math.exp(-log_ratio_assoc_to_miss(w))
 
         for q in (0.2, 0.5, 0.9):
@@ -781,8 +781,8 @@ class TestPseudoFactors:
         log_fa = (math.log(2 * z.z_u) - (z.z_u**2 - u_de)
                   - math.log(PARAMS.d_max) - math.log(2 * np.pi))
         w = dabp.evaluate_weights(stacked([point_track((d, phi, u, 0, 0), q)]),
-                                  birth(0.0), [z], far_belief([mu]), PARAMS,
-                                  GEOM)
+                                  birth(0.0), *packed([z], PARAMS),
+                                  far_belief([mu]), PARAMS, GEOM)
         expect = q * p_d * math.exp(log_f - log_fa) / mu / (1 - q * p_d)
         assert math.exp(log_ratio_assoc_to_miss(w)) == pytest.approx(
             expect, rel=1e-9)
@@ -792,7 +792,8 @@ class TestPseudoFactors:
         # new component excludes b = k); xi[m, 0] adds the birth mass.
         trs = [point_track(self.x, 0.7) for _ in range(3)]
         for log_mass in (-3.0, 0.0, 4.0):
-            w = dabp.evaluate_weights(stacked(trs), birth(log_mass), [self.z],
+            w = dabp.evaluate_weights(stacked(trs), birth(log_mass),
+                                      *packed([self.z], PARAMS),
                                       far_belief([2.0]), PARAMS, GEOM)
             for k in (1, 2, 3):
                 assert math.exp(w.log_xi[0, 0] - w.log_xi[0, k]) - 1.0 == \
@@ -803,14 +804,16 @@ class TestPseudoFactors:
         # with n(mu) = (exp(-mu) mu^M)^(1/(K+M)).
         params = HyperParams(mu_n=0.008, d_max=17.0)
         trs = [point_track(self.x, 0.7)]
-        w = dabp.evaluate_weights(stacked(trs), birth(1.5), [self.z],
+        w = dabp.evaluate_weights(stacked(trs), birth(1.5),
+                                  *packed([self.z], params),
                                   far_belief([2.0]), params, GEOM)
         assert math.exp(w.log_new_mass[0]) == pytest.approx(
             0.008 / 2.0 * math.exp(1.5), rel=1e-9)
         mus = np.array([1.0, 3.0])
         n = (np.exp(-mus) * mus) ** (1 / 2)
         t = float(np.sum(n / mus) / np.sum(n))
-        w = dabp.evaluate_weights(stacked(trs), birth(1.5), [self.z],
+        w = dabp.evaluate_weights(stacked(trs), birth(1.5),
+                                  *packed([self.z], params),
                                   far_belief(mus), params, GEOM)
         assert w.far_ratio == pytest.approx(t, rel=1e-12)
         assert math.exp(w.log_new_mass[0]) == pytest.approx(
@@ -823,13 +826,13 @@ class TestPseudoFactors:
         x = (5.0, 0.2, u, 0.0, 0.0)
         z = Measurement(5.3, 0.25, max(u, math.sqrt(PARAMS.u_de) + 0.1))
         w = dabp.evaluate_weights(stacked([point_track(x, q)] * 2),
-                                  birth(log_mass), [z], far_belief([mu]),
-                                  PARAMS, GEOM)
-        for arr in (w.beta, w.xi):
+                                  birth(log_mass), *packed([z], PARAMS),
+                                  far_belief([mu]), PARAMS, GEOM)
+        for arr in (np.exp(w.log_beta), np.exp(w.log_xi)):
             assert not np.any(np.isnan(arr))
             assert np.all((arr >= 0.0) & (arr <= 1.0))
         if q == 0.0:
-            assert np.all(w.beta[:, 1:] == 0.0)
+            assert np.all(np.exp(w.log_beta)[:, 1:] == 0.0)
 
 
 class TestBatchLikelihood:

@@ -8,18 +8,18 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from mpctrack import radio
-from mpctrack.model import KinematicState, wrap_angle
+from mpctrack.model import wrap_angle
 from mpctrack.radio import (_pulse_periodic, _sample_times,
                             default_geometry, rrc_mean_square_bandwidth,
                             rrc_pulse, snapshot_estimate, steering_vectors,
                             synth_radio)
 
-from conftest import component_sum
+from conftest import component_sum, rows
 
 GEOM = default_geometry()
 
@@ -148,44 +148,44 @@ class TestSteeringAndSynth:
     @pytest.mark.parametrize("n_comps", [0, 1, 4])
     def test_synth_is_component_sum_plus_unit_noise(self, n_comps):
         rng = np.random.default_rng(n_comps)
-        comps = [(KinematicState(rng.uniform(2, 12), rng.uniform(-3, 3),
-                                 rng.uniform(3, 30), 0, 0),
+        comps = [((rng.uniform(2, 12), rng.uniform(-3, 3),
+                   rng.uniform(3, 30), 0, 0),
                   rng.uniform(0, 2 * np.pi)) for _ in range(n_comps)]
-        got = synth_radio(comps, GEOM, np.random.default_rng(11))
+        got = synth_radio(*rows(comps), GEOM, np.random.default_rng(11))
         noise_rng = np.random.default_rng(11)
         n1 = noise_rng.standard_normal(GEOM.n_eff)
         n2 = noise_rng.standard_normal(GEOM.n_eff)
-        want = component_sum(comps, GEOM) + math.sqrt(0.5) * (n1 + 1j * n2)
+        want = component_sum(*rows(comps), GEOM) + math.sqrt(0.5) * (n1 + 1j * n2)
         assert got.tobytes() == want.tobytes()
 
     def test_zero_components_zero_noise(self):
-        samples = component_sum([], GEOM)
+        samples = component_sum(*rows([]), GEOM)
         assert np.all(samples == 0.0)
         assert samples.shape == (GEOM.n_eff,)
 
     def test_opposite_amplitudes_cancel(self):
-        s = KinematicState(5.0, 0.3, 10.0, 0.0, 0.0)
-        samples = component_sum([(s, 0.0), (s, np.pi)], GEOM)
+        s = (5.0, 0.3, 10.0, 0.0, 0.0)
+        samples = component_sum(*rows([(s, 0.0), (s, np.pi)]), GEOM)
         assert np.allclose(samples, 0.0, atol=1e-12)
 
     def test_component_snr_reproduced(self):
         # With the noiseless reference scale 1, the projected amplitude
         # satisfies |alpha|^2 ||s||^2 = u^2.
         u = 12.0
-        s = KinematicState(4.0, -0.7, u, 0.0, 0.0)
-        sv = steering_vectors([s.d], [s.phi], GEOM)[0]
-        samples = component_sum([(s, 0.4)], GEOM)
+        s = (4.0, -0.7, u, 0.0, 0.0)
+        sv = steering_vectors([s[0]], [s[1]], GEOM)[0]
+        samples = component_sum(*rows([(s, 0.4)]), GEOM)
         alpha = np.vdot(sv, samples) / np.vdot(sv, sv)
         got = abs(alpha) ** 2 * float(np.vdot(sv, sv).real)
         assert got == pytest.approx(u * u, rel=1e-9)
 
     def test_linearity_superposition(self):
         rng = np.random.default_rng(3)
-        comps = [(KinematicState(rng.uniform(2, 12), rng.uniform(-3, 3),
-                                 rng.uniform(3, 30), 0, 0),
+        comps = [((rng.uniform(2, 12), rng.uniform(-3, 3),
+                   rng.uniform(3, 30), 0, 0),
                   rng.uniform(0, 2 * np.pi)) for _ in range(4)]
-        whole = component_sum(comps, GEOM)
-        parts = sum(component_sum([c], GEOM) for c in comps)
+        whole = component_sum(*rows(comps), GEOM)
+        parts = sum(component_sum(*rows([c]), GEOM) for c in comps)
         assert np.allclose(whole, parts, rtol=1e-10, atol=1e-12)
 
     def test_steering_norm_delay_invariant(self):
@@ -202,8 +202,8 @@ class TestSteeringAndSynth:
 class TestSnapshotEstimator:
     def test_noiseless_single_component_round_trip(self):
         d_true, phi_true = 5.37, math.radians(23.4)
-        s = KinematicState(d_true, phi_true, 30.0, 0.0, 0.0)
-        samples = component_sum([(s, 0.7)], GEOM)
+        s = (d_true, phi_true, 30.0, 0.0, 0.0)
+        samples = component_sum(*rows([(s, 0.7)]), GEOM)
         ms = snapshot_estimate(samples, None, GEOM, u_de=25.0)
         assert len(ms) == 1
         assert abs(ms[0].z_d - d_true) < GEOM.c * GEOM.T_s / 20.0
@@ -211,9 +211,9 @@ class TestSnapshotEstimator:
 
     def test_two_separated_components_recovered(self):
         u = math.sqrt(414 * 10 ** 1.84)
-        s1 = KinematicState(3.0, math.radians(-40.0), u, 0, 0)
-        s2 = KinematicState(9.0, math.radians(60.0), u, 0, 0)
-        samples = synth_radio([(s1, 0.3), (s2, 2.1)], GEOM,
+        s1 = (3.0, math.radians(-40.0), u, 0, 0)
+        s2 = (9.0, math.radians(60.0), u, 0, 0)
+        samples = synth_radio(*rows([(s1, 0.3), (s2, 2.1)]), GEOM,
                               np.random.default_rng(1))
         ms = snapshot_estimate(samples, None, GEOM, u_de=25.0)
         assert len(ms) == 2
@@ -239,8 +239,9 @@ class TestSnapshotEstimator:
         assert spurious <= 5  # a handful on average, not per snapshot
 
     def test_feedback_seeds_accepted(self):
-        s = KinematicState(7.0, math.radians(-10.0), 40.0, 0.0, 0.0)
-        samples = synth_radio([(s, 1.0)], GEOM, np.random.default_rng(4))
+        s = (7.0, math.radians(-10.0), 40.0, 0.0, 0.0)
+        samples = synth_radio(*rows([(s, 1.0)]), GEOM,
+                              np.random.default_rng(4))
 
         class Seed:
             d, phi = 7.02, math.radians(-10.3)
@@ -339,9 +340,9 @@ def check_projection(residual, d, phi, s, nsq, corr):
 
 
 def noisy_snapshot(seed):
-    comps = [(KinematicState(4.0, math.radians(-35.0), 40.0, 0, 0), 0.4),
-             (KinematicState(9.5, math.radians(70.0), 25.0, 0, 0), 2.0)]
-    return synth_radio(comps, GEOM, np.random.default_rng(seed))
+    comps = [((4.0, math.radians(-35.0), 40.0, 0, 0), 0.4),
+             ((9.5, math.radians(70.0), 25.0, 0, 0), 2.0)]
+    return synth_radio(*rows(comps), GEOM, np.random.default_rng(seed))
 
 
 class TestBatchedEstimator:
@@ -400,7 +401,7 @@ class TestBatchedEstimator:
         # scores highest without moving, so the winner's projection is
         # evaluated afresh at the wrapped angle.
         residual = component_sum(
-            [(KinematicState(5.37, phi, 30.0, 0.0, 0.0), 0.7)], GEOM)
+            *rows([((5.37, phi, 30.0, 0.0, 0.0), 0.7)]), GEOM)
         seed = (5.37, phi + turns * 2.0 * math.pi)
         bank = radio.MatchedFilterBank(GEOM)
         d, phi_hat, s, nsq, corr = radio._extract(residual, [seed], bank,
@@ -491,6 +492,27 @@ class TestHostileSamples:
         assert record.levelno == logging.WARNING
         assert f"{bad} of {GEOM.n_eff} samples not finite" in \
             record.getMessage()
+
+    @given(st.integers(0, 3), st.one_of(
+        st.floats(-1000.0, 460.0).map(lambda e: 2.0 ** e),
+        st.floats(-160.0, 140.0).map(lambda e: 10.0 ** e)))
+    @settings(max_examples=60, deadline=None)
+    @example(0, 2.0 ** 300)
+    @example(0, 2.0 ** -500)
+    @example(0, 1e-160)
+    def test_accepted_scales_measure_as_unit_scale(self, seed, scale):
+        # Every scale the guard accepts, down to where the samples leave
+        # the normal float range, gives the unit-scale measurements: far
+        # from unit scale the Newton determinant would over- or underflow
+        # and leave the coarse grid cell.
+        samples = noisy_snapshot(seed)
+        want = snapshot_estimate(samples, None, GEOM, u_de=25.0,
+                                 bank=self.BANK)
+        got = snapshot_estimate(samples * scale, None, GEOM, u_de=25.0,
+                                bank=self.BANK)
+        assert len(got) == len(want) == 2
+        for a, b in zip(got, want):
+            assert a == pytest.approx(b, rel=1e-9)
 
     def test_largest_accepted_scale_still_measures(self):
         # Just below the guard the estimator runs as usual.

@@ -2,7 +2,6 @@
 pruning, determinism and measurement-order invariance."""
 
 import copy
-import dataclasses
 import math
 import traceback
 
@@ -15,7 +14,7 @@ from mpctrack import dabp, model, radio, tracker
 from mpctrack.model import HyperParams, Measurement
 from mpctrack.tracker import FarBelief, PmpcBelief
 
-from conftest import stacked
+from conftest import packed, stacked
 
 GEOM = radio.default_geometry()
 
@@ -203,9 +202,10 @@ class TestSingleBernoulliOracle:
         # proposal draws, so the oracle replays the identical rng stream
         # (seed 42, untouched before the proposal is built); everything
         # else is independent arithmetic.
-        props = tracker._build_proposals([z], p, GEOM,
+        props = tracker._build_proposals(*packed([z], p), p, GEOM,
                                          np.random.default_rng(42))
-        w = dabp.evaluate_weights(st, props[2], [z], st.far, p, GEOM)
+        w = dabp.evaluate_weights(st, props[2], *packed([z], p), st.far, p,
+                                  GEOM)
         log_mass = float(w.log_new_mass[0]) - math.log(w.far_ratio) \
             - math.log(p.mu_n)
 
@@ -454,6 +454,14 @@ def test_log_lik_matrix_calls_per_update(monkeypatch):
     assert [s for c, s in zip(calls, shapes) if not c] == [(K * p.J, 5)]
 
 
+def test_log_fa_density_calls_per_update(monkeypatch):
+    # update scores each accepted measurement's clutter density once and
+    # hands the (M,) array to the proposals and the association weights.
+    calls, _, K, M = counted_update(monkeypatch, "log_fa_density",
+                                    params(J=100))
+    assert len(calls) == M
+
+
 def test_marcum_q1_calls_per_update_exact(monkeypatch):
     # In "exact" mode the Rician tail P_d is evaluated once for the legacy
     # stack (its missed-detection terms) and once for all proposals (the
@@ -514,8 +522,9 @@ class TestBatchedProposals:
         ms = burst(M, M)
         rng_batch, rng_one = (np.random.default_rng(5) for _ in range(2))
         particles, weights, log_mass = tracker._build_proposals(
-            ms, p, GEOM, rng_batch)
-        alone = [tracker._build_proposals([z], p, GEOM, rng_one) for z in ms]
+            *packed(ms, p), p, GEOM, rng_batch)
+        alone = [tracker._build_proposals(*packed([z], p), p, GEOM, rng_one)
+                 for z in ms]
         assert rng_batch.bit_generator.state == rng_one.bit_generator.state
         assert particles.shape[1] == len(alone) == M
         assert weights.shape == (M, p.J) and log_mass.shape == (M,)
@@ -533,8 +542,9 @@ class TestBatchedProposals:
     def test_empty_measurement_set(self):
         rng = np.random.default_rng(0)
         before = rng.bit_generator.state
+        p = params(J=400)
         particles, weights, log_mass = tracker._build_proposals(
-            [], params(J=400), GEOM, rng)
+            *packed([], p), p, GEOM, rng)
         assert particles.shape == (5, 0, 400)
         assert weights.shape == (0, 400) and log_mass.shape == (0,)
         assert rng.bit_generator.state == before
@@ -744,8 +754,8 @@ def injected(data, ms):
         z = data.draw(st.sampled_from(ms))
         fields = data.draw(st.sets(st.sampled_from(("z_d", "z_phi", "z_u")),
                                    min_size=1))
-        bad = dataclasses.replace(
-            z, **{f: data.draw(NON_FINITE) for f in sorted(fields)})
+        bad = z._replace(
+            **{f: data.draw(NON_FINITE) for f in sorted(fields)})
         out.insert(data.draw(st.integers(0, len(out))), bad)
     return out
 
@@ -1023,7 +1033,8 @@ class TestStackedEqualsPerTrack:
                     key=lambda z: (z.z_d, z.z_phi, z.z_u))
         st = stacked(copy.deepcopy(beliefs))
         far = FarBelief(rng.uniform(0.5, 4.0, J), np.full(J, 1.0 / J))
-        w = dabp.evaluate_weights(st, np.zeros(len(ms)), ms, far, p, GEOM)
+        w = dabp.evaluate_weights(st, np.zeros(len(ms)), *packed(ms, p), far,
+                                  p, GEOM)
         det_prob, ratio, scale, log_beta = oracle_legacy_weights(
             beliefs, ms, far, p)
         assert w.det_prob.tobytes() == np.array(det_prob).tobytes()

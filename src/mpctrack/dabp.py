@@ -3,14 +3,16 @@
 The bipartite association problem couples track-oriented variables a_k (0 =
 missed detection, m >= 1 = measurement index) with measurement-oriented
 variables b_m (0 = new component or clutter, k >= 1 = legacy index) through
-pairwise exclusion constraints. Local evidence enters through two weight
-matrices, stored as their logs (AssociationWeights.log_beta, .log_xi):
+pairwise exclusion constraints. Local evidence enters as logs
+(AssociationWeights.log_beta, .log_xi0), in the form of Meyer et al. (Proc.
+IEEE 2018) and Williams & Lau (IEEE TAES 2014):
 
   beta[k, m]  -- legacy k associating with measurement m (column 0 = miss),
                  particle- and FAR-integrated, marginalized over existence;
-  xi[m, k]    -- measurement m (column 0 = new-or-clutter); the nonzero
-                 columns are pure couplings (equal entries), all measurement
-                 evidence for legacy associations lives in beta.
+  xi0[m]      -- one number per measurement: the new-or-clutter weight of
+                 measurement m over its coupling to any legacy component,
+                 which is the same for every k (all measurement evidence for
+                 legacy associations lives in beta).
 
 Messages are iterated in log space so extreme likelihood ratios cannot
 overflow; per-row scaling of the weights therefore never changes the output
@@ -40,13 +42,16 @@ _LOG_RATIO_FLOOR = -600.0
 
 @dataclass
 class AssociationWeights:
-    """DA factor weights, kept as logs only (beta or xi given instead is
-    stored as its log), plus optional per-particle caches used downstream by
-    the measurement update (filled by evaluate_weights, ignored by the BP)."""
+    """DA factor weights, kept as logs only, plus optional per-particle
+    caches used downstream by the measurement update (filled by
+    evaluate_weights, ignored by the BP). A beta given instead of log_beta
+    is stored as its log; an (M, K+1) xi or log_xi matrix given instead of
+    log_xi0 is reduced to log(xi[m, 0] / xi[m, 1]), and raises ValueError
+    unless its K coupling columns are equal."""
     beta: InitVar[Optional[np.ndarray]] = None
     xi: InitVar[Optional[np.ndarray]] = None
     log_beta: Optional[np.ndarray] = None  # (K, M+1), row-scaled
-    log_xi: Optional[np.ndarray] = None    # (M, K+1), row-scaled
+    log_xi: InitVar[Optional[np.ndarray]] = None
     far_ratio: float = 1.0              # E[n(mu)/mu] / E[n(mu)] under the FAR belief
     det_prob: Optional[np.ndarray] = None  # (K, J) P_d(x), for the miss term
     # Per track, the detection-weighted ratio P_d(x_j) f(z_m|x_j)/f_fa(z_m)
@@ -56,16 +61,21 @@ class AssociationWeights:
     ratio: Optional[list] = None
     ratio_log_scale: Optional[np.ndarray] = None  # (K, M)
     log_new_mass: Optional[np.ndarray] = None  # (M,) log(far_ratio*mu_n*<f>/f_fa)
+    log_xi0: Optional[np.ndarray] = None  # (M,) log(xi[m, 0] / xi[m, k>=1])
 
-    def __post_init__(self, beta, xi):
-        with np.errstate(divide="ignore"):
+    def __post_init__(self, beta, xi, log_xi):
+        with np.errstate(divide="ignore", invalid="ignore"):
             if self.log_beta is None:
                 self.log_beta = np.log(beta)
-            if self.log_xi is None:
-                self.log_xi = np.log(xi)
+            if self.log_xi0 is None:
+                lx = np.log(xi) if log_xi is None else np.asarray(log_xi, float)
+                if np.any(lx[:, 1:] != lx[:, 1:2]):
+                    raise ValueError("xi's coupling columns are not equal")
+                self.log_xi0 = lx[:, 0] - (lx[:, 1] if lx.shape[1] > 1 else 0)
 
 
-del AssociationWeights.beta, AssociationWeights.xi  # no InitVar defaults
+# No InitVar defaults: reading .beta, .xi or .log_xi raises AttributeError.
+del AssociationWeights.beta, AssociationWeights.xi, AssociationWeights.log_xi
 
 
 @dataclass
@@ -93,8 +103,9 @@ def evaluate_weights(legacy, log_mass: np.ndarray, z: np.ndarray,
     clutter log densities. far_belief: object with .particles (> 0) and
     .weights.
 
-    Each log_beta/log_xi row is shifted to a zero maximum; downstream
-    marginals are scale-invariant per row, so this is lossless.
+    Each log_beta row is shifted to a zero maximum; downstream marginals
+    are scale-invariant per row, so this is lossless. log_xi0 is log(1 +
+    new-component mass) over a unit coupling.
 
     Each legacy row's (M, J) log-ratio matrix is exponentiated once, in
     place, after subtracting its row maxima c_m (entries more than 600
@@ -104,13 +115,11 @@ def evaluate_weights(legacy, log_mass: np.ndarray, z: np.ndarray,
     """
     K = len(legacy.weights)
     M = len(z)
-    if K + M == 0:
-        raise ValueError("nothing to associate: no tracks and no measurements")
 
     # FAR-integrated normalization factors: nbar = E[n(mu)], ntil = E[n(mu)/mu].
     mu = np.asarray(far_belief.particles, dtype=float)
     fw = np.asarray(far_belief.weights, dtype=float)
-    log_n = (-mu + M * np.log(mu)) / (K + M)
+    log_n = (-mu + M * np.log(mu)) / max(K + M, 1)
     log_w = np.log(np.maximum(fw, 1e-300))
     log_nbar = log_sum_exp(log_n + log_w)
     log_ntil = log_sum_exp(log_n - np.log(mu) + log_w)
@@ -147,23 +156,16 @@ def evaluate_weights(legacy, log_mass: np.ndarray, z: np.ndarray,
                               + np.log(mass[live]) + ratio_log_scale[live])
 
     log_new_mass = log_t + np.log(params.mu_n) + log_mass
-    log_xi = np.zeros((M, K + 1))
-    log_xi[:, 0] = np.logaddexp(0.0, log_new_mass)
 
     # Row scaling (recorded implicitly via the log arrays; marginals unaffected).
-    if K:
-        shift_b = np.max(log_beta, axis=1, keepdims=True)
-        shift_b = np.where(np.isfinite(shift_b), shift_b, 0.0)
-        log_beta = log_beta - shift_b
-    if M:
-        shift_x = np.max(log_xi, axis=1, keepdims=True)
-        log_xi = log_xi - shift_x
+    shift_b = np.max(log_beta, axis=1, keepdims=True)
+    log_beta = log_beta - np.where(np.isfinite(shift_b), shift_b, 0.0)
 
     return AssociationWeights(
-        log_beta=log_beta, log_xi=log_xi,
-        far_ratio=float(np.exp(log_t)),
+        log_beta=log_beta, far_ratio=float(np.exp(log_t)),
         det_prob=det_prob, ratio=ratio, ratio_log_scale=ratio_log_scale,
         log_new_mass=log_new_mass,
+        log_xi0=np.logaddexp(0.0, log_new_mass),
     )
 
 
@@ -203,23 +205,21 @@ def loopy_da(w: AssociationWeights, P: int, tol: float) -> AssociationMarginals:
     result is deterministic for identical inputs. Within each iteration the
     legacy-to-measurement messages (zeta) are refreshed from the previous
     measurement-to-legacy messages (nu), then nu from the new zeta.
+
+    The measurement side has base 0 and the coupling -log_xi0[m] (0 on a
+    degenerate row). An empty side (K or M = 0) converges in one sweep.
     """
-    lb, lx = w.log_beta, w.log_xi
+    lb, lx0 = w.log_beta, w.log_xi0
     K = lb.shape[0]
-    M = lx.shape[0]
-    if lb.shape != (K, M + 1) or lx.shape != (M, K + 1):
+    M = len(lx0)
+    if lb.shape != (K, M + 1) or lx0.shape != (M,):
         raise ValueError("inconsistent weight shapes")
 
     flagged: list = []
     lb = _fix_degenerate_rows(lb, "a", flagged)
-    lx = _fix_degenerate_rows(lx, "b", flagged)
-
-    if K == 0 or M == 0:
-        p_a = _normalize_rows(lb) if K else np.zeros((0, M + 1))
-        p_b = _normalize_rows(lx) if M else np.zeros((0, K + 1))
-        return AssociationMarginals(p_a, p_b, 0, True,
-                                    np.zeros((M, K)), np.zeros((K, M)),
-                                    tuple(flagged))
+    # 0 - x, not -x: a zero coupling stays +0.0.
+    couple = 0.0 - _fix_degenerate_rows(lx0[:, None], "b", flagged)
+    base = np.zeros(M)
 
     log_nu = np.zeros((M, K))
     log_zeta = np.zeros((K, M))
@@ -229,10 +229,11 @@ def loopy_da(w: AssociationWeights, P: int, tol: float) -> AssociationMarginals:
     for iterations in range(1, P + 1):
         # zeta[k, m] = beta[k, m] / (beta[k, 0] + sum_{m' != m} beta[k, m'] nu[m', k])
         log_zeta = lb[:, 1:] - _leave_one_out(lb[:, 0], lb[:, 1:] + log_nu.T)
-        # nu[m, k] = xi[m, k] / (xi[m, 0] + sum_{k' != k} xi[m, k'] zeta[k', m])
-        log_nu_new = lx[:, 1:] - _leave_one_out(lx[:, 0], lx[:, 1:] + log_zeta.T)
+        # nu[m, k] = 1 / (xi0[m] + sum_{k' != k} zeta[k', m]), computed as
+        # c / (1 + sum_{k' != k} c zeta[k', m]) with the coupling c = 1 / xi0[m]
+        log_nu_new = couple - _leave_one_out(base, couple + log_zeta.T)
         nu_new = np.exp(log_nu_new)
-        delta = float(np.max(np.abs(nu_new - nu))) if nu.size else 0.0
+        delta = float(np.max(np.abs(nu_new - nu), initial=0.0))
         log_nu, nu = log_nu_new, nu_new
         if delta < tol:
             converged = True
@@ -242,7 +243,8 @@ def loopy_da(w: AssociationWeights, P: int, tol: float) -> AssociationMarginals:
                     "iterations", K, M, iterations)
 
     p_a = _normalize_rows(np.concatenate([lb[:, :1], lb[:, 1:] + log_nu.T], axis=1))
-    p_b = _normalize_rows(np.concatenate([lx[:, :1], lx[:, 1:] + log_zeta.T], axis=1))
+    p_b = _normalize_rows(np.concatenate([base[:, None], couple + log_zeta.T],
+                                         axis=1))
     for tag, i in flagged:
         if tag == "a":
             p_a[i, :] = 1.0 / (M + 1)
@@ -257,9 +259,9 @@ def exhaustive_da_oracle(w: AssociationWeights) -> AssociationMarginals:
     configuration: each a_k picks a distinct measurement or 0, and b is the
     implied inverse. Only feasible for small instances."""
     beta = np.exp(w.log_beta)
-    xi = np.exp(w.log_xi)
+    xi0 = np.exp(w.log_xi0)
     K = beta.shape[0]
-    M = xi.shape[0]
+    M = len(xi0)
     if K > 8 or M > 8:
         raise ValueError("instance too large for exhaustive enumeration")
 
@@ -274,7 +276,7 @@ def exhaustive_da_oracle(w: AssociationWeights) -> AssociationMarginals:
             for m in range(M):
                 if used & (1 << m):
                     continue
-                wght *= xi[m, 0]
+                wght *= xi0[m]
             if wght == 0.0:
                 return
             for kk in range(K):
@@ -286,8 +288,6 @@ def exhaustive_da_oracle(w: AssociationWeights) -> AssociationMarginals:
             if a_k > 0 and (used & (1 << (a_k - 1))):
                 continue
             base = beta[k, a_k]
-            if a_k > 0:
-                base *= xi[a_k - 1, k + 1]
             if base == 0.0:
                 continue
             assign[k] = a_k
@@ -303,11 +303,6 @@ def exhaustive_da_oracle(w: AssociationWeights) -> AssociationMarginals:
     recurse(0, 0, 1.0)
     tot_a = p_a.sum(axis=1, keepdims=True)
     tot_b = p_b.sum(axis=1, keepdims=True)
-    if K and not np.all(tot_a > 0):
+    if not np.all(tot_a > 0):
         raise ValueError("all configurations have zero weight")
-    p_a = p_a / tot_a if K else np.zeros((0, M + 1))
-    if M:
-        p_b = p_b / tot_b
-    else:
-        p_b = np.zeros((0, K + 1))
-    return AssociationMarginals(p_a, p_b, 0, True)
+    return AssociationMarginals(p_a / tot_a, p_b / tot_b, 0, True)

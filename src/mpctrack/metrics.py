@@ -98,10 +98,8 @@ def snr_in_db(u, n_eff: int):
 def evaluate_step(truth_states: np.ndarray, detected, cfg: OspaConfig,
                   n_eff: int) -> dict:
     """Per-dimension OSPA between the alive truth (L, 5) and the detected
-    track summaries for one step."""
-    td = truth_states[:, 0] if len(truth_states) else []
-    tp = truth_states[:, 1] if len(truth_states) else []
-    tu = truth_states[:, 2] if len(truth_states) else []
+    track summaries for one step; either may be empty."""
+    td, tp, tu = truth_states[:, :3].T
     ed = [t.d for t in detected]
     ep = [t.phi for t in detected]
     eu = [t.u for t in detected]
@@ -110,8 +108,7 @@ def evaluate_step(truth_states: np.ndarray, detected, cfg: OspaConfig,
         "ospa_d_m": ospa(td, ed, cfg.p, cfg.cutoff_d),
         "ospa_phi_deg": math.degrees(
             ospa(tp, ep, cfg.p, cut_phi, angular=True)),
-        "ospa_snr_db": ospa(snr_in_db(tu, n_eff) if len(truth_states) else [],
-                            snr_in_db(eu, n_eff) if detected else [],
+        "ospa_snr_db": ospa(snr_in_db(tu, n_eff), snr_in_db(eu, n_eff),
                             cfg.p, cfg.cutoff_snr_db),
         "nom_true": len(truth_states),
         "nom_hat": len(detected),

@@ -63,9 +63,10 @@ def ang_diff(a, b):
 
 
 def log_sum_exp(a: np.ndarray, axis=None):
-    """Overflow-safe log(sum(exp(a))); rows of all -inf stay -inf."""
+    """Overflow-safe log(sum(exp(a))); rows of all -inf, and empty rows,
+    give -inf."""
     a = np.asarray(a, dtype=float)
-    m = np.max(a, axis=axis, keepdims=True)
+    m = np.max(a, axis=axis, keepdims=True, initial=-np.inf)
     m_safe = np.where(np.isfinite(m), m, 0.0)
     with np.errstate(divide="ignore"):
         out = np.log(np.sum(np.exp(a - m_safe), axis=axis))

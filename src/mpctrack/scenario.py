@@ -70,14 +70,16 @@ class Scenario:
     @staticmethod
     def from_json(text: str) -> "Scenario":
         """Parse a scenario document; a ValueError names the first key that
-        is missing or of the wrong type or shape."""
+        is missing, of the wrong type or shape, or out of range: steps must
+        be at least 1, the false-alarm rates non-negative and u_de positive
+        and finite."""
         doc = json.loads(text)
         if not isinstance(doc, dict):
             raise ValueError("scenario root must be an object")
         version = doc.get("schema_version")
         if version != SCHEMA_VERSION:
             raise ValueError(f"unsupported scenario schema version: {version}")
-        steps = _key(doc, "steps", int)
+        steps = _key(doc, "steps", int, ok=lambda n: n >= 1, rule="at least 1")
         tracks = []
         for i, t in enumerate(_key(doc, "tracks", list)):
             where = f"scenario track {i}"
@@ -85,8 +87,11 @@ class Scenario:
             death = _key(t, "death_step", int, where)
             tracks.append(TrackTruth(birth, death, _key(
                 t, "states", (death - birth + 1, 5), where)))
-        return Scenario(steps, tracks, _key(doc, "far_profile", (steps,)),
-                        _key(doc, "u_de", numbers.Real), _key(doc, "seed", int))
+        far = _key(doc, "far_profile", (steps,), ok=lambda a: np.all(a >= 0.0),
+                   rule="non-negative")
+        u_de = _key(doc, "u_de", numbers.Real, ok=lambda u: 0.0 < u < math.inf,
+                    rule="positive and finite")
+        return Scenario(steps, tracks, far, u_de, _key(doc, "seed", int))
 
     def save(self, path) -> None:
         with open(path, "w", encoding="utf-8") as f:
@@ -99,10 +104,11 @@ class Scenario:
             return Scenario.from_json(f.read())
 
 
-def _key(doc, key, kind, where: str = "scenario"):
+def _key(doc, key, kind, where: str = "scenario", ok=None, rule: str = ""):
     """doc[key], which must be an instance of kind (bool is no number), or,
     with kind a shape tuple, finite JSON numbers (no strings, no booleans)
-    of that shape, returned as an array."""
+    of that shape, returned as an array; then ok(value), if given, must
+    hold, or the error says the value must be the rule."""
     if not isinstance(doc, dict) or key not in doc:
         raise ValueError(f"{where}: missing key {key!r}")
     v = doc[key]
@@ -110,15 +116,16 @@ def _key(doc, key, kind, where: str = "scenario"):
         try:
             a = np.array(v, dtype=object)
             if a.shape == kind and set(map(type, a.flat)) <= {int, float}:
-                a = a.astype(float)
-                if np.isfinite(a).all():
-                    return a
+                v = a.astype(float)
         except (TypeError, ValueError, OverflowError):
             pass
-        raise ValueError(f"{where}: {key!r} must be finite numbers of shape "
-                         f"{kind}")
-    if isinstance(v, bool) or not isinstance(v, kind):
+        if not (isinstance(v, np.ndarray) and np.isfinite(v).all()):
+            raise ValueError(f"{where}: {key!r} must be finite numbers of "
+                             f"shape {kind}")
+    elif isinstance(v, bool) or not isinstance(v, kind):
         raise ValueError(f"{where}: {key!r} must be {kind.__name__}, got {v!r}")
+    if ok is not None and not ok(v):
+        raise ValueError(f"{where}: {key!r} must be {rule}")
     return v
 
 

@@ -161,10 +161,12 @@ def estimate(state: TrackerState, params: HyperParams) -> StepEstimate:
 # Measurement update
 # ---------------------------------------------------------------------------
 
-def _build_proposals(z: np.ndarray, log_fa: np.ndarray, params: HyperParams,
-                     geom: ArrayGeometry, rng: np.random.Generator) -> tuple:
+def _build_proposals(z: np.ndarray, log_fa: np.ndarray, sd: np.ndarray,
+                     sp: np.ndarray, params: HyperParams, geom: ArrayGeometry,
+                     rng: np.random.Generator) -> tuple:
     """For each measurement row (z_d, z_phi, z_u) of z (M, 3), whose
-    clutter log density is log_fa[m], sample a 5-D Gaussian centered on it
+    clutter log density is log_fa[m] and whose distance and angle standard
+    deviations are sd[m, 0] and sp[m, 0], sample a 5-D Gaussian centered on it
     and importance-weight it against the birth prior times the measurement
     likelihood. Returns (particles, weights, log_mass), row m for
     measurement m: field-major particles (5, M, J), laid out like the
@@ -189,12 +191,6 @@ def _build_proposals(z: np.ndarray, log_fa: np.ndarray, params: HyperParams,
     if M == 0:
         return np.empty((5, 0, J)), np.empty((0, J)), np.empty(0)
     zd, zp, zu = z[:, 0:1], z[:, 1:2], z[:, 2:3]
-    # Per measurement as scalars: on a scalar u**2 is pow(), on an array
-    # u*u, and the two differ in the last bit for about 1e-3 of amplitudes.
-    sd = np.array([[math.sqrt(float(model.sigma_d_sq(u, geom)))]
-                   for _, _, u in z.tolist()])
-    sp = np.array([[math.sqrt(float(model.sigma_phi_sq(u, phi, geom)))]
-                   for _, phi, u in z.tolist()])
     su = np.sqrt(model.amp_scale_sq(zu, geom.n_eff))
 
     X = np.empty((5, M, J))
@@ -264,16 +260,14 @@ def _update_legacy(state: TrackerState, w: dabp.AssociationWeights,
     f_fa(z_m), comes from the linear ratio matrix R = w.ratio[k] as
     log(exp(b - max b) @ R) + max b, with b = log nu + log t + c and c the
     row scales of R: one vector-matrix product per row."""
-    M = w.ratio_log_scale.shape[1]
     log_t = math.log(w.far_ratio)
     with np.errstate(divide="ignore", invalid="ignore"):
         log_psi = np.log(np.maximum(1.0 - w.det_prob, 0.0))
-        if M:
-            b = log_nu.T + log_t + w.ratio_log_scale
-            top = np.max(b, axis=1, keepdims=True)
-            assoc = np.reshape([x @ R for x, R in zip(np.exp(b - top), w.ratio)],
-                               log_psi.shape)
-            log_psi = np.logaddexp(log_psi, np.log(assoc) + top)
+        b = log_nu.T + log_t + w.ratio_log_scale
+        top = np.max(b, axis=1, keepdims=True, initial=-np.inf)
+        assoc = np.reshape([x @ R for x, R in zip(np.exp(b - top), w.ratio)],
+                           log_psi.shape)
+        log_psi = np.logaddexp(log_psi, np.log(assoc) + top)
         log_post = np.log(np.maximum(state.weights, 1e-300)) + log_psi
         new_w = np.exp(log_post - np.max(log_post, axis=1, keepdims=True))
     new_w[~np.any(np.isfinite(log_psi), axis=1)] = 1.0
@@ -297,7 +291,7 @@ def _update_far(state: TrackerState, w: dabp.AssociationWeights,
 
     Factor i is log(a_i + b_i / mu): one row per legacy component, then one
     per measurement, all built by one (K+M, J) logaddexp and added to the
-    log weights one row at a time, in that order."""
+    log weights one row at a time, in that order (with M = 0, b_i = 0)."""
     M = len(log_d)
     mu = state.far.particles
     log_mu = np.log(mu)
@@ -305,16 +299,13 @@ def _update_far(state: TrackerState, w: dabp.AssociationWeights,
     log_w = log_w - mu + M * log_mu
     log_t = math.log(w.far_ratio)
     log_a = np.concatenate([w.log_beta[:, 0], log_d])
-    if M:
-        # Row k's message-weighted association sum. Contiguous rows keep
-        # each row's reduction in the order of a one-row call.
-        log_b = np.concatenate([
-            log_sum_exp(np.ascontiguousarray(marg.log_nu.T)
-                        + w.log_beta[:, 1:], axis=1),
-            w.log_new_mass]) - log_t
-        rows = np.logaddexp(log_a[:, None], log_b[:, None] - log_mu)
-    else:
-        rows = log_a[:, None]
+    # Row k's message-weighted association sum. Contiguous rows keep each
+    # row's reduction in the order of a one-row call.
+    log_b = np.concatenate([
+        log_sum_exp(np.ascontiguousarray(marg.log_nu.T) + w.log_beta[:, 1:],
+                    axis=1),
+        w.log_new_mass]) - log_t
+    rows = np.logaddexp(log_a[:, None], log_b[:, None] - log_mu)
     for row in rows:
         log_w += row
     shifted = np.exp(log_w - np.max(log_w))
@@ -351,30 +342,41 @@ def update(state: TrackerState, measurements: Sequence[Measurement],
            params: HyperParams, geom: ArrayGeometry):
     """Process one snapshot's measurement set.
 
-    Returns (state, StepEstimate, AssociationMarginals). Measurements with a
-    non-finite field, at or below the detection threshold or outside the
-    distance support are rejected with a diagnostic. Processing
-    uses set semantics: measurements are canonically ordered internally, so
-    the output is invariant to their input order. A state with legacy
-    components but no false-alarm-rate belief raises RuntimeError before
-    anything in it changes.
+    Returns (state, StepEstimate, AssociationMarginals). Each measurement is
+    gated here only, and rejected with a diagnostic, in this order: a
+    non-finite field; a zero distance or angle standard deviation (an
+    amplitude so large that its variance underflows); a zero clutter
+    density, whose support is z_u above sqrt(u_de) and z_d in [0, d_max].
+    Processing uses set semantics: measurements are canonically ordered
+    internally, so the output is invariant to their input order. A state
+    with legacy components but no false-alarm-rate belief raises
+    RuntimeError before anything in it changes.
     """
-    thresh = math.sqrt(params.u_de)
-    ms = []
-    for z in measurements:
-        if not all(map(math.isfinite, (z.z_d, z.z_phi, z.z_u))):
-            log.warning("rejecting non-finite measurement: z_d=%.4g "
-                        "z_phi=%.4g z_u=%.4g", z.z_d, z.z_phi, z.z_u)
-        elif z.z_u <= thresh:
-            log.warning("rejecting measurement below detection threshold: "
-                        "z_u=%.4g <= %.4g", z.z_u, thresh)
-        elif not (0.0 <= z.z_d <= params.d_max):
-            log.warning("rejecting measurement outside distance support: "
-                        "z_d=%.4g", z.z_d)
-        else:
-            ms.append(z)
-    ms = sorted(ms)
-    M = len(ms)
+    accepted = []
+    # A huge amplitude overflows the variances' denominators to inf.
+    with np.errstate(over="ignore"):
+        for z in measurements:
+            if not all(map(math.isfinite, z)):
+                log.warning("rejecting non-finite measurement: z_d=%.4g "
+                            "z_phi=%.4g z_u=%.4g", *z)
+                continue
+            # Scalar calls: on a scalar u**2 is pow(), on an array u*u, and
+            # the two differ in the last bit for about 1e-3 of amplitudes.
+            sd = math.sqrt(float(model.sigma_d_sq(z.z_u, geom)))
+            sp = math.sqrt(float(model.sigma_phi_sq(z.z_u, z.z_phi, geom)))
+            if not (sd > 0.0 and sp > 0.0):
+                log.warning("rejecting measurement with zero variance: "
+                            "z_u=%.4g", z.z_u)
+            elif (log_fa := model.log_fa_density(z, params.u_de,
+                                                 params.d_max)) == -math.inf:
+                log.warning("rejecting measurement outside the clutter "
+                            "support: z_d=%.4g z_u=%.4g", z.z_d, z.z_u)
+            else:
+                accepted.append((*z, log_fa, sd, sp))
+    # Rows (z_d, z_phi, z_u, log_fa, sd, sp), sorted by measurement.
+    acc = np.array(sorted(accepted), dtype=float).reshape(-1, 6)
+    z, log_fa, sd, sp = acc[:, :3], acc[:, 3], acc[:, 4:5], acc[:, 5:]
+    M = len(acc)
     K = len(state.p_exist)
     # Legacy components only exist after some measurement was processed, so
     # the rate belief is initialized by the time K > 0.
@@ -385,28 +387,16 @@ def update(state: TrackerState, measurements: Sequence[Measurement],
 
     state.step += 1
 
-    if state.far is None and M > 0:
-        center = M / 2.0
-        mu0 = center + params.sigma_fa_ini * state.rng.standard_normal(params.J)
+    if state.far is None:
+        if M == 0:
+            return state, estimate(state, params), AssociationMarginals(
+                np.zeros((0, 1)), np.zeros((0, 1)), 0, True)
+        mu0 = M / 2.0 + params.sigma_fa_ini * state.rng.standard_normal(params.J)
         state.far = FarBelief(model.reflect_positive(mu0),
                               np.full(params.J, 1.0 / params.J))
 
-    if K + M == 0:
-        if state.far is not None:
-            # No factors this step beyond the zero-count Poisson evidence.
-            log_w = np.log(state.far.weights) - state.far.particles
-            shifted = np.exp(log_w - log_w.max())
-            state.far.weights = shifted / shifted.sum()
-            resample(state.far, params.J, state.rng)
-        return state, estimate(state, params), AssociationMarginals(
-            np.zeros((0, 1)), np.zeros((0, 1)), 0, True)
-
-    z = np.array(ms, dtype=float).reshape(-1, 3)
-    # Scalar calls: an array np.log differs from math.log in the last bit.
-    log_fa = np.array([model.log_fa_density(m, params.u_de, params.d_max)
-                       for m in ms])
-    particles, new_weights, log_mass = _build_proposals(z, log_fa, params,
-                                                        geom, state.rng)
+    particles, new_weights, log_mass = _build_proposals(
+        z, log_fa, sd, sp, params, geom, state.rng)
     weights = dabp.evaluate_weights(state, log_mass, z, log_fa, state.far,
                                     params, geom)
     marg = dabp.loopy_da(weights, params.P, params.da_tol)
@@ -414,7 +404,7 @@ def update(state: TrackerState, measurements: Sequence[Measurement],
 
     # Each measurement's legacy message sum, reduced along contiguous rows.
     log_d = np.logaddexp(0.0, log_sum_exp(
-        np.ascontiguousarray(marg.log_zeta.T), axis=1)) if K else np.zeros(M)
+        np.ascontiguousarray(marg.log_zeta.T), axis=1))
     _update_far(state, weights, marg, log_d)
 
     _prune_and_resample(state, particles, new_weights, [

@@ -39,6 +39,17 @@ def packed(ms, params):
                       for m in ms]))
 
 
+def proposal_inputs(ms, params, geom):
+    """packed(ms, params) and the (M, 1) distance and angle standard
+    deviations: the measurement arguments tracker.update hands to
+    _build_proposals."""
+    sd = [[math.sqrt(float(model.sigma_d_sq(m.z_u, geom)))] for m in ms]
+    sp = [[math.sqrt(float(model.sigma_phi_sq(m.z_u, m.z_phi, geom)))]
+          for m in ms]
+    return (*packed(ms, params), np.reshape(sd, (-1, 1)),
+            np.reshape(sp, (-1, 1)))
+
+
 def rows(comps):
     """The (P, 5) truth rows and (P,) amplitude phases, the arguments of
     radio.synth_radio, of ((d, phi, u, v_d, v_phi), phase) pairs."""

@@ -21,7 +21,7 @@ from mpctrack.model import HyperParams, Measurement
 from mpctrack.scenario import desk_scenario
 from mpctrack.tracker import FarBelief, PmpcBelief
 
-from conftest import component_sum, packed, rows, stacked
+from conftest import component_sum, packed, proposal_inputs, rows, stacked
 
 GEOM = radio.default_geometry()
 
@@ -157,8 +157,8 @@ def test_c05_single_bernoulli_oracle():
         log_l = float(model.log_lik_matrix(
             [z], np.asarray([state], float), p, GEOM)[0, 0]) \
             - model.log_fa_density(z, p.u_de, p.d_max)
-        props = tracker._build_proposals(*packed([z], p), p, GEOM,
-                                         np.random.default_rng(0))
+        props = tracker._build_proposals(*proposal_inputs([z], p, GEOM), p,
+                                         GEOM, np.random.default_rng(0))
         w = dabp.evaluate_weights(st, props[2], *packed([z], p), st.far, p,
                                   GEOM)
         xi0 = 1.0 + math.exp(float(w.log_new_mass[0]))

@@ -12,8 +12,16 @@ from mpctrack.config import (ExperimentConfig, config_to_dict,
                              validate_config)
 from mpctrack.experiment import run_experiment, run_single
 from mpctrack.model import HyperParams
+from mpctrack.scenario import desk_scenario
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def negative_far_desk():
+    """The desk scenario document with one negative false-alarm rate."""
+    doc = json.loads(desk_scenario().to_json())
+    doc["far_profile"][7] = -1.0
+    return doc
 
 
 def write(tmp_path, doc):
@@ -303,12 +311,14 @@ class TestCli:
         assert not os.path.exists(tmp_path / "out")
 
     @pytest.mark.parametrize("scenario", [
-        {"schema_version": 1}, [1], "not json", None])
+        {"schema_version": 1}, [1], "not json", None, negative_far_desk()])
     @pytest.mark.parametrize("command", ["validate", "run"])
     def test_bad_scenario_file_exits_2_with_report(self, tmp_path, scenario,
                                                    command):
         # {"schema_version": 1} passed validate, then run died with a
-        # KeyError; None stands for a file that does not exist.
+        # KeyError, and the desk file with a negative false-alarm rate
+        # passed validate, then run died drawing the clutter count; None
+        # stands for a file that does not exist.
         scn = tmp_path / "scn.json"
         if scenario is not None:
             scn.write_text(scenario if isinstance(scenario, str)

@@ -139,7 +139,7 @@ class TestLoopyDa:
         base = loopy_da(w, 5000, 1e-10)
         scaled = AssociationWeights(beta=np.exp(w.log_beta)
                                     * np.array([[7.0], [0.01], [300.0]]),
-                                    xi=np.exp(w.log_xi))
+                                    log_xi0=w.log_xi0)
         out = loopy_da(scaled, 5000, 1e-10)
         assert np.allclose(out.p_a, base.p_a, atol=1e-12)
         assert np.allclose(out.p_b, base.p_b, atol=1e-12)
@@ -162,11 +162,48 @@ class TestLoopyDa:
         assert np.allclose(out.p_a[0], 1.0 / 3.0)
 
     def test_empty_measurements(self):
-        w = AssociationWeights(beta=np.array([[0.3], [0.9]]),
-                               xi=np.zeros((0, 3)))
+        # With K = 2 and with K = 0; the empty message sets settle in the
+        # first sweep.
+        for K in (2, 0):
+            w = AssociationWeights(beta=np.array([[0.3], [0.9]])[:K],
+                                   xi=np.zeros((0, K + 1)))
+            out = loopy_da(w, 100, 1e-9)
+            assert np.allclose(out.p_a, 1.0)
+            assert out.p_b.shape == (0, K + 1)
+            assert out.converged and out.iterations_used == 1
+
+    def test_no_tracks(self):
+        w = AssociationWeights(beta=np.zeros((0, 3)), xi=np.ones((2, 1)))
         out = loopy_da(w, 100, 1e-9)
-        assert np.allclose(out.p_a, 1.0)
-        assert out.p_b.shape == (0, 3)
+        assert out.p_a.shape == (0, 3)
+        assert np.array_equal(out.p_b, np.ones((2, 1)))
+        assert out.converged and out.iterations_used == 1
+
+    def test_unequal_couplings_raise(self):
+        # The measurement side carries one number per measurement; a matrix
+        # whose coupling columns differ has no such form.
+        with pytest.raises(ValueError, match="coupling"):
+            AssociationWeights(beta=np.ones((2, 2)),
+                               xi=np.array([[2.0, 1.0, 1.5]]))
+
+    def test_matrix_form_reduces_to_one_number(self):
+        # xi[m, 0] over the equal couplings: scaling a row leaves it.
+        xi = np.array([[6.0, 2.0, 2.0], [1.0, 4.0, 4.0]])
+        w = AssociationWeights(beta=np.ones((2, 3)), xi=xi)
+        assert w.log_xi0.tobytes() == (np.log(xi[:, 0])
+                                       - np.log(xi[:, 1])).tobytes()
+        scaled = AssociationWeights(beta=np.ones((2, 3)),
+                                    xi=xi * np.array([[7.0], [0.01]]))
+        assert np.allclose(scaled.log_xi0, [math.log(3.0), math.log(0.25)],
+                           rtol=0, atol=1e-15)
+        assert not hasattr(w, "log_xi")
+
+    def test_non_finite_xi0_flagged_uniform(self):
+        w = AssociationWeights(log_beta=np.zeros((2, 3)),
+                               log_xi0=np.array([np.inf, 0.5]))
+        out = loopy_da(w, 100, 1e-9)
+        assert ("b", 0) in out.degenerate_rows
+        assert np.allclose(out.p_b[0], 1.0 / 3.0)
 
     def test_non_convergence_logs_one_warning(self, caplog):
         # P = 1 stops before the messages settle: one WARNING names K, M
@@ -193,7 +230,7 @@ class TestLoopyDa:
         with np.errstate(divide="ignore"):
             log = AssociationWeights(log_beta=np.log(beta), log_xi=np.log(xi))
         assert lin.log_beta.tobytes() == log.log_beta.tobytes()
-        assert lin.log_xi.tobytes() == log.log_xi.tobytes()
+        assert lin.log_xi0.tobytes() == log.log_xi0.tobytes()
         a, b = loopy_da(lin, 5000, 1e-10), loopy_da(log, 5000, 1e-10)
         assert a.p_a.tobytes() == b.p_a.tobytes()
         assert a.p_b.tobytes() == b.p_b.tobytes()
@@ -255,7 +292,7 @@ class TestEvaluateWeights:
                                   *packed([z], PARAMS), PointFar(2.0), PARAMS,
                                   GEOM)
         assert not hasattr(w, "beta") and not hasattr(w, "xi")
-        assert w.log_beta.shape == (1, 2) and w.log_xi.shape == (1, 2)
+        assert w.log_beta.shape == (1, 2) and w.log_xi0.shape == (1,)
 
     def test_far_ratio_integrates_one_over_mu(self):
         tr = PointBelief([5.0, 0.2, 8.0, 0.0, 0.0], 0.5)
@@ -271,8 +308,12 @@ class TestEvaluateWeights:
         w = dabp.evaluate_weights(stacked(trs), np.array([-1.0]),
                                   *packed([z], PARAMS), PointFar(2.0), PARAMS,
                                   GEOM)
-        # Nonzero columns are equal couplings.
-        assert np.allclose(np.exp(w.log_xi)[0, 1:], np.exp(w.log_xi)[0, 1])
+        # The equal couplings leave one number per measurement: the matrix
+        # form [xi0, 1, 1, 1] reduces to it.
+        assert w.log_xi0.shape == (1,)
+        xi = np.exp(np.column_stack([w.log_xi0, np.zeros((1, 3))]))
+        assert np.allclose(AssociationWeights(beta=np.ones((3, 2)),
+                                              xi=xi).log_xi0, w.log_xi0)
 
     def test_row_scaling_leaves_marginals_unchanged(self):
         rng = np.random.default_rng(2)
@@ -284,16 +325,10 @@ class TestEvaluateWeights:
         w = dabp.evaluate_weights(stacked(trs), props, *packed(zs, PARAMS),
                                   PointFar(2.0), PARAMS, GEOM)
         out1 = loopy_da(w, 5000, 1e-10)
-        w2 = AssociationWeights(beta=np.exp(w.log_beta) * 13.0,
-                                xi=np.exp(w.log_xi) * 0.03)
+        xi = np.exp(np.column_stack([w.log_xi0, np.zeros((2, 2))]))
+        w2 = AssociationWeights(beta=np.exp(w.log_beta) * 13.0, xi=xi * 0.03)
         out2 = loopy_da(w2, 5000, 1e-10)
         assert np.allclose(out1.p_a, out2.p_a, atol=1e-12)
-
-    def test_nothing_to_associate_raises(self):
-        with pytest.raises(ValueError):
-            dabp.evaluate_weights(stacked([]), np.zeros(0),
-                                  *packed([], PARAMS), PointFar(1.0), PARAMS,
-                                  GEOM)
 
 
 # ---------------------------------------------------------------------------

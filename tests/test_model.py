@@ -789,15 +789,15 @@ class TestPseudoFactors:
 
     def test_h_exclusion_and_nonexistent(self):
         # xi[m, k] for k >= 1 is the non-existence term alone (an existing
-        # new component excludes b = k); xi[m, 0] adds the birth mass.
+        # new component excludes b = k); xi[m, 0] adds the birth mass, and
+        # log_xi0 is the log of their ratio.
         trs = [point_track(self.x, 0.7) for _ in range(3)]
         for log_mass in (-3.0, 0.0, 4.0):
             w = dabp.evaluate_weights(stacked(trs), birth(log_mass),
                                       *packed([self.z], PARAMS),
                                       far_belief([2.0]), PARAMS, GEOM)
-            for k in (1, 2, 3):
-                assert math.exp(w.log_xi[0, 0] - w.log_xi[0, k]) - 1.0 == \
-                    pytest.approx(math.exp(w.log_new_mass[0]), rel=1e-9)
+            assert math.exp(w.log_xi0[0]) - 1.0 == \
+                pytest.approx(math.exp(w.log_new_mass[0]), rel=1e-9)
 
     def test_h_birth_branch_arithmetic(self):
         # log_new_mass = log t + log mu_n + log_mass, t = E[n/mu] / E[n]
@@ -828,7 +828,8 @@ class TestPseudoFactors:
         w = dabp.evaluate_weights(stacked([point_track(x, q)] * 2),
                                   birth(log_mass), *packed([z], PARAMS),
                                   far_belief([mu]), PARAMS, GEOM)
-        for arr in (np.exp(w.log_beta), np.exp(w.log_xi)):
+        # exp(-log_xi0) is the coupling over the new-or-clutter weight.
+        for arr in (np.exp(w.log_beta), np.exp(-w.log_xi0)):
             assert not np.any(np.isnan(arr))
             assert np.all((arr >= 0.0) & (arr <= 1.0))
         if q == 0.0:

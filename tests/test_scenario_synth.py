@@ -139,12 +139,26 @@ class TestSerialization:
             1, False)),
         ("u_de", lambda doc: doc.update(u_de=None)),
         ("seed", lambda doc: doc.update(seed=True)),
+        # Well-typed but out of range: the run could not use them.
+        pytest.param("steps", lambda doc: doc.update(steps=0),
+                     id="steps-zero"),
+        pytest.param("far_profile",
+                     lambda doc: doc["far_profile"].__setitem__(4, -1.0),
+                     id="far_profile-negative"),
+        pytest.param("u_de", lambda doc: doc.update(u_de=-1.0),
+                     id="u_de-negative"),
+        pytest.param("u_de", lambda doc: doc.update(u_de=0), id="u_de-zero"),
     ])
     def test_malformed_document_names_the_key(self, key, edit):
         doc = json.loads(desk_scenario().to_json())
         edit(doc)
         with pytest.raises(ValueError, match=repr(key)):
             Scenario.from_json(json.dumps(doc))
+
+    def test_zero_false_alarm_rate_is_valid(self):
+        doc = json.loads(desk_scenario().to_json())
+        doc["far_profile"][0] = 0.0
+        assert Scenario.from_json(json.dumps(doc)).far_profile[0] == 0.0
 
     def test_non_object_document_rejected(self):
         with pytest.raises(ValueError, match="object"):

@@ -14,7 +14,7 @@ from mpctrack import dabp, model, radio, tracker
 from mpctrack.model import HyperParams, Measurement
 from mpctrack.tracker import FarBelief, PmpcBelief
 
-from conftest import packed, stacked
+from conftest import packed, proposal_inputs, stacked
 
 GEOM = radio.default_geometry()
 
@@ -202,8 +202,8 @@ class TestSingleBernoulliOracle:
         # proposal draws, so the oracle replays the identical rng stream
         # (seed 42, untouched before the proposal is built); everything
         # else is independent arithmetic.
-        props = tracker._build_proposals(*packed([z], p), p, GEOM,
-                                         np.random.default_rng(42))
+        props = tracker._build_proposals(*proposal_inputs([z], p, GEOM), p,
+                                         GEOM, np.random.default_rng(42))
         w = dabp.evaluate_weights(st, props[2], *packed([z], p), st.far, p,
                                   GEOM)
         log_mass = float(w.log_new_mass[0]) - math.log(w.far_ratio) \
@@ -413,20 +413,43 @@ class TestInputGate:
         assert np.array_equal(st_bad.far.particles, st_ok.far.particles)
         assert st_bad.rng.random() == st_ok.rng.random()
 
+    @pytest.mark.parametrize("z_u", [1e148, 1e160])
+    def test_huge_amplitude_rejected(self, z_u, caplog):
+        # At 1e148 both variances round to 0 (their denominators overflow),
+        # and at 1e160 the clutter density's z_u**2 overflows too: the gate
+        # tests the standard deviations first and rejects the measurement,
+        # and the update is the one without it.
+        with caplog.at_level("WARNING", logger="mpctrack.tracker"):
+            st_bad, est_bad = self.stepped([self.GOOD,
+                                            Measurement(5.0, 0.3, z_u)])
+        records = [r for r in caplog.records if r.name == "mpctrack.tracker"]
+        assert len(records) == 1
+        assert records[0].getMessage().startswith("rejecting")
+        st_ok, est_ok = self.stepped([self.GOOD])
+        assert est_bad == est_ok
+        for f in ("particles", "weights", "p_exist", "ids", "birth_steps"):
+            assert np.array_equal(getattr(st_bad, f), getattr(st_ok, f))
+        assert (st_bad.step, st_bad.next_id) == (st_ok.step, st_ok.next_id)
+        assert np.array_equal(st_bad.far.particles, st_ok.far.particles)
+        assert np.array_equal(st_bad.far.weights, st_ok.far.weights)
+        assert st_bad.rng.bit_generator.state == st_ok.rng.bit_generator.state
 
-def counted_update(monkeypatch, name, p):
+
+def counted_update(monkeypatch, name, p, scalar_only=False):
     """One update with K = 2 legacy tracks and M = 3 accepted measurements
     (the fourth is below the detection threshold), counting the calls of
-    model.<name>; returns (calls, K, M). Each call records whether the
+    model.<name> (with scalar_only, only those whose first argument is a
+    scalar); returns (calls, shapes, K, M). Each call records whether the
     new-track proposals made it; shapes[i] is the shape of call i's second
     argument."""
     calls, shapes = [], []
     kernel = getattr(model, name)
 
     def counting(*args, **kwargs):
-        callers = {frame.name for frame in traceback.extract_stack()}
-        calls.append("_build_proposals" in callers)
-        shapes.append(np.shape(args[1]) if len(args) > 1 else None)
+        if not (scalar_only and np.ndim(args[0])):
+            callers = {frame.name for frame in traceback.extract_stack()}
+            calls.append("_build_proposals" in callers)
+            shapes.append(np.shape(args[1]) if len(args) > 1 else None)
         return kernel(*args, **kwargs)
 
     monkeypatch.setattr(model, name, counting)
@@ -455,11 +478,25 @@ def test_log_lik_matrix_calls_per_update(monkeypatch):
 
 
 def test_log_fa_density_calls_per_update(monkeypatch):
-    # update scores each accepted measurement's clutter density once and
+    # update's gate scores the clutter density of each finite measurement
+    # offered once (the below-threshold one too, which that rejects) and
     # hands the (M,) array to the proposals and the association weights.
     calls, _, K, M = counted_update(monkeypatch, "log_fa_density",
                                     params(J=100))
-    assert len(calls) == M
+    assert len(calls) == M + 1
+    assert not any(calls)
+
+
+@pytest.mark.parametrize("name", ["sigma_d_sq", "sigma_phi_sq"])
+def test_variance_calls_per_update(monkeypatch, name):
+    # update's gate computes each finite measurement's distance and angle
+    # standard deviations once, by scalar calls, and hands them to the
+    # proposals, which make none of their own (log_lik_matrix's array calls
+    # on the particles are not counted).
+    calls, _, K, M = counted_update(monkeypatch, name, params(J=100),
+                                    scalar_only=True)
+    assert len(calls) == M + 1
+    assert not any(calls)
 
 
 def test_marcum_q1_calls_per_update_exact(monkeypatch):
@@ -522,9 +559,9 @@ class TestBatchedProposals:
         ms = burst(M, M)
         rng_batch, rng_one = (np.random.default_rng(5) for _ in range(2))
         particles, weights, log_mass = tracker._build_proposals(
-            *packed(ms, p), p, GEOM, rng_batch)
-        alone = [tracker._build_proposals(*packed([z], p), p, GEOM, rng_one)
-                 for z in ms]
+            *proposal_inputs(ms, p, GEOM), p, GEOM, rng_batch)
+        alone = [tracker._build_proposals(*proposal_inputs([z], p, GEOM), p,
+                                          GEOM, rng_one) for z in ms]
         assert rng_batch.bit_generator.state == rng_one.bit_generator.state
         assert particles.shape[1] == len(alone) == M
         assert weights.shape == (M, p.J) and log_mass.shape == (M,)
@@ -544,7 +581,7 @@ class TestBatchedProposals:
         before = rng.bit_generator.state
         p = params(J=400)
         particles, weights, log_mass = tracker._build_proposals(
-            *packed([], p), p, GEOM, rng)
+            *proposal_inputs([], p, GEOM), p, GEOM, rng)
         assert particles.shape == (5, 0, 400)
         assert weights.shape == (0, 400) and log_mass.shape == (0,)
         assert rng.bit_generator.state == before

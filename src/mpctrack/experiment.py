@@ -50,7 +50,7 @@ def run_single(cfg: ExperimentConfig, run_index: int) -> RunLog:
     feedback = []
     log = RunLog()
     for step in range(scn.steps):
-        tracker.predict(state, cfg.hyper)
+        state = tracker.predict(state, cfg.hyper)
         if cfg.mode == "radio_pipeline":
             ms = _radio_measurements(scn, step, cfg, feedback, bank,
                                      synth_rng)
@@ -83,17 +83,13 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     else:
         logs = [run_single(cfg, i) for i in range(cfg.runs)]
 
-    for i, lg in enumerate(logs):
-        path = os.path.join(cfg.out_dir, f"run_{i:03d}.csv")
-        with open(path, "w", encoding="utf-8", newline="") as f:
-            f.write(lg.to_csv())
-
     agg = metrics.aggregate(logs)
-    with open(os.path.join(cfg.out_dir, "summary.csv"), "w",
-              encoding="utf-8", newline="") as f:
-        f.write(metrics.aggregate_csv(agg))
-    with open(os.path.join(cfg.out_dir, "config_echo.json"), "w",
-              encoding="utf-8") as f:
-        json.dump(config_to_dict(cfg), f, indent=1, sort_keys=True)
-        f.write("\n")
+    files = {f"run_{i:03d}.csv": lg.to_csv() for i, lg in enumerate(logs)}
+    files["summary.csv"] = metrics.aggregate_csv(agg)
+    files["config_echo.json"] = json.dumps(config_to_dict(cfg), indent=1,
+                                           sort_keys=True) + "\n"
+    for name, text in files.items():
+        with open(os.path.join(cfg.out_dir, name), "w", encoding="utf-8",
+                  newline="") as f:
+            f.write(text)
     return agg

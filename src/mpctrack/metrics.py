@@ -137,13 +137,8 @@ def aggregate(logs: list) -> dict:
 
 
 def aggregate_csv(agg: dict) -> str:
-    """Render an aggregate() result as the summary CSV."""
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(RUNLOG_COLUMNS)
-    steps = agg["per_step"]["step"]
-    for i, s in enumerate(steps):
-        row = [str(int(s))]
-        row.extend(_fmt(agg["per_step"][c][i]) for c in RUNLOG_COLUMNS[1:])
-        w.writerow(row)
-    return buf.getvalue()
+    """Render an aggregate() result as the summary CSV: its per-step means
+    written as a RunLog."""
+    per_step = agg["per_step"]
+    return RunLog([{c: per_step[c][i] for c in RUNLOG_COLUMNS}
+                   for i in range(len(per_step["step"]))]).to_csv()

@@ -44,10 +44,8 @@ class Scenario:
 
     def truth_arrays(self, step: int) -> np.ndarray:
         """Stacked (L, 5) truth states of the components alive at step."""
-        alive = [t for t in self.tracks if t.alive(step)]
-        if not alive:
-            return np.zeros((0, 5))
-        return np.stack([t.state(step) for t in alive])
+        alive = [t.state(step) for t in self.tracks if t.alive(step)]
+        return np.array(alive, dtype=float).reshape(-1, 5)
 
     def to_json(self) -> str:
         doc = {
@@ -71,8 +69,8 @@ class Scenario:
     def from_json(text: str) -> "Scenario":
         """Parse a scenario document; a ValueError names the first key that
         is missing, of the wrong type or shape, or out of range: steps must
-        be at least 1, the false-alarm rates non-negative and u_de positive
-        and finite."""
+        be at least 1, each death_step at least its birth_step, the
+        false-alarm rates non-negative and u_de positive and finite."""
         doc = json.loads(text)
         if not isinstance(doc, dict):
             raise ValueError("scenario root must be an object")
@@ -84,7 +82,8 @@ class Scenario:
         for i, t in enumerate(_key(doc, "tracks", list)):
             where = f"scenario track {i}"
             birth = _key(t, "birth_step", int, where)
-            death = _key(t, "death_step", int, where)
+            death = _key(t, "death_step", int, where, ok=lambda d: d >= birth,
+                         rule=f"at least birth_step ({birth})")
             tracks.append(TrackTruth(birth, death, _key(
                 t, "states", (death - birth + 1, 5), where)))
         far = _key(doc, "far_profile", (steps,), ok=lambda a: np.all(a >= 0.0),

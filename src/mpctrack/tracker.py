@@ -4,12 +4,15 @@ Maintains a stack of particle beliefs, one row per potential component,
 plus a particle belief over the mean false-alarm rate. Each snapshot is
 processed by predict() followed by update(): measurement evaluation, loopy
 data association, measurement update of legacy and new components,
-false-alarm-rate update, resampling, pruning and estimate extraction.
+false-alarm-rate update, resampling, pruning and estimate extraction. Both
+return the next TrackerState and write to nothing they are given; update()
+restores the generator, which the two states share, when a stage raises,
+so a failed update changes nothing.
 """
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -71,11 +74,11 @@ class StepEstimate:
 @dataclass
 class TrackerState:
     """Legacy beliefs, one row each: particles (5, K, J), weights (K, J)."""
-    particles: np.ndarray = field(default_factory=lambda: np.empty((5, 0, 0)))
-    weights: np.ndarray = field(default_factory=lambda: np.empty((0, 0)))
-    p_exist: np.ndarray = field(default_factory=lambda: np.empty(0))
-    ids: np.ndarray = field(default_factory=lambda: np.empty(0, int))
-    birth_steps: np.ndarray = field(default_factory=lambda: np.empty(0, int))
+    particles: np.ndarray
+    weights: np.ndarray
+    p_exist: np.ndarray
+    ids: np.ndarray
+    birth_steps: np.ndarray
     far: Optional[FarBelief] = None
     step: int = 0
     rng: Optional[np.random.Generator] = None
@@ -100,20 +103,21 @@ def init(params: HyperParams, geom: ArrayGeometry, seed) -> TrackerState:
     if problems:
         raise ValueError(f"invalid hyperparameters: {problems}")
     return TrackerState(np.empty((5, 0, params.J)), np.empty((0, params.J)),
+                        np.empty(0), np.empty(0, int), np.empty(0, int),
                         rng=np.random.default_rng(seed))
 
 
 def predict(state: TrackerState, params: HyperParams) -> TrackerState:
     """Propagate all beliefs one step: survival folds into the existence
     probability, kinematics follow the motion model, the false-alarm rate
-    random-walks."""
-    state.p_exist = state.p_exist * params.p_s
-    state.particles = model.propagate_kinematics(state.particles, params,
-                                                 state.rng)
-    if state.far is not None:
-        step = params.sigma_fa * state.rng.standard_normal(state.far.particles.shape)
-        state.far.particles = model.reflect_positive(state.far.particles + step)
-    return state
+    random-walks. Returns the next state; the input is not written."""
+    particles = model.propagate_kinematics(state.particles, params, state.rng)
+    far = state.far
+    if far is not None:
+        step = params.sigma_fa * state.rng.standard_normal(far.particles.shape)
+        far = replace(far, particles=model.reflect_positive(far.particles + step))
+    return replace(state, p_exist=state.p_exist * params.p_s,
+                   particles=particles, far=far)
 
 
 def _systematic(w: np.ndarray, u: float, J: int) -> np.ndarray:
@@ -126,11 +130,11 @@ def _systematic(w: np.ndarray, u: float, J: int) -> np.ndarray:
 
 
 def resample(belief, J: int, rng: np.random.Generator):
-    """Systematic resampling to J equally weighted particles (in place)."""
-    belief.particles = belief.particles[_systematic(
-        np.asarray(belief.weights, dtype=float), rng.random(), J)]
-    belief.weights = np.full(J, 1.0 / J)
-    return belief
+    """Systematic resampling to J equally weighted particles. Returns a new
+    belief of the same type; the input is not written."""
+    idx = _systematic(np.asarray(belief.weights, dtype=float), rng.random(), J)
+    return replace(belief, particles=belief.particles[idx],
+                   weights=np.full(J, 1.0 / J))
 
 
 def estimate(state: TrackerState, params: HyperParams) -> StepEstimate:
@@ -251,10 +255,10 @@ def _build_proposals(z: np.ndarray, log_fa: np.ndarray, sd: np.ndarray,
     return X, shifted / total[:, None], log_mass
 
 
-def _update_legacy(state: TrackerState, w: dabp.AssociationWeights,
-                   log_nu: np.ndarray) -> None:
-    """Reweight every legacy row with the converged extrinsic messages and
-    recompute its existence probability.
+def _update_legacy(weights: np.ndarray, p_exist: np.ndarray,
+                   w: dabp.AssociationWeights, log_nu: np.ndarray) -> tuple:
+    """The legacy rows' weights (K, J) reweighted with the converged
+    extrinsic messages, and their recomputed existence probabilities (K,).
 
     Row k's association sum per particle, log sum_m nu[m] t P_d f(z_m|x) /
     f_fa(z_m), comes from the linear ratio matrix R = w.ratio[k] as
@@ -268,34 +272,34 @@ def _update_legacy(state: TrackerState, w: dabp.AssociationWeights,
         assoc = np.reshape([x @ R for x, R in zip(np.exp(b - top), w.ratio)],
                            log_psi.shape)
         log_psi = np.logaddexp(log_psi, np.log(assoc) + top)
-        log_post = np.log(np.maximum(state.weights, 1e-300)) + log_psi
+        log_post = np.log(np.maximum(weights, 1e-300)) + log_psi
         new_w = np.exp(log_post - np.max(log_post, axis=1, keepdims=True))
     new_w[~np.any(np.isfinite(log_psi), axis=1)] = 1.0
-    state.weights = new_w / new_w.sum(axis=1, keepdims=True)
     # Existence odds in log space, on scalar math: the alternative
     # (non-existence) branch evaluates the same factor at r = 0, i.e. 1.
-    for k, (q, s) in enumerate(zip(state.p_exist.tolist(),
-                                   log_sum_exp(log_post, axis=1).tolist())):
+    p_next = []
+    for q, s in zip(p_exist.tolist(), log_sum_exp(log_post, axis=1).tolist()):
         log_s1 = math.log(q) + s if q > 0.0 else -math.inf
         log_s0 = math.log(1.0 - q) if q < 1.0 else -math.inf
         gap = min(log_s0 - log_s1, 700.0) if log_s1 > -math.inf else math.inf
-        state.p_exist[k] = 0.0 if gap == math.inf else 1.0 / (1.0 + math.exp(gap))
+        p_next.append(0.0 if gap == math.inf else 1.0 / (1.0 + math.exp(gap)))
+    return new_w / new_w.sum(axis=1, keepdims=True), np.array(p_next)
 
 
-def _update_far(state: TrackerState, w: dabp.AssociationWeights,
-                marg: AssociationMarginals, log_d: np.ndarray) -> None:
-    """Reweight the false-alarm-rate particles by the particle-marginalized
-    association factors evaluated at each rate particle. log_d is the (M,)
-    array of log(1 + sum_k zeta[k, m]), each measurement's legacy message
-    sum.
+def _update_far(far: FarBelief, w: dabp.AssociationWeights,
+                marg: AssociationMarginals, log_d: np.ndarray) -> FarBelief:
+    """The false-alarm-rate belief far with its particles reweighted by the
+    particle-marginalized association factors evaluated at each rate
+    particle. log_d is the (M,) array of log(1 + sum_k zeta[k, m]), each
+    measurement's legacy message sum.
 
     Factor i is log(a_i + b_i / mu): one row per legacy component, then one
     per measurement, all built by one (K+M, J) logaddexp and added to the
     log weights one row at a time, in that order (with M = 0, b_i = 0)."""
     M = len(log_d)
-    mu = state.far.particles
+    mu = far.particles
     log_mu = np.log(mu)
-    log_w = np.log(np.maximum(state.far.weights, 1e-300))
+    log_w = np.log(np.maximum(far.weights, 1e-300))
     log_w = log_w - mu + M * log_mu
     log_t = math.log(w.far_ratio)
     log_a = np.concatenate([w.log_beta[:, 0], log_d])
@@ -309,12 +313,12 @@ def _update_far(state: TrackerState, w: dabp.AssociationWeights,
     for row in rows:
         log_w += row
     shifted = np.exp(log_w - np.max(log_w))
-    state.far.weights = shifted / shifted.sum()
+    return replace(far, weights=shifted / shifted.sum())
 
 
 def _prune_and_resample(state: TrackerState, particles: np.ndarray,
-                        weights: np.ndarray, p_new: list, params) -> None:
-    """Replace the stack by its surviving rows, then the surviving new rows
+                        weights: np.ndarray, p_new: list, params):
+    """The state with the stack's surviving rows, then the surviving new rows
     (particles, weights, p_new), each resampled to J equal weights. Every
     row draws one uniform, so pruning (NaN included) keeps the rng stream."""
     K, J = len(state.p_exist), params.J
@@ -326,31 +330,34 @@ def _prune_and_resample(state: TrackerState, particles: np.ndarray,
         x, w = (state.particles[:, i], state.weights[i]) if i < K \
             else (particles[:, i - K], weights[i - K])
         idx = _systematic(w, uniforms[i], J)
+        # Field by field: one (5, J) fancy index x[:, idx] is about 2x slower.
         for f in range(5):
             stack[f, n] = x[f][idx]
-    state.particles, state.weights = stack, np.full(stack.shape[1:], 1.0 / J)
-    state.p_exist = p_all[keep]
     # New row i, if kept, is the n-th new survivor and gets next_id - 1 + n.
     born = np.cumsum(keep[K:])
-    state.ids = np.concatenate([state.ids, state.next_id - 1 + born])[keep]
-    state.birth_steps = np.concatenate([
-        state.birth_steps, np.full(len(born), state.step)])[keep]
-    state.next_id += int(born[-1]) if len(born) else 0
+    return replace(
+        state, particles=stack, weights=np.full(stack.shape[1:], 1.0 / J),
+        p_exist=p_all[keep],
+        ids=np.concatenate([state.ids, state.next_id - 1 + born])[keep],
+        birth_steps=np.concatenate([
+            state.birth_steps, np.full(len(born), state.step)])[keep],
+        next_id=state.next_id + (int(born[-1]) if len(born) else 0))
 
 
 def update(state: TrackerState, measurements: Sequence[Measurement],
            params: HyperParams, geom: ArrayGeometry):
     """Process one snapshot's measurement set.
 
-    Returns (state, StepEstimate, AssociationMarginals). Each measurement is
-    gated here only, and rejected with a diagnostic, in this order: a
-    non-finite field; a zero distance or angle standard deviation (an
-    amplitude so large that its variance underflows); a zero clutter
-    density, whose support is z_u above sqrt(u_de) and z_d in [0, d_max].
-    Processing uses set semantics: measurements are canonically ordered
-    internally, so the output is invariant to their input order. A state
-    with legacy components but no false-alarm-rate belief raises
-    RuntimeError before anything in it changes.
+    Returns (next state, StepEstimate, AssociationMarginals), all or
+    nothing: state is not written, and a stage that raises leaves the
+    generator as it was. Each measurement is gated here only, and rejected
+    with a diagnostic, in this order: a non-finite field; a zero distance
+    or angle standard deviation (an amplitude so large that its variance
+    underflows); a zero clutter density, whose support is z_u above
+    sqrt(u_de) and z_d in [0, d_max]. Processing uses set semantics:
+    measurements are canonically ordered internally, so the output is
+    invariant to their input order. A state with legacy components but no
+    false-alarm-rate belief raises RuntimeError.
     """
     accepted = []
     # A huge amplitude overflows the variances' denominators to inf.
@@ -385,31 +392,40 @@ def update(state: TrackerState, measurements: Sequence[Measurement],
                            f"false-alarm-rate belief (M={M} accepted "
                            "measurements)")
 
-    state.step += 1
+    if state.far is None and M == 0:
+        nxt = replace(state, step=state.step + 1)
+        return nxt, estimate(nxt, params), AssociationMarginals(
+            np.zeros((0, 1)), np.zeros((0, 1)), 0, True)
 
-    if state.far is None:
-        if M == 0:
-            return state, estimate(state, params), AssociationMarginals(
-                np.zeros((0, 1)), np.zeros((0, 1)), 0, True)
-        mu0 = M / 2.0 + params.sigma_fa_ini * state.rng.standard_normal(params.J)
-        state.far = FarBelief(model.reflect_positive(mu0),
-                              np.full(params.J, 1.0 / params.J))
-
-    particles, new_weights, log_mass = _build_proposals(
-        z, log_fa, sd, sp, params, geom, state.rng)
-    weights = dabp.evaluate_weights(state, log_mass, z, log_fa, state.far,
-                                    params, geom)
-    marg = dabp.loopy_da(weights, params.P, params.da_tol)
-    _update_legacy(state, weights, marg.log_nu)
-
-    # Each measurement's legacy message sum, reduced along contiguous rows.
-    log_d = np.logaddexp(0.0, log_sum_exp(
-        np.ascontiguousarray(marg.log_zeta.T), axis=1))
-    _update_far(state, weights, marg, log_d)
-
-    _prune_and_resample(state, particles, new_weights, [
-        1.0 / (1.0 + math.exp(min(gap, 700.0)))
-        for gap in (log_d - weights.log_new_mass).tolist()], params)
-    resample(state.far, params.J, state.rng)
-
-    return state, estimate(state, params), marg
+    rng = state.rng
+    saved = rng.bit_generator.state
+    try:
+        far = state.far
+        if far is None:
+            mu0 = M / 2.0 + params.sigma_fa_ini * rng.standard_normal(params.J)
+            far = FarBelief(model.reflect_positive(mu0),
+                            np.full(params.J, 1.0 / params.J))
+        particles, new_weights, log_mass = _build_proposals(
+            z, log_fa, sd, sp, params, geom, rng)
+        weights = dabp.evaluate_weights(state, log_mass, z, log_fa, far,
+                                        params, geom)
+        marg = dabp.loopy_da(weights, params.P, params.da_tol)
+        legacy_weights, p_exist = _update_legacy(state.weights, state.p_exist,
+                                                 weights, marg.log_nu)
+        # Each measurement's legacy message sum, reduced along contiguous rows.
+        log_d = np.logaddexp(0.0, log_sum_exp(
+            np.ascontiguousarray(marg.log_zeta.T), axis=1))
+        far = _update_far(far, weights, marg, log_d)
+        p_new = [1.0 / (1.0 + math.exp(min(gap, 700.0)))
+                 for gap in (log_d - weights.log_new_mass).tolist()]
+        # The input keeps its stack until update returns: free the K (M, J)
+        # ratio matrices before the next stack is built (peak memory).
+        del weights
+        nxt = _prune_and_resample(
+            replace(state, step=state.step + 1, weights=legacy_weights,
+                    p_exist=p_exist), particles, new_weights, p_new, params)
+        nxt = replace(nxt, far=resample(far, params.J, rng))
+        return nxt, estimate(nxt, params), marg
+    except BaseException:
+        rng.bit_generator.state = saved
+        raise

@@ -1,6 +1,7 @@
 """Shared fixtures."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,25 +11,27 @@ from mpctrack.model import HyperParams, Measurement
 
 
 def stacked(beliefs, state=None):
-    """state (a fresh TrackerState by default) with the given beliefs as its
-    legacy rows, in order. A belief has .particles (J, 5), .weights (J,) and
-    .p_exist, and .id and .birth_step where the test needs them (default:
-    ids 1, 2, ... and birth step 0). Returns the state."""
-    st = tracker.TrackerState() if state is None else state
+    """state (by default a fresh tracker.init state with J taken from the
+    first belief) with the given beliefs as its legacy rows, in order, built
+    by dataclasses.replace. A belief has .particles (J, 5), .weights (J,)
+    and .p_exist, and .id and .birth_step where the test needs them
+    (default: ids 1, 2, ... and birth step 0)."""
     beliefs = list(beliefs)
-    J = len(beliefs[0].weights) if beliefs else st.weights.shape[1]
+    J = len(beliefs[0].weights) if beliefs else state.weights.shape[1]
+    st = tracker.init(HyperParams(J=J), radio.default_geometry(), 0) \
+        if state is None else state
     # C order, as the tracker builds its stacks (np.stack would keep the
     # transposed layout of the (J, 5) inputs).
-    st.particles = np.ascontiguousarray(np.stack(
-        [np.asarray(b.particles, float).T for b in beliefs], axis=1)) \
-        if beliefs else np.empty((5, 0, J))
-    st.weights = np.array([b.weights for b in beliefs], float).reshape(-1, J)
-    st.p_exist = np.array([b.p_exist for b in beliefs], float)
-    st.ids = np.array([getattr(b, "id", k + 1)
-                       for k, b in enumerate(beliefs)], int)
-    st.birth_steps = np.array([getattr(b, "birth_step", 0)
-                               for b in beliefs], int)
-    return st
+    return replace(
+        st, particles=np.ascontiguousarray(np.stack(
+            [np.asarray(b.particles, float).T for b in beliefs], axis=1))
+        if beliefs else np.empty((5, 0, J)),
+        weights=np.array([b.weights for b in beliefs], float).reshape(-1, J),
+        p_exist=np.array([b.p_exist for b in beliefs], float),
+        ids=np.array([getattr(b, "id", k + 1)
+                      for k, b in enumerate(beliefs)], int),
+        birth_steps=np.array([getattr(b, "birth_step", 0)
+                              for b in beliefs], int))
 
 
 def packed(ms, params):

@@ -136,11 +136,11 @@ def test_c05_single_bernoulli_oracle():
 
     # M = 0: pure missed-detection update.
     st = tracker.init(p, GEOM, 0)
-    stacked([PmpcBelief(1, 0, np.tile(np.asarray(state), (J, 1)),
-                        np.full(J, 1 / J), 0.8)], st)
+    st = stacked([PmpcBelief(1, 0, np.tile(np.asarray(state), (J, 1)),
+                             np.full(J, 1 / J), 0.8)], st)
     st.far = FarBelief(np.full(J, 2.0), np.full(J, 1 / J))
     p_d = float(model.detection_prob(4.0, p.u_de, GEOM.n_eff, p.amp_mode))
-    tracker.update(st, [], p, GEOM)
+    st, _, _ = tracker.update(st, [], p, GEOM)
     expect = 0.8 * (1 - p_d) / (1 - 0.8 * p_d)
     worst = max(worst, abs(st.legacy[0].p_exist - expect))
 
@@ -149,8 +149,8 @@ def test_c05_single_bernoulli_oracle():
     # proposal draws, so the oracle replays the identical rng stream.
     for q, off in [(0.5, 0.0), (0.8, 0.05), (0.2, 0.3)]:
         st = tracker.init(p, GEOM, 0)
-        stacked([PmpcBelief(1, 0, np.tile(np.asarray(state), (J, 1)),
-                            np.full(J, 1 / J), q)], st)
+        st = stacked([PmpcBelief(1, 0, np.tile(np.asarray(state), (J, 1)),
+                                 np.full(J, 1 / J), q)], st)
         mu0 = 2.0
         st.far = FarBelief(np.full(J, mu0), np.full(J, 1 / J))
         z = Measurement(5.0 + off, 0.3, 4.0)
@@ -166,7 +166,7 @@ def test_c05_single_bernoulli_oracle():
         l = math.exp(log_l)
         num = q * t * p_d * l + q * (1 - p_d) * xi0
         expect = num / (num + (1 - q) * xi0)
-        tracker.update(st, [z], p, GEOM)
+        st, _, _ = tracker.update(st, [z], p, GEOM)
         got = [tr.p_exist for tr in st.legacy if tr.id == 1][0]
         worst = max(worst, abs(got - expect))
 
@@ -205,7 +205,7 @@ def test_c07_fast_far_variant():
         rng = np.random.default_rng(synth_seed)
         st = tracker.init(p, GEOM, trk_seed)
         for step in range(scn.steps):
-            tracker.predict(st, p)
+            st = tracker.predict(st, p)
             ms = synth.synth_measurements(scn, step, p, GEOM, rng)
             st, est, _ = tracker.update(st, ms, p, GEOM)
             mu_hats[r, step] = est.mu_fa_mmse

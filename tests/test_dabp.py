@@ -406,7 +406,8 @@ class TestLinearDomainMessages:
 
         log_nu = rng.normal(0.0, 1.0, (len(zs), len(trs)))
         st = stacked(trs)
-        tracker._update_legacy(st, w, log_nu)
+        st.weights, st.p_exist = tracker._update_legacy(
+            st.weights, st.p_exist, w, log_nu)
         for k, (tr, got) in enumerate(zip(trs, st.legacy)):
             want_w, want_p = reference_legacy_update(tr, zs, log_nu[:, k],
                                                      log_t, p)

@@ -114,7 +114,7 @@ class TestGeometry:
 def predicted(params, legacy=(), far=None, seed=0):
     """Tracker state after one tracker.predict from the given beliefs."""
     state = tracker.init(params, GEOM, seed)
-    stacked(legacy, state)
+    state = stacked(legacy, state)
     state.far = far
     return tracker.predict(state, params)
 
@@ -219,7 +219,7 @@ class TestTransition:
     def test_nonexistent_stays_nonexistent(self):
         state = predicted(PARAMS, [point_track([5.0, 0.0, 10.0, 1.0, 0.1], 0.0)])
         for _ in range(99):
-            tracker.predict(state, PARAMS)
+            state = tracker.predict(state, PARAMS)
         assert state.legacy[0].p_exist == 0.0
 
     def test_survival_fraction(self):
@@ -228,7 +228,7 @@ class TestTransition:
         state = predicted(params, [point_track([5.0, 0.0, 10.0, 0.0, 0.0], 1.0)])
         assert state.legacy[0].p_exist == 0.999
         for _ in range(999):
-            tracker.predict(state, params)
+            state = tracker.predict(state, params)
         assert state.legacy[0].p_exist == pytest.approx(0.999**1000,
                                                         rel=1e-12)
 
@@ -431,14 +431,14 @@ class TestVariances:
         assert d2[0] != d2[1]
         p = HyperParams(J=300)
         state = tracker.init(p, g, 2)
-        stacked([PmpcBelief(1, 0, np.tile([5.0, 0.3, 12.0, 0.0, 0.0],
-                                          (p.J, 1)),
-                            np.full(p.J, 1.0 / p.J), 0.9)], state)
+        state = stacked([PmpcBelief(
+            1, 0, np.tile([5.0, 0.3, 12.0, 0.0, 0.0], (p.J, 1)),
+            np.full(p.J, 1.0 / p.J), 0.9)], state)
         state.far = far_belief(np.full(p.J, 2.0))
         ms = [Measurement(5.01, 0.31, 11.5), Measurement(9.0, -1.0, 6.0)]
         for _ in range(3):
-            tracker.predict(state, p)
-            _, est, _ = tracker.update(state, ms, p, g)
+            state = tracker.predict(state, p)
+            state, est, _ = tracker.update(state, ms, p, g)
         assert est.nom_hat >= 1
         for t in est.all_tracks:
             assert all(map(math.isfinite, (t.d, t.phi, t.u, t.sigma_d,
@@ -672,7 +672,7 @@ def far_reweight(mus, M, K):
     only missed-detection weight and M measurements that carry no birth mass.
     What remains is the product of the K + M normalization factors
     (exp(-mu) mu^M)^(1/(K+M))."""
-    state = tracker.TrackerState(far=far_belief(mus))
+    far = far_belief(mus)
     log_beta = np.full((K, M + 1), -np.inf)
     log_beta[:, 0] = 0.0
     log_xi = np.zeros((M, K + 1))
@@ -682,8 +682,7 @@ def far_reweight(mus, M, K):
     marg = AssociationMarginals(np.zeros((K, M + 1)), np.zeros((M, K + 1)), 0,
                                 True, log_nu=np.zeros((M, K)))
     # No legacy association weight: every log(1 + sum_k zeta[k, m]) is 0.
-    tracker._update_far(state, w, marg, np.zeros(M))
-    return state.far.weights
+    return tracker._update_far(far, w, marg, np.zeros(M)).weights
 
 
 class TestFarNorm:
@@ -705,7 +704,7 @@ class TestFarNorm:
         params = HyperParams(J=J)
         state = tracker.init(params, GEOM, 0)
         state.far = far_belief(np.repeat([1.0, 3.0], J // 2))
-        tracker.update(state, [], params, GEOM)
+        state, _, _ = tracker.update(state, [], params, GEOM)
         share = math.exp(-3.0) / (math.exp(-1.0) + math.exp(-3.0))
         count = int(np.sum(state.far.particles == 3.0))
         assert abs(count - J * share) < 1.0

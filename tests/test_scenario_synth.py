@@ -148,6 +148,11 @@ class TestSerialization:
         pytest.param("u_de", lambda doc: doc.update(u_de=-1.0),
                      id="u_de-negative"),
         pytest.param("u_de", lambda doc: doc.update(u_de=0), id="u_de-zero"),
+        # A track that dies before it is born, with rows or with none.
+        pytest.param("death_step", lambda doc: doc["tracks"][0].update(
+            birth_step=5, death_step=3), id="death_step-before-birth"),
+        pytest.param("death_step", lambda doc: doc["tracks"][0].update(
+            birth_step=5, death_step=4, states=[]), id="death_step-no-rows"),
     ])
     def test_malformed_document_names_the_key(self, key, edit):
         doc = json.loads(desk_scenario().to_json())

@@ -48,7 +48,7 @@ class TestInit:
         p = params(sigma_fa_ini=0.0)
         st = tracker.init(p, GEOM, 0)
         ms = [Measurement(5.0, 0.1, 8.0), Measurement(9.0, -1.0, 6.0)]
-        tracker.update(st, ms, p, GEOM)
+        st, _, _ = tracker.update(st, ms, p, GEOM)
         assert np.allclose(st.far.particles, 1.0)  # M/2 with M = 2
 
     def test_invalid_params_rejected(self):
@@ -60,23 +60,23 @@ class TestPredict:
     def test_deterministic_advance(self):
         p = params(p_s=1.0, sigma_d=0.0, sigma_phi=0.0, sigma_u_rel=0.0)
         st = tracker.init(p, GEOM, 0)
-        stacked([point_track([5.0, 0.0, 10.0, 1.0, 0.1], 0.5, p.J)], st)
-        tracker.predict(st, p)
+        st = stacked([point_track([5.0, 0.0, 10.0, 1.0, 0.1], 0.5, p.J)], st)
+        st = tracker.predict(st, p)
         assert np.allclose(st.legacy[0].particles[:, 0], 6.0)
         assert st.legacy[0].p_exist == pytest.approx(0.5)
 
     def test_death_branch(self):
         p = params(p_s=0.0)
         st = tracker.init(p, GEOM, 0)
-        stacked([point_track([5.0, 0.0, 10.0, 0.0, 0.0], 0.9, p.J)], st)
-        tracker.predict(st, p)
+        st = stacked([point_track([5.0, 0.0, 10.0, 0.0, 0.0], 0.9, p.J)], st)
+        st = tracker.predict(st, p)
         assert st.legacy[0].p_exist == 0.0
 
     def test_existence_product(self):
         p = params(p_s=0.999)
         st = tracker.init(p, GEOM, 0)
-        stacked([point_track([5.0, 0.0, 10.0, 0.0, 0.0], 0.8, p.J)], st)
-        tracker.predict(st, p)
+        st = stacked([point_track([5.0, 0.0, 10.0, 0.0, 0.0], 0.8, p.J)], st)
+        st = tracker.predict(st, p)
         assert st.legacy[0].p_exist == pytest.approx(0.7992)
 
 
@@ -86,7 +86,7 @@ class TestResample:
         b = point_track([1, 2, 3, 4, 5], 1.0, 8)
         b.particles = np.arange(40, dtype=float).reshape(8, 5)
         before = b.particles.copy()
-        tracker.resample(b, 8, rng)
+        b = tracker.resample(b, 8, rng)
         # systematic resampling of uniform weights keeps the multiset
         assert sorted(map(tuple, b.particles)) == sorted(map(tuple, before))
         assert np.allclose(b.weights, 1.0 / 8)
@@ -98,7 +98,7 @@ class TestResample:
         w = np.full(10, 1e-9)
         w[3] = 1.0
         b.weights = w / w.sum()
-        tracker.resample(b, 10, rng)
+        b = tracker.resample(b, 10, rng)
         assert np.all(b.particles == b.particles[0])
         assert b.particles[0, 0] == 15.0
 
@@ -113,7 +113,7 @@ class TestEstimate:
     def test_point_mass_estimate(self):
         p = params()
         st = tracker.init(p, GEOM, 0)
-        stacked([point_track([5.0, 0.3, 8.0, 0.0, 0.0], 0.9, p.J)], st)
+        st = stacked([point_track([5.0, 0.3, 8.0, 0.0, 0.0], 0.9, p.J)], st)
         st.far = point_far(2.0, p.J)
         est = tracker.estimate(st, p)
         t = est.detected[0]
@@ -127,15 +127,15 @@ class TestEstimate:
         b = point_track([0, 0, 0, 0, 0], 0.9, 2)
         b.particles = np.array([[4.0, 0.1, 5.0, 0, 0], [8.0, 0.1, 5.0, 0, 0]])
         b.weights = np.array([0.25, 0.75])
-        stacked([b], st)
+        st = stacked([b], st)
         est = tracker.estimate(st, p)
         assert est.detected[0].d == pytest.approx(7.0)
 
     def test_detection_strictly_above_threshold(self):
         p = params(p_de=0.5)
         st = tracker.init(p, GEOM, 0)
-        stacked([point_track([5, 0, 8, 0, 0], 0.5, p.J, tid=1),
-                 point_track([6, 0, 8, 0, 0], 0.5001, p.J, tid=2)], st)
+        st = stacked([point_track([5, 0, 8, 0, 0], 0.5, p.J, tid=1),
+                      point_track([6, 0, 8, 0, 0], 0.5001, p.J, tid=2)], st)
         est = tracker.estimate(st, p)
         assert [t.id for t in est.detected] == [2]
         assert est.nom_hat == 1
@@ -147,7 +147,7 @@ class TestEstimate:
         b.particles = np.array([[5.0, np.pi - 0.05, 8.0, 0, 0],
                                 [5.0, -np.pi + 0.05, 8.0, 0, 0]])
         b.weights = np.array([0.5, 0.5])
-        stacked([b], st)
+        st = stacked([b], st)
         est = tracker.estimate(st, p)
         assert abs(model.ang_diff(est.detected[0].phi, np.pi)) < 1e-9
         assert est.detected[0].sigma_phi == pytest.approx(0.05)
@@ -177,10 +177,10 @@ class TestSingleBernoulliOracle:
     def test_miss_only_update(self):
         p = params()
         st = tracker.init(p, GEOM, 0)
-        stacked([point_track([5.0, 0.3, 2.5, 0.0, 0.0], 0.8, p.J)], st)
+        st = stacked([point_track([5.0, 0.3, 2.5, 0.0, 0.0], 0.8, p.J)], st)
         st.far = point_far(2.0, p.J)
         p_d = float(model.detection_prob(2.5, p.u_de, GEOM.n_eff, p.amp_mode))
-        tracker.update(st, [], p, GEOM)
+        st, _, _ = tracker.update(st, [], p, GEOM)
         expect = 0.8 * (1 - p_d) / (1 - 0.8 * p_d)
         assert st.legacy[0].p_exist == pytest.approx(expect, abs=1e-6)
 
@@ -189,7 +189,7 @@ class TestSingleBernoulliOracle:
         p = params()
         st = tracker.init(p, GEOM, 42)
         state = [5.0, 0.3, 4.0, 0.0, 0.0]
-        stacked([point_track(state, q, p.J)], st)
+        st = stacked([point_track(state, q, p.J)], st)
         mu0 = 2.0
         st.far = point_far(mu0, p.J)
         z = Measurement(5.0 + z_off, 0.3, 4.0)
@@ -210,7 +210,7 @@ class TestSingleBernoulliOracle:
             - math.log(p.mu_n)
 
         expect = bernoulli_oracle(q, mu0, p_d, log_l, log_mass, p.mu_n)
-        tracker.update(st, [z], p, GEOM)
+        st, _, _ = tracker.update(st, [z], p, GEOM)
         got = [tr.p_exist for tr in st.legacy if tr.id == 1]
         assert got and got[0] == pytest.approx(expect, abs=1e-6)
 
@@ -221,7 +221,7 @@ class TestSingleBernoulliOracle:
         st = tracker.init(p, GEOM, 0)
         state = [5.0, 0.3, 4.0, 0.0, 0.0]
         q, mu0 = 0.6, 1.5
-        stacked([point_track(state, q, p.J)], st)
+        st = stacked([point_track(state, q, p.J)], st)
         st.far = point_far(mu0, p.J)
         z = Measurement(5.02, 0.31, 4.2)
         p_d = float(model.detection_prob(4.0, p.u_de, GEOM.n_eff, p.amp_mode))
@@ -232,17 +232,17 @@ class TestSingleBernoulliOracle:
         l = math.exp(log_l)
         expect = (q * t * p_d * l + q * (1 - p_d)) \
             / (q * t * p_d * l + 1 - q * p_d)
-        tracker.update(st, [z], p, GEOM)
+        st, _, _ = tracker.update(st, [z], p, GEOM)
         assert st.legacy[0].p_exist == pytest.approx(expect, abs=1e-6)
 
     def test_strong_association_marginal(self):
         p = params()
         st = tracker.init(p, GEOM, 0)
-        stacked([point_track([5.0, 0.3, 30.0, 0.0, 0.0], 0.8, p.J)], st)
+        st = stacked([point_track([5.0, 0.3, 30.0, 0.0, 0.0], 0.8, p.J)], st)
         st.far = point_far(2.0, p.J)
         before = st.legacy[0].p_exist
-        _, _, marg = tracker.update(st, [Measurement(5.0, 0.3, 30.0)], p,
-                                    GEOM)
+        st, _, marg = tracker.update(st, [Measurement(5.0, 0.3, 30.0)], p,
+                                     GEOM)
         assert marg.p_a[0, 1] > 0.9
         assert st.legacy[0].p_exist > before
 
@@ -261,15 +261,18 @@ class TestUpdateMechanics:
         p = params()
         st = tracker.init(p, GEOM, 0)
         with caplog.at_level("WARNING"):
-            tracker.update(st, [Measurement(5.0, 0.0, 0.5)], p, GEOM)
+            st, _, _ = tracker.update(st, [Measurement(5.0, 0.0, 0.5)], p,
+                                      GEOM)
         assert "rejecting measurement" in caplog.text
         assert st.far is None  # nothing survived; no initialization
 
     def test_new_tracks_get_fresh_ids(self):
         p = params()
         st = tracker.init(p, GEOM, 0)
-        tracker.update(st, [Measurement(5.0, 0.0, 30.0)], p, GEOM)
-        tracker.update(st, [Measurement(9.0, 1.0, 30.0)], p, GEOM)
+        st, _, _ = tracker.update(st, [Measurement(5.0, 0.0, 30.0)], p,
+                                  GEOM)
+        st, _, _ = tracker.update(st, [Measurement(9.0, 1.0, 30.0)], p,
+                                  GEOM)
         ids = [t.id for t in st.legacy]
         assert len(ids) == len(set(ids))
         assert all(i >= 1 for i in ids)
@@ -280,15 +283,16 @@ class TestUpdateMechanics:
         # from next_id. Track 2 is pruned, and so are some new tracks.
         p = params(J=300)
         st = tracker.init(p, GEOM, 7)
-        stacked([point_track([5.0, 0.1, 12.0, 0, 0], 0.9, p.J, tid=4),
-                 point_track([9.0, -1.0, 2.5, 0, 0], 2e-4, p.J, tid=2),
-                 point_track([12.0, 2.0, 10.0, 0, 0], 0.8, p.J, tid=3)], st)
+        st = stacked([point_track([5.0, 0.1, 12.0, 0, 0], 0.9, p.J, tid=4),
+                      point_track([9.0, -1.0, 2.5, 0, 0], 2e-4, p.J, tid=2),
+                      point_track([12.0, 2.0, 10.0, 0, 0], 0.8, p.J, tid=3)],
+                     st)
         st.next_id = 7
         st.far = point_far(2.0, p.J)
         ms = burst(10, 3) + [Measurement(5.0, 0.1, 12.0),
                              Measurement(12.0, 2.0, 10.0)]
         canonical = sorted(ms, key=lambda z: (z.z_d, z.z_phi, z.z_u))
-        tracker.update(st, ms[::-1], p, GEOM)
+        st, _, _ = tracker.update(st, ms[::-1], p, GEOM)
         new = st.legacy[2:]
         assert [t.id for t in st.legacy[:2]] == [4, 3]
         assert all(t.birth_step == 0 for t in st.legacy[:2])
@@ -311,22 +315,22 @@ class TestUpdateMechanics:
         # a marginal one below the pruning threshold.
         p = params(p_pr=1e-4)
         st = tracker.init(p, GEOM, 0)
-        stacked([point_track([5, 0, 2.5, 0, 0], 2e-4, p.J, tid=1),
-                 point_track([9, 1, 2.5, 0, 0], 0.9, p.J, tid=2)], st)
+        st = stacked([point_track([5, 0, 2.5, 0, 0], 2e-4, p.J, tid=1),
+                      point_track([9, 1, 2.5, 0, 0], 0.9, p.J, tid=2)], st)
         st.far = point_far(2.0, p.J)
-        tracker.update(st, [], p, GEOM)
+        st, _, _ = tracker.update(st, [], p, GEOM)
         assert [t.id for t in st.legacy] == [2]
         assert st.legacy[0].p_exist >= p.p_pr
 
     def test_existence_decays_without_measurements(self):
         p = params(p_s=0.99)
         st = tracker.init(p, GEOM, 0)
-        stacked([point_track([5.0, 0.3, 3.0, 0.0, 0.0], 0.95, p.J)], st)
+        st = stacked([point_track([5.0, 0.3, 3.0, 0.0, 0.0], 0.95, p.J)], st)
         st.far = point_far(2.0, p.J)
         history = [st.legacy[0].p_exist]
         for _ in range(8):
-            tracker.predict(st, p)
-            tracker.update(st, [], p, GEOM)
+            st = tracker.predict(st, p)
+            st, _, _ = tracker.update(st, [], p, GEOM)
             if not st.legacy:
                 break
             history.append(st.legacy[0].p_exist)
@@ -337,11 +341,11 @@ class TestUpdateMechanics:
         rng = np.random.default_rng(0)
         st = tracker.init(p, GEOM, 3)
         for step in range(10):
-            tracker.predict(st, p)
+            st = tracker.predict(st, p)
             ms = [Measurement(rng.uniform(2, 15), rng.uniform(-3, 3),
                               math.sqrt(p.u_de) + rng.exponential(2.0))
                   for _ in range(rng.poisson(3))]
-            tracker.update(st, ms, p, GEOM)
+            st, _, _ = tracker.update(st, ms, p, GEOM)
             for tr in st.legacy:
                 assert 0.0 <= tr.p_exist <= 1.0
                 assert np.isclose(tr.weights.sum(), 1.0, atol=1e-9)
@@ -358,8 +362,8 @@ class TestUpdateMechanics:
             st = tracker.init(p, GEOM, 77)
             out = []
             for ms in ms_seq:
-                tracker.predict(st, p)
-                _, est, _ = tracker.update(st, ms, p, GEOM)
+                st = tracker.predict(st, p)
+                st, est, _ = tracker.update(st, ms, p, GEOM)
                 out.append(est)
             return out
 
@@ -374,8 +378,8 @@ class TestUpdateMechanics:
 
         def run(order):
             st = tracker.init(p, GEOM, 42)
-            tracker.predict(st, p)
-            _, est, _ = tracker.update(st, [ms[i] for i in order], p, GEOM)
+            st = tracker.predict(st, p)
+            st, est, _ = tracker.update(st, [ms[i] for i in order], p, GEOM)
             return est
 
         a = run([0, 1, 2])
@@ -389,11 +393,12 @@ class TestInputGate:
     def stepped(self, ms):
         p = params(J=100)
         st = tracker.init(p, GEOM, 9)
-        stacked([point_track([5.0, 0.1, 12.0, 0.0, 0.0], 0.9, p.J),
-                 point_track([9.0, -1.0, 7.0, 0.0, 0.0], 0.6, p.J, tid=2)], st)
+        st = stacked([
+            point_track([5.0, 0.1, 12.0, 0.0, 0.0], 0.9, p.J),
+            point_track([9.0, -1.0, 7.0, 0.0, 0.0], 0.6, p.J, tid=2)], st)
         st.far = point_far(2.0, p.J)
-        tracker.predict(st, p)
-        _, est, _ = tracker.update(st, ms, p, GEOM)
+        st = tracker.predict(st, p)
+        st, est, _ = tracker.update(st, ms, p, GEOM)
         return st, est
 
     @pytest.mark.parametrize("field", ["z_d", "z_phi", "z_u"])
@@ -454,8 +459,9 @@ def counted_update(monkeypatch, name, p, scalar_only=False):
 
     monkeypatch.setattr(model, name, counting)
     st = tracker.init(p, GEOM, 0)
-    stacked([point_track([5.0, 0.1, 12.0, 0.0, 0.0], 0.9, p.J),
-             point_track([9.0, -1.0, 7.0, 0.0, 0.0], 0.6, p.J, tid=2)], st)
+    st = stacked([point_track([5.0, 0.1, 12.0, 0.0, 0.0], 0.9, p.J),
+                  point_track([9.0, -1.0, 7.0, 0.0, 0.0], 0.6, p.J, tid=2)],
+                 st)
     st.far = point_far(2.0, p.J)
     ms = [Measurement(5.0, 0.1, 12.0), Measurement(9.0, -1.0, 7.0),
           Measurement(3.0, 2.0, 6.0), Measurement(4.0, 0.0, 0.5)]
@@ -523,7 +529,7 @@ def test_legacy_without_far_belief_raises(n_meas):
     # is refused before anything in it changes.
     p = params(J=50)
     st = tracker.init(p, GEOM, 0)
-    stacked([point_track([5.0, 0.1, 12.0, 0.0, 0.0], 0.9, p.J)], st)
+    st = stacked([point_track([5.0, 0.1, 12.0, 0.0, 0.0], 0.9, p.J)], st)
     before = copy.deepcopy(st)
     ms = [Measurement(5.0, 0.1, 12.0)][:n_meas]
     with pytest.raises(RuntimeError, match=rf"K=1 .*M={n_meas} "):
@@ -589,11 +595,12 @@ class TestBatchedProposals:
     def test_clutter_burst_update_is_finite(self):
         p = params(J=500)
         st = tracker.init(p, GEOM, 4)
-        stacked([point_track([5.0, 0.1, 12.0, 0.0, 0.0], 0.9, p.J),
-                 point_track([9.0, -1.0, 7.0, 0.0, 0.0], 0.6, p.J, tid=2)], st)
+        st = stacked([
+            point_track([5.0, 0.1, 12.0, 0.0, 0.0], 0.9, p.J),
+            point_track([9.0, -1.0, 7.0, 0.0, 0.0], 0.6, p.J, tid=2)], st)
         st.far = point_far(2.0, p.J)
-        tracker.predict(st, p)
-        _, est, marg = tracker.update(st, burst(200, 200), p, GEOM)
+        st = tracker.predict(st, p)
+        st, est, marg = tracker.update(st, burst(200, 200), p, GEOM)
         assert marg.p_b.shape[0] == 200
         assert math.isfinite(est.mu_fa_mmse)
         for t in est.all_tracks:
@@ -613,17 +620,17 @@ def test_pruned_beliefs_skip_resampling(monkeypatch):
     def stepped(p_pr):
         p = params(J=200, p_pr=p_pr)
         st = tracker.init(p, GEOM, 12)
-        stacked([point_track([5.0, 0.1, 12.0, 0.0, 0.0], 0.9, p.J),
-                 point_track([9.0, -1.0, 2.5, 0.0, 0.0], 2e-4, p.J, tid=2)],
-                st)
+        st = stacked([point_track([5.0, 0.1, 12.0, 0.0, 0.0], 0.9, p.J),
+                      point_track([9.0, -1.0, 2.5, 0.0, 0.0], 2e-4, p.J,
+                                  tid=2)], st)
         st.far = point_far(2.0, p.J)
-        tracker.predict(st, p)
+        st = tracker.predict(st, p)
         calls, rows = [], []
         kernel, row_kernel = tracker.resample, tracker._systematic
 
         def counting(*args):
-            calls.append(args[0])
-            return kernel(*args)
+            calls.append(kernel(*args))
+            return calls[-1]
 
         def counting_rows(*args):
             rows.append(args[0])
@@ -632,7 +639,7 @@ def test_pruned_beliefs_skip_resampling(monkeypatch):
         with monkeypatch.context() as mp:
             mp.setattr(tracker, "resample", counting)
             mp.setattr(tracker, "_systematic", counting_rows)
-            tracker.update(st, burst(8, 3), p, GEOM)
+            st, _, _ = tracker.update(st, burst(8, 3), p, GEOM)
         return st, calls, rows
 
     st, calls, rows = stepped(HyperParams().p_pr)
@@ -681,8 +688,8 @@ def tracked_state(p, seed):
     """A state holding both TRUTH components as legacy tracks and a
     false-alarm-rate belief near one clutter point per snapshot."""
     st_ = tracker.init(p, GEOM, seed)
-    stacked([point_track(x + [0.0, 0.0], 0.9, p.J, tid=i + 1)
-             for i, x in enumerate(TRUTH)], st_)
+    st_ = stacked([point_track(x + [0.0, 0.0], 0.9, p.J, tid=i + 1)
+                   for i, x in enumerate(TRUTH)], st_)
     st_.next_id = len(TRUTH) + 1
     st_.far = point_far(1.0, p.J)
     return st_
@@ -718,8 +725,8 @@ class TestUpdateProperties:
         def stepped(batch):
             st_ = tracker.init(p, GEOM, seed) if fresh \
                 else tracked_state(p, seed)
-            tracker.predict(st_, p)
-            _, est, _ = tracker.update(st_, batch, p, GEOM)
+            st_ = tracker.predict(st_, p)
+            st_, est, _ = tracker.update(st_, batch, p, GEOM)
             return st_, est
 
         (st_a, est_a), (st_b, est_b) = stepped(ms), stepped(permuted)
@@ -742,8 +749,8 @@ class TestUpdateProperties:
         st_.p_exist[:] = p_exist
         st_.far = point_far(mu, p.J)
         for _ in range(50):
-            tracker.predict(st_, p)
-            _, est, marg = tracker.update(st_, [], p, GEOM)
+            st_ = tracker.predict(st_, p)
+            st_, est, marg = tracker.update(st_, [], p, GEOM)
             assert marg.p_a.shape == (len(TRUTH), 1)
         assert len(st_.legacy) == len(TRUTH)
         assert_finite_state(st_)
@@ -759,20 +766,20 @@ class TestUpdateProperties:
         rng = np.random.default_rng(seed)
         st_ = tracked_state(p, seed)
         for _ in range(5):
-            tracker.predict(st_, p)
-            _, est, _ = tracker.update(
+            st_ = tracker.predict(st_, p)
+            st_, est, _ = tracker.update(
                 st_, truth_measurements(p, rng) + clutter(1, p, rng), p, GEOM)
         assert est.nom_hat == len(TRUTH)
-        tracker.predict(st_, p)
+        st_ = tracker.predict(st_, p)
         burst_ms = truth_measurements(p, rng) + clutter(298, p, rng)
-        _, _, marg = tracker.update(st_, burst_ms, p, GEOM)
+        st_, _, marg = tracker.update(st_, burst_ms, p, GEOM)
         assert marg.p_b.shape[0] == 300
         assert_finite_state(st_)
         tentative = len(st_.legacy)
         assert tentative > 10 * len(TRUTH)
         for _ in range(20):
-            tracker.predict(st_, p)
-            _, est, _ = tracker.update(
+            st_ = tracker.predict(st_, p)
+            st_, est, _ = tracker.update(
                 st_, truth_measurements(p, rng) + clutter(1, p, rng), p, GEOM)
         assert_finite_state(st_)
         assert len(st_.legacy) < tentative
@@ -825,8 +832,8 @@ class TestNonFiniteInjection:
         def stepped(ms):
             st_ = tracker.init(p, GEOM, seed) if fresh \
                 else tracked_state(p, seed)
-            tracker.predict(st_, p)
-            _, est, _ = tracker.update(st_, ms, p, GEOM)
+            st_ = tracker.predict(st_, p)
+            st_, est, _ = tracker.update(st_, ms, p, GEOM)
             return st_, est
 
         (st_bad, est_bad), (st_ok, est_ok) = stepped(mixed), stepped(good)
@@ -847,11 +854,11 @@ class TestNonFiniteInjection:
                 else tracked_state(p, seed)
             counts = []
             for step in range(21):
-                tracker.predict(st_, p)
+                st_ = tracker.predict(st_, p)
                 ms = truth_measurements(p, rng) + clutter(1, p, rng)
                 if inject and step == 0:
                     ms = injected(data, ms)
-                _, est, _ = tracker.update(st_, ms, p, GEOM)
+                st_, est, _ = tracker.update(st_, ms, p, GEOM)
                 assert math.isfinite(est.mu_fa_mmse)
                 for t in est.all_tracks:
                     assert all(map(math.isfinite, (
@@ -1040,7 +1047,7 @@ class TestStackedEqualsPerTrack:
         st.far = point_far(2.0, J)
         far = copy.deepcopy(st.far)
         rng = np.random.default_rng(5)
-        tracker.predict(st, p)
+        st = tracker.predict(st, p)
         oracle_predict(beliefs, far, p, rng)
         assert_rows_equal(st, beliefs)
         assert st.far.particles.tobytes() == far.particles.tobytes()
@@ -1081,7 +1088,8 @@ class TestStackedEqualsPerTrack:
         assert w.log_beta.tobytes() == (log_beta - shift).tobytes()
 
         log_nu = rng.normal(0.0, 1.0, (len(ms), K))
-        tracker._update_legacy(st, w, log_nu)
+        st.weights, st.p_exist = tracker._update_legacy(
+            st.weights, st.p_exist, w, log_nu)
         for k, tr in enumerate(beliefs):
             oracle_update_legacy(tr, w, k, log_nu)
         assert_rows_equal(st, beliefs)
@@ -1101,8 +1109,8 @@ class TestStackedEqualsPerTrack:
         st = stacked(copy.deepcopy(legacy), tracker.init(p, GEOM, 11))
         st.step, st.next_id = 9, 40
         X = np.stack([tr.particles.T for tr in new], axis=1)
-        tracker._prune_and_resample(st, X, np.array([tr.weights for tr in new]),
-                                    p_new, p)
+        st = tracker._prune_and_resample(
+            st, X, np.array([tr.weights for tr in new]), p_new, p)
         want, next_id = oracle_survivors(legacy, new, 9, 40, p.p_pr, J,
                                          np.random.default_rng(11))
         assert len(st.legacy) == len(want) == sum(
@@ -1115,21 +1123,22 @@ class TestStackedEqualsPerTrack:
 
 
 class TestEmptyStack:
-    def test_zero_to_n_to_zero(self):
+    def test_zero_to_n_to_zero(self, monkeypatch):
         # An empty (5, 0, J) stack runs through predict, update and
         # estimate; births fill it from empty, a step that prunes every row
-        # empties it again, and ids continue across.
+        # empties it again (after a fault in that step changed nothing),
+        # and ids continue across.
         p = params(J=300)
         st = tracker.init(p, GEOM, 21)
         assert st.particles.shape == (5, 0, p.J)
         assert st.weights.shape == (0, p.J)
-        tracker.predict(st, p)
-        _, est, _ = tracker.update(st, [], p, GEOM)
+        st = tracker.predict(st, p)
+        st, est, _ = tracker.update(st, [], p, GEOM)
         assert st.particles.shape == (5, 0, p.J) and est.all_tracks == []
 
         ms = [Measurement(5.0, 0.3, 30.0), Measurement(9.0, -2.0, 25.0)]
-        tracker.predict(st, p)
-        _, est, _ = tracker.update(st, ms, p, GEOM)
+        st = tracker.predict(st, p)
+        st, est, _ = tracker.update(st, ms, p, GEOM)
         K = len(st.p_exist)
         assert K == 2 and st.particles.shape == (5, K, p.J)
         assert st.ids.tolist() == [1, 2] and st.next_id == 3
@@ -1137,14 +1146,127 @@ class TestEmptyStack:
         assert [t.id for t in est.all_tracks] == [1, 2]
 
         st.p_exist[:] = 1e-9
-        tracker.predict(st, p)
-        _, est, _ = tracker.update(st, [], p, GEOM)
+        st = tracker.predict(st, p)
+        before = copy.deepcopy(st)
+        with monkeypatch.context() as mp:
+            mp.setattr(tracker, "_prune_and_resample",
+                       raising(tracker._prune_and_resample))
+            with pytest.raises(Fault):
+                tracker.update(st, [], p, GEOM)
+        assert_unchanged(st, before)
+        assert len(st.p_exist) == K
+        ref, est_ref, _ = tracker.update(copy.deepcopy(before), [], p, GEOM)
+        st, est, _ = tracker.update(st, [], p, GEOM)
+        assert est == est_ref
+        assert_same_state(st, ref)
         assert st.particles.shape == (5, 0, p.J)
         assert st.weights.shape == (0, p.J)
         assert st.p_exist.shape == st.ids.shape == st.birth_steps.shape \
             == (0,)
         assert st.legacy == [] and est.all_tracks == [] and est.nom_hat == 0
 
-        tracker.predict(st, p)
-        tracker.update(st, [Measurement(12.0, 1.0, 30.0)], p, GEOM)
+        st = tracker.predict(st, p)
+        st, _, _ = tracker.update(st, [Measurement(12.0, 1.0, 30.0)], p,
+                                  GEOM)
         assert st.ids.tolist() == [3] and st.next_id == 4
+
+
+# ---------------------------------------------------------------------------
+# One convention for state: predict and update write nothing they are given
+# ---------------------------------------------------------------------------
+
+class Fault(BaseException):
+    """Raised by a patched stage. Like KeyboardInterrupt it is no Exception,
+    so only a handler of every exception can roll an update back."""
+
+
+def raising(stage):
+    """stage run to completion, so that it draws whatever it draws from the
+    generator, and then raising Fault."""
+    def faulty(*args, **kwargs):
+        stage(*args, **kwargs)
+        raise Fault(stage.__name__)
+    return faulty
+
+
+def assert_unchanged(st_, before, rng=True):
+    """st_ holds the bytes of its deep copy before: stack, rate belief, step,
+    next id and (with rng) generator state."""
+    for f in ("particles", "weights", "p_exist", "ids", "birth_steps"):
+        a, b = getattr(st_, f), getattr(before, f)
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+    if before.far is None:
+        assert st_.far is None
+    else:
+        assert st_.far.particles.tobytes() == before.far.particles.tobytes()
+        assert st_.far.weights.tobytes() == before.far.weights.tobytes()
+    assert (st_.step, st_.next_id) == (before.step, before.next_id)
+    if rng:
+        assert st_.rng.bit_generator.state == before.rng.bit_generator.state
+
+
+# Every stage of update, in the order it runs.
+STAGES = [(tracker, "_build_proposals"), (dabp, "evaluate_weights"),
+          (dabp, "loopy_da"), (tracker, "_update_legacy"),
+          (tracker, "_update_far"), (tracker, "_prune_and_resample"),
+          (tracker, "resample"), (tracker, "estimate")]
+FAULT_MS = [Measurement(5.0, 0.3, 12.0), Measurement(9.0, -1.0, 8.0),
+            Measurement(3.0, 2.0, 6.0)]
+
+
+def assert_retry_is_uninterrupted(st_, before, p):
+    """Updating st_ with FAULT_MS, all three accepted, equals updating a
+    copy of before that was never interrupted: state, estimate and
+    generator state."""
+    ref, est_ref, _ = tracker.update(copy.deepcopy(before), FAULT_MS, p, GEOM)
+    nxt, est, marg = tracker.update(st_, FAULT_MS, p, GEOM)
+    assert marg.p_b.shape[0] == len(FAULT_MS)
+    assert est == est_ref
+    assert_same_state(nxt, ref)
+
+
+class TestFailedUpdateChangesNothing:
+    @pytest.mark.parametrize("module,name", STAGES,
+                             ids=[name for _, name in STAGES])
+    def test_fault_in_each_stage(self, module, name, monkeypatch):
+        # K = 2 with a rate belief and M = 3: a stage that raises, after
+        # running to completion, leaves the input as it was, and the retry
+        # equals an update that was never interrupted.
+        p = params(J=200)
+        st = tracker.predict(tracked_state(p, 5), p)
+        before = copy.deepcopy(st)
+        with monkeypatch.context() as mp:
+            mp.setattr(module, name, raising(getattr(module, name)))
+            with pytest.raises(Fault, match=name):
+                tracker.update(st, FAULT_MS, p, GEOM)
+        assert_unchanged(st, before)
+        assert len(st.p_exist) == 2
+        assert_retry_is_uninterrupted(st, before, p)
+
+    def test_fault_before_the_rate_belief_exists(self, monkeypatch):
+        # The first accepted measurements initialize the rate belief; a
+        # fault after that draw leaves none and the generator as it was.
+        p = params(J=200)
+        st = tracker.init(p, GEOM, 5)
+        before = copy.deepcopy(st)
+        with monkeypatch.context() as mp:
+            mp.setattr(tracker, "_build_proposals",
+                       raising(tracker._build_proposals))
+            with pytest.raises(Fault):
+                tracker.update(st, FAULT_MS, p, GEOM)
+        assert st.far is None
+        assert_unchanged(st, before)
+        assert_retry_is_uninterrupted(st, before, p)
+
+    def test_predict_writes_nothing(self):
+        # predict returns the next state and leaves every array of its
+        # input, the rate belief's included, bit for bit as it was (the
+        # generator, which the two states share, draws its noise).
+        p = params(J=200, p_s=0.97, sigma_u_rel=0.3)
+        st = tracked_state(p, 5)
+        before = copy.deepcopy(st)
+        nxt = tracker.predict(st, p)
+        assert_unchanged(st, before, rng=False)
+        assert nxt.step == st.step and nxt.far is not st.far
+        assert not np.array_equal(nxt.particles, st.particles)
+

@@ -14,6 +14,8 @@ from .scenario import get_scenario
 
 CONFIG_SCHEMA_VERSION = 1
 MODES = ("fully_synthetic", "radio_pipeline")
+# The sections of a config, each an object of its own type.
+_SECTIONS = ("hyper", "ospa", "geom")
 
 
 @dataclass
@@ -30,13 +32,23 @@ class ExperimentConfig:
     snapshot_u_de: float = None  # radio mode only; defaults to hyper.u_de
 
     def validate(self) -> list:
-        """'(field, message)' problems, empty when valid. runs, workers and
-        base_seed must be integers, snapshot_u_de None or a finite real
-        number (bool is neither); a field of the wrong type gets that one
-        problem and no range check."""
+        """'(field, message)' problems, empty when valid. scenario must be a
+        builtin name or a path that loads, out_dir a non-empty string; runs,
+        workers and base_seed must be integers, snapshot_u_de None or a
+        finite real number (bool is neither); a field of the wrong type gets
+        that one problem and no range check."""
         problems = []
         if self.mode not in MODES:
             problems.append(("mode", f"must be one of {MODES}"))
+        if not isinstance(self.scenario, str):
+            problems.append(("scenario", "must be a builtin name or a path"))
+        else:
+            try:
+                get_scenario(self.scenario)
+            except (OSError, ValueError) as exc:
+                problems.append(("scenario", str(exc)))
+        if not (isinstance(self.out_dir, str) and self.out_dir):
+            problems.append(("out_dir", "must be a non-empty string"))
         ints = ("runs", "workers", "base_seed")
         reals = ("snapshot_u_de",) if self.snapshot_u_de is not None else ()
         problems.extend(number_problems(
@@ -44,7 +56,7 @@ class ExperimentConfig:
                 (("runs", "workers"), lambda v: v >= 1, "must be >= 1"),
                 (("base_seed",), lambda v: v >= 0, "must be >= 0"),
                 (("snapshot_u_de",), lambda v: v > 0, "must be positive"))))
-        for section in ("hyper", "ospa", "geom"):
+        for section in _SECTIONS:
             problems.extend((f"{section}.{f}", msg)
                             for f, msg in getattr(self, section).validate())
         return problems
@@ -66,29 +78,25 @@ class ValidationReport:
         }, indent=1)
 
 
-# Each ArrayGeometry field and its default, None for a required one.
-_GEOM_FIELDS = {f.name: None if f.default is dataclasses.MISSING else f.default
-                for f in dataclasses.fields(ArrayGeometry)}
-
-
-def _fill_dataclass(cls, doc: dict, path: str, errors: list, filled: list):
-    """Build a dataclass from a dict, recording defaulted fields and unknown
-    keys. Field values are checked later, by validate()."""
+def _read(doc, path: str, cls, errors: list, filled: list) -> dict:
+    """The fields of the dataclass cls, other than sections, from doc, the
+    object at path ('' for the top level): each takes doc's value, or else
+    its default, which is noted in filled; a required field that doc omits
+    is None, for validate() to report. A key that names no field is an
+    error at its path; a doc that is not an object is one error at path,
+    and gives {}."""
     if not isinstance(doc, dict):
         errors.append((path, "must be an object"))
-        return cls()
-    names = {f.name for f in dataclasses.fields(cls)}
-    for key in doc:
-        if key not in names:
-            errors.append((f"{path}.{key}", "unknown field"))
-    kwargs = {}
-    obj_defaults = cls()
-    for f in dataclasses.fields(cls):
-        if f.name in doc:
-            kwargs[f.name] = doc[f.name]
-        else:
-            filled.append((f"{path}.{f.name}", getattr(obj_defaults, f.name)))
-    return cls(**kwargs)
+        return {}
+    at = f"{path}." if path else ""
+    defaults = {f.name: f.default for f in dataclasses.fields(cls)
+                if f.name not in _SECTIONS}
+    errors.extend((at + key, "unknown field")
+                  for key in sorted(set(doc) - set(defaults)))
+    filled.extend((at + name, value) for name, value in defaults.items()
+                  if name not in doc and value is not dataclasses.MISSING)
+    return {name: doc.get(name, None if value is dataclasses.MISSING
+                          else value) for name, value in defaults.items()}
 
 
 def config_from_dict(doc: dict) -> ValidationReport:
@@ -100,51 +108,23 @@ def config_from_dict(doc: dict) -> ValidationReport:
                        f"unsupported version {version}"))
     body = {k: v for k, v in doc.items() if k != "schema_version"}
 
-    hyper = _fill_dataclass(HyperParams, body.pop("hyper", {}), "hyper",
-                            errors, filled)
-    ospa = _fill_dataclass(OspaConfig, body.pop("ospa", {}), "ospa",
-                           errors, filled)
-
-    geom_doc = body.pop("geom", None)
+    hyper = _read(body.pop("hyper", {}), "hyper", HyperParams, errors, filled)
+    ospa = _read(body.pop("ospa", {}), "ospa", OspaConfig, errors, filled)
     geom = default_geometry()
-    if geom_doc is None:
+    if "geom" not in body:
         filled.append(("geom", "default 3x3 array"))
-    elif not isinstance(geom_doc, dict):
-        errors.append(("geom", "must be an object"))
-    else:
-        for key in sorted(set(geom_doc) - set(_GEOM_FIELDS)):
-            errors.append((f"geom.{key}", "unknown field"))
-        given = {k: v for k, v in geom_doc.items() if k in _GEOM_FIELDS}
+    # An object always gives every field; {} means geom was not an object.
+    elif fields := _read(body.pop("geom"), "geom", ArrayGeometry, errors,
+                         filled):
         # Construction assumes the field rules, so they run first.
-        problems = ArrayGeometry.validate(
-            SimpleNamespace(**{**_GEOM_FIELDS, **given}))
+        problems = ArrayGeometry.validate(SimpleNamespace(**fields))
         errors.extend((f"geom.{f}", msg) for f, msg in problems)
         if not problems:
-            try:
-                geom = ArrayGeometry(**given)
-            except ValueError as exc:
-                errors.append(("geom", str(exc)))
+            geom = ArrayGeometry(**fields)
 
-    cfg_defaults = ExperimentConfig()
-    kwargs = {}
-    for f in dataclasses.fields(ExperimentConfig):
-        if f.name in ("hyper", "geom", "ospa"):
-            continue
-        if f.name in body:
-            kwargs[f.name] = body.pop(f.name)
-        else:
-            filled.append((f.name, getattr(cfg_defaults, f.name)))
-    for key in sorted(body):
-        errors.append((key, "unknown field"))
-
-    cfg = ExperimentConfig(hyper=hyper, geom=geom, ospa=ospa, **kwargs)
-    if not isinstance(cfg.scenario, str):
-        errors.append(("scenario", "must be a builtin name or a path"))
-    else:
-        try:
-            get_scenario(cfg.scenario)
-        except (OSError, ValueError) as exc:
-            errors.append(("scenario", str(exc)))
+    cfg = ExperimentConfig(hyper=HyperParams(**hyper), geom=geom,
+                           ospa=OspaConfig(**ospa),
+                           **_read(body, "", ExperimentConfig, errors, filled))
     errors.extend(cfg.validate())
     return ValidationReport(not errors, errors, filled, cfg)
 

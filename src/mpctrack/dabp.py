@@ -169,16 +169,6 @@ def evaluate_weights(legacy, log_mass: np.ndarray, z: np.ndarray,
     )
 
 
-def _fix_degenerate_rows(lw: np.ndarray, tag: str, flagged: list) -> np.ndarray:
-    """Replace all-zero weight rows by uniform rows, recording which."""
-    bad = ~np.any(np.isfinite(lw), axis=1)
-    for i in np.flatnonzero(bad):
-        flagged.append((tag, int(i)))
-    lw = lw.copy()
-    lw[bad, :] = 0.0
-    return lw
-
-
 def _leave_one_out(base: np.ndarray, terms: np.ndarray) -> np.ndarray:
     """Row-wise log( exp(base) + sum_j exp(terms[:, j]) ) with column j
     excluded, computed stably. base: (R,), terms: (R, C) -> (R, C)."""
@@ -215,10 +205,12 @@ def loopy_da(w: AssociationWeights, P: int, tol: float) -> AssociationMarginals:
     if lb.shape != (K, M + 1) or lx0.shape != (M,):
         raise ValueError("inconsistent weight shapes")
 
-    flagged: list = []
-    lb = _fix_degenerate_rows(lb, "a", flagged)
+    # An all-zero weight row is replaced by a uniform one.
+    dead_a = ~np.any(np.isfinite(lb), axis=1)
+    dead_b = ~np.isfinite(lx0)
+    lb = np.where(dead_a[:, None], 0.0, lb)
     # 0 - x, not -x: a zero coupling stays +0.0.
-    couple = 0.0 - _fix_degenerate_rows(lx0[:, None], "b", flagged)
+    couple = 0.0 - np.where(dead_b, 0.0, lx0)[:, None]
     base = np.zeros(M)
 
     log_nu = np.zeros((M, K))
@@ -245,13 +237,12 @@ def loopy_da(w: AssociationWeights, P: int, tol: float) -> AssociationMarginals:
     p_a = _normalize_rows(np.concatenate([lb[:, :1], lb[:, 1:] + log_nu.T], axis=1))
     p_b = _normalize_rows(np.concatenate([base[:, None], couple + log_zeta.T],
                                          axis=1))
-    for tag, i in flagged:
-        if tag == "a":
-            p_a[i, :] = 1.0 / (M + 1)
-        else:
-            p_b[i, :] = 1.0 / (K + 1)
-    return AssociationMarginals(p_a, p_b, iterations, converged,
-                                log_nu, log_zeta, tuple(flagged))
+    p_a[dead_a] = 1.0 / (M + 1)
+    p_b[dead_b] = 1.0 / (K + 1)
+    return AssociationMarginals(
+        p_a, p_b, iterations, converged, log_nu, log_zeta,
+        tuple([("a", int(i)) for i in np.flatnonzero(dead_a)]
+              + [("b", int(i)) for i in np.flatnonzero(dead_b)]))
 
 
 def exhaustive_da_oracle(w: AssociationWeights) -> AssociationMarginals:

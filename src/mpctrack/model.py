@@ -101,27 +101,14 @@ class ArrayGeometry:
     c: float = 299792458.0  # propagation speed, m/s
 
     def __post_init__(self):
-        if len(self.element_offsets) < 1:
-            raise ValueError("array needs at least one element")
-        if self.N_s < 1:
-            raise ValueError("N_s must be >= 1")
+        problems = self.validate()
+        if problems:
+            raise ValueError("invalid array geometry: " + "; ".join(
+                f"{f} {msg}" for f, msg in problems))
         self._polar = np.asarray(self.element_offsets,
                                  dtype=float).reshape(-1, 2)
-        xy = self.element_xy()
-        scale = max(1.0, float(np.max(np.abs(xy))) if xy.size else 1.0)
-        if np.any(np.abs(xy.mean(axis=0)) > 1e-9 * scale):
-            raise ValueError("element centroid must be at the origin")
         # Closed-form aperture coefficients (see aperture_sq).
         d2h, two_phi_h = self._polar[:, 0] ** 2, 2.0 * self._polar[:, 1]
-        # A subnormal, underflowed or overflowed square has no relative
-        # precision, so the aperture would be rounding noise.
-        fi = np.finfo(float)
-        bad = (self._polar[:, 0] != 0.0) & ~((d2h >= fi.tiny)
-                                             & (d2h <= fi.max))
-        if np.any(bad):
-            raise ValueError("element distances must be 0 or have squares in "
-                             "the normal float range; got "
-                             f"{self._polar[bad, 0].tolist()}")
         a, b, c = (float(np.sum(d2h)) / 2.0,
                    float(np.sum(d2h * np.cos(two_phi_h))) / 2.0,
                    float(np.sum(d2h * np.sin(two_phi_h))) / 2.0)
@@ -136,19 +123,41 @@ class ArrayGeometry:
 
     def validate(self) -> list:
         """'(field, message)' problems, empty when valid: N_s an integer
-        (construction checks N_s >= 1), psi finite, the other numbers finite
-        and positive. It reads only the fields, so may precede construction."""
+        >= 1, psi finite, the other numbers finite and positive, and
+        element_offsets at least one (distance, angle) pair of finite
+        numbers, centred on the origin, each distance 0 or with a square in
+        the normal float range. It reads only the fields, so may precede
+        construction."""
         problems = number_problems(
             self, ("psi", "f_c", "beta_bw_sq", "N_s", "T_s", "c"),
-            integers=("N_s",), rules=((("f_c", "beta_bw_sq", "T_s", "c"),
-                                       lambda v: v > 0, "must be positive"),))
+            integers=("N_s",), rules=(
+                (("f_c", "beta_bw_sq", "T_s", "c"), lambda v: v > 0,
+                 "must be positive"),
+                (("N_s",), lambda v: v >= 1, "must be >= 1")))
         seq = (list, tuple, np.ndarray)
         if not (isinstance(self.element_offsets, seq) and all(
                 isinstance(e, seq) and len(e) == 2
                 and not any(map(_type_problem, e))
                 for e in self.element_offsets)):
-            problems.append(("element_offsets", "must be (distance, angle) "
-                             "pairs of finite numbers"))
+            return problems + [("element_offsets", "must be (distance, angle) "
+                                "pairs of finite numbers")]
+        if len(self.element_offsets) < 1:
+            return problems + [("element_offsets",
+                                "must have at least one element")]
+        d, phi = np.asarray(self.element_offsets, dtype=float).T
+        xy = np.stack([d * np.cos(phi), d * np.sin(phi)], axis=1)
+        scale = max(1.0, float(np.max(np.abs(xy))))
+        if np.any(np.abs(xy.mean(axis=0)) > 1e-9 * scale):
+            problems.append(("element_offsets",
+                             "element centroid must be at the origin"))
+        # A subnormal, underflowed or overflowed square has no relative
+        # precision, so the aperture would be rounding noise.
+        fi, sq = np.finfo(float), d ** 2
+        bad = (d != 0.0) & ~((sq >= fi.tiny) & (sq <= fi.max))
+        if np.any(bad):
+            problems.append(("element_offsets", "distances must be 0 or have "
+                             "squares in the normal float range; got "
+                             f"{d[bad].tolist()}"))
         return problems
 
     @property

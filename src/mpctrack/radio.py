@@ -36,12 +36,12 @@ PULSE_ROLLOFF = 0.6
 PULSE_TRUNC_SYMBOLS = 8.0  # pulse support is +- this many symbol periods
 
 
-def rrc_pulse(t, T: float = PULSE_DURATION, rolloff: float = PULSE_ROLLOFF):
-    """Root-raised-cosine pulse, unit peak scale 1/T convention, zero outside
+def rrc_pulse(t):
+    """Root-raised-cosine pulse of symbol period T = PULSE_DURATION and
+    rolloff b = PULSE_ROLLOFF, unit peak scale 1/T convention, zero outside
     +-PULSE_TRUNC_SYMBOLS symbol periods (NaN stays NaN)."""
-    t = np.asarray(t, dtype=float)
-    b = rolloff
-    x = t / T
+    T, b = PULSE_DURATION, PULSE_ROLLOFF
+    x = np.asarray(t, dtype=float) / T
     out = np.zeros_like(x)
     # Only the support is evaluated; NaN fails the comparison, so it is kept.
     inside = ~(np.abs(x) > PULSE_TRUNC_SYMBOLS)
@@ -51,14 +51,10 @@ def rrc_pulse(t, T: float = PULSE_DURATION, rolloff: float = PULSE_ROLLOFF):
     near_zero = np.abs(x) < 1e-8
     val[near_zero] = (1.0 + b * (4.0 / np.pi - 1.0)) / T
 
-    if b > 0:
-        xs = 1.0 / (4.0 * b)
-        near_sing = np.abs(np.abs(x) - xs) < 1e-8
-        val[near_sing] = (b / (T * math.sqrt(2.0))) * (
-            (1.0 + 2.0 / np.pi) * math.sin(np.pi / (4.0 * b))
-            + (1.0 - 2.0 / np.pi) * math.cos(np.pi / (4.0 * b)))
-    else:
-        near_sing = np.zeros_like(near_zero)
+    near_sing = np.abs(np.abs(x) - 1.0 / (4.0 * b)) < 1e-8
+    val[near_sing] = (b / (T * math.sqrt(2.0))) * (
+        (1.0 + 2.0 / np.pi) * math.sin(np.pi / (4.0 * b))
+        + (1.0 - 2.0 / np.pi) * math.cos(np.pi / (4.0 * b)))
 
     rest = ~(near_zero | near_sing)
     xr = x[rest]

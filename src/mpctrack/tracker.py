@@ -192,8 +192,6 @@ def _build_proposals(z: np.ndarray, log_fa: np.ndarray, sd: np.ndarray,
     and the weights and log masses are reduced row by row.
     """
     M, J = len(z), params.J
-    if M == 0:
-        return np.empty((5, 0, J)), np.empty((0, J)), np.empty(0)
     zd, zp, zu = z[:, 0:1], z[:, 1:2], z[:, 2:3]
     su = np.sqrt(model.amp_scale_sq(zu, geom.n_eff))
 
@@ -224,16 +222,16 @@ def _build_proposals(z: np.ndarray, log_fa: np.ndarray, sd: np.ndarray,
 
     log_lik = model.log_lik_matrix(z, X.transpose(2, 1, 0), params, geom).T
     u_prior_max = np.maximum(params.u_birth_max, zu + 6.0 * su)
-    log_c = [[-math.log(TWO_PI * params.d_max) - math.log(x)]
-             for x in u_prior_max[:, 0]]
+    log_c = np.reshape([-math.log(TWO_PI * params.d_max) - math.log(x)
+                        for x in u_prior_max[:, 0]], (-1, 1))
     log_birth = np.where((d >= 0.0) & (d <= params.d_max) & (u <= u_prior_max),
                          log_c, -np.inf)
     # Log normalizers per measurement on math.log (np.log on an array
     # differs from it in the last bit for some inputs), subtracted one at a
     # time in the order of the one-measurement formula, so no float changes.
     norm_d, norm_p, norm_u = (
-        [[math.log(s * math.sqrt(TWO_PI))] for s in col[:, 0]]
-        for col in (sd, sp, su))
+        np.reshape([math.log(s * math.sqrt(TWO_PI)) for s in col[:, 0]],
+                   (-1, 1)) for col in (sd, sp, su))
     log_prop = -0.5 * ((d - zd) / sd) ** 2
     log_prop -= norm_d
     log_prop -= 0.5 * (ang_diff(phi, zp) / sp) ** 2
@@ -351,7 +349,8 @@ def update(state: TrackerState, measurements: Sequence[Measurement],
     Returns (next state, StepEstimate, AssociationMarginals), all or
     nothing: state is not written, and a stage that raises leaves the
     generator as it was. Each measurement is gated here only, and rejected
-    with a diagnostic, in this order: a non-finite field; a zero distance
+    with a diagnostic, in this order: a non-finite field; an angle outside
+    [-pi, pi]; a zero distance
     or angle standard deviation (an amplitude so large that its variance
     underflows); a zero clutter density, whose support is z_u above
     sqrt(u_de) and z_d in [0, d_max]. Processing uses set semantics:
@@ -366,6 +365,10 @@ def update(state: TrackerState, measurements: Sequence[Measurement],
             if not all(map(math.isfinite, z)):
                 log.warning("rejecting non-finite measurement: z_d=%.4g "
                             "z_phi=%.4g z_u=%.4g", *z)
+                continue
+            if not -math.pi <= z.z_phi <= math.pi:
+                log.warning("rejecting measurement with angle outside "
+                            "[-pi, pi]: z_phi=%.4g", z.z_phi)
                 continue
             # Scalar calls: on a scalar u**2 is pow(), on an array u*u, and
             # the two differ in the last bit for about 1e-3 of amplitudes.

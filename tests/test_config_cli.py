@@ -2,6 +2,7 @@
 the command-line interface."""
 
 import json
+import math
 import os
 
 import pytest
@@ -108,6 +109,11 @@ class TestValidateConfig:
         # These three failed inside construction and lost the field path.
         ("N_s", "x"), ("element_offsets", 5),
         ("element_offsets", [[0.0, "a"]]),
+        # These four failed construction and were reported at bare geom.
+        ("element_offsets", []), ("element_offsets", [[1.0, 0.0]]),
+        ("N_s", 0),
+        ("element_offsets", [[1.16e-161, 0.0], [1.16e-161, math.pi],
+                             [0.0, 0.0]]),
     ])
     def test_mistyped_geom_field_path(self, tmp_path, key, value):
         # validate() checks the fields before construction and reports each
@@ -117,6 +123,15 @@ class TestValidateConfig:
                                                            key: value}}))
         assert not report.ok
         assert [f for f, _ in report.errors] == [f"geom.{key}"]
+
+    def test_geom_without_c_reports_its_default(self, tmp_path):
+        # c was defaulted silently.
+        geom = config_to_dict(ExperimentConfig())["geom"]
+        del geom["c"]
+        report = validate_config(write(tmp_path, {"geom": geom}))
+        assert report.ok, report.errors
+        assert ("geom.c", 299792458.0) in report.defaults_filled
+        assert report.config.geom.c == 299792458.0
 
     def test_optional_radio_fields_accept_none_and_numbers(self, tmp_path):
         for doc in ({"snapshot_u_de": None}, {"snapshot_u_de": 25}):
@@ -200,6 +215,15 @@ class TestRunExperiment:
         cfg = small_cfg(tmp_path / "out", p_s=2.0)
         with pytest.raises(ValueError):
             run_experiment(cfg)
+
+    def test_non_string_scenario_raises_before_writing(self, tmp_path):
+        # validate() passed scenario=3, and the run then read file
+        # descriptor 3 as a scenario file.
+        cfg = ExperimentConfig(scenario=3, out_dir=str(tmp_path / "out"))
+        assert [f for f, _ in cfg.validate()] == ["scenario"]
+        with pytest.raises(ValueError, match="scenario"):
+            run_experiment(cfg)
+        assert not (tmp_path / "out").exists()
 
     def test_single_track_no_clutter_nom(self, tmp_path):
         # One high-amplitude component with clutter effectively disabled:
@@ -294,6 +318,10 @@ class TestCli:
         ({"ospa": None}, "ospa"), ({"geom": 5}, "geom"),
         ({"snr_1m_db": float("nan")}, "snr_1m_db"),
         ({"snr_1m_db": -3.5}, "snr_1m_db"),
+        # 5 and null passed validate, and run died with a TypeError; ""
+        # died with a FileNotFoundError.
+        ({"out_dir": 5}, "out_dir"), ({"out_dir": None}, "out_dir"),
+        ({"out_dir": ""}, "out_dir"),
     ])
     @pytest.mark.parametrize("command", ["validate", "run"])
     def test_mistyped_config_exits_2_with_report(self, tmp_path, doc, field,

@@ -8,6 +8,7 @@ against closed forms written out in the tests.
 """
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -40,6 +41,21 @@ class TestGeometry:
     def test_centroid_must_be_origin(self):
         with pytest.raises(ValueError):
             ArrayGeometry([(1.0, 0.0)], 0.0, 6e9, 1e16, 46, 1.25e-9)
+
+    @pytest.mark.parametrize("offsets,N_s,field", [
+        ([], 46, "element_offsets"), ([(1.0, 0.0)], 46, "element_offsets"),
+        ([(0.0, 0.0)], 0, "N_s"),
+        ([(1.16e-161, 0.0), (1.16e-161, np.pi), (0.0, 0.0)], 46,
+         "element_offsets")])
+    def test_invalid_geometry_is_one_field_problem(self, offsets, N_s, field):
+        # validate() reports each construction rule at its field, so a
+        # geometry that validates can always be built.
+        fields = dict(element_offsets=offsets, psi=0.0, f_c=6e9,
+                      beta_bw_sq=1e16, N_s=N_s, T_s=1.25e-9, c=3e8)
+        problems = ArrayGeometry.validate(SimpleNamespace(**fields))
+        assert [f for f, _ in problems] == [field]
+        with pytest.raises(ValueError, match=field):
+            ArrayGeometry(**fields)
 
     def test_ura_is_centered(self):
         g = ArrayGeometry.uniform_rectangular(3, 3, 0.02, psi=0.0, f_c=6e9,

@@ -418,15 +418,11 @@ class TestInputGate:
         assert np.array_equal(st_bad.far.particles, st_ok.far.particles)
         assert st_bad.rng.random() == st_ok.rng.random()
 
-    @pytest.mark.parametrize("z_u", [1e148, 1e160])
-    def test_huge_amplitude_rejected(self, z_u, caplog):
-        # At 1e148 both variances round to 0 (their denominators overflow),
-        # and at 1e160 the clutter density's z_u**2 overflows too: the gate
-        # tests the standard deviations first and rejects the measurement,
-        # and the update is the one without it.
+    def assert_rejected(self, bad, caplog):
+        """bad gets one "rejecting" warning, and the update is the one
+        without it."""
         with caplog.at_level("WARNING", logger="mpctrack.tracker"):
-            st_bad, est_bad = self.stepped([self.GOOD,
-                                            Measurement(5.0, 0.3, z_u)])
+            st_bad, est_bad = self.stepped([self.GOOD, bad])
         records = [r for r in caplog.records if r.name == "mpctrack.tracker"]
         assert len(records) == 1
         assert records[0].getMessage().startswith("rejecting")
@@ -438,6 +434,21 @@ class TestInputGate:
         assert np.array_equal(st_bad.far.particles, st_ok.far.particles)
         assert np.array_equal(st_bad.far.weights, st_ok.far.weights)
         assert st_bad.rng.bit_generator.state == st_ok.rng.bit_generator.state
+
+    @pytest.mark.parametrize("z_u", [1e148, 1e160])
+    def test_huge_amplitude_rejected(self, z_u, caplog):
+        # At 1e148 both variances round to 0 (their denominators overflow),
+        # and at 1e160 the clutter density's z_u**2 overflows too: the gate
+        # tests the standard deviations first and rejects the measurement,
+        # and the update is the one without it.
+        self.assert_rejected(Measurement(5.0, 0.3, z_u), caplog)
+
+    @pytest.mark.parametrize("z_phi", [1e300, 4.0, -7.0])
+    def test_out_of_range_angle_rejected(self, z_phi, caplog):
+        # Every producer emits wrapped angles; a finite angle outside
+        # [-pi, pi] is rejected, not wrapped (np.mod of 1e300 is rounding
+        # noise).
+        self.assert_rejected(Measurement(8.0, z_phi, 15.0), caplog)
 
 
 def counted_update(monkeypatch, name, p, scalar_only=False):

@@ -23,7 +23,7 @@ def main():
 @click.option("--out", type=click.Path(), default=None,
               help="Override output directory.")
 @click.option("--workers", type=int, default=None,
-              help="Override worker count.")
+              help="Override worker count (capped at runs and cores).")
 @click.option("--mode", type=click.Choice(["fully_synthetic",
                                            "radio_pipeline"]), default=None)
 def run(config, runs, seed, out, workers, mode):

@@ -36,8 +36,7 @@ def _radio_measurements(scn: Scenario, step: int, cfg: ExperimentConfig,
     samples = radio.synth_radio(truth, phases, cfg.geom, rng)
     u_de = cfg.snapshot_u_de if cfg.snapshot_u_de is not None \
         else cfg.hyper.u_de
-    return radio.snapshot_estimate(samples, feedback, cfg.geom, u_de,
-                                   bank=bank)
+    return radio.snapshot_estimate(samples, feedback, bank, u_de)
 
 
 def run_single(cfg: ExperimentConfig, run_index: int) -> RunLog:
@@ -68,16 +67,18 @@ def run_single(cfg: ExperimentConfig, run_index: int) -> RunLog:
 
 
 def run_experiment(cfg: ExperimentConfig) -> dict:
-    """Run all Monte-Carlo runs, write per-run CSVs, the aggregate summary
+    """Run all Monte-Carlo runs, on min(workers, runs, cores) processes
+    (serially when that is 1), and write per-run CSVs, the aggregate summary
     and a config echo into cfg.out_dir. Returns the aggregate."""
     problems = cfg.validate()
     if problems:
         raise ValueError(f"invalid config: {problems}")
     os.makedirs(cfg.out_dir, exist_ok=True)
 
-    if cfg.workers > 1 and cfg.runs > 1:
+    workers = min(cfg.workers, cfg.runs, os.cpu_count() or 1)
+    if workers > 1:
         with concurrent.futures.ProcessPoolExecutor(
-                max_workers=cfg.workers) as pool:
+                max_workers=workers) as pool:
             logs = list(pool.map(run_single, [cfg] * cfg.runs,
                                  range(cfg.runs)))
     else:

@@ -169,12 +169,6 @@ class ArrayGeometry:
         """Total number of complex samples N_s * H."""
         return self.N_s * self.H
 
-    def element_xy(self) -> np.ndarray:
-        """Cartesian element positions, shape (H, 2)."""
-        off = self._polar
-        return np.stack([off[:, 0] * np.cos(off[:, 1]),
-                         off[:, 0] * np.sin(off[:, 1])], axis=1)
-
     def delay_shift(self, phi) -> np.ndarray:
         """Plane-wave delay shift (seconds) of each element for AoA phi.
 
@@ -188,8 +182,7 @@ class ArrayGeometry:
     @classmethod
     def uniform_rectangular(cls, nx: int, ny: int, spacing: float, *,
                             psi: float, f_c: float, beta_bw_sq: float,
-                            N_s: int, T_s: float,
-                            c: float = 299792458.0) -> "ArrayGeometry":
+                            N_s: int, T_s: float) -> "ArrayGeometry":
         """Uniform rectangular nx-by-ny array centered on its centroid."""
         xs = (np.arange(nx) - (nx - 1) / 2.0) * spacing
         ys = (np.arange(ny) - (ny - 1) / 2.0) * spacing
@@ -197,7 +190,7 @@ class ArrayGeometry:
         for x in xs:
             for y in ys:
                 offsets.append((float(np.hypot(x, y)), float(np.arctan2(y, x))))
-        return cls(offsets, psi, f_c, beta_bw_sq, N_s, T_s, c)
+        return cls(offsets, psi, f_c, beta_bw_sq, N_s, T_s)
 
 
 def _type_problem(v, integer=False):
@@ -302,11 +295,11 @@ def propagate_kinematics(particles: np.ndarray, params: HyperParams,
                      v_phi + dt * eps[..., 1]])
 
 
-def reflect_positive(mu, floor: float = MU_FA_FLOOR):
-    """Reflect values at a positive floor. Unlike clamping, reflection leaves
-    no absorbing atom at the boundary, which would otherwise capture the
-    whole particle set after a run of zero-clutter snapshots."""
-    return floor + np.abs(np.asarray(mu) - floor)
+def reflect_positive(mu):
+    """Reflect values at MU_FA_FLOOR. Unlike clamping, reflection leaves no
+    absorbing atom at the boundary, which would otherwise capture the whole
+    particle set after a run of zero-clutter snapshots."""
+    return MU_FA_FLOOR + np.abs(np.asarray(mu) - MU_FA_FLOOR)
 
 
 # ---------------------------------------------------------------------------
@@ -393,7 +386,7 @@ def marcum_q1(a, b):
     return ncx2.sf(b * b, 2, a * a)
 
 
-def detection_prob(u, u_de: float, n_eff, mode: str = "exact"):
+def detection_prob(u, u_de: float, n_eff, mode: str):
     """Probability that a component of amplitude u produces a measurement
     above the detection threshold.
 
@@ -409,7 +402,7 @@ def detection_prob(u, u_de: float, n_eff, mode: str = "exact"):
     raise ValueError(f"unknown amplitude mode: {mode!r}")
 
 
-def log_detection_prob(u, u_de: float, n_eff, mode: str = "exact"):
+def log_detection_prob(u, u_de: float, n_eff, mode: str):
     u = np.asarray(u, dtype=float)
     s = np.sqrt(amp_scale_sq(u, n_eff))
     if mode == "gauss":

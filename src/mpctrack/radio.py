@@ -75,14 +75,13 @@ def rrc_mean_square_bandwidth(T: float = PULSE_DURATION,
     return (1.0 / 12.0 + b * b * (0.25 - 2.0 / np.pi**2)) / (T * T)
 
 
-def default_geometry(N_s: int = 46, T_s: float = 1.25e-9,
-                     f_c: float = 6e9) -> ArrayGeometry:
-    """3x3 uniform rectangular array with 2 cm spacing and the standard
-    pulse's mean-square bandwidth."""
+def default_geometry() -> ArrayGeometry:
+    """3x3 uniform rectangular array with 2 cm spacing at 6 GHz, 46 samples
+    per element at 1.25 ns, and the standard pulse's mean-square
+    bandwidth."""
     return ArrayGeometry.uniform_rectangular(
-        3, 3, 0.02, psi=0.0, f_c=f_c,
-        beta_bw_sq=rrc_mean_square_bandwidth(),
-        N_s=N_s, T_s=T_s)
+        3, 3, 0.02, psi=0.0, f_c=6e9,
+        beta_bw_sq=rrc_mean_square_bandwidth(), N_s=46, T_s=1.25e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -159,7 +158,7 @@ def _pulse_harmonics(geom: ArrayGeometry) -> np.ndarray:
     coeff = spec * np.exp(-1j * np.pi * k)  # shift start to t = -T/2
     half = geom.N_s // 2
     ks = np.arange(-half, geom.N_s - half)
-    return ks, np.array([coeff[int(kk) % Q] for kk in ks])
+    return ks, coeff[ks % Q]
 
 
 class MatchedFilterBank:
@@ -175,8 +174,8 @@ class MatchedFilterBank:
         self.pad_cols = np.mod(self.ks, self.L)     # and its fine-grid bin
         self.angles = np.deg2rad(np.arange(-180.0, 180.0, ANGLE_GRID_DEG))
         # Per-angle, per-element phase factors on each harmonic.
-        g = np.stack([geom.delay_shift(a) for a in self.angles])  # (A, H)
-        carrier = np.exp(-2j * np.pi * geom.f_c * g)              # (A, H)
+        g = geom.delay_shift(self.angles).T           # (A, H)
+        carrier = np.exp(-2j * np.pi * geom.f_c * g)  # (A, H)
         # e^{-j 2 pi k g / T} times the carrier for every (A, H, K)
         self.shifted_carrier = np.exp(
             -2j * np.pi * self.ks[None, None, :] * g[:, :, None] / self.period
@@ -289,13 +288,13 @@ def _newton_refine(residual: np.ndarray, starts: list, geom: ArrayGeometry):
     return out
 
 
-def _extract(residual: np.ndarray, seeds: list, bank: "MatchedFilterBank",
-             geom: ArrayGeometry):
+def _extract(residual: np.ndarray, seeds: list, bank: MatchedFilterBank):
     """The strongest component left in the residual: the coarse grid peak
-    and the seed points (d, phi) refined in lock step, the best of them (max
-    keeps the first of equal scores), its steering vector s and _match's
-    (nsq, corr), taken from the refinement unless wrapping moved the point.
-    Returns (d, phi, s, nsq, corr)."""
+    and the seed points (d, phi) refined in lock step on the bank's
+    geometry, the best of them (max keeps the first of equal scores), its
+    steering vector s and _match's (nsq, corr), taken from the refinement
+    unless wrapping moved the point. Returns (d, phi, s, nsq, corr)."""
+    geom = bank.geom
     d0, p0, _ = bank.coarse_peak(residual)
     d, phi, _, row = max(_newton_refine(residual, [(d0, p0)] + seeds, geom),
                          key=lambda c: c[2])
@@ -305,10 +304,10 @@ def _extract(residual: np.ndarray, seeds: list, bank: "MatchedFilterBank",
     return (d, phi) + row
 
 
-def snapshot_estimate(samples: np.ndarray, prior_tracks, geom: ArrayGeometry,
-                      u_de: float, bank: "MatchedFilterBank" = None) -> list:
-    """Extract measurement triples from a sample vector by successive
-    cancellation.
+def snapshot_estimate(samples: np.ndarray, prior_tracks,
+                      bank: MatchedFilterBank, u_de: float) -> list:
+    """Extract measurement triples from a sample vector of the bank's
+    geometry by successive cancellation.
 
     prior_tracks: optional iterable of feedback summaries (objects with .d
     and .phi) used as additional search seeds before the global grid. The
@@ -318,9 +317,7 @@ def snapshot_estimate(samples: np.ndarray, prior_tracks, geom: ArrayGeometry,
     vector with a non-finite sample, or with an energy so large that the
     squared correlations would overflow, gives [] and one warning.
     """
-    if bank is None:
-        bank = MatchedFilterBank(geom)
-    n = geom.n_eff
+    n = bank.geom.n_eff
     residual = np.array(samples, dtype=complex)
     energy = initial_energy = float(np.vdot(residual, residual).real)
     # Non-finite samples, or an energy that would overflow the squared
@@ -347,7 +344,7 @@ def snapshot_estimate(samples: np.ndarray, prior_tracks, geom: ArrayGeometry,
         # Below this the residual is cancellation error, not signal.
         if initial_energy > 0 and energy < 1e-9 * initial_energy:
             break
-        d, phi, s, nsq, corr = _extract(residual, seeds, bank, geom)
+        d, phi, s, nsq, corr = _extract(residual, seeds, bank)
         if nsq <= 0.0:
             break
         alpha = corr / nsq
@@ -382,7 +379,7 @@ def calibrate_detection_threshold(geom: ArrayGeometry, fa_prob: float = 0.01,
     for _ in range(trials):
         residual = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) \
             / math.sqrt(2.0)
-        _, _, s, nsq, corr = _extract(residual, [], bank, geom)
+        _, _, s, nsq, corr = _extract(residual, [], bank)
         alpha = corr / nsq
         sigma_hat_sq = float(np.vdot(residual - alpha * s,
                                      residual - alpha * s).real) / n

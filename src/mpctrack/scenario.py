@@ -15,6 +15,9 @@ import numpy as np
 from .model import wrap_angle
 
 SCHEMA_VERSION = 1
+# Complex samples per snapshot of the default array (radio.default_geometry:
+# 9 elements x 46 samples); the builders set u_de = 1e-2 * N_EFF.
+N_EFF = 414
 
 
 @dataclass
@@ -24,14 +27,6 @@ class TrackTruth:
     birth_step: int
     death_step: int
     states: np.ndarray  # (death - birth + 1, 5)
-
-    def alive(self, step: int) -> bool:
-        return self.birth_step <= step <= self.death_step
-
-    def state(self, step: int) -> np.ndarray:
-        if not self.alive(step):
-            raise IndexError(f"track not alive at step {step}")
-        return self.states[step - self.birth_step]
 
 
 @dataclass
@@ -44,7 +39,8 @@ class Scenario:
 
     def truth_arrays(self, step: int) -> np.ndarray:
         """Stacked (L, 5) truth states of the components alive at step."""
-        alive = [t.state(step) for t in self.tracks if t.alive(step)]
+        alive = [t.states[step - t.birth_step] for t in self.tracks
+                 if t.birth_step <= step <= t.death_step]
         return np.array(alive, dtype=float).reshape(-1, 5)
 
     def to_json(self) -> str:
@@ -129,11 +125,11 @@ def _key(doc, key, kind, where: str = "scenario", ok=None, rule: str = ""):
 
 
 def _track_from_paths(birth: int, death: int, d: np.ndarray, phi: np.ndarray,
-                      u: np.ndarray, delta_t: float = 1.0) -> TrackTruth:
-    """Assemble a TrackTruth from sampled paths, with velocities from central
-    finite differences."""
-    v_d = np.gradient(d, delta_t)
-    v_phi = np.gradient(np.unwrap(phi), delta_t)
+                      u: np.ndarray) -> TrackTruth:
+    """Assemble a TrackTruth from sampled paths, with velocities per 1 s
+    step from central finite differences."""
+    v_d = np.gradient(d)
+    v_phi = np.gradient(np.unwrap(phi))
     states = np.stack([d, wrap_angle(phi), u, v_d, v_phi], axis=1)
     return TrackTruth(birth, death, states)
 
@@ -151,8 +147,7 @@ def _smooth_path(n: np.ndarray, start: float, end: float, sway: float,
         2.0 * np.pi * n / period + phase)
 
 
-def paper_scenario(variant: str = "standard", snr_in_db: float = 5.4,
-                   n_eff: int = 414) -> Scenario:
+def paper_scenario(variant: str = "standard") -> Scenario:
     """Seven components over 364 steps with staggered lifetimes, free-space
     pathloss amplitudes (3 dB per reflection), a distance-and-amplitude
     crossing at step 83 and an angle crossing at step 125.
@@ -163,8 +158,8 @@ def paper_scenario(variant: str = "standard", snr_in_db: float = 5.4,
     if variant not in ("standard", "fast_far"):
         raise ValueError(f"unknown scenario variant: {variant!r}")
     steps = 364
-    n = np.arange(steps, dtype=float)
-    u_1m = math.sqrt(10.0 ** ((snr_in_db + 10.0 * math.log10(n_eff)) / 10.0))
+    snr_in_db = 5.4  # input SNR at 1 m
+    u_1m = math.sqrt(10.0 ** ((snr_in_db + 10.0 * math.log10(N_EFF)) / 10.0))
 
     def seg(birth, death):
         return np.arange(birth, death + 1, dtype=float)
@@ -222,15 +217,15 @@ def paper_scenario(variant: str = "standard", snr_in_db: float = 5.4,
     else:
         levels = [1.5, 4.0, 2.0, 5.0, 3.0, 1.5, 4.0]
         far = np.concatenate([np.full(52, lv) for lv in levels])
-    return Scenario(steps, tracks, far, u_de=1e-2 * n_eff, seed=0)
+    return Scenario(steps, tracks, far, u_de=1e-2 * N_EFF, seed=0)
 
 
-def desk_scenario(variant: str = "standard", steps: int = 100,
-                  n_eff: int = 414) -> Scenario:
+def desk_scenario(variant: str = "standard") -> Scenario:
     """Three well-separated high-amplitude components alive for the whole
     run; compact setting for fast experiments and acceptance checks."""
     if variant not in ("standard", "fast_far"):
         raise ValueError(f"unknown scenario variant: {variant!r}")
+    steps = 100
     n = np.arange(steps, dtype=float)
     specs = [
         (3.0, 4.5, -60.0, -45.0, 35.0),
@@ -249,14 +244,13 @@ def desk_scenario(variant: str = "standard", steps: int = 100,
         thirds = steps // 3
         far = np.concatenate([np.full(thirds, 1.5), np.full(thirds, 4.0),
                               np.full(steps - 2 * thirds, 2.0)])
-    return Scenario(steps, tracks, far, u_de=1e-2 * n_eff, seed=0)
+    return Scenario(steps, tracks, far, u_de=1e-2 * N_EFF, seed=0)
 
 
-def pipeline_scenario(steps: int = 50, snr_in_db: float = 18.4,
-                      n_eff: int = 414) -> Scenario:
+def pipeline_scenario() -> Scenario:
     """Two widely separated components for the radio-pipeline round trip."""
-    n = np.arange(steps, dtype=float)
-    u = math.sqrt(n_eff * 10.0 ** (snr_in_db / 10.0))
+    steps = 50
+    u = math.sqrt(N_EFF * 10.0 ** (18.4 / 10.0))  # 18.4 dB input SNR
     tracks = []
     for d0, d1, p0, p1 in [(3.0, 3.5, -40.0, -35.0), (9.0, 8.5, 60.0, 65.0)]:
         d = np.linspace(d0, d1, steps)
@@ -264,7 +258,7 @@ def pipeline_scenario(steps: int = 50, snr_in_db: float = 18.4,
         tracks.append(_track_from_paths(0, steps - 1, d, phi,
                                         np.full(steps, u)))
     far = np.full(steps, 0.05)
-    return Scenario(steps, tracks, far, u_de=1e-2 * n_eff, seed=0)
+    return Scenario(steps, tracks, far, u_de=1e-2 * N_EFF, seed=0)
 
 
 BUILTIN_SCENARIOS = {
@@ -272,7 +266,7 @@ BUILTIN_SCENARIOS = {
     "fast_far": lambda: paper_scenario("fast_far"),
     "desk": lambda: desk_scenario("standard"),
     "desk_fast_far": lambda: desk_scenario("fast_far"),
-    "pipeline": lambda: pipeline_scenario(),
+    "pipeline": pipeline_scenario,
 }
 
 

@@ -271,7 +271,8 @@ def test_c09_radio_pipeline_round_trip():
     d_true, phi_true = 5.37, math.radians(23.4)
     s = (d_true, phi_true, 30.0, 0.0, 0.0)
     samples = component_sum(*rows([(s, 0.7)]), GEOM)
-    ms = radio.snapshot_estimate(samples, None, GEOM, u_de=25.0)
+    ms = radio.snapshot_estimate(samples, None, radio.MatchedFilterBank(GEOM),
+                                 u_de=25.0)
     d_err = abs(ms[0].z_d - d_true) if ms else math.inf
     phi_err = abs(ms[0].z_phi - phi_true) if ms else math.inf
     round_trip_ok = (len(ms) == 1 and d_err < GEOM.c * GEOM.T_s / 20.0
@@ -292,8 +293,10 @@ def test_c09_radio_pipeline_round_trip():
 
 
 def test_c10_determinism(desk_results, tmp_path):
+    # The rerun goes to two workers, so the one check also covers
+    # serial == parallel (criterion 6 ran serially).
     cfg_b = ExperimentConfig(scenario="desk", runs=20, base_seed=20240601,
-                             out_dir=str(tmp_path / "run_b"))
+                             out_dir=str(tmp_path / "run_b"), workers=2)
     cfg_b.hyper = HyperParams(J=1000)
     run_experiment(cfg_b)
     same = True

@@ -8,6 +8,7 @@ import os
 import pytest
 from click.testing import CliRunner
 
+from mpctrack import experiment
 from mpctrack.cli import main
 from mpctrack.config import (ExperimentConfig, config_to_dict,
                              validate_config)
@@ -210,6 +211,39 @@ class TestRunExperiment:
         for name in ("run_000.csv", "run_001.csv", "summary.csv"):
             assert (tmp_path / "serial" / name).read_bytes() == \
                 (tmp_path / "parallel" / name).read_bytes()
+
+    @pytest.mark.parametrize("cores,pools", [(64, [2]), (1, []), (None, [])])
+    def test_pool_is_sized_by_runs_and_cores(self, tmp_path, monkeypatch,
+                                             cores, pools):
+        # The fake executor records the pool size it is asked for and maps
+        # in this process, so no worker process starts.
+        sizes = []
+
+        class FakePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        cfg_s = small_cfg(tmp_path / "serial")
+        run_experiment(cfg_s)
+        monkeypatch.setattr(experiment.concurrent.futures,
+                            "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(experiment.os, "cpu_count", lambda: cores)
+        cfg_p = small_cfg(tmp_path / "wide")
+        cfg_p.workers = 100000
+        run_experiment(cfg_p)
+        assert sizes == pools
+        for name in ("run_000.csv", "run_001.csv", "summary.csv"):
+            assert (tmp_path / "serial" / name).read_bytes() == \
+                (tmp_path / "wide" / name).read_bytes()
 
     def test_invalid_config_raises(self, tmp_path):
         cfg = small_cfg(tmp_path / "out", p_s=2.0)

@@ -62,7 +62,9 @@ class TestGeometry:
                                               beta_bw_sq=1e16, N_s=46,
                                               T_s=1.25e-9)
         assert g.H == 9
-        assert np.allclose(g.element_xy().mean(axis=0), 0.0, atol=1e-12)
+        d, phi = np.asarray(g.element_offsets).T
+        xy = np.stack([d * np.cos(phi), d * np.sin(phi)], axis=1)
+        assert np.allclose(xy.mean(axis=0), 0.0, atol=1e-12)
         assert g.n_eff == 414
 
     def test_wrap_angle_range(self):
@@ -309,7 +311,8 @@ class TestVariances:
 
     def test_aperture_grid_brute_force(self):
         # Sum over elements of squared cross-axis offsets at phi = 0.
-        xy = GEOM.element_xy()
+        xy = [(d * math.cos(a), d * math.sin(a))
+              for d, a in GEOM.element_offsets]
         for phi in (0.0, 0.7, -1.9):
             expect = sum((-x * math.sin(phi) + y * math.cos(phi)) ** 2
                          for x, y in xy)

@@ -22,6 +22,7 @@ from mpctrack.radio import (_pulse_periodic, _sample_times,
 from conftest import component_sum, rows
 
 GEOM = default_geometry()
+BANK = radio.MatchedFilterBank(GEOM)
 
 
 class TestPulse:
@@ -204,7 +205,7 @@ class TestSnapshotEstimator:
         d_true, phi_true = 5.37, math.radians(23.4)
         s = (d_true, phi_true, 30.0, 0.0, 0.0)
         samples = component_sum(*rows([(s, 0.7)]), GEOM)
-        ms = snapshot_estimate(samples, None, GEOM, u_de=25.0)
+        ms = snapshot_estimate(samples, None, BANK, u_de=25.0)
         assert len(ms) == 1
         assert abs(ms[0].z_d - d_true) < GEOM.c * GEOM.T_s / 20.0
         assert abs(ms[0].z_phi - phi_true) < math.radians(1.0)
@@ -215,7 +216,7 @@ class TestSnapshotEstimator:
         s2 = (9.0, math.radians(60.0), u, 0, 0)
         samples = synth_radio(*rows([(s1, 0.3), (s2, 2.1)]), GEOM,
                               np.random.default_rng(1))
-        ms = snapshot_estimate(samples, None, GEOM, u_de=25.0)
+        ms = snapshot_estimate(samples, None, BANK, u_de=25.0)
         assert len(ms) == 2
         ds = sorted(z.z_d for z in ms)
         assert ds[0] == pytest.approx(3.0, abs=0.05)
@@ -234,7 +235,7 @@ class TestSnapshotEstimator:
         for _ in range(trials):
             noise = (rng.standard_normal(GEOM.n_eff)
                      + 1j * rng.standard_normal(GEOM.n_eff)) / math.sqrt(2)
-            ms = snapshot_estimate(noise, None, GEOM, u_de=u_de)
+            ms = snapshot_estimate(noise, None, BANK, u_de=u_de)
             spurious += len(ms)
         assert spurious <= 5  # a handful on average, not per snapshot
 
@@ -246,7 +247,7 @@ class TestSnapshotEstimator:
         class Seed:
             d, phi = 7.02, math.radians(-10.3)
 
-        ms = snapshot_estimate(samples, [Seed()], GEOM, u_de=25.0)
+        ms = snapshot_estimate(samples, [Seed()], BANK, u_de=25.0)
         assert len(ms) == 1
         assert ms[0].z_d == pytest.approx(7.0, abs=0.02)
 
@@ -365,7 +366,7 @@ class TestBatchedEstimator:
         # scored no higher, and the coarse peak after both steps. Wrapping
         # changes the first one's phi, so it returns no projection.
         residual = noisy_snapshot(7)
-        d0, p0, _ = radio.MatchedFilterBank(GEOM).coarse_peak(residual)
+        d0, p0, _ = BANK.coarse_peak(residual)
         starts = [(6.5, math.radians(150.0)), (2.0, -2.5), (d0, p0)]
         got = radio._newton_refine(residual, starts, GEOM)
         stops = [check_refined(residual, st_, g)
@@ -376,7 +377,7 @@ class TestBatchedEstimator:
     @pytest.mark.parametrize("seed", [7, 8, 9])
     def test_lock_step_refinement_equals_oracle(self, seed):
         residual = noisy_snapshot(seed)
-        d0, p0, _ = radio.MatchedFilterBank(GEOM).coarse_peak(residual)
+        d0, p0, _ = BANK.coarse_peak(residual)
         # The coarse peak, feedback seeds near both components, and points
         # away from them; float64 and Python floats mixed as in the estimator.
         starts = [(d0, p0), (4.03, math.radians(-34.0)),
@@ -403,9 +404,7 @@ class TestBatchedEstimator:
         residual = component_sum(
             *rows([((5.37, phi, 30.0, 0.0, 0.0), 0.7)]), GEOM)
         seed = (5.37, phi + turns * 2.0 * math.pi)
-        bank = radio.MatchedFilterBank(GEOM)
-        d, phi_hat, s, nsq, corr = radio._extract(residual, [seed], bank,
-                                                  GEOM)
+        d, phi_hat, s, nsq, corr = radio._extract(residual, [seed], BANK)
         assert (d, phi_hat) == (seed[0], float(wrap_angle(seed[1])))
         check_projection(residual, d, phi_hat, s, nsq, corr)
 
@@ -441,7 +440,7 @@ class TestBatchedEstimator:
         monkeypatch.setattr(radio, "steering_vectors", counting)
         monkeypatch.setattr(radio.MatchedFilterBank, "coarse_peak",
                             counting_peak)
-        ms = snapshot_estimate(samples, seeds, GEOM, u_de=25.0)
+        ms = snapshot_estimate(samples, seeds, BANK, u_de=25.0)
         assert len(ms) == 2
         per_component = np.diff(iterations + [len(calls)])
         assert len(per_component) == 3   # two found, one rejected
@@ -459,8 +458,6 @@ class Records(logging.Handler):
 
 
 class TestHostileSamples:
-    BANK = radio.MatchedFilterBank(GEOM)
-
     @given(st.integers(0, 3), st.lists(st.integers(0, GEOM.n_eff - 1),
                                        min_size=1, max_size=8),
            st.sampled_from([np.nan, np.inf, -np.inf]), st.booleans(),
@@ -483,8 +480,7 @@ class TestHostileSamples:
         radio.log.addHandler(handler)
         try:
             with np.errstate(over="ignore", invalid="ignore"):
-                ms = snapshot_estimate(samples, None, GEOM, u_de=25.0,
-                                       bank=self.BANK)
+                ms = snapshot_estimate(samples, None, BANK, u_de=25.0)
         finally:
             radio.log.removeHandler(handler)
         assert ms == []
@@ -506,17 +502,15 @@ class TestHostileSamples:
         # from unit scale the Newton determinant would over- or underflow
         # and leave the coarse grid cell.
         samples = noisy_snapshot(seed)
-        want = snapshot_estimate(samples, None, GEOM, u_de=25.0,
-                                 bank=self.BANK)
-        got = snapshot_estimate(samples * scale, None, GEOM, u_de=25.0,
-                                bank=self.BANK)
+        want = snapshot_estimate(samples, None, BANK, u_de=25.0)
+        got = snapshot_estimate(samples * scale, None, BANK, u_de=25.0)
         assert len(got) == len(want) == 2
         for a, b in zip(got, want):
             assert a == pytest.approx(b, rel=1e-9)
 
     def test_largest_accepted_scale_still_measures(self):
         # Just below the guard the estimator runs as usual.
-        ms = snapshot_estimate(noisy_snapshot(0) * 1e140, None, GEOM,
-                               u_de=25.0, bank=self.BANK)
+        ms = snapshot_estimate(noisy_snapshot(0) * 1e140, None, BANK,
+                               u_de=25.0)
         assert len(ms) == 2
         assert all(math.isfinite(m.z_u) for m in ms)

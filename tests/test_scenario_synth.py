@@ -10,7 +10,7 @@ from scipy import stats
 
 from mpctrack import model, radio, synth
 from mpctrack.model import HyperParams
-from mpctrack.scenario import (Scenario, desk_scenario, get_scenario,
+from mpctrack.scenario import (N_EFF, Scenario, desk_scenario, get_scenario,
                                paper_scenario, pipeline_scenario)
 
 GEOM = radio.default_geometry()
@@ -94,6 +94,14 @@ class TestDeskScenario:
         changes = np.flatnonzero(np.diff(scn.far_profile) != 0)
         assert len(changes) == 2
         assert np.abs(np.diff(scn.far_profile)[changes]).min() >= 1.0
+
+
+def test_builders_are_sized_for_the_default_array():
+    # N_EFF is the default array's sample count, and every builder's
+    # detection threshold is 1e-2 of it.
+    assert N_EFF == GEOM.n_eff
+    for scn in (paper_scenario(), desk_scenario(), pipeline_scenario()):
+        assert scn.u_de == 1e-2 * GEOM.n_eff
 
 
 class TestSerialization:

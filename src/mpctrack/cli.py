@@ -65,7 +65,11 @@ def scenario():
 @click.argument("path", type=click.Path())
 def emit(name, path):
     """Write the builtin scenario NAME to PATH as JSON."""
-    BUILTIN_SCENARIOS[name]().save(path)
+    try:
+        BUILTIN_SCENARIOS[name]().save(path)
+    except OSError as exc:
+        click.echo(json.dumps({"ok": False, "error": str(exc)}), err=True)
+        sys.exit(1)
     click.echo(json.dumps({"ok": True, "scenario": name, "path": path}))
 
 

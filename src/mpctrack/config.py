@@ -6,7 +6,6 @@ import json
 from dataclasses import dataclass, field
 from types import SimpleNamespace
 
-from .metrics import OspaConfig
 from .model import ArrayGeometry, HyperParams, number_problems
 from .radio import default_geometry
 from .scenario import get_scenario
@@ -15,7 +14,7 @@ from .scenario import get_scenario
 CONFIG_SCHEMA_VERSION = 1
 MODES = ("fully_synthetic", "radio_pipeline")
 # The sections of a config, each an object of its own type.
-_SECTIONS = ("hyper", "ospa", "geom")
+_SECTIONS = ("hyper", "geom")
 
 
 @dataclass
@@ -27,7 +26,6 @@ class ExperimentConfig:
     runs: int = 1
     base_seed: int = 0
     out_dir: str = "out"
-    ospa: OspaConfig = field(default_factory=OspaConfig)
     workers: int = 1
     snapshot_u_de: float = None  # radio mode only; defaults to hyper.u_de
 
@@ -45,7 +43,7 @@ class ExperimentConfig:
         else:
             try:
                 get_scenario(self.scenario)
-            except (OSError, ValueError) as exc:
+            except (OSError, ValueError, RecursionError) as exc:
                 problems.append(("scenario", str(exc)))
         if not (isinstance(self.out_dir, str) and self.out_dir):
             problems.append(("out_dir", "must be a non-empty string"))
@@ -109,7 +107,6 @@ def config_from_dict(doc: dict) -> ValidationReport:
     body = {k: v for k, v in doc.items() if k != "schema_version"}
 
     hyper = _read(body.pop("hyper", {}), "hyper", HyperParams, errors, filled)
-    ospa = _read(body.pop("ospa", {}), "ospa", OspaConfig, errors, filled)
     geom = default_geometry()
     if "geom" not in body:
         filled.append(("geom", "default 3x3 array"))
@@ -123,7 +120,6 @@ def config_from_dict(doc: dict) -> ValidationReport:
             geom = ArrayGeometry(**fields)
 
     cfg = ExperimentConfig(hyper=HyperParams(**hyper), geom=geom,
-                           ospa=OspaConfig(**ospa),
                            **_read(body, "", ExperimentConfig, errors, filled))
     errors.extend(cfg.validate())
     return ValidationReport(not errors, errors, filled, cfg)
@@ -137,7 +133,7 @@ def validate_config(path: str, overrides: dict = None) -> ValidationReport:
             doc = json.load(f)
     except OSError as exc:
         return ValidationReport(False, [("", f"cannot read config: {exc}")], [])
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # not UTF-8, or too deep
         return ValidationReport(False, [("", f"config is not valid JSON: {exc}")], [])
     if not isinstance(doc, dict):
         return ValidationReport(False, [("", "config root must be an object")], [])

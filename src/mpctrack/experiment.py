@@ -59,7 +59,7 @@ def run_single(cfg: ExperimentConfig, run_index: int) -> RunLog:
         state, est, _ = tracker.update(state, ms, cfg.hyper, cfg.geom)
         feedback = est.detected
         rec = metrics.evaluate_step(scn.truth_arrays(step), est.detected,
-                                    cfg.ospa, cfg.geom.n_eff)
+                                    cfg.geom.n_eff)
         log.append(step=step, mu_fa_true=float(scn.far_profile[step]),
                    mu_fa_hat=est.mu_fa_mmse if not math.isnan(est.mu_fa_mmse)
                    else 0.0, **rec)

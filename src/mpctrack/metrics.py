@@ -1,37 +1,26 @@
 """Optimal-subpattern-assignment evaluation against scenario ground truth.
 
-Per-dimension OSPA (distance, angle, component SNR) with order p and cutoff
-c; the assignment inside the metric is solved exactly. Run logs carry one
-record per scenario step and aggregate into per-step means across runs.
+Per-dimension OSPA (distance, angle, component SNR) with order OSPA_P and
+fixed per-dimension cutoffs; the assignment inside the metric is solved
+exactly. Run logs carry one record per scenario step and aggregate into
+per-step means across runs.
 """
 
 import csv
 import io
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .model import ang_diff, number_problems
+from .model import ang_diff
 
-
-@dataclass
-class OspaConfig:
-    """Metric order and per-dimension cutoffs. The angle cutoff is declared
-    in degrees and the SNR cutoff in dB."""
-    p: float = 2.0
-    cutoff_d: float = 0.1
-    cutoff_phi_deg: float = 10.0
-    cutoff_snr_db: float = 6.0
-
-    def validate(self) -> list:
-        """'(field, message)' problems; a field that is not a finite real
-        number gets that one problem and no range check."""
-        return number_problems(self, [f.name for f in fields(self)], rules=(
-            (("p",), lambda v: v >= 1, "must be >= 1"),
-            (("cutoff_d", "cutoff_phi_deg", "cutoff_snr_db"), lambda v: v > 0,
-             "must be positive")))
+# Metric order and per-dimension cutoffs: 10 cm, 10 degrees and 6 dB.
+OSPA_P = 2.0
+CUTOFF_D = 0.1
+CUTOFF_PHI = math.radians(10.0)
+CUTOFF_SNR_DB = 6.0
 
 
 def ospa(truth, est, p: float, cutoff: float, angular: bool = False) -> float:
@@ -95,21 +84,19 @@ def snr_in_db(u, n_eff: int):
     return 20.0 * np.log10(u) - 10.0 * math.log10(n_eff)
 
 
-def evaluate_step(truth_states: np.ndarray, detected, cfg: OspaConfig,
-                  n_eff: int) -> dict:
+def evaluate_step(truth_states: np.ndarray, detected, n_eff: int) -> dict:
     """Per-dimension OSPA between the alive truth (L, 5) and the detected
     track summaries for one step; either may be empty."""
     td, tp, tu = truth_states[:, :3].T
     ed = [t.d for t in detected]
     ep = [t.phi for t in detected]
     eu = [t.u for t in detected]
-    cut_phi = math.radians(cfg.cutoff_phi_deg)
     return {
-        "ospa_d_m": ospa(td, ed, cfg.p, cfg.cutoff_d),
+        "ospa_d_m": ospa(td, ed, OSPA_P, CUTOFF_D),
         "ospa_phi_deg": math.degrees(
-            ospa(tp, ep, cfg.p, cut_phi, angular=True)),
+            ospa(tp, ep, OSPA_P, CUTOFF_PHI, angular=True)),
         "ospa_snr_db": ospa(snr_in_db(tu, n_eff), snr_in_db(eu, n_eff),
-                            cfg.p, cfg.cutoff_snr_db),
+                            OSPA_P, CUTOFF_SNR_DB),
         "nom_true": len(truth_states),
         "nom_hat": len(detected),
     }

@@ -27,6 +27,8 @@ TWO_PI = 2.0 * np.pi
 U_FLOOR = 1e-3
 MU_FA_FLOOR = 1e-6
 SIGMA_PHI_SQ_MAX = TWO_PI**2
+# Propagation speed of the radio signal, m/s.
+SPEED_OF_LIGHT = 299792458.0
 
 
 def wrap_periodic(x, period: float):
@@ -98,7 +100,6 @@ class ArrayGeometry:
     beta_bw_sq: float       # mean-square bandwidth, Hz^2
     N_s: int                # samples per element
     T_s: float              # sampling period, seconds
-    c: float = 299792458.0  # propagation speed, m/s
 
     def __post_init__(self):
         problems = self.validate()
@@ -129,9 +130,9 @@ class ArrayGeometry:
         the normal float range. It reads only the fields, so may precede
         construction."""
         problems = number_problems(
-            self, ("psi", "f_c", "beta_bw_sq", "N_s", "T_s", "c"),
+            self, ("psi", "f_c", "beta_bw_sq", "N_s", "T_s"),
             integers=("N_s",), rules=(
-                (("f_c", "beta_bw_sq", "T_s", "c"), lambda v: v > 0,
+                (("f_c", "beta_bw_sq", "T_s"), lambda v: v > 0,
                  "must be positive"),
                 (("N_s",), lambda v: v >= 1, "must be >= 1")))
         seq = (list, tuple, np.ndarray)
@@ -177,7 +178,8 @@ class ArrayGeometry:
         off = self._polar
         d_h = off[:, 0].reshape(-1, *([1] * np.ndim(phi)))
         phi_h = off[:, 1].reshape(-1, *([1] * np.ndim(phi)))
-        return d_h * np.cos(np.asarray(phi) - self.psi - phi_h) / self.c
+        return d_h * np.cos(np.asarray(phi) - self.psi - phi_h) \
+            / SPEED_OF_LIGHT
 
     @classmethod
     def uniform_rectangular(cls, nx: int, ny: int, spacing: float, *,
@@ -239,7 +241,6 @@ class HyperParams:
     sigma_fa_ini: float = 0.5     # false-alarm-rate initialization std
     sigma_v_d: float = 0.01       # new-track distance-velocity prior std, m/s
     sigma_v_phi: float = math.radians(0.6)  # new-track angular-velocity prior std
-    delta_t: float = 1.0          # step period, seconds
     J: int = 10000                # particles per belief
     P: int = 5000                 # max DA message-passing iterations
     da_tol: float = 1e-6          # DA convergence tolerance (max-norm)
@@ -258,7 +259,7 @@ class HyperParams:
                    if f.name != "amp_mode"], integers=("J", "P"), rules=(
                 (("p_s", "p_de", "p_pr"), lambda v: 0.0 <= v <= 1.0,
                  "must be in [0, 1], got {}"),
-                (("mu_n", "u_de", "d_max", "delta_t", "u_birth_max"),
+                (("mu_n", "u_de", "d_max", "u_birth_max"),
                  lambda v: v > 0, "must be positive"),
                 (("sigma_d", "sigma_phi", "sigma_u_rel", "sigma_fa",
                   "sigma_fa_ini", "sigma_v_d", "sigma_v_phi", "da_tol"),
@@ -275,24 +276,23 @@ class HyperParams:
 
 def propagate_kinematics(particles: np.ndarray, params: HyperParams,
                          rng: np.random.Generator) -> np.ndarray:
-    """Propagate field-major particles (5, ...) one step through the motion
-    model: d + dt v_d + dt^2/2 eps_d and v_d + dt eps_d, the same for phi,
+    """Propagate field-major particles (5, ...) one 1 s step through the
+    motion model: d + v_d + eps_d / 2 and v_d + eps_d, the same for phi,
     and the random walk u + eps_u, with one (..., 3) noise draw.
 
     The amplitude driving noise is scaled per particle: sigma_u_rel * u_j.
     Angles are re-wrapped and amplitudes clamped at zero.
     """
-    dt = params.delta_t
     d, phi, u, v_d, v_phi = particles
     eps = rng.standard_normal(u.shape + (3,))
     eps[..., 0] *= params.sigma_d
     eps[..., 1] *= params.sigma_phi
     eps[..., 2] *= params.sigma_u_rel * u
-    return np.stack([d + dt * v_d + dt**2 / 2 * eps[..., 0],
-                     wrap_angle(phi + dt * v_phi + dt**2 / 2 * eps[..., 1]),
+    return np.stack([d + v_d + 0.5 * eps[..., 0],
+                     wrap_angle(phi + v_phi + 0.5 * eps[..., 1]),
                      np.maximum(u + eps[..., 2], 0.0),
-                     v_d + dt * eps[..., 0],
-                     v_phi + dt * eps[..., 1]])
+                     v_d + eps[..., 0],
+                     v_phi + eps[..., 1]])
 
 
 def reflect_positive(mu):
@@ -310,7 +310,7 @@ def sigma_d_sq(u, geom: ArrayGeometry):
     """Distance measurement variance c^2 / (8 pi^2 beta_bw^2 u^2), with the
     amplitude clamped at U_FLOOR so the variance stays finite."""
     u_eff = np.maximum(np.abs(u), U_FLOOR)
-    return geom.c**2 / (8.0 * np.pi**2 * geom.beta_bw_sq * u_eff**2)
+    return SPEED_OF_LIGHT**2 / (8.0 * np.pi**2 * geom.beta_bw_sq * u_eff**2)
 
 
 def aperture_sq(phi, geom: ArrayGeometry):
@@ -339,7 +339,8 @@ def sigma_phi_sq(u, phi, geom: ArrayGeometry):
     u_eff = np.maximum(np.abs(u), U_FLOOR)
     d2 = aperture_sq(phi, geom)
     with np.errstate(divide="ignore"):
-        raw = geom.c**2 / (8.0 * np.pi**2 * geom.f_c**2 * u_eff**2 * d2)
+        raw = SPEED_OF_LIGHT**2 / (8.0 * np.pi**2 * geom.f_c**2 * u_eff**2
+                                   * d2)
     return np.minimum(raw, SIGMA_PHI_SQ_MAX)
 
 

@@ -27,7 +27,8 @@ import math
 import numpy as np
 import scipy.fft
 
-from .model import ArrayGeometry, Measurement, wrap_angle, wrap_periodic
+from .model import (SPEED_OF_LIGHT, ArrayGeometry, Measurement, wrap_angle,
+                    wrap_periodic)
 
 log = logging.getLogger(__name__)
 
@@ -105,7 +106,7 @@ def steering_vectors(d, phi, geom: ArrayGeometry) -> np.ndarray:
     times = _sample_times(geom)
     period = geom.N_s * geom.T_s
     g = geom.delay_shift(np.asarray(phi, dtype=float)).T  # (P, H)
-    tau = d[:, None] / geom.c - g                  # per-element delay
+    tau = d[:, None] / SPEED_OF_LIGHT - g          # per-element delay
     ph = np.exp(2j * np.pi * geom.f_c * g)         # per-element carrier phase
     blocks = _pulse_periodic(times[None, None, :] - tau[:, :, None], period) \
         * ph[:, :, None]
@@ -206,7 +207,8 @@ class MatchedFilterBank:
         power = np.abs(C) ** 2 / (geom.H * self.mean_energy)
         ai, qi = np.unravel_index(int(np.argmax(power)), power.shape)
         tau = qi * geom.T_s / DELAY_OVERSAMPLE
-        return tau * geom.c, float(self.angles[ai]), float(power[ai, qi])
+        return (tau * SPEED_OF_LIGHT, float(self.angles[ai]),
+                float(power[ai, qi]))
 
 
 def _match(residual: np.ndarray, points: list, geom: ArrayGeometry):
@@ -239,7 +241,7 @@ def _newton_refine(residual: np.ndarray, starts: list, geom: ArrayGeometry):
     point's steering row and _match's (nsq, corr) when wrapping phi left the
     point as scored, else None.
     """
-    hd = geom.c * geom.T_s / 50.0
+    hd = SPEED_OF_LIGHT * geom.T_s / 50.0
     hp = math.radians(0.2)
     pts = list(starts)
     f0, rows = [None] * len(pts), [None] * len(pts)

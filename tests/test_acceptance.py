@@ -18,7 +18,7 @@ from mpctrack.dabp import AssociationWeights, exhaustive_da_oracle, loopy_da
 from mpctrack.experiment import run_experiment, run_single
 from mpctrack.metrics import aggregate, ospa
 from mpctrack.model import HyperParams, Measurement
-from mpctrack.scenario import desk_scenario
+from mpctrack.scenario import desk_scenario, get_scenario
 from mpctrack.tracker import FarBelief, PmpcBelief
 
 from conftest import component_sum, packed, proposal_inputs, rows, stacked
@@ -275,7 +275,8 @@ def test_c09_radio_pipeline_round_trip():
                                  u_de=25.0)
     d_err = abs(ms[0].z_d - d_true) if ms else math.inf
     phi_err = abs(ms[0].z_phi - phi_true) if ms else math.inf
-    round_trip_ok = (len(ms) == 1 and d_err < GEOM.c * GEOM.T_s / 20.0
+    d_tol = model.SPEED_OF_LIGHT * GEOM.T_s / 20.0
+    round_trip_ok = (len(ms) == 1 and d_err < d_tol
                      and phi_err < math.radians(1.0))
 
     # Two-component, 50-step pipeline at ~18 dB input component SNR.
@@ -287,7 +288,7 @@ def test_c09_radio_pipeline_round_trip():
     agg = aggregate(logs)
     nom_err = abs(float(agg["per_step"]["nom_hat"].mean()) - 2.0)
     report(9, round_trip_ok and nom_err < 0.5,
-           f"noiseless d err {d_err*1000:.2f}mm (<{GEOM.c*GEOM.T_s/20*1000:.1f}), "
+           f"noiseless d err {d_err*1000:.2f}mm (<{d_tol*1000:.1f}), "
            f"phi err {math.degrees(phi_err):.3f}deg (<1), pipeline NOM err "
            f"{nom_err:.2f} (<0.5)")
 
@@ -308,3 +309,98 @@ def test_c10_determinism(desk_results, tmp_path):
             break
     report(10, same, "byte-identical outputs on rerun with identical seed: "
            f"{same}")
+
+
+# The full 364-step paper scenario (configs/paper_standard.json's scenario
+# and base seed, run 0) at J = 2000. The bounds were fixed from the truth and
+# the model alone, before the test first ran:
+# - A detected track covers truth component i at a step when it lies within
+#   the OSPA cutoffs of it, 10 cm and 10 degrees. Components 0-2 have
+#   amplitudes of 3.35 or more, so their per-measurement CRLB standard
+#   deviations are at most 6.4 cm and 2.0 degrees, and a track's posterior
+#   after a few measurements is tighter still.
+# - Acquisition: their detection probability is at least 0.968 at every
+#   step, and a first measurement at such an amplitude is far more likely a
+#   component than a false alarm, so two consistent detections confirm a
+#   track. ACQUIRE_STEPS = 10 leaves room for several misses.
+# - Holding: near the crossings at steps 83 and 125 their detection
+#   probability is at least 0.99. One missed detection can drop a track's
+#   existence below p_de for a step or two, so the track that covers the
+#   component CROSS_HALF steps before the crossing must still cover it
+#   CROSS_HALF steps after, and cover it at all but at most 2 of the steps
+#   in between.
+# - False-alarm rate: about 1.5-3 clutter measurements per step with a
+#   random-walk std of sigma_fa = 0.15 give a posterior std near
+#   (0.15**2 * 3) ** 0.25 = 0.46, so a mean absolute error below 0.5. The
+#   weak components 3-6 sit near the threshold; each measurement of theirs
+#   that no track explains reads as clutter, which adds at most their summed
+#   detection probability to the estimate.
+ACQUIRE_STEPS = 10
+CROSSINGS = (83, 125)
+CROSS_HALF = 10
+FAR_FROM_STEP = 30
+
+
+def _covering_id(truth_row, detected):
+    """Id of the detected track nearest truth_row in distance among those
+    within the OSPA cutoffs of it, or None."""
+    near = [(abs(t.d - truth_row[0]), t.id) for t in detected
+            if abs(t.d - truth_row[0]) < metrics.CUTOFF_D
+            and abs(float(model.ang_diff(t.phi, truth_row[1])))
+            < metrics.CUTOFF_PHI]
+    return min(near)[1] if near else None
+
+
+def test_paper_scenario_full_run():
+    scn = get_scenario("standard")
+    p = HyperParams(J=2000)
+    synth_seed, trk_seed = np.random.SeedSequence(
+        entropy=20240603 ^ 0).spawn(2)
+    rng = np.random.default_rng(synth_seed)
+    st = tracker.init(p, GEOM, trk_seed)
+    cover = np.full((len(scn.tracks), scn.steps), None)
+    mu_hat = np.full(scn.steps, np.nan)
+    bad_steps = []
+    for step in range(scn.steps):
+        st = tracker.predict(st, p)
+        ms = synth.synth_measurements(scn, step, p, GEOM, rng)
+        st, est, _ = tracker.update(st, ms, p, GEOM)
+        rec = metrics.evaluate_step(scn.truth_arrays(step), est.detected,
+                                    GEOM.n_eff)
+        values = [v for t in est.all_tracks for v in (
+            t.d, t.phi, t.u, t.sigma_d, t.sigma_phi, t.p_exist)]
+        values += list(rec.values()) + [est.mu_fa_mmse]
+        if not all(map(math.isfinite, values)):
+            bad_steps.append(step)
+        mu_hat[step] = est.mu_fa_mmse
+        for i, t in enumerate(scn.tracks):
+            if t.birth_step <= step <= t.death_step:
+                cover[i, step] = _covering_id(t.states[step - t.birth_step],
+                                              est.detected)
+    assert bad_steps == [], f"non-finite output at steps {bad_steps}"
+
+    for i in range(3):
+        birth = scn.tracks[i].birth_step
+        first = next((s for s in range(birth, scn.steps)
+                      if cover[i, s] is not None), None)
+        assert first is not None and first - birth <= ACQUIRE_STEPS, \
+            (i, birth, first)
+        for c in CROSSINGS:
+            window = cover[i, c - CROSS_HALF:c + CROSS_HALF + 1]
+            missed = sum(v is None for v in window)
+            assert window[0] is not None and window[-1] == window[0] \
+                and missed <= 2, (i, c, list(window))
+
+    steady = slice(FAR_FROM_STEP, scn.steps)
+    weak_pd = np.zeros(scn.steps)
+    for t in scn.tracks[3:]:
+        weak_pd[t.birth_step:t.death_step + 1] += model.detection_prob(
+            t.states[:, 2], p.u_de, GEOM.n_eff, p.amp_mode)
+    far_err = float(np.mean(np.abs(mu_hat - scn.far_profile)[steady]))
+    far_bound = 0.5 + float(weak_pd[steady].mean())
+    coverage = [float(np.mean([v is not None for v in cover[i, t.birth_step:
+                                                            t.death_step + 1]]))
+                for i, t in enumerate(scn.tracks)]
+    print(f"paper scenario: FAR err {far_err:.3f} (<{far_bound:.3f}), "
+          f"coverage by component {np.round(coverage, 2).tolist()}")
+    assert far_err < far_bound

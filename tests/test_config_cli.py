@@ -17,6 +17,8 @@ from mpctrack.model import HyperParams
 from mpctrack.scenario import desk_scenario
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+# JSON nested deeper than the interpreter's recursion limit.
+DEEP = "[" * 100000 + "]" * 100000
 
 
 def negative_far_desk():
@@ -89,9 +91,11 @@ class TestValidateConfig:
         ({"snapshot_u_de": 0.0}, "snapshot_u_de"),
         ({"snr_1m_db": float("nan")}, "snr_1m_db"),  # an unknown field
         ({"snr_1m_db": [30]}, "snr_1m_db"),
-        ({"ospa": {"p": float("nan")}}, "ospa.p"),
-        ({"ospa": {"cutoff_d": "0.1"}}, "ospa.cutoff_d"),
-        ({"ospa": {"cutoff_snr_db": float("inf")}}, "ospa.cutoff_snr_db"),
+        # The OSPA settings are constants, so ospa is an unknown field.
+        ({"ospa": {"p": float("nan")}}, "ospa"),
+        ({"ospa": {"cutoff_d": "0.1"}}, "ospa"),
+        ({"ospa": {"cutoff_snr_db": float("inf")}}, "ospa"),
+        ({"hyper": {"delta_t": 2.0}}, "hyper.delta_t"),  # the step is 1 s
     ])
     def test_mistyped_run_and_ospa_field_path(self, tmp_path, doc, field):
         # The same type-first check as the hyperparameters: one field-path
@@ -124,15 +128,6 @@ class TestValidateConfig:
                                                            key: value}}))
         assert not report.ok
         assert [f for f, _ in report.errors] == [f"geom.{key}"]
-
-    def test_geom_without_c_reports_its_default(self, tmp_path):
-        # c was defaulted silently.
-        geom = config_to_dict(ExperimentConfig())["geom"]
-        del geom["c"]
-        report = validate_config(write(tmp_path, {"geom": geom}))
-        assert report.ok, report.errors
-        assert ("geom.c", 299792458.0) in report.defaults_filled
-        assert report.config.geom.c == 299792458.0
 
     def test_optional_radio_fields_accept_none_and_numbers(self, tmp_path):
         for doc in ({"snapshot_u_de": None}, {"snapshot_u_de": 25}):
@@ -347,7 +342,7 @@ class TestCli:
     @pytest.mark.parametrize("doc,field", [
         ({"runs": "3"}, "runs"), ({"runs": 2.5}, "runs"),
         ({"workers": 1.5}, "workers"),
-        ({"ospa": {"p": float("nan")}}, "ospa.p"),
+        ({"ospa": {"p": float("nan")}}, "ospa"),
         ({"hyper": 3}, "hyper"), ({"hyper": None}, "hyper"),
         ({"ospa": None}, "ospa"), ({"geom": 5}, "geom"),
         ({"snr_1m_db": float("nan")}, "snr_1m_db"),
@@ -356,6 +351,14 @@ class TestCli:
         # died with a FileNotFoundError.
         ({"out_dir": 5}, "out_dir"), ({"out_dir": None}, "out_dir"),
         ({"out_dir": ""}, "out_dir"),
+        # The step period, the propagation speed and the OSPA settings are
+        # constants; a config that still sets them, even to the constant's
+        # value, gets one unknown-field error at that path.
+        ({"hyper": {"delta_t": 1.0}}, "hyper.delta_t"),
+        ({"geom": {**config_to_dict(ExperimentConfig())["geom"],
+                   "c": 299792458.0}}, "geom.c"),
+        ({"ospa": {"p": 2.0, "cutoff_d": 0.1, "cutoff_phi_deg": 10.0,
+                   "cutoff_snr_db": 6.0}}, "ospa"),
     ])
     @pytest.mark.parametrize("command", ["validate", "run"])
     def test_mistyped_config_exits_2_with_report(self, tmp_path, doc, field,
@@ -373,14 +376,16 @@ class TestCli:
         assert not os.path.exists(tmp_path / "out")
 
     @pytest.mark.parametrize("scenario", [
-        {"schema_version": 1}, [1], "not json", None, negative_far_desk()])
+        {"schema_version": 1}, [1], "not json", None, negative_far_desk(),
+        pytest.param(DEEP, id="deep")])
     @pytest.mark.parametrize("command", ["validate", "run"])
     def test_bad_scenario_file_exits_2_with_report(self, tmp_path, scenario,
                                                    command):
         # {"schema_version": 1} passed validate, then run died with a
         # KeyError, and the desk file with a negative false-alarm rate
         # passed validate, then run died drawing the clutter count; None
-        # stands for a file that does not exist.
+        # stands for a file that does not exist. DEEP was a RecursionError
+        # traceback.
         scn = tmp_path / "scn.json"
         if scenario is not None:
             scn.write_text(scenario if isinstance(scenario, str)
@@ -393,6 +398,32 @@ class TestCli:
         report = json.loads(res.output)
         assert [e["field"] for e in report["errors"]] == ["scenario"]
         assert not os.path.exists(tmp_path / "out")
+
+    @pytest.mark.parametrize("content", [
+        pytest.param(b"\xff\xfe{}", id="not-utf8"),
+        pytest.param(DEEP.encode(), id="deep")])
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_unreadable_config_exits_2_with_report(self, tmp_path, content,
+                                                   command):
+        # Both were tracebacks with exit 1: a UnicodeDecodeError and a
+        # RecursionError.
+        path = tmp_path / "cfg.json"
+        path.write_bytes(content)
+        res = CliRunner().invoke(main, [command, str(path)])
+        assert res.exit_code == 2, res.output
+        assert res.exception is None or isinstance(res.exception, SystemExit)
+        report = json.loads(res.output)
+        assert report["ok"] is False
+        assert [e["field"] for e in report["errors"]] == [""]
+
+    def test_scenario_emit_unwritable_path_exits_1(self, tmp_path):
+        # It was a FileNotFoundError traceback.
+        dest = str(tmp_path / "none" / "x.json")
+        res = CliRunner().invoke(main, ["scenario", "emit", "desk", dest])
+        assert res.exit_code == 1, res.output
+        assert res.exception is None or isinstance(res.exception, SystemExit)
+        assert res.stdout == ""
+        assert json.loads(res.stderr)["ok"] is False
 
     def test_scenario_emit(self, tmp_path):
         runner = CliRunner()

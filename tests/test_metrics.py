@@ -12,8 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mpctrack import metrics
-from mpctrack.metrics import (OspaConfig, RunLog, aggregate, aggregate_csv,
-                              ospa)
+from mpctrack.metrics import RunLog, aggregate, aggregate_csv, ospa
 
 
 def brute_force_ospa(x, y, p, c):
@@ -149,7 +148,7 @@ class TestEvaluateStep:
         class T:
             d, phi, u = 5.0, 0.3, 20.0
 
-        rec = metrics.evaluate_step(truth, [T()], OspaConfig(), 414)
+        rec = metrics.evaluate_step(truth, [T()], 414)
         assert rec["ospa_d_m"] == 0.0
         assert rec["ospa_phi_deg"] == 0.0
         assert rec["ospa_snr_db"] == 0.0
@@ -157,7 +156,7 @@ class TestEvaluateStep:
 
     def test_missed_track_costs_cutoffs(self):
         truth = np.array([[5.0, 0.3, 20.0, 0.0, 0.0]])
-        cfg = OspaConfig()
-        rec = metrics.evaluate_step(truth, [], cfg, 414)
-        assert rec["ospa_d_m"] == pytest.approx(cfg.cutoff_d)
-        assert rec["ospa_phi_deg"] == pytest.approx(cfg.cutoff_phi_deg)
+        rec = metrics.evaluate_step(truth, [], 414)
+        assert rec["ospa_d_m"] == pytest.approx(metrics.CUTOFF_D)
+        assert rec["ospa_phi_deg"] == pytest.approx(
+            math.degrees(metrics.CUTOFF_PHI))

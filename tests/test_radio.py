@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from mpctrack import radio
-from mpctrack.model import wrap_angle
+from mpctrack.model import SPEED_OF_LIGHT, wrap_angle
 from mpctrack.radio import (_pulse_periodic, _sample_times,
                             default_geometry, rrc_mean_square_bandwidth,
                             rrc_pulse, snapshot_estimate, steering_vectors,
@@ -207,7 +207,7 @@ class TestSnapshotEstimator:
         samples = component_sum(*rows([(s, 0.7)]), GEOM)
         ms = snapshot_estimate(samples, None, BANK, u_de=25.0)
         assert len(ms) == 1
-        assert abs(ms[0].z_d - d_true) < GEOM.c * GEOM.T_s / 20.0
+        assert abs(ms[0].z_d - d_true) < SPEED_OF_LIGHT * GEOM.T_s / 20.0
         assert abs(ms[0].z_phi - phi_true) < math.radians(1.0)
 
     def test_two_separated_components_recovered(self):
@@ -261,7 +261,7 @@ def oracle_steering_vector(d, phi, geom):
     times = _sample_times(geom)
     period = geom.N_s * geom.T_s
     g = geom.delay_shift(phi).reshape(-1)          # (H,)
-    tau = d / geom.c - g                           # per-element delay
+    tau = d / SPEED_OF_LIGHT - g                   # per-element delay
     ph = np.exp(2j * np.pi * geom.f_c * g)         # per-element carrier phase
     blocks = oracle_pulse_periodic(times[None, :] - tau[:, None], period) \
         * ph[:, None]
@@ -281,7 +281,7 @@ def oracle_newton_refine(residual, d, phi, geom):
     """The one-candidate refinement; also returns why it stopped ("curv":
     no proper local maximum, "gain": the Newton point scored no higher,
     "steps": both steps taken) and the number of accepted steps."""
-    hd = geom.c * geom.T_s / 50.0
+    hd = SPEED_OF_LIGHT * geom.T_s / 50.0
     hp = math.radians(0.2)
     best, _, _, _ = oracle_objective(residual, d, phi, geom)
     stop, taken = "steps", 0

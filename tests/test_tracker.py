@@ -892,18 +892,17 @@ class TestNonFiniteInjection:
 # the rng state.
 
 def oracle_propagate(particles, params, rng):
-    """Per-track motion model on one (J, 5) particle set."""
-    dt = params.delta_t
+    """Per-track motion model on one (J, 5) particle set, one 1 s step."""
     d, phi, u, v_d, v_phi = particles.T
     eps = rng.standard_normal((particles.shape[0], 3))
     eps[:, 0] *= params.sigma_d
     eps[:, 1] *= params.sigma_phi
     eps[:, 2] *= params.sigma_u_rel * u
-    return np.stack([d + dt * v_d + dt**2 / 2 * eps[:, 0],
-                     model.wrap_angle(phi + dt * v_phi + dt**2 / 2 * eps[:, 1]),
+    return np.stack([d + v_d + 0.5 * eps[:, 0],
+                     model.wrap_angle(phi + v_phi + 0.5 * eps[:, 1]),
                      np.maximum(u + eps[:, 2], 0.0),
-                     v_d + dt * eps[:, 0],
-                     v_phi + dt * eps[:, 1]], axis=1)
+                     v_d + eps[:, 0],
+                     v_phi + eps[:, 1]], axis=1)
 
 
 def oracle_predict(beliefs, far, params, rng):

@@ -15,7 +15,6 @@ from typing import NamedTuple
 
 import numpy as np
 from scipy import special
-from scipy.stats import ncx2
 
 TWO_PI = 2.0 * np.pi
 
@@ -47,8 +46,8 @@ def wrap_periodic(x, period: float):
     y = np.asarray(x) + period / 2.0
     if (np.ndim(y) and y.dtype == np.float64 and y.size
             and y.min() >= -period and y.max() < 2.0 * period):
-        y -= period * (y >= period)
-        y += period * (y < 0.0)
+        np.subtract(y, period, out=y, where=y >= period)
+        np.add(y, period, out=y, where=y < 0.0)
         y -= period / 2.0
         return y
     return np.mod(y, period) - period / 2.0
@@ -381,7 +380,11 @@ def crlb_amp_scale_numeric(alpha_re: float, alpha_im: float, s_norm_sq: float,
 
 def marcum_q1(a, b):
     """First-order Marcum Q function, via the noncentral chi-square survival
-    function with 2 degrees of freedom."""
+    function with 2 degrees of freedom. Only amp_mode "exact" calls it; it
+    imports scipy.stats (about 0.35-0.45 s and 20 MiB) at its first call in
+    each process."""
+    # Deferred so that "gauss" runs, the default, never load scipy.stats.
+    from scipy.stats import ncx2
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     return ncx2.sf(b * b, 2, a * a)

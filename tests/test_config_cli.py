@@ -4,6 +4,8 @@ the command-line interface."""
 import json
 import math
 import os
+import subprocess
+import sys
 
 import pytest
 from click.testing import CliRunner
@@ -271,6 +273,34 @@ class TestRunExperiment:
         log = run_single(cfg, 0)
         nom = log.column("nom_hat")[10:]
         assert np.mean(nom == 1) >= 0.95
+
+
+GAUSS_RUN_WITHOUT_SCIPY_STATS = """
+import math, sys
+import mpctrack, mpctrack.cli, mpctrack.experiment
+from mpctrack import model
+from mpctrack.config import ExperimentConfig
+from mpctrack.model import HyperParams
+assert "scipy.stats" not in sys.modules
+cfg = ExperimentConfig(scenario="desk", runs=1)
+cfg.hyper = HyperParams(J=100)
+mpctrack.experiment.run_single(cfg, 0)
+assert "scipy.stats" not in sys.modules
+s = math.sqrt(model.amp_scale_sq(4.0, 414))
+a, b = 4.0 / s, math.sqrt(4.14) / s
+from scipy.stats import ncx2
+assert model.detection_prob(4.0, 4.14, 414, "exact") == ncx2.sf(b * b, 2, a * a)
+"""
+
+
+def test_gauss_mode_never_imports_scipy_stats():
+    # A fresh interpreter: this suite itself loads scipy.stats early.
+    path = filter(None, [os.path.join(REPO, "src"),
+                         os.environ.get("PYTHONPATH")])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    res = subprocess.run([sys.executable, "-c", GAUSS_RUN_WITHOUT_SCIPY_STATS],
+                         env=env, capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
 
 
 class TestCli:

@@ -24,12 +24,10 @@ def main():
               help="Override output directory.")
 @click.option("--workers", type=int, default=None,
               help="Override worker count (capped at runs and cores).")
-@click.option("--mode", type=click.Choice(["fully_synthetic",
-                                           "radio_pipeline"]), default=None)
-def run(config, runs, seed, out, workers, mode):
+def run(config, runs, seed, out, workers):
     """Run the Monte-Carlo experiment described by CONFIG."""
     overrides = {"runs": runs, "base_seed": seed, "out_dir": out,
-                 "workers": workers, "mode": mode}
+                 "workers": workers}
     report = validate_config(config, {k: v for k, v in overrides.items()
                                       if v is not None})
     if not report.ok:

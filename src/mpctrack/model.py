@@ -11,7 +11,7 @@ import dataclasses
 import math
 import numbers
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import ClassVar, NamedTuple
 
 import numpy as np
 from scipy import special
@@ -226,9 +226,9 @@ def number_problems(obj, names, integers=(), rules=()) -> list:
 class HyperParams:
     """Tracker hyperparameters. Defaults match the standard simulation setup
     (3x3 array at 6 GHz, 46 samples/element, -20 dB input detection
-    threshold)."""
+    threshold). P, da_tol, p_de, sigma_v_d, sigma_v_phi and u_birth_max are
+    class constants, not fields: no config sets them."""
     p_s: float = 0.999            # survival probability
-    p_de: float = 0.5             # existence threshold for detection
     p_pr: float = 1e-4            # existence threshold for pruning
     mu_n: float = 0.008           # mean number of new components per step
     u_de: float = 4.14            # detection threshold, squared-amplitude units
@@ -238,32 +238,33 @@ class HyperParams:
     sigma_u_rel: float = 0.02     # relative amplitude driving noise
     sigma_fa: float = 0.15        # false-alarm-rate random-walk std
     sigma_fa_ini: float = 0.5     # false-alarm-rate initialization std
-    sigma_v_d: float = 0.01       # new-track distance-velocity prior std, m/s
-    sigma_v_phi: float = math.radians(0.6)  # new-track angular-velocity prior std
     J: int = 10000                # particles per belief
-    P: int = 5000                 # max DA message-passing iterations
-    da_tol: float = 1e-6          # DA convergence tolerance (max-norm)
     amp_mode: str = "gauss"       # amplitude likelihood: "exact" or "gauss"
-    u_birth_max: float = 120.0    # amplitude range of the birth prior
+    P: ClassVar[int] = 5000           # max DA message-passing iterations
+    da_tol: ClassVar[float] = 1e-6    # DA convergence tolerance (max-norm)
+    p_de: ClassVar[float] = 0.5       # existence threshold for detection
+    # New-track velocity prior stds (m/s, rad/s), birth amplitude range.
+    sigma_v_d: ClassVar[float] = 0.01
+    sigma_v_phi: ClassVar[float] = math.radians(0.6)
+    u_birth_max: ClassVar[float] = 120.0
 
     def validate(self) -> list:
         """Return a list of '(field, message)' problems; empty when valid.
 
-        Types come first: J and P must be integers and every other field
-        except amp_mode a finite real number (bool is neither). A field of
-        the wrong type gets that one problem and no range check.
+        Types come first: J must be an integer and every other field except
+        amp_mode a finite real number (bool is neither). A field of the
+        wrong type gets that one problem and no range check.
         """
         problems = number_problems(
             self, [f.name for f in dataclasses.fields(self)
-                   if f.name != "amp_mode"], integers=("J", "P"), rules=(
-                (("p_s", "p_de", "p_pr"), lambda v: 0.0 <= v <= 1.0,
+                   if f.name != "amp_mode"], integers=("J",), rules=(
+                (("p_s", "p_pr"), lambda v: 0.0 <= v <= 1.0,
                  "must be in [0, 1], got {}"),
-                (("mu_n", "u_de", "d_max", "u_birth_max"),
-                 lambda v: v > 0, "must be positive"),
+                (("mu_n", "u_de", "d_max"), lambda v: v > 0,
+                 "must be positive"),
                 (("sigma_d", "sigma_phi", "sigma_u_rel", "sigma_fa",
-                  "sigma_fa_ini", "sigma_v_d", "sigma_v_phi", "da_tol"),
-                 lambda v: v >= 0, "must be >= 0"),
-                (("J", "P"), lambda v: v >= 1, "must be >= 1")))
+                  "sigma_fa_ini"), lambda v: v >= 0, "must be >= 0"),
+                (("J",), lambda v: v >= 1, "must be >= 1")))
         if self.amp_mode not in ("exact", "gauss"):
             problems.append(("amp_mode", "must be 'exact' or 'gauss'"))
         return problems

@@ -66,7 +66,6 @@ class TestValidateConfig:
         assert report.ok
         filled = dict(report.defaults_filled)
         assert filled.get("hyper.J") == 10000
-        assert filled.get("hyper.P") == 5000
         assert report.config.hyper.p_s == 0.99
 
     @pytest.mark.parametrize("field,value", [
@@ -75,9 +74,10 @@ class TestValidateConfig:
         ("sigma_fa", float("-inf")), ("p_s", "0.9"), ("mu_n", [0.008]),
     ])
     def test_mistyped_hyper_field_path(self, tmp_path, field, value):
-        # Non-integer J/P and non-numeric or non-finite numbers are field
+        # Non-integer J and non-numeric or non-finite numbers are field
         # errors, not crashes later on (100.5 particles) or never (NaN
-        # compares false against every range bound).
+        # compares false against every range bound); P is a class constant,
+        # so an unknown field.
         path = write(tmp_path, {"hyper": {field: value}})
         report = validate_config(path)
         assert not report.ok
@@ -346,6 +346,17 @@ class TestCli:
         assert [e["field"] for e in report["errors"]] == [field]
         assert not out_dir.exists()
 
+    def test_mode_is_not_an_override(self, tmp_path):
+        # The mode is read from the config only; --runs 0 keeps a parser
+        # that still took --mode from starting a run.
+        out_dir = tmp_path / "never"
+        res = CliRunner().invoke(main, [
+            "run", os.path.join(REPO, "configs", "desk.json"), "--mode",
+            "radio_pipeline", "--runs", "0", "--out", str(out_dir)])
+        assert res.exit_code == 2, res.output
+        assert "No such option '--mode'" in res.output
+        assert not out_dir.exists()
+
     def test_run_invalid_config_fails(self, tmp_path):
         runner = CliRunner()
         path = write(tmp_path, {"hyper": {"p_s": 7}})
@@ -389,6 +400,15 @@ class TestCli:
                    "c": 299792458.0}}, "geom.c"),
         ({"ospa": {"p": 2.0, "cutoff_d": 0.1, "cutoff_phi_deg": 10.0,
                    "cutoff_snr_db": 6.0}}, "ospa"),
+        # So are the DA iteration cap and tolerance, the existence threshold
+        # for detection and the birth prior's velocity stds and amplitude
+        # range.
+        ({"hyper": {"P": 5000}}, "hyper.P"),
+        ({"hyper": {"da_tol": 1e-6}}, "hyper.da_tol"),
+        ({"hyper": {"p_de": 0.5}}, "hyper.p_de"),
+        ({"hyper": {"sigma_v_d": 0.01}}, "hyper.sigma_v_d"),
+        ({"hyper": {"sigma_v_phi": math.radians(0.6)}}, "hyper.sigma_v_phi"),
+        ({"hyper": {"u_birth_max": 120.0}}, "hyper.u_birth_max"),
     ])
     @pytest.mark.parametrize("command", ["validate", "run"])
     def test_mistyped_config_exits_2_with_report(self, tmp_path, doc, field,

@@ -132,7 +132,7 @@ class TestEstimate:
         assert est.detected[0].d == pytest.approx(7.0)
 
     def test_detection_strictly_above_threshold(self):
-        p = params(p_de=0.5)
+        p = params()
         st = tracker.init(p, GEOM, 0)
         st = stacked([point_track([5, 0, 8, 0, 0], 0.5, p.J, tid=1),
                       point_track([6, 0, 8, 0, 0], 0.5001, p.J, tid=2)], st)

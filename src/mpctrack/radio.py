@@ -10,15 +10,15 @@ squares, subtracts, and repeats while the normalized amplitude exceeds the
 detection threshold. Feedback summaries from the tracker seed the search.
 
 The refinement moves all candidates of a component (the coarse peak and the
-feedback seeds) in lock step: per Newton step, one batched steering-vector
-evaluation covers every candidate's five-point stencil (the first step adds
-the start points) and one covers every candidate's Newton point; a candidate
-leaves the lock step where it would have stopped alone. Each point is scored
-with one vdot per steering row and the score is formed on Python floats, so
-a point's score does not depend on the batch it is in. The winner keeps the
-steering row and (nsq, corr) it was scored with, so a component costs four
-batched steering evaluations (five when the winner is a start point whose
-phi wrapping changes).
+feedback seeds) in lock step: one batched steering-vector evaluation covers
+every start point with its five-point stencil, and one per Newton step covers
+every candidate's Newton point, with its stencil unless the step is the last;
+a candidate leaves the lock step where it would have stopped alone. Each
+point is scored with one vdot per steering row and the score is formed on
+Python floats, so a point's score does not depend on the batch it is in. The
+winner keeps the steering row and (nsq, corr) it was scored with, so a
+component costs three batched steering evaluations (four when the winner is
+a start point whose phi wrapping changes).
 """
 
 import logging
@@ -177,38 +177,41 @@ class MatchedFilterBank:
         # Per-angle, per-element phase factors on each harmonic.
         g = geom.delay_shift(self.angles).T           # (A, H)
         carrier = np.exp(-2j * np.pi * geom.f_c * g)  # (A, H)
-        # e^{-j 2 pi k g / T} times the carrier for every (A, H, K)
+        # e^{-j 2 pi k g / T} times the carrier, harmonic-major (K, A, H) so
+        # coarse_peak's element sum is one batched matrix product.
         self.shifted_carrier = np.exp(
-            -2j * np.pi * self.ks[None, None, :] * g[:, :, None] / self.period
-        ) * carrier[:, :, None]
+            -2j * np.pi * self.ks[:, None, None] * g[None, :, :] / self.period
+        ) * carrier[None, :, :]
         i0 = (geom.N_s - 1) / 2.0
         self.center_phase = np.exp(2j * np.pi * self.ks * i0 / geom.N_s)
-        # Mean sampled pulse energy per element (grid-stage normalization).
+        # Mean sampled pulse energy per element (snapshot_estimate's
+        # overflow guard).
         times = _sample_times(geom)
         taus = np.arange(self.L) * geom.T_s / DELAY_OVERSAMPLE
         e = _pulse_periodic(times[None, :] - taus[:, None], self.period)
         self.mean_energy = float(np.mean(np.sum(e * e, axis=1)))
 
     def coarse_peak(self, samples: np.ndarray):
-        """Return (delay, angle, score) of the strongest grid cell; the score
-        is |correlation|^2 normalized by the mean steering norm."""
+        """Return (delay, angle) of the grid cell with the largest
+        |correlation|^2 (the mean steering norm that would normalize it is
+        the same in every cell)."""
         geom = self.geom
         y = samples.reshape(geom.H, geom.N_s)
         Y = np.fft.fft(y, axis=1)                     # (H, N_s)
         Yk = Y[:, self.fft_cols]                      # harmonics k
         base = self.coeff_conj[None, :] * Yk * self.center_phase[None, :]
-        # (A, K): coherent element sum with angle-dependent shifts.
-        W = np.einsum("ahk,hk->ak", self.shifted_carrier, base)
-        # Evaluate C(tau) on the fine grid via an L-point inverse transform.
+        # (K, A, 1): coherent element sum with angle-dependent shifts.
+        W = np.matmul(self.shifted_carrier, base.T[:, :, None])
+        # Evaluate C(tau) on the fine grid via an L-point inverse transform;
+        # its 1/L scale does not move the peak.
         Wpad = np.zeros((len(self.angles), self.L), dtype=complex)
-        Wpad[:, self.pad_cols] = W
-        C = scipy.fft.ifft(Wpad, axis=1, overwrite_x=True)
-        C *= self.L
-        power = np.abs(C) ** 2 / (geom.H * self.mean_energy)
+        Wpad[:, self.pad_cols] = W[:, :, 0].T
+        C = scipy.fft.ifft(Wpad, axis=1, overwrite_x=True).view(float)
+        C *= C                 # squared real and imaginary parts, in place
+        power = C[:, 0::2] + C[:, 1::2]
         ai, qi = np.unravel_index(int(np.argmax(power)), power.shape)
         tau = qi * geom.T_s / DELAY_OVERSAMPLE
-        return (tau * SPEED_OF_LIGHT, float(self.angles[ai]),
-                float(power[ai, qi]))
+        return tau * SPEED_OF_LIGHT, float(self.angles[ai])
 
 
 def _match(residual: np.ndarray, points: list, geom: ArrayGeometry):
@@ -233,37 +236,38 @@ def _newton_refine(residual: np.ndarray, starts: list, geom: ArrayGeometry):
     """Two finite-difference Newton steps on the matched-filter power for
     every start point (d, phi), moved in lock step.
 
-    Each step scores the five-point stencil of every candidate still
-    improving in one batch (the first step adds the start points), then all
-    their Newton points in a second batch. A candidate stops where the
-    stencil shows no proper local maximum or its Newton point does not score
-    higher. Returns one (d, phi, score, match) per start point: match is the
-    point's steering row and _match's (nsq, corr) when wrapping phi left the
-    point as scored, else None.
+    One batch scores every start point with its five-point stencil. Each
+    step then scores the Newton points of the candidates still improving in
+    one batch, every non-final one with its own stencil, so a candidate that
+    improves has its next stencil scored already. A candidate stops where
+    the stencil shows no proper local maximum or its Newton point does not
+    score higher. Returns one (d, phi, score, match) per start point: match
+    is the point's steering row and _match's (nsq, corr) when wrapping phi
+    left the point as scored, else None.
     """
+    if not starts:
+        return []
     hd = SPEED_OF_LIGHT * geom.T_s / 50.0
     hp = math.radians(0.2)
+
+    def with_stencils(points):
+        batch = []
+        for d, phi in points:
+            batch += [(d, phi), (d + hd, phi), (d - hd, phi), (d, phi + hp),
+                      (d, phi - hp), (d + hd, phi + hp)]
+        return batch
+
     pts = list(starts)
-    f0, rows = [None] * len(pts), [None] * len(pts)
+    S, scored = _match(residual, with_stencils(pts), geom)
+    f0 = [score for score, _, _ in scored[::6]]
+    rows = [(s, nsq, corr) for s, (_, nsq, corr) in zip(S[::6], scored[::6])]
+    stencils = [[score for score, _, _ in scored[6 * i + 1:6 * i + 6]]
+                for i in range(len(pts))]
     active = list(range(len(pts)))
     for step in range(NEWTON_STEPS):
-        if not active:
-            break
-        batch = list(pts) if step == 0 else []
-        for i in active:
-            d, phi = pts[i]
-            batch += [(d + hd, phi), (d - hd, phi), (d, phi + hp),
-                      (d, phi - hp), (d + hd, phi + hp)]
-        S, scored = _match(residual, batch, geom)
-        if step == 0:
-            f0 = [score for score, _, _ in scored[:len(pts)]]
-            rows = [(s, nsq, corr)
-                    for s, (_, nsq, corr) in zip(S, scored[:len(pts)])]
-            scored = scored[len(pts):]
-        f = [score for score, _, _ in scored]
         newton = []
-        for j, i in enumerate(active):
-            fdp, fdm, fpp, fpm, fxy = f[5 * j:5 * j + 5]
+        for i in active:
+            fdp, fdm, fpp, fpm, fxy = stencils[i]
             d, phi = pts[i]
             gd = (fdp - fdm) / (2 * hd)
             gp = (fpp - fpm) / (2 * hp)
@@ -276,13 +280,20 @@ def _newton_refine(residual: np.ndarray, starts: list, geom: ArrayGeometry):
             dd = -(hpp * gd - hdp * gp) / det
             dp = -(-hdp * gd + hdd * gp) / det
             newton.append((i, (d + dd, float(wrap_angle(phi + dp)))))
+        if not newton:
+            break
+        cands = [c for _, c in newton]
+        width = 1 if step == NEWTON_STEPS - 1 else 6
+        S, scored = _match(residual,
+                           cands if width == 1 else with_stencils(cands), geom)
         active = []
-        if newton:
-            S, scored = _match(residual, [c for _, c in newton], geom)
-            for (i, cand), s, (f1, nsq, corr) in zip(newton, S, scored):
-                if f1 > f0[i]:
-                    pts[i], f0[i], rows[i] = cand, f1, (s, nsq, corr)
-                    active.append(i)
+        for j, (i, cand) in enumerate(newton):
+            f1, nsq, corr = scored[width * j]
+            if f1 > f0[i]:
+                pts[i], f0[i], rows[i] = cand, f1, (S[width * j], nsq, corr)
+                stencils[i] = [score for score, _, _
+                               in scored[width * j + 1:width * j + width]]
+                active.append(i)
     out = []
     for (d, phi), f, row in zip(pts, f0, rows):
         wrapped = float(wrap_angle(phi))
@@ -297,7 +308,7 @@ def _extract(residual: np.ndarray, seeds: list, bank: MatchedFilterBank):
     steering vector s and _match's (nsq, corr), taken from the refinement
     unless wrapping moved the point. Returns (d, phi, s, nsq, corr)."""
     geom = bank.geom
-    d0, p0, _ = bank.coarse_peak(residual)
+    d0, p0 = bank.coarse_peak(residual)
     d, phi, _, row = max(_newton_refine(residual, [(d0, p0)] + seeds, geom),
                          key=lambda c: c[2])
     if row is None:
@@ -317,7 +328,8 @@ def snapshot_estimate(samples: np.ndarray, prior_tracks,
     reported amplitudes are normalized by the final noise estimate so they
     are not biased low by components still awaiting subtraction. A sample
     vector with a non-finite sample, or with an energy so large that the
-    squared correlations would overflow, gives [] and one warning.
+    squared correlations would overflow, gives [] and one warning; feedback
+    summaries with a non-finite d or phi are dropped with one warning.
     """
     n = bank.geom.n_eff
     residual = np.array(samples, dtype=complex)
@@ -340,6 +352,12 @@ def snapshot_estimate(samples: np.ndarray, prior_tracks,
         energy = initial_energy = float(np.vdot(residual, residual).real)
     thresh = math.sqrt(u_de)
     seeds = [(t.d, float(t.phi)) for t in (prior_tracks or [])]
+    finite = [sd for sd in seeds
+              if math.isfinite(sd[0]) and math.isfinite(sd[1])]
+    if len(finite) < len(seeds):
+        log.warning("snapshot_estimate: %d of %d feedback seeds not finite; "
+                    "dropped", len(seeds) - len(finite), len(seeds))
+        seeds = finite
     found = []
 
     for _ in range(MAX_COMPONENTS):

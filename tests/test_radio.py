@@ -1,13 +1,17 @@
 """Radio forward model and snapshot-estimator tests: pulse properties and
 a full-evaluation pulse oracle, steering-vector consistency, linearity, the
-batched steering kernel and lock-step refinement against one-point oracles,
-the forward-inverse round trip and hostile sample vectors."""
+batched steering kernel, the coarse matched filter and lock-step refinement
+against their earlier forms, the forward-inverse round trip and hostile
+sample vectors and feedback seeds."""
 
 import logging
 import math
+import types
+import warnings
 
 import numpy as np
 import pytest
+import scipy.fft
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
@@ -314,6 +318,58 @@ def oracle_newton_refine(residual, d, phi, geom):
     return (d, float(wrap_angle(phi)), best), (stop, taken)
 
 
+def oracle_coarse_peaks(bank, residuals):
+    """The coarse matched filter in its earlier form, for each residual: the
+    per-angle carrier in (A, H, K) order summed over elements by einsum,
+    the inverse transform scaled back by L and the power
+    |C|^2 / (H * mean_energy). Returns each winning cell's (delay, angle)."""
+    geom = bank.geom
+    g = geom.delay_shift(bank.angles).T
+    carrier = np.exp(-2j * np.pi * geom.f_c * g)
+    shifted = np.exp(-2j * np.pi * bank.ks[None, None, :] * g[:, :, None]
+                     / bank.period) * carrier[:, :, None]
+    out = []
+    for samples in residuals:
+        Y = np.fft.fft(samples.reshape(geom.H, geom.N_s), axis=1)
+        base = bank.coeff_conj[None, :] * Y[:, bank.fft_cols] \
+            * bank.center_phase[None, :]
+        W = np.einsum("ahk,hk->ak", shifted, base)
+        Wpad = np.zeros((len(bank.angles), bank.L), dtype=complex)
+        Wpad[:, bank.pad_cols] = W
+        C = scipy.fft.ifft(Wpad, axis=1)
+        C *= bank.L
+        power = np.abs(C) ** 2 / (geom.H * bank.mean_energy)
+        ai, qi = np.unravel_index(int(np.argmax(power)), power.shape)
+        tau = qi * geom.T_s / radio.DELAY_OVERSAMPLE
+        out.append((tau * SPEED_OF_LIGHT, float(bank.angles[ai])))
+    return out
+
+
+def coarse_residual(seed):
+    """A residual for the coarse filter, by seed: unit noise alone, one to
+    three components at random points over unit noise, or one to three
+    components exactly on grid cells, over unit noise or noiseless."""
+    rng = np.random.default_rng(seed)
+    kind = seed % 4
+    if kind == 0:
+        return math.sqrt(0.5) * (rng.standard_normal(GEOM.n_eff)
+                                 + 1j * rng.standard_normal(GEOM.n_eff))
+    comps = []
+    for _ in range(int(rng.integers(1, 4))):
+        if kind == 1:
+            d = float(rng.uniform(0.3, 16.0))
+            phi = float(rng.uniform(-math.pi, math.pi))
+        else:
+            qi = int(rng.integers(BANK.L))
+            d = qi * GEOM.T_s / radio.DELAY_OVERSAMPLE * SPEED_OF_LIGHT
+            phi = float(BANK.angles[rng.integers(len(BANK.angles))])
+        comps.append(((d, phi, float(rng.uniform(3.0, 60.0)), 0.0, 0.0),
+                      float(rng.uniform(0.0, 2.0 * math.pi))))
+    if kind == 3:
+        return component_sum(*rows(comps), GEOM)
+    return synth_radio(*rows(comps), GEOM, rng)
+
+
 def bits(x):
     return np.asarray(x, dtype=float).tobytes()
 
@@ -360,13 +416,22 @@ class TestBatchedEstimator:
             assert np.array_equal(steering_vectors([d[i]], [phi[i]], GEOM)[0],
                                   want)
 
+    def test_coarse_peak_equals_oracle(self):
+        # The batched product and the unscaled power pick the earlier
+        # form's cell on noise alone, on components anywhere and on
+        # components exactly on grid cells.
+        residuals = [coarse_residual(seed) for seed in range(600)]
+        want = oracle_coarse_peaks(BANK, residuals)
+        for seed, (residual, cell) in enumerate(zip(residuals, want)):
+            assert BANK.coarse_peak(residual) == cell, seed
+
     def test_lock_step_stops_each_candidate_like_the_oracle(self):
         # Three candidates leave the lock step at different points: one at
         # once for want of a local maximum, one after its first Newton point
         # scored no higher, and the coarse peak after both steps. Wrapping
         # changes the first one's phi, so it returns no projection.
         residual = noisy_snapshot(7)
-        d0, p0, _ = BANK.coarse_peak(residual)
+        d0, p0 = BANK.coarse_peak(residual)
         starts = [(6.5, math.radians(150.0)), (2.0, -2.5), (d0, p0)]
         got = radio._newton_refine(residual, starts, GEOM)
         stops = [check_refined(residual, st_, g)
@@ -377,7 +442,7 @@ class TestBatchedEstimator:
     @pytest.mark.parametrize("seed", [7, 8, 9])
     def test_lock_step_refinement_equals_oracle(self, seed):
         residual = noisy_snapshot(seed)
-        d0, p0, _ = BANK.coarse_peak(residual)
+        d0, p0 = BANK.coarse_peak(residual)
         # The coarse peak, feedback seeds near both components, and points
         # away from them; float64 and Python floats mixed as in the estimator.
         starts = [(d0, p0), (4.03, math.radians(-34.0)),
@@ -410,11 +475,12 @@ class TestBatchedEstimator:
 
     @pytest.mark.parametrize("n_seeds", [0, 2, 12])
     def test_steering_calls_per_component(self, monkeypatch, n_seeds):
-        # Whatever the candidate count, a component costs at most four
-        # batched steering evaluations here: stencil and start points,
-        # Newton points, the second stencil and the second Newton points.
-        # The winner's projection comes from the refinement (a fifth call
-        # only when the winner is a start point that wrapping moves).
+        # Whatever the candidate count, a component costs at most three
+        # batched steering evaluations here: start points with their
+        # stencils, the first Newton points with theirs, and the second
+        # Newton points. The winner's projection comes from the refinement
+        # (a fourth call only when the winner is a start point that
+        # wrapping moves).
         calls = []
         kernel = radio.steering_vectors
 
@@ -444,7 +510,7 @@ class TestBatchedEstimator:
         assert len(ms) == 2
         per_component = np.diff(iterations + [len(calls)])
         assert len(per_component) == 3   # two found, one rejected
-        assert max(per_component) <= 4
+        assert max(per_component) <= 3
         assert calls[0] == 6 * (1 + n_seeds)   # every start and stencil
 
 
@@ -514,3 +580,29 @@ class TestHostileSamples:
                                u_de=25.0)
         assert len(ms) == 2
         assert all(math.isfinite(m.z_u) for m in ms)
+
+    @pytest.mark.parametrize("bad", [(math.inf, 0.3), (-math.inf, 0.3),
+                                     (4.0, math.nan), (math.nan, math.inf)])
+    def test_non_finite_seeds_are_dropped(self, bad):
+        # A feedback seed with a non-finite d or phi is dropped before the
+        # Newton search, with one logged warning and no RuntimeWarning: the
+        # output is the one without it.
+        samples = noisy_snapshot(0)
+        good = types.SimpleNamespace(d=4.03, phi=math.radians(-34.0))
+        seed = types.SimpleNamespace(d=bad[0], phi=bad[1])
+        handler = Records()
+        radio.log.addHandler(handler)
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                alone = snapshot_estimate(samples, [seed], BANK, u_de=25.0)
+                mixed = snapshot_estimate(samples, [seed, good], BANK,
+                                          u_de=25.0)
+        finally:
+            radio.log.removeHandler(handler)
+        assert alone == snapshot_estimate(samples, None, BANK, u_de=25.0)
+        assert mixed == snapshot_estimate(samples, [good], BANK, u_de=25.0)
+        assert len(alone) == 2
+        assert [r.getMessage() for r in handler.records] == [
+            "snapshot_estimate: 1 of 1 feedback seeds not finite; dropped",
+            "snapshot_estimate: 1 of 2 feedback seeds not finite; dropped"]

@@ -1,8 +1,10 @@
 """Optimal-subpattern-assignment evaluation against scenario ground truth.
 
-Per-dimension OSPA (distance, angle, component SNR) with order OSPA_P and
-fixed per-dimension cutoffs; the assignment inside the metric is solved
-exactly. Run logs carry one record per scenario step and aggregate into
+Per-dimension OSPA (Schuhmacher, Vo & Vo, IEEE TSP 2008) with order OSPA_P
+and fixed per-dimension cutoffs; the assignment inside the metric is solved
+exactly by Crouse's shortest augmenting path method (IEEE TAES 2016), ported
+from scipy's linear_sum_assignment with its tie-breaking, so the matched pairs
+are scipy's. Run logs carry one record per scenario step and aggregate into
 per-step means across runs.
 """
 
@@ -12,9 +14,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
-from .model import ang_diff
+from .model import TWO_PI, ang_diff
 
 # Metric order and per-dimension cutoffs: 10 cm, 10 degrees and 6 dB.
 OSPA_P = 2.0
@@ -27,22 +28,132 @@ def ospa(truth, est, p: float, cutoff: float, angular: bool = False) -> float:
     """Optimal-subpattern-assignment distance between two scalar sets.
 
     With angular=True the base distance is the wrapped angular difference
-    (inputs in radians). Both sets empty gives 0.
+    (inputs in radians). Both sets empty gives 0. The assignment comes from
+    _linear_sum_assignment, Crouse's 2016 solver as scipy implements it,
+    and the matched costs are added in the row order scipy returns, the way
+    numpy sums them, so the value is bit for bit the one scipy's solver and
+    numpy's sum give.
     """
-    x = np.asarray(list(truth), dtype=float)
-    y = np.asarray(list(est), dtype=float)
+    x = list(map(float, truth))
+    y = list(map(float, est))
     n, m = len(x), len(y)
     if n == 0 and m == 0:
         return 0.0
     if n == 0 or m == 0:
         return float(cutoff)
-    diff = ang_diff(x[:, None], y[None, :]) if angular \
-        else x[:, None] - y[None, :]
-    cost = np.minimum(np.abs(diff), cutoff) ** p
-    ri, ci = linear_sum_assignment(cost)
-    matched = float(cost[ri, ci].sum())
+    cost = _cost_matrix(x, y, p, cutoff, angular)
+    ri, ci = _linear_sum_assignment(cost)
+    costs = [cost[i][j] for i, j in zip(ri, ci)]
+    # numpy adds fewer than 8 values one after another, as sum() does.
+    matched = sum(costs) if len(costs) < 8 else float(np.sum(costs))
     n_max, n_min = max(n, m), min(n, m)
     return float(((matched + cutoff**p * (n_max - n_min)) / n_max) ** (1.0 / p))
+
+
+def _cost_matrix(x: list, y: list, p: float, cutoff: float, angular: bool):
+    """np.minimum(np.abs(diff), cutoff) ** p as a list of rows, diff being
+    x[i] - y[j], wrapped into [-pi, pi) by model.ang_diff when angular.
+
+    For p = 2 the entries are computed in Python floats to the same bits:
+    numpy's ** 2.0 is a square, and Python's float % wraps by np.mod's rule
+    (fmod, then add the period to a remainder of the wrong sign).
+    """
+    if p != 2.0:
+        xa, ya = np.array(x)[:, None], np.array(y)
+        diff = ang_diff(xa, ya) if angular else xa - ya
+        return (np.minimum(np.abs(diff), cutoff) ** p).tolist()
+    cc = cutoff * cutoff
+    if angular:
+        h = TWO_PI / 2.0
+        return [[cc if (d := abs((a - b + h) % TWO_PI - h)) > cutoff
+                 else d * d for b in y] for a in x]
+    return [[cc if (d := abs(a - b)) > cutoff else d * d for b in y]
+            for a in x]
+
+
+_above_neg_inf = (-math.inf).__lt__    # False for -inf and NaN
+
+
+def _linear_sum_assignment(cost: list):
+    """Rows and columns of a minimum-cost assignment of a cost matrix given
+    as a list of rows: scipy.optimize.linear_sum_assignment (Crouse, IEEE
+    TAES 2016, shortest augmenting paths with dual variables) on Python
+    floats, with scipy's choices wherever costs tie, so both return the same
+    (rows, cols) lists.
+
+    A tall matrix is solved transposed and its pairs returned by row. A NaN
+    or -inf entry, or a matrix with no finite assignment, raises ValueError.
+    """
+    # A NaN or -inf entry makes the total NaN or -inf; so can an overflow,
+    # which the entry-by-entry check then clears.
+    if not (sum(map(sum, cost)) > -math.inf
+            or all(all(map(_above_neg_inf, row)) for row in cost)):
+        raise ValueError("matrix contains invalid numeric entries")
+    transpose = len(cost[0]) < len(cost)
+    c = list(zip(*cost)) if transpose else cost
+    nr, nc = len(c), len(c[0])
+    u, v = [0.0] * nr, [0.0] * nc
+    col4row, row4col, path = [-1] * nr, [-1] * nc, [-1] * nc
+    for cur in range(nr):
+        # u[cur] is still 0, so the path search's first scan sees the
+        # reduced costs row - v. On a tie it keeps the free column it meets
+        # last, scanning last column first: if the first column holding the
+        # lowest finite reduced cost is free, the path ends there, and
+        # u[cur] is the only dual variable that changes.
+        row = c[cur]
+        red = [a - b for a, b in zip(row, v)] if any(v) else row
+        low = min(red)
+        j = red.index(low)
+        if low < math.inf and row4col[j] < 0:
+            u[cur], col4row[cur], row4col[j] = low, j, cur
+            continue
+        # Shortest augmenting path from row `cur`; `remaining` holds the
+        # unvisited columns, last column first.
+        spc = [math.inf] * nc
+        visited_rows, visited_cols = [], []
+        remaining = list(range(nc - 1, -1, -1))
+        min_val, i, sink = 0.0, cur, -1
+        while sink < 0:
+            visited_rows.append(i)
+            row, ui = c[i], u[i]
+            index, lowest = -1, math.inf
+            for it, j in enumerate(remaining):
+                r = min_val + row[j] - ui - v[j]
+                s = spc[j]
+                if r < s:
+                    path[j] = i
+                    spc[j] = s = r
+                # On a tie prefer a free column: it ends the path.
+                if s < lowest or (s == lowest and row4col[j] < 0):
+                    lowest, index = s, it
+            min_val = lowest
+            if min_val == math.inf:
+                raise ValueError("cost matrix is infeasible")
+            j = remaining[index]
+            if row4col[j] < 0:
+                sink = j
+            else:
+                i = row4col[j]
+            visited_cols.append(j)
+            remaining[index] = remaining[-1]
+            remaining.pop()
+        u[cur] += min_val
+        for i in visited_rows:
+            if i != cur:
+                u[i] += min_val - spc[col4row[i]]
+        for j in visited_cols:
+            v[j] -= min_val - spc[j]
+        j = sink
+        while True:
+            i = path[j]
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+            if i == cur:
+                break
+    if transpose:
+        rows = [j for j in range(nc) if row4col[j] >= 0]
+        return rows, [row4col[j] for j in rows]
+    return list(range(nr)), col4row
 
 
 RUNLOG_COLUMNS = ("step", "ospa_d_m", "ospa_phi_deg", "ospa_snr_db",

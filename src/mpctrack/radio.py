@@ -3,11 +3,12 @@ estimator.
 
 The transmit pulse is a root-raised-cosine, treated as periodic over the
 observation window (delays wrap), truncated at +-8 symbol periods. The
-snapshot estimator runs a coarse delay-angle matched filter (FFT over a
-quarter-sample delay grid, 2 degree angle grid), refines candidates with two
-Newton steps on the exact steering vector, estimates the amplitude by least
-squares, subtracts, and repeats while the normalized amplitude exceeds the
-detection threshold. Feedback summaries from the tracker seed the search.
+snapshot estimator runs a coarse delay-angle matched filter (an np.fft
+inverse transform, in place, over a quarter-sample delay grid; 2 degree
+angle grid), refines candidates with two Newton steps on the exact steering
+vector, estimates the amplitude by least squares, subtracts, and repeats
+while the normalized amplitude exceeds the detection threshold. Feedback
+summaries from the tracker seed the search.
 
 The refinement moves all candidates of a component (the coarse peak and the
 feedback seeds) in lock step: one batched steering-vector evaluation covers
@@ -25,7 +26,6 @@ import logging
 import math
 
 import numpy as np
-import scipy.fft
 
 from .model import (SPEED_OF_LIGHT, ArrayGeometry, Measurement, wrap_angle,
                     wrap_periodic)
@@ -206,7 +206,7 @@ class MatchedFilterBank:
         # its 1/L scale does not move the peak.
         Wpad = np.zeros((len(self.angles), self.L), dtype=complex)
         Wpad[:, self.pad_cols] = W[:, :, 0].T
-        C = scipy.fft.ifft(Wpad, axis=1, overwrite_x=True).view(float)
+        C = np.fft.ifft(Wpad, axis=1, out=Wpad).view(float)
         C *= C                 # squared real and imaginary parts, in place
         power = C[:, 0::2] + C[:, 1::2]
         ai, qi = np.unravel_index(int(np.argmax(power)), power.shape)

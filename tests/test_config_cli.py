@@ -303,6 +303,36 @@ def test_gauss_mode_never_imports_scipy_stats():
     assert res.returncode == 0, res.stderr
 
 
+RUNS_WITHOUT_SCIPY_OPTIMIZE_FFT_STATS = """
+import sys
+import mpctrack, mpctrack.cli, mpctrack.experiment
+from mpctrack.config import ExperimentConfig
+from mpctrack.model import HyperParams
+desk = ExperimentConfig(scenario="desk", runs=1)
+desk.hyper = HyperParams(J=100)
+pipeline = ExperimentConfig(scenario="pipeline", mode="radio_pipeline",
+                            runs=1, snapshot_u_de=25.0)
+pipeline.hyper = HyperParams(J=100, u_de=25.0)
+for cfg in (desk, pipeline):
+    mpctrack.experiment.run_single(cfg, 0)
+loaded = [m for m in ("scipy.optimize", "scipy.fft", "scipy.stats")
+          if m in sys.modules]
+assert not loaded, loaded
+"""
+
+
+def test_runs_never_import_scipy_optimize_fft_or_stats():
+    # OSPA's assignment and the coarse peak's FFT are in-package and numpy;
+    # a fresh interpreter, since this suite loads all three modules itself.
+    path = filter(None, [os.path.join(REPO, "src"),
+                         os.environ.get("PYTHONPATH")])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    res = subprocess.run(
+        [sys.executable, "-c", RUNS_WITHOUT_SCIPY_OPTIMIZE_FFT_STATS],
+        env=env, capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+
+
 class TestCli:
     def test_validate_ok_and_exit_codes(self, tmp_path):
         runner = CliRunner()

@@ -96,12 +96,12 @@ def evaluate_weights(legacy, log_mass: np.ndarray, z: np.ndarray,
     """Integrate the association factors over the particle beliefs and the
     false-alarm-rate belief.
 
-    legacy: stacked beliefs with .particles (5, K, J), .weights (K, J)
-    normalized and .p_exist (K,) (predicted). log_mass: (M,), the log
-    importance estimate of <f(z|x)>_birth / f_fa(z) per measurement.
+    legacy: the stack, with .particles (5, K, J), each row J equally
+    weighted particles, and .p_exist (K,) (predicted). log_mass: (M,), the
+    log importance estimate of <f(z|x)>_birth / f_fa(z) per measurement.
     z: (M, 3) measurement rows (z_d, z_phi, z_u), log_fa: (M,) their
-    clutter log densities. far_belief: object with .particles (> 0) and
-    .weights.
+    clutter log densities. far_belief: the equally weighted rate particles
+    (all > 0).
 
     Each log_beta row is shifted to a zero maximum; downstream marginals
     are scale-invariant per row, so this is lossless. log_xi0 is log(1 +
@@ -110,17 +110,16 @@ def evaluate_weights(legacy, log_mass: np.ndarray, z: np.ndarray,
     Each legacy row's (M, J) log-ratio matrix is exponentiated once, in
     place, after subtracting its row maxima c_m (entries more than 600
     below are raised to that floor, see _LOG_RATIO_FLOOR): the linear
-    matrix R and c give log_beta through R @ weights and are kept for the
-    measurement update (AssociationWeights.ratio, .ratio_log_scale).
+    matrix R and c give log_beta through R @ (1/J, ..., 1/J) and are kept
+    for the measurement update (AssociationWeights.ratio, .ratio_log_scale).
     """
-    K = len(legacy.weights)
+    _, K, J = legacy.particles.shape
     M = len(z)
 
     # FAR-integrated normalization factors: nbar = E[n(mu)], ntil = E[n(mu)/mu].
-    mu = np.asarray(far_belief.particles, dtype=float)
-    fw = np.asarray(far_belief.weights, dtype=float)
+    mu = np.asarray(far_belief, dtype=float)
     log_n = (-mu + M * np.log(mu)) / max(K + M, 1)
-    log_w = np.log(np.maximum(fw, 1e-300))
+    log_w = np.log(1.0 / len(mu))
     log_nbar = log_sum_exp(log_n + log_w)
     log_ntil = log_sum_exp(log_n - np.log(mu) + log_w)
     log_t = log_ntil - log_nbar  # log of the 1/mu_fa weighting ratio
@@ -129,7 +128,7 @@ def evaluate_weights(legacy, log_mass: np.ndarray, z: np.ndarray,
                                     geom.n_eff, params.amp_mode)
     # One kernel call scores as many rows as keep its (M, rows * J) arrays
     # within 2^15 entries, in cache (at J = 10000 each row is its own call).
-    rows = max(1, (1 << 15) // max(M * legacy.weights.shape[1], 1))
+    rows = max(1, (1 << 15) // max(M * J, 1))
     ratio, ratio_log_scale = [], np.empty((K, M))
     for k0 in range(0, K, rows):
         x = legacy.particles[:, k0:k0 + rows]
@@ -144,10 +143,11 @@ def evaluate_weights(legacy, log_mass: np.ndarray, z: np.ndarray,
         np.exp(lr, out=lr)
         ratio += list(lr.transpose(1, 0, 2))
         ratio_log_scale[k0:k0 + rows] = c.T
-    mass = np.reshape([R @ w for R, w in zip(ratio, legacy.weights)], (K, M))
+    uniform = np.full(J, 1.0 / J)
+    mass = np.reshape([R @ uniform for R in ratio], (K, M))
     # Column 0 marginalizes existence: non-existence plus missed detection.
     q = legacy.p_exist
-    miss = (1.0 - q) + q * np.sum(legacy.weights * (1.0 - det_prob), axis=1)
+    miss = (1.0 - q) + q * np.sum(1.0 / J * (1.0 - det_prob), axis=1)
     log_beta = np.full((K, M + 1), -np.inf)
     log_beta[:, 0] = np.log(np.maximum(miss, 1e-300))
     live = q > 0.0

@@ -7,7 +7,8 @@ data association, measurement update of legacy and new components,
 false-alarm-rate update, resampling, pruning and estimate extraction. Both
 return the next TrackerState and write to nothing they are given; update()
 restores the generator, which the two states share, when a stage raises,
-so a failed update changes nothing.
+so a failed update changes nothing. Between steps every belief is J
+equally weighted particles: weights exist only inside update().
 """
 
 import logging
@@ -43,7 +44,7 @@ class PmpcBelief:
 
 @dataclass
 class FarBelief:
-    """Particle posterior of the mean false-alarm rate."""
+    """Reweighted rate particles, as update() hands them to resample()."""
     particles: np.ndarray   # (J,), all > 0
     weights: np.ndarray     # (J,), normalized
 
@@ -73,22 +74,24 @@ class StepEstimate:
 
 @dataclass
 class TrackerState:
-    """Legacy beliefs, one row each: particles (5, K, J), weights (K, J)."""
+    """Legacy beliefs, one row each of J equally weighted particles: the
+    stack particles (5, K, J). far: the equally weighted rate particles
+    (J,), None until the first measurement set."""
     particles: np.ndarray
-    weights: np.ndarray
     p_exist: np.ndarray
     ids: np.ndarray
     birth_steps: np.ndarray
-    far: Optional[FarBelief] = None
+    far: Optional[np.ndarray] = None
     step: int = 0
     rng: Optional[np.random.Generator] = None
     next_id: int = 1
 
     @property
     def legacy(self) -> list:
-        """The rows as PmpcBelief, particles and weights viewing the stack."""
+        """The rows as PmpcBelief, particles viewing the stack, weights 1/J."""
+        J = self.particles.shape[2]
         return [PmpcBelief(int(i), int(b), self.particles[:, k].T,
-                           self.weights[k], float(q)) for k, (i, b, q)
+                           np.full(J, 1.0 / J), float(q)) for k, (i, b, q)
                 in enumerate(zip(self.ids, self.birth_steps, self.p_exist))]
 
 
@@ -102,8 +105,8 @@ def init(params: HyperParams, geom: ArrayGeometry, seed) -> TrackerState:
     problems = params.validate()
     if problems:
         raise ValueError(f"invalid hyperparameters: {problems}")
-    return TrackerState(np.empty((5, 0, params.J)), np.empty((0, params.J)),
-                        np.empty(0), np.empty(0, int), np.empty(0, int),
+    return TrackerState(np.empty((5, 0, params.J)), np.empty(0),
+                        np.empty(0, int), np.empty(0, int),
                         rng=np.random.default_rng(seed))
 
 
@@ -114,8 +117,8 @@ def predict(state: TrackerState, params: HyperParams) -> TrackerState:
     particles = model.propagate_kinematics(state.particles, params, state.rng)
     far = state.far
     if far is not None:
-        step = params.sigma_fa * state.rng.standard_normal(far.particles.shape)
-        far = replace(far, particles=model.reflect_positive(far.particles + step))
+        step = params.sigma_fa * state.rng.standard_normal(far.shape)
+        far = model.reflect_positive(far + step)
     return replace(state, p_exist=state.p_exist * params.p_s,
                    particles=particles, far=far)
 
@@ -139,10 +142,10 @@ def resample(belief, J: int, rng: np.random.Generator):
 
 def estimate(state: TrackerState, params: HyperParams) -> StepEstimate:
     """Detection (p_exist strictly above p_de) and posterior-mean extraction
-    for every maintained component, plus the false-alarm-rate estimate. The
-    angle takes the circular mean and wrapped second moment (clouds may
-    straddle +-pi)."""
-    w = state.weights
+    for every maintained component, plus the false-alarm-rate estimate, each
+    a sum of particles times 1/J. The angle takes the circular mean and
+    wrapped second moment (clouds may straddle +-pi)."""
+    w = 1.0 / state.particles.shape[2]
     d_j, phi_j, u_j = state.particles[:3]
     d = np.sum(w * d_j, axis=1)
     u = np.sum(w * u_j, axis=1)
@@ -156,7 +159,7 @@ def estimate(state: TrackerState, params: HyperParams) -> StepEstimate:
         state.ids.tolist(), d.tolist(), wrap_angle(phi).tolist(), u.tolist(),
         sigma_d.tolist(), sigma_phi.tolist(), state.p_exist.tolist())]
     detected = [t for t in all_tracks if t.p_exist > params.p_de]
-    mu_fa = float(np.sum(state.far.weights * state.far.particles)) \
+    mu_fa = float(np.sum(1.0 / len(state.far) * state.far)) \
         if state.far is not None else float("nan")
     return StepEstimate(state.step, detected, len(detected), mu_fa, all_tracks)
 
@@ -253,10 +256,10 @@ def _build_proposals(z: np.ndarray, log_fa: np.ndarray, sd: np.ndarray,
     return X, shifted / total[:, None], log_mass
 
 
-def _update_legacy(weights: np.ndarray, p_exist: np.ndarray,
-                   w: dabp.AssociationWeights, log_nu: np.ndarray) -> tuple:
-    """The legacy rows' weights (K, J) reweighted with the converged
-    extrinsic messages, and their recomputed existence probabilities (K,).
+def _update_legacy(p_exist: np.ndarray, w: dabp.AssociationWeights,
+                   log_nu: np.ndarray) -> tuple:
+    """The legacy rows' posterior weights (K, J), 1/J reweighted with the
+    converged extrinsic messages, and their existence probabilities (K,).
 
     Row k's association sum per particle, log sum_m nu[m] t P_d f(z_m|x) /
     f_fa(z_m), comes from the linear ratio matrix R = w.ratio[k] as
@@ -270,7 +273,7 @@ def _update_legacy(weights: np.ndarray, p_exist: np.ndarray,
         assoc = np.reshape([x @ R for x, R in zip(np.exp(b - top), w.ratio)],
                            log_psi.shape)
         log_psi = np.logaddexp(log_psi, np.log(assoc) + top)
-        log_post = np.log(np.maximum(weights, 1e-300)) + log_psi
+        log_post = log_psi + np.log(1.0 / log_psi.shape[1])
         new_w = np.exp(log_post - np.max(log_post, axis=1, keepdims=True))
     new_w[~np.any(np.isfinite(log_psi), axis=1)] = 1.0
     # Existence odds in log space, on scalar math: the alternative
@@ -284,21 +287,19 @@ def _update_legacy(weights: np.ndarray, p_exist: np.ndarray,
     return new_w / new_w.sum(axis=1, keepdims=True), np.array(p_next)
 
 
-def _update_far(far: FarBelief, w: dabp.AssociationWeights,
+def _update_far(mu: np.ndarray, w: dabp.AssociationWeights,
                 marg: AssociationMarginals, log_d: np.ndarray) -> FarBelief:
-    """The false-alarm-rate belief far with its particles reweighted by the
-    particle-marginalized association factors evaluated at each rate
-    particle. log_d is the (M,) array of log(1 + sum_k zeta[k, m]), each
-    measurement's legacy message sum.
+    """The FarBelief of the equally weighted rate particles mu (J,),
+    reweighted by the particle-marginalized association factors evaluated at
+    each rate particle. log_d is the (M,) array of log(1 + sum_k zeta[k, m]),
+    each measurement's legacy message sum.
 
     Factor i is log(a_i + b_i / mu): one row per legacy component, then one
     per measurement, all built by one (K+M, J) logaddexp and added to the
     log weights one row at a time, in that order (with M = 0, b_i = 0)."""
     M = len(log_d)
-    mu = far.particles
     log_mu = np.log(mu)
-    log_w = np.log(np.maximum(far.weights, 1e-300))
-    log_w = log_w - mu + M * log_mu
+    log_w = np.log(1.0 / len(mu)) - mu + M * log_mu
     log_t = math.log(w.far_ratio)
     log_a = np.concatenate([w.log_beta[:, 0], log_d])
     # Row k's message-weighted association sum. Contiguous rows keep each
@@ -311,21 +312,23 @@ def _update_far(far: FarBelief, w: dabp.AssociationWeights,
     for row in rows:
         log_w += row
     shifted = np.exp(log_w - np.max(log_w))
-    return replace(far, weights=shifted / shifted.sum())
+    return FarBelief(mu, shifted / shifted.sum())
 
 
-def _prune_and_resample(state: TrackerState, particles: np.ndarray,
-                        weights: np.ndarray, p_new: list, params):
-    """The state with the stack's surviving rows, then the surviving new rows
-    (particles, weights, p_new), each resampled to J equal weights. Every
-    row draws one uniform, so pruning (NaN included) keeps the rng stream."""
+def _prune_and_resample(state: TrackerState, legacy_weights: np.ndarray,
+                        particles: np.ndarray, weights: np.ndarray,
+                        p_new: list, params):
+    """The state with the stack's surviving rows (their posterior weights
+    legacy_weights), then the surviving new rows (particles, weights,
+    p_new), each resampled to J equal weights. Every row draws one uniform,
+    so pruning (NaN included) keeps the rng stream."""
     K, J = len(state.p_exist), params.J
     p_all = np.concatenate([state.p_exist, p_new])
     keep = p_all >= params.p_pr
     uniforms = state.rng.random(len(keep))
     stack = np.empty((5, int(np.sum(keep)), J))
     for n, i in enumerate(np.flatnonzero(keep)):
-        x, w = (state.particles[:, i], state.weights[i]) if i < K \
+        x, w = (state.particles[:, i], legacy_weights[i]) if i < K \
             else (particles[:, i - K], weights[i - K])
         idx = _systematic(w, uniforms[i], J)
         # Field by field: one (5, J) fancy index x[:, idx] is about 2x slower.
@@ -334,8 +337,7 @@ def _prune_and_resample(state: TrackerState, particles: np.ndarray,
     # New row i, if kept, is the n-th new survivor and gets next_id - 1 + n.
     born = np.cumsum(keep[K:])
     return replace(
-        state, particles=stack, weights=np.full(stack.shape[1:], 1.0 / J),
-        p_exist=p_all[keep],
+        state, particles=stack, p_exist=p_all[keep],
         ids=np.concatenate([state.ids, state.next_id - 1 + born])[keep],
         birth_steps=np.concatenate([
             state.birth_steps, np.full(len(born), state.step)])[keep],
@@ -406,28 +408,27 @@ def update(state: TrackerState, measurements: Sequence[Measurement],
         far = state.far
         if far is None:
             mu0 = M / 2.0 + params.sigma_fa_ini * rng.standard_normal(params.J)
-            far = FarBelief(model.reflect_positive(mu0),
-                            np.full(params.J, 1.0 / params.J))
+            far = model.reflect_positive(mu0)
         particles, new_weights, log_mass = _build_proposals(
             z, log_fa, sd, sp, params, geom, rng)
         weights = dabp.evaluate_weights(state, log_mass, z, log_fa, far,
                                         params, geom)
         marg = dabp.loopy_da(weights, params.P, params.da_tol)
-        legacy_weights, p_exist = _update_legacy(state.weights, state.p_exist,
-                                                 weights, marg.log_nu)
+        legacy_weights, p_exist = _update_legacy(state.p_exist, weights,
+                                                 marg.log_nu)
         # Each measurement's legacy message sum, reduced along contiguous rows.
         log_d = np.logaddexp(0.0, log_sum_exp(
             np.ascontiguousarray(marg.log_zeta.T), axis=1))
-        far = _update_far(far, weights, marg, log_d)
+        far_post = _update_far(far, weights, marg, log_d)
         p_new = [1.0 / (1.0 + math.exp(min(gap, 700.0)))
                  for gap in (log_d - weights.log_new_mass).tolist()]
         # The input keeps its stack until update returns: free the K (M, J)
         # ratio matrices before the next stack is built (peak memory).
         del weights
         nxt = _prune_and_resample(
-            replace(state, step=state.step + 1, weights=legacy_weights,
-                    p_exist=p_exist), particles, new_weights, p_new, params)
-        nxt = replace(nxt, far=resample(far, params.J, rng))
+            replace(state, step=state.step + 1, p_exist=p_exist),
+            legacy_weights, particles, new_weights, p_new, params)
+        nxt = replace(nxt, far=resample(far_post, params.J, rng).particles)
         return nxt, estimate(nxt, params), marg
     except BaseException:
         rng.bit_generator.state = saved

@@ -13,11 +13,11 @@ from mpctrack.model import HyperParams, Measurement
 def stacked(beliefs, state=None):
     """state (by default a fresh tracker.init state with J taken from the
     first belief) with the given beliefs as its legacy rows, in order, built
-    by dataclasses.replace. A belief has .particles (J, 5), .weights (J,)
-    and .p_exist, and .id and .birth_step where the test needs them
-    (default: ids 1, 2, ... and birth step 0)."""
+    by dataclasses.replace; each row is its J equally weighted particles. A
+    belief has .particles (J, 5) and .p_exist, and .id and .birth_step where
+    the test needs them (default: ids 1, 2, ... and birth step 0)."""
     beliefs = list(beliefs)
-    J = len(beliefs[0].weights) if beliefs else state.weights.shape[1]
+    J = len(beliefs[0].particles) if beliefs else state.particles.shape[2]
     st = tracker.init(HyperParams(J=J), radio.default_geometry(), 0) \
         if state is None else state
     # C order, as the tracker builds its stacks (np.stack would keep the
@@ -26,7 +26,6 @@ def stacked(beliefs, state=None):
         st, particles=np.ascontiguousarray(np.stack(
             [np.asarray(b.particles, float).T for b in beliefs], axis=1))
         if beliefs else np.empty((5, 0, J)),
-        weights=np.array([b.weights for b in beliefs], float).reshape(-1, J),
         p_exist=np.array([b.p_exist for b in beliefs], float),
         ids=np.array([getattr(b, "id", k + 1)
                       for k, b in enumerate(beliefs)], int),

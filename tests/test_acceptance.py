@@ -19,7 +19,7 @@ from mpctrack.experiment import run_experiment, run_single
 from mpctrack.metrics import aggregate, ospa
 from mpctrack.model import HyperParams, Measurement
 from mpctrack.scenario import desk_scenario, get_scenario
-from mpctrack.tracker import FarBelief, PmpcBelief
+from mpctrack.tracker import PmpcBelief
 
 from conftest import component_sum, packed, proposal_inputs, rows, stacked
 
@@ -138,7 +138,7 @@ def test_c05_single_bernoulli_oracle():
     st = tracker.init(p, GEOM, 0)
     st = stacked([PmpcBelief(1, 0, np.tile(np.asarray(state), (J, 1)),
                              np.full(J, 1 / J), 0.8)], st)
-    st.far = FarBelief(np.full(J, 2.0), np.full(J, 1 / J))
+    st.far = np.full(J, 2.0)
     p_d = float(model.detection_prob(4.0, p.u_de, GEOM.n_eff, p.amp_mode))
     st, _, _ = tracker.update(st, [], p, GEOM)
     expect = 0.8 * (1 - p_d) / (1 - 0.8 * p_d)
@@ -152,7 +152,7 @@ def test_c05_single_bernoulli_oracle():
         st = stacked([PmpcBelief(1, 0, np.tile(np.asarray(state), (J, 1)),
                                  np.full(J, 1 / J), q)], st)
         mu0 = 2.0
-        st.far = FarBelief(np.full(J, mu0), np.full(J, 1 / J))
+        st.far = np.full(J, mu0)
         z = Measurement(5.0 + off, 0.3, 4.0)
         log_l = float(model.log_lik_matrix(
             [z], np.asarray([state], float), p, GEOM)[0, 0]) \

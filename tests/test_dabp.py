@@ -31,14 +31,11 @@ def tv_distance(p, q):
 class PointBelief:
     def __init__(self, state, p_exist, J=64):
         self.particles = np.tile(np.asarray(state, dtype=float), (J, 1))
-        self.weights = np.full(J, 1.0 / J)
         self.p_exist = p_exist
 
 
-class PointFar:
-    def __init__(self, mu, J=64):
-        self.particles = np.full(J, mu)
-        self.weights = np.full(J, 1.0 / J)
+def point_far(mu, J=64):
+    return np.full(J, float(mu))
 
 
 # ---------------------------------------------------------------------------
@@ -253,7 +250,7 @@ class TestEvaluateWeights:
     def test_empty_measurement_set(self):
         tr = PointBelief([5.0, 0.2, 8.0, 0.0, 0.0], 0.7)
         w = dabp.evaluate_weights(stacked([tr]), np.zeros(0),
-                                  *packed([], PARAMS), PointFar(2.0), PARAMS,
+                                  *packed([], PARAMS), point_far(2.0), PARAMS,
                                   GEOM)
         assert np.exp(w.log_beta).shape == (1, 1)
         p_d = float(model.detection_prob(8.0, PARAMS.u_de, GEOM.n_eff,
@@ -270,7 +267,7 @@ class TestEvaluateWeights:
         z = Measurement(5.0, 0.2, 4.0)
         tr = PointBelief(state, 1.0)
         log_mass = np.array([0.0])
-        far = PointFar(1.0)
+        far = point_far(1.0)
         w = dabp.evaluate_weights(stacked([tr]), log_mass,
                                   *packed([z], PARAMS), far, PARAMS, GEOM)
         p_d = float(model.detection_prob(4.0, PARAMS.u_de, GEOM.n_eff,
@@ -289,7 +286,7 @@ class TestEvaluateWeights:
         tr = PointBelief([5.0, 0.2, 8.0, 0.0, 0.0], 0.5)
         z = Measurement(6.0, 0.0, 5.0)
         w = dabp.evaluate_weights(stacked([tr]), np.array([-1.0]),
-                                  *packed([z], PARAMS), PointFar(2.0), PARAMS,
+                                  *packed([z], PARAMS), point_far(2.0), PARAMS,
                                   GEOM)
         assert not hasattr(w, "beta") and not hasattr(w, "xi")
         assert w.log_beta.shape == (1, 2) and w.log_xi0.shape == (1,)
@@ -297,7 +294,7 @@ class TestEvaluateWeights:
     def test_far_ratio_integrates_one_over_mu(self):
         tr = PointBelief([5.0, 0.2, 8.0, 0.0, 0.0], 0.5)
         z = Measurement(6.0, 0.0, 5.0)
-        far = PointFar(2.5)
+        far = point_far(2.5)
         w = dabp.evaluate_weights(stacked([tr]), np.array([-1.0]),
                                   *packed([z], PARAMS), far, PARAMS, GEOM)
         assert w.far_ratio == pytest.approx(1.0 / 2.5)
@@ -306,7 +303,7 @@ class TestEvaluateWeights:
         trs = [PointBelief([5.0, 0.2, 8.0, 0.0, 0.0], 0.5) for _ in range(3)]
         z = Measurement(6.0, 0.0, 5.0)
         w = dabp.evaluate_weights(stacked(trs), np.array([-1.0]),
-                                  *packed([z], PARAMS), PointFar(2.0), PARAMS,
+                                  *packed([z], PARAMS), point_far(2.0), PARAMS,
                                   GEOM)
         # The equal couplings leave one number per measurement: the matrix
         # form [xi0, 1, 1, 1] reduces to it.
@@ -323,7 +320,7 @@ class TestEvaluateWeights:
         zs = [Measurement(5.0, 0.5, 9.0), Measurement(8.0, -0.5, 6.0)]
         props = np.array([0.5, -0.5])
         w = dabp.evaluate_weights(stacked(trs), props, *packed(zs, PARAMS),
-                                  PointFar(2.0), PARAMS, GEOM)
+                                  point_far(2.0), PARAMS, GEOM)
         out1 = loopy_da(w, 5000, 1e-10)
         xi = np.exp(np.column_stack([w.log_xi0, np.zeros((2, 2))]))
         w2 = AssociationWeights(beta=np.exp(w.log_beta) * 13.0, xi=xi * 0.03)
@@ -336,11 +333,10 @@ class TestEvaluateWeights:
 # ---------------------------------------------------------------------------
 
 def spread_belief(rng, center, J, p_exist, tid):
-    """Particles scattered around center with non-uniform weights."""
+    """J equally weighted particles scattered around center."""
     scale = np.array([0.01, 0.01, 0.3, 0.01, 0.002])
     parts = np.asarray(center, float) + scale * rng.standard_normal((J, 5))
-    w = rng.exponential(1.0, J)
-    return tracker.PmpcBelief(tid, 0, parts, w / w.sum(), p_exist)
+    return tracker.PmpcBelief(tid, 0, parts, np.full(J, 1.0 / J), p_exist)
 
 
 def reference_log_beta(trs, zs, log_t, p):
@@ -396,7 +392,7 @@ class TestLinearDomainMessages:
                for k, (c, q) in enumerate(centers)]
         props = np.array([0.3, -1.0, 0.5])
         w = dabp.evaluate_weights(stacked(trs), props, *packed(zs, p),
-                                  PointFar(2.0), p, GEOM)
+                                  point_far(2.0), p, GEOM)
         log_t = math.log(w.far_ratio)
         assert np.min(w.ratio[2]) < 1e-200
 
@@ -405,12 +401,11 @@ class TestLinearDomainMessages:
             reference_log_beta(trs, zs, log_t, p), rel=1e-12)
 
         log_nu = rng.normal(0.0, 1.0, (len(zs), len(trs)))
-        st = stacked(trs)
-        st.weights, st.p_exist = tracker._update_legacy(
-            st.weights, st.p_exist, w, log_nu)
-        for k, (tr, got) in enumerate(zip(trs, st.legacy)):
+        post, p_exist = tracker._update_legacy(stacked(trs).p_exist, w,
+                                               log_nu)
+        for k, tr in enumerate(trs):
             want_w, want_p = reference_legacy_update(tr, zs, log_nu[:, k],
                                                      log_t, p)
-            assert np.all(np.isfinite(got.weights))
-            np.testing.assert_allclose(got.weights, want_w, rtol=1e-12, atol=0)
-            assert got.p_exist == pytest.approx(want_p, rel=1e-12)
+            assert np.all(np.isfinite(post[k]))
+            np.testing.assert_allclose(post[k], want_w, rtol=1e-12, atol=0)
+            assert p_exist[k] == pytest.approx(want_p, rel=1e-12)

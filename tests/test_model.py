@@ -21,7 +21,7 @@ from scipy.special import log_ndtr, ndtr
 from mpctrack import dabp, model, radio, tracker
 from mpctrack.dabp import AssociationMarginals, AssociationWeights
 from mpctrack.model import ArrayGeometry, HyperParams, Measurement
-from mpctrack.tracker import FarBelief, PmpcBelief
+from mpctrack.tracker import PmpcBelief
 
 from conftest import packed, stacked
 
@@ -143,8 +143,7 @@ def point_track(x, p_exist, J=1):
 
 
 def far_belief(mus):
-    mus = np.asarray(mus, dtype=float)
-    return FarBelief(mus, np.full(len(mus), 1.0 / len(mus)))
+    return np.asarray(mus, dtype=float)
 
 
 def matrix_form_propagation(particles, params, rng, dt):
@@ -247,16 +246,16 @@ class TestTransition:
 
     def test_far_transition_identity_and_positive(self):
         still = predicted(HyperParams(sigma_fa=0.0), far=far_belief([2.0]))
-        assert still.far.particles[0] == 2.0
+        assert still.far[0] == 2.0
         # Draws landing at or below zero stay positive via reflection.
         moved = predicted(HyperParams(sigma_fa=1.0),
                           far=far_belief(np.full(2000, 0.01)))
-        assert moved.far.particles.min() > 0.0
+        assert moved.far.min() > 0.0
 
     def test_far_transition_mean(self):
         n = 100_000
         draws = predicted(HyperParams(sigma_fa=0.3),
-                          far=far_belief(np.full(n, 5.0)), seed=5).far.particles
+                          far=far_belief(np.full(n, 5.0)), seed=5).far
         assert abs(draws.mean() - 5.0) < 3 * 0.3 / math.sqrt(n)
 
 
@@ -449,7 +448,7 @@ class TestVariances:
         for t in est.all_tracks:
             assert all(map(math.isfinite, (t.d, t.phi, t.u, t.sigma_d,
                                            t.sigma_phi, t.p_exist)))
-        assert np.all(np.isfinite(state.far.weights))
+        assert np.all(np.isfinite(state.far))
 
     def test_sigma_phi_quartering_and_clamp(self):
         assert model.sigma_phi_sq(2.0, 0.0, GEOM) == pytest.approx(
@@ -713,7 +712,7 @@ class TestFarNorm:
         state.far = far_belief(np.repeat([1.0, 3.0], J // 2))
         state, _, _ = tracker.update(state, [], params, GEOM)
         share = math.exp(-3.0) / (math.exp(-1.0) + math.exp(-3.0))
-        count = int(np.sum(state.far.particles == 3.0))
+        count = int(np.sum(state.far == 3.0))
         assert abs(count - J * share) < 1.0
 
     @given(st.floats(1e-6, 50.0), st.integers(0, 20), st.integers(0, 20))

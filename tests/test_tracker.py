@@ -9,6 +9,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.stateful import (RuleBasedStateMachine, initialize, invariant,
+                                 rule)
 
 from mpctrack import dabp, model, radio, tracker
 from mpctrack.model import HyperParams, Measurement
@@ -30,7 +32,7 @@ def point_track(state, p_exist, J, tid=1):
 
 
 def point_far(mu, J):
-    return FarBelief(np.full(J, float(mu)), np.full(J, 1.0 / J))
+    return np.full(J, float(mu))
 
 
 class TestInit:
@@ -49,7 +51,7 @@ class TestInit:
         st = tracker.init(p, GEOM, 0)
         ms = [Measurement(5.0, 0.1, 8.0), Measurement(9.0, -1.0, 6.0)]
         st, _, _ = tracker.update(st, ms, p, GEOM)
-        assert np.allclose(st.far.particles, 1.0)  # M/2 with M = 2
+        assert np.allclose(st.far, 1.0)  # M/2 with M = 2
 
     def test_invalid_params_rejected(self):
         with pytest.raises(ValueError):
@@ -124,9 +126,9 @@ class TestEstimate:
     def test_weighted_mean(self):
         p = params()
         st = tracker.init(p, GEOM, 0)
-        b = point_track([0, 0, 0, 0, 0], 0.9, 2)
-        b.particles = np.array([[4.0, 0.1, 5.0, 0, 0], [8.0, 0.1, 5.0, 0, 0]])
-        b.weights = np.array([0.25, 0.75])
+        b = point_track([0, 0, 0, 0, 0], 0.9, 4)
+        b.particles = np.array([[4.0, 0.1, 5.0, 0, 0]]
+                               + [[8.0, 0.1, 5.0, 0, 0]] * 3)
         st = stacked([b], st)
         est = tracker.estimate(st, p)
         assert est.detected[0].d == pytest.approx(7.0)
@@ -146,7 +148,6 @@ class TestEstimate:
         b = point_track([5, 0, 8, 0, 0], 0.9, 2)
         b.particles = np.array([[5.0, np.pi - 0.05, 8.0, 0, 0],
                                 [5.0, -np.pi + 0.05, 8.0, 0, 0]])
-        b.weights = np.array([0.5, 0.5])
         st = stacked([b], st)
         est = tracker.estimate(st, p)
         assert abs(model.ang_diff(est.detected[0].phi, np.pi)) < 1e-9
@@ -415,7 +416,7 @@ class TestInputGate:
         for a, b in zip(st_bad.legacy, st_ok.legacy):
             assert np.array_equal(a.particles, b.particles)
             assert a.p_exist == b.p_exist
-        assert np.array_equal(st_bad.far.particles, st_ok.far.particles)
+        assert np.array_equal(st_bad.far, st_ok.far)
         assert st_bad.rng.random() == st_ok.rng.random()
 
     def assert_rejected(self, bad, caplog):
@@ -428,11 +429,9 @@ class TestInputGate:
         assert records[0].getMessage().startswith("rejecting")
         st_ok, est_ok = self.stepped([self.GOOD])
         assert est_bad == est_ok
-        for f in ("particles", "weights", "p_exist", "ids", "birth_steps"):
+        for f in ("particles", "p_exist", "ids", "birth_steps", "far"):
             assert np.array_equal(getattr(st_bad, f), getattr(st_ok, f))
         assert (st_bad.step, st_bad.next_id) == (st_ok.step, st_ok.next_id)
-        assert np.array_equal(st_bad.far.particles, st_ok.far.particles)
-        assert np.array_equal(st_bad.far.weights, st_ok.far.weights)
         assert st_bad.rng.bit_generator.state == st_ok.rng.bit_generator.state
 
     @pytest.mark.parametrize("z_u", [1e148, 1e160])
@@ -660,7 +659,7 @@ def test_pruned_beliefs_skip_resampling(monkeypatch):
     assert len(rows) == len(st.legacy) + 1
     assert len(rows_all) == len(st_all.legacy) + 1
     assert len(calls) == len(calls_all) == 1
-    assert calls[-1] is st.far
+    assert calls[-1].particles is st.far
     assert st.rng.bit_generator.state == st_all.rng.bit_generator.state
 
 
@@ -709,12 +708,9 @@ def tracked_state(p, seed):
 def assert_finite_state(st_):
     for tr in st_.legacy:
         assert np.all(np.isfinite(tr.particles))
-        assert np.all(np.isfinite(tr.weights))
         assert 0.0 <= tr.p_exist <= 1.0
-    assert np.all(np.isfinite(st_.far.particles))
-    assert np.all(st_.far.particles > 0.0)
-    assert np.all(st_.far.weights > 0.0)
-    assert np.isclose(st_.far.weights.sum(), 1.0)
+    assert np.all(np.isfinite(st_.far))
+    assert np.all(st_.far > 0.0)
 
 
 class TestUpdateProperties:
@@ -747,7 +743,7 @@ class TestUpdateProperties:
         for a, b in zip(st_a.legacy, st_b.legacy):
             assert np.array_equal(a.particles, b.particles)
             assert a.p_exist == b.p_exist
-        assert np.array_equal(st_a.far.particles, st_b.far.particles)
+        assert np.array_equal(st_a.far, st_b.far)
 
     @given(st.integers(0, 2**32 - 1), st.floats(0.3, 1.0),
            st.floats(1e-3, 30.0))
@@ -820,10 +816,8 @@ def assert_same_state(a, b):
     assert [t.id for t in a.legacy] == [t.id for t in b.legacy]
     for ta, tb in zip(a.legacy, b.legacy):
         assert ta.particles.tobytes() == tb.particles.tobytes()
-        assert ta.weights.tobytes() == tb.weights.tobytes()
         assert ta.p_exist == tb.p_exist
-    assert a.far.particles.tobytes() == b.far.particles.tobytes()
-    assert a.far.weights.tobytes() == b.far.weights.tobytes()
+    assert a.far.tobytes() == b.far.tobytes()
     assert a.rng.bit_generator.state == b.rng.bit_generator.state
 
 
@@ -882,6 +876,117 @@ class TestNonFiniteInjection:
 
 
 # ---------------------------------------------------------------------------
+# The state invariants over long mixed sequences of steps
+# ---------------------------------------------------------------------------
+
+HOSTILE = [("z_d", math.nan), ("z_phi", math.inf), ("z_u", -math.inf),
+           ("z_phi", 3.5), ("z_phi", -math.pi - 1e-12), ("z_u", 1e200),
+           ("z_u", -1e200)]
+
+
+class TrackerMachine(RuleBasedStateMachine):
+    """predict and update in any order on one tracker at J = 50, with
+    truth-like sets, clutter bursts, empty sets, long runs without clutter
+    and sets with hostile rows, which must change nothing. After every rule
+    the state holds, whatever came before: existence probabilities in
+    [floor, 1], where floor is p_pr times p_s for each prediction since the
+    last update (which prunes at p_pr); finite particles with u >= 0 and
+    phi in [-pi, pi); unique increasing ids below next_id; rate particles
+    at or above MU_FA_FLOOR; and finite estimates. Every rule also checks
+    that its input state kept its bytes."""
+
+    p = params(J=50)
+
+    @initialize(seed=st.integers(0, 2**32 - 1))
+    def start(self, seed):
+        self.st = tracker.init(self.p, GEOM, seed)
+        self.rng = np.random.default_rng(seed)
+        self.floor = self.p.p_pr
+
+    def step(self, ms):
+        before = copy.deepcopy(self.st)
+        nxt, est, _ = tracker.update(self.st, ms, self.p, GEOM)
+        assert_unchanged(self.st, before, rng=False)
+        assert nxt.step == self.st.step + 1
+        self.st, self.floor = nxt, self.p.p_pr
+        assert_finite_estimate(est, nxt)
+        return est
+
+    @rule()
+    def predict(self):
+        before = copy.deepcopy(self.st)
+        nxt = tracker.predict(self.st, self.p)
+        assert_unchanged(self.st, before, rng=False)
+        self.st = nxt
+        self.floor *= self.p.p_s
+
+    @rule(n_clutter=st.integers(0, 3))
+    def update_truth(self, n_clutter):
+        self.step(truth_measurements(self.p, self.rng)
+                  + clutter(n_clutter, self.p, self.rng))
+
+    @rule(M=st.integers(20, 200))
+    def clutter_burst(self, M):
+        self.step(truth_measurements(self.p, self.rng)
+                  + clutter(M - len(TRUTH), self.p, self.rng))
+
+    @rule()
+    def update_empty(self):
+        self.step([])
+
+    @rule(n=st.integers(10, 40))
+    def run_without_clutter(self, n):
+        for _ in range(n):
+            self.predict()
+            self.step(truth_measurements(self.p, self.rng))
+
+    @rule(rows=st.lists(st.sampled_from(HOSTILE), min_size=1, max_size=4),
+          data=st.data())
+    def update_hostile(self, rows, data):
+        # The gate rejects every hostile row: the step is the one without.
+        clean = truth_measurements(self.p, self.rng)
+        ms = list(clean)
+        for field, value in rows:
+            z = data.draw(st.sampled_from(clean))._replace(**{field: value})
+            ms.insert(data.draw(st.integers(0, len(ms))), z)
+        ref, est_ref, _ = tracker.update(copy.deepcopy(self.st), clean,
+                                         self.p, GEOM)
+        assert self.step(ms) == est_ref
+        assert_same_state(self.st, ref)
+
+    @invariant()
+    def state_is_sound(self):
+        st_, p = self.st, self.p
+        assert st_.particles.shape == (5, len(st_.p_exist), p.J)
+        assert np.all(st_.p_exist <= 1.0)
+        assert np.all(st_.p_exist >= self.floor)
+        assert np.all(np.isfinite(st_.particles))
+        assert np.all(st_.particles[2] >= 0.0)
+        assert np.all(st_.particles[1] >= -math.pi)
+        assert np.all(st_.particles[1] < math.pi)
+        assert np.all(np.diff(st_.ids) > 0)
+        assert np.all(st_.ids < st_.next_id)
+        if st_.far is not None:
+            assert st_.far.shape == (p.J,)
+            assert np.all(np.isfinite(st_.far))
+            assert np.all(st_.far >= model.MU_FA_FLOOR)
+        assert_finite_estimate(tracker.estimate(st_, p), st_)
+
+
+def assert_finite_estimate(est, st_):
+    assert math.isfinite(est.mu_fa_mmse) == (st_.far is not None)
+    assert len(est.all_tracks) == len(st_.p_exist)
+    for t in est.all_tracks:
+        assert all(map(math.isfinite, (t.d, t.phi, t.u, t.sigma_d,
+                                       t.sigma_phi, t.p_exist)))
+
+
+TrackerMachine.TestCase.settings = settings(
+    max_examples=20, stateful_step_count=15, deadline=None)
+TestTrackerMachine = TrackerMachine.TestCase
+
+
+# ---------------------------------------------------------------------------
 # The stacked layout against the per-track code it replaced
 # ---------------------------------------------------------------------------
 #
@@ -906,12 +1011,15 @@ def oracle_propagate(particles, params, rng):
 
 
 def oracle_predict(beliefs, far, params, rng):
+    """Predicts beliefs in place and returns the predicted rate particles
+    far (J,), or None."""
     for tr in beliefs:
         tr.p_exist *= params.p_s
         tr.particles = oracle_propagate(tr.particles, params, rng)
     if far is not None:
-        step = params.sigma_fa * rng.standard_normal(far.particles.shape)
-        far.particles = model.reflect_positive(far.particles + step)
+        step = params.sigma_fa * rng.standard_normal(far.shape)
+        far = model.reflect_positive(far + step)
+    return far
 
 
 def oracle_legacy_weights(beliefs, ms, far, params):
@@ -1011,11 +1119,12 @@ def oracle_survivors(legacy, new, step, next_id, p_pr, J, rng):
     return survivors, next_id
 
 
-def random_beliefs(rng, K, J, zero_weights=True):
+def random_beliefs(rng, K, J, weights="equal"):
     """K beliefs with scattered particles, amplitude clouds near the
     detection threshold and angle clouds straddling +-pi (every third
-    belief), non-uniform weights with some exact zeros, and existence
-    probabilities including 0 and 1."""
+    belief), and existence probabilities including 0 and 1. weights:
+    "equal" (1/J each, as every row of a state), "scattered" (non-uniform
+    with some exact zeros) or "positive" (non-uniform, none zero)."""
     out = []
     for k in range(K):
         center = np.array([rng.uniform(1.0, 16.0), rng.uniform(-np.pi, np.pi),
@@ -1028,10 +1137,11 @@ def random_beliefs(rng, K, J, zero_weights=True):
         parts[:, 1] = model.wrap_angle(parts[:, 1])
         parts[:, 2] = np.abs(parts[:, 2])
         w = rng.exponential(1.0, J)
-        if zero_weights:
+        if weights == "scattered":
             w[rng.random(J) < 0.2] = 0.0
+        w = np.full(J, 1.0 / J) if weights == "equal" else w / w.sum()
         q = (0.0, 1.0, 0.5)[k] if k < 3 and K > 3 else rng.uniform(0.01, 1.0)
-        out.append(PmpcBelief(k + 1, k, parts, w / w.sum(), q))
+        out.append(PmpcBelief(k + 1, k, parts, w, q))
     return out
 
 
@@ -1041,7 +1151,6 @@ def assert_rows_equal(state, beliefs):
         == [tr.birth_step for tr in beliefs]
     for got, want in zip(state.legacy, beliefs):
         assert got.particles.tobytes() == want.particles.tobytes()
-        assert got.weights.tobytes() == want.weights.tobytes()
         assert got.p_exist == want.p_exist
 
 
@@ -1055,13 +1164,12 @@ class TestStackedEqualsPerTrack:
         beliefs = random_beliefs(np.random.default_rng(K * J), K, J)
         st = stacked(copy.deepcopy(beliefs), tracker.init(p, GEOM, 5))
         st.far = point_far(2.0, J)
-        far = copy.deepcopy(st.far)
         rng = np.random.default_rng(5)
-        st = tracker.predict(st, p)
-        oracle_predict(beliefs, far, p, rng)
-        assert_rows_equal(st, beliefs)
-        assert st.far.particles.tobytes() == far.particles.tobytes()
-        assert st.rng.bit_generator.state == rng.bit_generator.state
+        st_ = tracker.predict(st, p)
+        far = oracle_predict(beliefs, st.far.copy(), p, rng)
+        assert_rows_equal(st_, beliefs)
+        assert st_.far.tobytes() == far.tobytes()
+        assert st_.rng.bit_generator.state == rng.bit_generator.state
 
     @pytest.mark.parametrize("K,J", STACK_SIZES)
     def test_estimate(self, K, J):
@@ -1087,8 +1195,8 @@ class TestStackedEqualsPerTrack:
                     key=lambda z: (z.z_d, z.z_phi, z.z_u))
         st = stacked(copy.deepcopy(beliefs))
         far = FarBelief(rng.uniform(0.5, 4.0, J), np.full(J, 1.0 / J))
-        w = dabp.evaluate_weights(st, np.zeros(len(ms)), *packed(ms, p), far,
-                                  p, GEOM)
+        w = dabp.evaluate_weights(st, np.zeros(len(ms)), *packed(ms, p),
+                                  far.particles, p, GEOM)
         det_prob, ratio, scale, log_beta = oracle_legacy_weights(
             beliefs, ms, far, p)
         assert w.det_prob.tobytes() == np.array(det_prob).tobytes()
@@ -1098,20 +1206,22 @@ class TestStackedEqualsPerTrack:
         assert w.log_beta.tobytes() == (log_beta - shift).tobytes()
 
         log_nu = rng.normal(0.0, 1.0, (len(ms), K))
-        st.weights, st.p_exist = tracker._update_legacy(
-            st.weights, st.p_exist, w, log_nu)
+        post, p_exist = tracker._update_legacy(st.p_exist, w, log_nu)
         for k, tr in enumerate(beliefs):
             oracle_update_legacy(tr, w, k, log_nu)
-        assert_rows_equal(st, beliefs)
+        assert post.tobytes() == np.array([tr.weights
+                                           for tr in beliefs]).tobytes()
+        assert p_exist.tolist() == [tr.p_exist for tr in beliefs]
 
     @pytest.mark.parametrize("K,J", STACK_SIZES)
     def test_survivors(self, K, J):
         # Legacy rows with p_exist 0 and NaN and new rows below p_pr are
-        # pruned; the rest are resampled from one uniform each.
+        # pruned; the rest are resampled from one uniform each, the legacy
+        # rows from their posterior weights.
         p = params(J=J, p_pr=0.05)
         rng = np.random.default_rng(7 * K + J)
-        legacy = random_beliefs(rng, K, J)
-        new = random_beliefs(rng, 5, J, zero_weights=False)
+        legacy = random_beliefs(rng, K, J, "scattered")
+        new = random_beliefs(rng, 5, J, "positive")
         legacy[-1].p_exist = math.nan
         p_new = [1e-3, 0.5, math.nan, 0.9, 0.05]
         for tr, q in zip(new, p_new):
@@ -1120,7 +1230,8 @@ class TestStackedEqualsPerTrack:
         st.step, st.next_id = 9, 40
         X = np.stack([tr.particles.T for tr in new], axis=1)
         st = tracker._prune_and_resample(
-            st, X, np.array([tr.weights for tr in new]), p_new, p)
+            st, np.array([tr.weights for tr in legacy]), X,
+            np.array([tr.weights for tr in new]), p_new, p)
         want, next_id = oracle_survivors(legacy, new, 9, 40, p.p_pr, J,
                                          np.random.default_rng(11))
         assert len(st.legacy) == len(want) == sum(
@@ -1141,7 +1252,6 @@ class TestEmptyStack:
         p = params(J=300)
         st = tracker.init(p, GEOM, 21)
         assert st.particles.shape == (5, 0, p.J)
-        assert st.weights.shape == (0, p.J)
         st = tracker.predict(st, p)
         st, est, _ = tracker.update(st, [], p, GEOM)
         assert st.particles.shape == (5, 0, p.J) and est.all_tracks == []
@@ -1170,7 +1280,6 @@ class TestEmptyStack:
         assert est == est_ref
         assert_same_state(st, ref)
         assert st.particles.shape == (5, 0, p.J)
-        assert st.weights.shape == (0, p.J)
         assert st.p_exist.shape == st.ids.shape == st.birth_steps.shape \
             == (0,)
         assert st.legacy == [] and est.all_tracks == [] and est.nom_hat == 0
@@ -1202,14 +1311,13 @@ def raising(stage):
 def assert_unchanged(st_, before, rng=True):
     """st_ holds the bytes of its deep copy before: stack, rate belief, step,
     next id and (with rng) generator state."""
-    for f in ("particles", "weights", "p_exist", "ids", "birth_steps"):
+    for f in ("particles", "p_exist", "ids", "birth_steps"):
         a, b = getattr(st_, f), getattr(before, f)
         assert a.shape == b.shape and a.tobytes() == b.tobytes()
     if before.far is None:
         assert st_.far is None
     else:
-        assert st_.far.particles.tobytes() == before.far.particles.tobytes()
-        assert st_.far.weights.tobytes() == before.far.weights.tobytes()
+        assert st_.far.tobytes() == before.far.tobytes()
     assert (st_.step, st_.next_id) == (before.step, before.next_id)
     if rng:
         assert st_.rng.bit_generator.state == before.rng.bit_generator.state

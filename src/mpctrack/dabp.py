@@ -110,19 +110,19 @@ def evaluate_weights(legacy, log_mass: np.ndarray, z: np.ndarray,
     Each legacy row's (M, J) log-ratio matrix is exponentiated once, in
     place, after subtracting its row maxima c_m (entries more than 600
     below are raised to that floor, see _LOG_RATIO_FLOOR): the linear
-    matrix R and c give log_beta through R @ (1/J, ..., 1/J) and are kept
-    for the measurement update (AssociationWeights.ratio, .ratio_log_scale).
+    matrix R and c give log_beta through R's row means and are kept for the
+    measurement update (AssociationWeights.ratio, .ratio_log_scale). The
+    miss term is likewise a mean over the particles.
     """
     _, K, J = legacy.particles.shape
     M = len(z)
 
-    # FAR-integrated normalization factors: nbar = E[n(mu)], ntil = E[n(mu)/mu].
+    # FAR-integrated normalization factors nbar = E[n(mu)] and ntil =
+    # E[n(mu)/mu] over the equally weighted rate particles: only their ratio
+    # t, the 1/mu_fa weighting ratio, is used, so the 1/J of each mean cancels.
     mu = np.asarray(far_belief, dtype=float)
     log_n = (-mu + M * np.log(mu)) / max(K + M, 1)
-    log_w = np.log(1.0 / len(mu))
-    log_nbar = log_sum_exp(log_n + log_w)
-    log_ntil = log_sum_exp(log_n - np.log(mu) + log_w)
-    log_t = log_ntil - log_nbar  # log of the 1/mu_fa weighting ratio
+    log_t = log_sum_exp(log_n - np.log(mu)) - log_sum_exp(log_n)
 
     det_prob = model.detection_prob(legacy.particles[2], params.u_de,
                                     geom.n_eff, params.amp_mode)
@@ -143,11 +143,10 @@ def evaluate_weights(legacy, log_mass: np.ndarray, z: np.ndarray,
         np.exp(lr, out=lr)
         ratio += list(lr.transpose(1, 0, 2))
         ratio_log_scale[k0:k0 + rows] = c.T
-    uniform = np.full(J, 1.0 / J)
-    mass = np.reshape([R @ uniform for R in ratio], (K, M))
+    mass = np.reshape([R.mean(axis=1) for R in ratio], (K, M))
     # Column 0 marginalizes existence: non-existence plus missed detection.
     q = legacy.p_exist
-    miss = (1.0 - q) + q * np.sum(1.0 / J * (1.0 - det_prob), axis=1)
+    miss = (1.0 - q) + q * np.mean(1.0 - det_prob, axis=1)
     log_beta = np.full((K, M + 1), -np.inf)
     log_beta[:, 0] = np.log(np.maximum(miss, 1e-300))
     live = q > 0.0

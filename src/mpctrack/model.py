@@ -415,14 +415,21 @@ def log_detection_prob(u, u_de: float, n_eff, mode: str):
     return np.log(np.maximum(detection_prob(u, u_de, n_eff, mode), 1e-300))
 
 
-def log_fa_density(z: Measurement, u_de: float, d_max: float) -> float:
+def log_fa_density(z, u_de: float, d_max: float):
     """Log of the false-alarm measurement density: uniform in distance and
-    angle, truncated Rayleigh (scale^2 = 1/2) in amplitude."""
-    if z.z_u <= math.sqrt(u_de) or not (0.0 <= z.z_d <= d_max):
-        return -np.inf
+    angle, truncated Rayleigh (scale^2 = 1/2) in amplitude. z is one
+    Measurement, giving a float, or an (M, 3) array of measurement rows,
+    giving an (M,) array; -inf off the support (z_u above sqrt(u_de), z_d
+    in [0, d_max])."""
+    z = np.asarray(z, dtype=float)
+    z_d, z_u = z[..., 0], z[..., 2]
     # 2 z exp(-z^2) / exp(-u_de), uniform 1/d_max and 1/2pi
-    return (math.log(2.0 * z.z_u) - (z.z_u**2 - u_de)
-            - math.log(d_max) - math.log(TWO_PI))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        out = (np.log(2.0 * z_u) - (z_u * z_u - u_de)
+               - math.log(d_max) - math.log(TWO_PI))
+    out = np.where((z_u > math.sqrt(u_de)) & (z_d >= 0.0) & (z_d <= d_max),
+                   out, -np.inf)
+    return out if out.ndim else float(out)
 
 
 def log_lik_matrix(measurements, particles: np.ndarray, params: HyperParams,

@@ -143,24 +143,21 @@ def resample(belief, J: int, rng: np.random.Generator):
 def estimate(state: TrackerState, params: HyperParams) -> StepEstimate:
     """Detection (p_exist strictly above p_de) and posterior-mean extraction
     for every maintained component, plus the false-alarm-rate estimate, each
-    a sum of particles times 1/J. The angle takes the circular mean and
+    a mean over the particles. The angle takes the circular mean and
     wrapped second moment (clouds may straddle +-pi)."""
-    w = 1.0 / state.particles.shape[2]
     d_j, phi_j, u_j = state.particles[:3]
-    d = np.sum(w * d_j, axis=1)
-    u = np.sum(w * u_j, axis=1)
-    phi = np.arctan2(np.sum(w * np.sin(phi_j), axis=1),
-                     np.sum(w * np.cos(phi_j), axis=1))
-    sigma_d = np.sqrt(np.maximum(np.sum(w * (d_j - d[:, None]) ** 2, axis=1),
-                                 0.0))
+    d = d_j.mean(axis=1)
+    u = u_j.mean(axis=1)
+    phi = np.arctan2(np.sin(phi_j).mean(axis=1), np.cos(phi_j).mean(axis=1))
+    sigma_d = np.sqrt(np.mean((d_j - d[:, None]) ** 2, axis=1))
     dphi = ang_diff(phi_j, phi[:, None])
-    sigma_phi = np.sqrt(np.maximum(np.sum(w * dphi * dphi, axis=1), 0.0))
+    sigma_phi = np.sqrt(np.mean(dphi * dphi, axis=1))
     all_tracks = [TrackEstimate(*row) for row in zip(
         state.ids.tolist(), d.tolist(), wrap_angle(phi).tolist(), u.tolist(),
         sigma_d.tolist(), sigma_phi.tolist(), state.p_exist.tolist())]
     detected = [t for t in all_tracks if t.p_exist > params.p_de]
-    mu_fa = float(np.sum(1.0 / len(state.far) * state.far)) \
-        if state.far is not None else float("nan")
+    mu_fa = float(state.far.mean()) if state.far is not None \
+        else float("nan")
     return StepEstimate(state.step, detected, len(detected), mu_fa, all_tracks)
 
 
@@ -188,30 +185,25 @@ def _build_proposals(z: np.ndarray, log_fa: np.ndarray, sd: np.ndarray,
     strong components are never gated by it). The weight is therefore
     f_n * f(z | x) / (proposal density over (d, phi, u) * f_fa(z)).
 
-    Only the random draws run per measurement, in the order d, phi, u, the
-    redraws of non-positive u, v_d, v_phi. Everything else runs on (M, J)
-    arrays: the particles live in one field-major (5, M, J) buffer X, one
-    log_lik_matrix call pairs each measurement with its own particle set,
-    and the weights and log masses are reduced row by row.
+    Everything runs on (M, J) arrays: the particles live in one
+    field-major (5, M, J) buffer X of standard normals, drawn at once and
+    then scaled in place, one log_lik_matrix call pairs each measurement
+    with its own particle set, and the weights and log masses are reduced
+    along the rows.
     """
     M, J = len(z), params.J
     zd, zp, zu = z[:, 0:1], z[:, 1:2], z[:, 2:3]
     su = np.sqrt(model.amp_scale_sq(zu, geom.n_eff))
 
-    X = np.empty((5, M, J))
-    for m in range(M):
-        X[:3, m] = rng.standard_normal((3, J))
-        # Amplitude proposal truncated at zero: redraw the rare noise values
-        # that give u <= 0. u = z_u + su * n is monotone in n, so the
-        # smallest n decides whether there is any.
-        n_u, z_u, s_u = X[2, m], z[m, 2], su[m, 0]
-        for _ in range(100):
-            if z_u + s_u * n_u.min() > 0.0:
-                break
-            neg = z_u + s_u * n_u <= 0.0
-            n_u[neg] = rng.standard_normal(int(neg.sum()))
-        X[3:, m] = rng.standard_normal((2, J))
+    X = rng.standard_normal((5, M, J))
     d, phi, u, v_d, v_phi = X
+    # Amplitude proposal truncated at zero: redraw the rare noise values
+    # that give u <= 0, all measurements at once.
+    for _ in range(100):
+        neg = zu + su * u <= 0.0
+        if not neg.any():
+            break
+        u[neg] = rng.standard_normal(int(neg.sum()))
     d *= sd
     d += zd
     phi *= sp
@@ -225,23 +217,12 @@ def _build_proposals(z: np.ndarray, log_fa: np.ndarray, sd: np.ndarray,
 
     log_lik = model.log_lik_matrix(z, X.transpose(2, 1, 0), params, geom).T
     u_prior_max = np.maximum(params.u_birth_max, zu + 6.0 * su)
-    log_c = np.reshape([-math.log(TWO_PI * params.d_max) - math.log(x)
-                        for x in u_prior_max[:, 0]], (-1, 1))
+    log_c = -np.log(TWO_PI * params.d_max * u_prior_max)
     log_birth = np.where((d >= 0.0) & (d <= params.d_max) & (u <= u_prior_max),
                          log_c, -np.inf)
-    # Log normalizers per measurement on math.log (np.log on an array
-    # differs from it in the last bit for some inputs), subtracted one at a
-    # time in the order of the one-measurement formula, so no float changes.
-    norm_d, norm_p, norm_u = (
-        np.reshape([math.log(s * math.sqrt(TWO_PI)) for s in col[:, 0]],
-                   (-1, 1)) for col in (sd, sp, su))
-    log_prop = -0.5 * ((d - zd) / sd) ** 2
-    log_prop -= norm_d
-    log_prop -= 0.5 * (ang_diff(phi, zp) / sp) ** 2
-    log_prop -= norm_p
-    log_prop -= 0.5 * ((u - zu) / su) ** 2
-    log_prop -= norm_u
-    log_prop -= log_ndtr(zu / su)
+    log_prop = -0.5 * (((d - zd) / sd) ** 2 + (ang_diff(phi, zp) / sp) ** 2
+                       + ((u - zu) / su) ** 2)
+    log_prop -= np.log(TWO_PI ** 1.5 * sd * sp * su) + log_ndtr(zu / su)
     log_w = log_birth + log_lik - log_prop - log_fa[:, None]
 
     top = np.max(log_w, axis=1, keepdims=True)
@@ -250,7 +231,7 @@ def _build_proposals(z: np.ndarray, log_fa: np.ndarray, sd: np.ndarray,
     shifted = np.exp(log_w - top)
     total = np.sum(shifted, axis=1)
     with np.errstate(divide="ignore"):
-        log_mass = np.log(total) + top[:, 0] - math.log(J)
+        log_mass = np.log(total / J) + top[:, 0]
     shifted[flat] = 1.0
     total[flat] = J
     return X, shifted / total[:, None], log_mass
@@ -264,7 +245,12 @@ def _update_legacy(p_exist: np.ndarray, w: dabp.AssociationWeights,
     Row k's association sum per particle, log sum_m nu[m] t P_d f(z_m|x) /
     f_fa(z_m), comes from the linear ratio matrix R = w.ratio[k] as
     log(exp(b - max b) @ R) + max b, with b = log nu + log t + c and c the
-    row scales of R: one vector-matrix product per row."""
+    row scales of R: one vector-matrix product per row.
+
+    Existence odds are taken in log space: the alternative (non-existence)
+    branch evaluates the same factor at r = 0, i.e. 1. A row with p_exist 0
+    (or NaN), or whose every particle has zero weight, gets 0; p_exist 1
+    stays 1."""
     log_t = math.log(w.far_ratio)
     with np.errstate(divide="ignore", invalid="ignore"):
         log_psi = np.log(np.maximum(1.0 - w.det_prob, 0.0))
@@ -275,16 +261,11 @@ def _update_legacy(p_exist: np.ndarray, w: dabp.AssociationWeights,
         log_psi = np.logaddexp(log_psi, np.log(assoc) + top)
         log_post = log_psi + np.log(1.0 / log_psi.shape[1])
         new_w = np.exp(log_post - np.max(log_post, axis=1, keepdims=True))
+        log_s1 = np.log(p_exist) + log_sum_exp(log_post, axis=1)
+        gap = np.minimum(np.log(1.0 - p_exist) - log_s1, 700.0)
+        p_next = np.where(log_s1 > -np.inf, 1.0 / (1.0 + np.exp(gap)), 0.0)
     new_w[~np.any(np.isfinite(log_psi), axis=1)] = 1.0
-    # Existence odds in log space, on scalar math: the alternative
-    # (non-existence) branch evaluates the same factor at r = 0, i.e. 1.
-    p_next = []
-    for q, s in zip(p_exist.tolist(), log_sum_exp(log_post, axis=1).tolist()):
-        log_s1 = math.log(q) + s if q > 0.0 else -math.inf
-        log_s0 = math.log(1.0 - q) if q < 1.0 else -math.inf
-        gap = min(log_s0 - log_s1, 700.0) if log_s1 > -math.inf else math.inf
-        p_next.append(0.0 if gap == math.inf else 1.0 / (1.0 + math.exp(gap)))
-    return new_w / new_w.sum(axis=1, keepdims=True), np.array(p_next)
+    return new_w / new_w.sum(axis=1, keepdims=True), p_next
 
 
 def _update_far(mu: np.ndarray, w: dabp.AssociationWeights,
@@ -294,30 +275,24 @@ def _update_far(mu: np.ndarray, w: dabp.AssociationWeights,
     each rate particle. log_d is the (M,) array of log(1 + sum_k zeta[k, m]),
     each measurement's legacy message sum.
 
-    Factor i is log(a_i + b_i / mu): one row per legacy component, then one
-    per measurement, all built by one (K+M, J) logaddexp and added to the
-    log weights one row at a time, in that order (with M = 0, b_i = 0)."""
-    M = len(log_d)
+    Factor i is log(a_i + b_i / mu): one row per legacy component (b_i its
+    message-weighted association sum), then one per measurement, all built
+    by one (K+M, J) logaddexp and summed over the rows (with M = 0,
+    b_i = 0)."""
     log_mu = np.log(mu)
-    log_w = np.log(1.0 / len(mu)) - mu + M * log_mu
-    log_t = math.log(w.far_ratio)
     log_a = np.concatenate([w.log_beta[:, 0], log_d])
-    # Row k's message-weighted association sum. Contiguous rows keep each
-    # row's reduction in the order of a one-row call.
     log_b = np.concatenate([
-        log_sum_exp(np.ascontiguousarray(marg.log_nu.T) + w.log_beta[:, 1:],
-                    axis=1),
-        w.log_new_mass]) - log_t
+        log_sum_exp(marg.log_nu.T + w.log_beta[:, 1:], axis=1),
+        w.log_new_mass]) - math.log(w.far_ratio)
     rows = np.logaddexp(log_a[:, None], log_b[:, None] - log_mu)
-    for row in rows:
-        log_w += row
+    log_w = len(log_d) * log_mu - mu + rows.sum(axis=0)
     shifted = np.exp(log_w - np.max(log_w))
     return FarBelief(mu, shifted / shifted.sum())
 
 
 def _prune_and_resample(state: TrackerState, legacy_weights: np.ndarray,
                         particles: np.ndarray, weights: np.ndarray,
-                        p_new: list, params):
+                        p_new: np.ndarray, params):
     """The state with the stack's surviving rows (their posterior weights
     legacy_weights), then the surviving new rows (particles, weights,
     p_new), each resampled to J equal weights. Every row draws one uniform,
@@ -344,51 +319,57 @@ def _prune_and_resample(state: TrackerState, legacy_weights: np.ndarray,
         next_id=state.next_id + (int(born[-1]) if len(born) else 0))
 
 
+# The gate's rejection reasons, in the order tested: the warning and the
+# measurement fields (z_d, z_phi, z_u) it names.
+_REJECT = (
+    ("rejecting non-finite measurement: z_d=%.4g z_phi=%.4g z_u=%.4g",
+     [0, 1, 2]),
+    ("rejecting measurement with angle outside [-pi, pi]: z_phi=%.4g", [1]),
+    ("rejecting measurement with zero variance: z_u=%.4g", [2]),
+    ("rejecting measurement outside the clutter support: z_d=%.4g "
+     "z_u=%.4g", [0, 2]),
+)
+
+
 def update(state: TrackerState, measurements: Sequence[Measurement],
            params: HyperParams, geom: ArrayGeometry):
     """Process one snapshot's measurement set.
 
     Returns (next state, StepEstimate, AssociationMarginals), all or
     nothing: state is not written, and a stage that raises leaves the
-    generator as it was. Each measurement is gated here only, and rejected
-    with a diagnostic, in this order: a non-finite field; an angle outside
-    [-pi, pi]; a zero distance
-    or angle standard deviation (an amplitude so large that its variance
-    underflows); a zero clutter density, whose support is z_u above
-    sqrt(u_de) and z_d in [0, d_max]. Processing uses set semantics:
-    measurements are canonically ordered internally, so the output is
-    invariant to their input order. A state with legacy components but no
-    false-alarm-rate belief raises RuntimeError.
+    generator as it was. The measurements are gated here only, in one pass
+    over their (M, 3) array (one call each of sigma_d_sq, sigma_phi_sq and
+    log_fa_density), and a row is rejected, with one WARNING naming the
+    first test it fails, for: a non-finite field; an angle outside
+    [-pi, pi]; a zero distance or angle standard deviation (an amplitude so
+    large that its variance underflows); a zero clutter density, whose
+    support is z_u above sqrt(u_de) and z_d in [0, d_max]. Processing uses
+    set semantics: the accepted rows are sorted (lexicographically by z_d,
+    z_phi, z_u), so the output is invariant to their input order. A state
+    with legacy components but no false-alarm-rate belief raises
+    RuntimeError.
     """
-    accepted = []
-    # A huge amplitude overflows the variances' denominators to inf.
-    with np.errstate(over="ignore"):
-        for z in measurements:
-            if not all(map(math.isfinite, z)):
-                log.warning("rejecting non-finite measurement: z_d=%.4g "
-                            "z_phi=%.4g z_u=%.4g", *z)
-                continue
-            if not -math.pi <= z.z_phi <= math.pi:
-                log.warning("rejecting measurement with angle outside "
-                            "[-pi, pi]: z_phi=%.4g", z.z_phi)
-                continue
-            # Scalar calls: on a scalar u**2 is pow(), on an array u*u, and
-            # the two differ in the last bit for about 1e-3 of amplitudes.
-            sd = math.sqrt(float(model.sigma_d_sq(z.z_u, geom)))
-            sp = math.sqrt(float(model.sigma_phi_sq(z.z_u, z.z_phi, geom)))
-            if not (sd > 0.0 and sp > 0.0):
-                log.warning("rejecting measurement with zero variance: "
-                            "z_u=%.4g", z.z_u)
-            elif (log_fa := model.log_fa_density(z, params.u_de,
-                                                 params.d_max)) == -math.inf:
-                log.warning("rejecting measurement outside the clutter "
-                            "support: z_d=%.4g z_u=%.4g", z.z_d, z.z_u)
-            else:
-                accepted.append((*z, log_fa, sd, sp))
-    # Rows (z_d, z_phi, z_u, log_fa, sd, sp), sorted by measurement.
-    acc = np.array(sorted(accepted), dtype=float).reshape(-1, 6)
-    z, log_fa, sd, sp = acc[:, :3], acc[:, 3], acc[:, 4:5], acc[:, 5:]
-    M = len(acc)
+    z = np.array(measurements, dtype=float).reshape(-1, 3)
+    # Non-finite rows give NaN, and a huge amplitude overflows the
+    # variances' denominators to inf (standard deviation 0).
+    with np.errstate(over="ignore", invalid="ignore"):
+        sd = np.sqrt(model.sigma_d_sq(z[:, 2], geom))
+        sp = np.sqrt(model.sigma_phi_sq(z[:, 2], z[:, 1], geom))
+        log_fa = model.log_fa_density(z, params.u_de, params.d_max)
+        # Each row's first failing test; the last, which every row fails,
+        # is acceptance.
+        reason = np.argmin(np.stack([
+            np.isfinite(z).all(axis=1), np.abs(z[:, 1]) <= math.pi,
+            (sd > 0.0) & (sp > 0.0), log_fa > -np.inf,
+            np.zeros(len(z), bool)]), axis=0)
+    for i in np.flatnonzero(reason < len(_REJECT)):
+        message, fields = _REJECT[reason[i]]
+        log.warning(message, *z[i, fields])
+    # Accepted rows, sorted by measurement (z_d, then z_phi, then z_u).
+    keep = np.flatnonzero(reason == len(_REJECT))
+    keep = keep[np.lexsort(z[keep].T[::-1])]
+    z, log_fa, sd, sp = z[keep], log_fa[keep], sd[keep, None], sp[keep, None]
+    M = len(z)
     K = len(state.p_exist)
     # Legacy components only exist after some measurement was processed, so
     # the rate belief is initialized by the time K > 0.
@@ -416,12 +397,11 @@ def update(state: TrackerState, measurements: Sequence[Measurement],
         marg = dabp.loopy_da(weights, params.P, params.da_tol)
         legacy_weights, p_exist = _update_legacy(state.p_exist, weights,
                                                  marg.log_nu)
-        # Each measurement's legacy message sum, reduced along contiguous rows.
-        log_d = np.logaddexp(0.0, log_sum_exp(
-            np.ascontiguousarray(marg.log_zeta.T), axis=1))
+        # Each measurement's legacy message sum.
+        log_d = np.logaddexp(0.0, log_sum_exp(marg.log_zeta.T, axis=1))
         far_post = _update_far(far, weights, marg, log_d)
-        p_new = [1.0 / (1.0 + math.exp(min(gap, 700.0)))
-                 for gap in (log_d - weights.log_new_mass).tolist()]
+        p_new = 1.0 / (1.0 + np.exp(np.minimum(
+            log_d - weights.log_new_mass, 700.0)))
         # The input keeps its stack until update returns: free the K (M, J)
         # ratio matrices before the next stack is built (peak memory).
         del weights

@@ -36,20 +36,17 @@ def stacked(beliefs, state=None):
 def packed(ms, params):
     """The (M, 3) measurement rows and (M,) clutter log densities that
     tracker.update hands to _build_proposals and evaluate_weights."""
-    return (np.array(ms, dtype=float).reshape(-1, 3),
-            np.array([model.log_fa_density(m, params.u_de, params.d_max)
-                      for m in ms]))
+    z = np.array(ms, dtype=float).reshape(-1, 3)
+    return z, model.log_fa_density(z, params.u_de, params.d_max)
 
 
 def proposal_inputs(ms, params, geom):
     """packed(ms, params) and the (M, 1) distance and angle standard
     deviations: the measurement arguments tracker.update hands to
     _build_proposals."""
-    sd = [[math.sqrt(float(model.sigma_d_sq(m.z_u, geom)))] for m in ms]
-    sp = [[math.sqrt(float(model.sigma_phi_sq(m.z_u, m.z_phi, geom)))]
-          for m in ms]
-    return (*packed(ms, params), np.reshape(sd, (-1, 1)),
-            np.reshape(sp, (-1, 1)))
+    z, log_fa = packed(ms, params)
+    return (z, log_fa, np.sqrt(model.sigma_d_sq(z[:, 2:], geom)),
+            np.sqrt(model.sigma_phi_sq(z[:, 2:], z[:, 1:2], geom)))
 
 
 def rows(comps):

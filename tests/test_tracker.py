@@ -7,14 +7,15 @@ import traceback
 
 import numpy as np
 import pytest
+from scipy.special import log_ndtr
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import (RuleBasedStateMachine, initialize, invariant,
                                  rule)
 
 from mpctrack import dabp, model, radio, tracker
-from mpctrack.model import HyperParams, Measurement
-from mpctrack.tracker import FarBelief, PmpcBelief
+from mpctrack.model import TWO_PI, HyperParams, Measurement
+from mpctrack.tracker import PmpcBelief
 
 from conftest import packed, proposal_inputs, stacked
 
@@ -449,22 +450,51 @@ class TestInputGate:
         # noise).
         self.assert_rejected(Measurement(8.0, z_phi, 15.0), caplog)
 
+    @pytest.mark.parametrize("z_d", [-0.5, -1e-300, 17.0001, 1e300])
+    def test_distance_outside_support_rejected(self, z_d, caplog):
+        # The clutter density is zero for z_d outside [0, d_max = 17].
+        self.assert_rejected(Measurement(z_d, 0.2, 10.0), caplog)
 
-def counted_update(monkeypatch, name, p, scalar_only=False):
+    def test_mixed_set_rejects_each_row_by_its_first_reason(self, caplog):
+        # One bad row per reason, between good rows; each bad row also fails
+        # every later test (an out-of-support distance, or a weak amplitude,
+        # after its own), so its one warning names the first reason.
+        good = [self.GOOD, Measurement(9.0, -1.0, 7.0)]
+        bad = [Measurement(-1.0, 4.0, math.nan),
+               Measurement(30.0, -7.0, 1.0),
+               Measurement(-2.0, 0.3, 1e160),
+               Measurement(20.0, 0.3, 15.0)]
+        reasons = ["non-finite", "angle outside", "zero variance",
+                   "outside the clutter support"]
+        ms = [bad[0], good[0], bad[1], bad[2], good[1], bad[3]]
+        with caplog.at_level("WARNING", logger="mpctrack.tracker"):
+            st_bad, est_bad = self.stepped(ms)
+        records = [r.getMessage() for r in caplog.records
+                   if r.name == "mpctrack.tracker"]
+        assert len(records) == len(reasons)
+        for message, reason in zip(records, reasons):
+            assert message.startswith("rejecting")
+            assert reason in message
+        st_ok, est_ok = self.stepped(good)
+        assert est_bad == est_ok
+        for f in ("particles", "p_exist", "ids", "birth_steps", "far"):
+            assert np.array_equal(getattr(st_bad, f), getattr(st_ok, f))
+        assert (st_bad.step, st_bad.next_id) == (st_ok.step, st_ok.next_id)
+        assert st_bad.rng.bit_generator.state == st_ok.rng.bit_generator.state
+
+
+def counted_update(monkeypatch, name, p):
     """One update with K = 2 legacy tracks and M = 3 accepted measurements
     (the fourth is below the detection threshold), counting the calls of
-    model.<name> (with scalar_only, only those whose first argument is a
-    scalar); returns (calls, shapes, K, M). Each call records whether the
-    new-track proposals made it; shapes[i] is the shape of call i's second
-    argument."""
+    model.<name>; returns (calls, shapes, K, M). calls[i] is the set of
+    function names on call i's stack; shapes[i] lists the shapes of its
+    positional arguments."""
     calls, shapes = [], []
     kernel = getattr(model, name)
 
     def counting(*args, **kwargs):
-        if not (scalar_only and np.ndim(args[0])):
-            callers = {frame.name for frame in traceback.extract_stack()}
-            calls.append("_build_proposals" in callers)
-            shapes.append(np.shape(args[1]) if len(args) > 1 else None)
+        calls.append({frame.name for frame in traceback.extract_stack()})
+        shapes.append([np.shape(a) for a in args])
         return kernel(*args, **kwargs)
 
     monkeypatch.setattr(model, name, counting)
@@ -487,32 +517,37 @@ def test_log_lik_matrix_calls_per_update(monkeypatch):
     # attribute.
     p = params(J=100)
     calls, shapes, K, M = counted_update(monkeypatch, "log_lik_matrix", p)
+    new = ["_build_proposals" in c for c in calls]
     assert len(calls) == 2
-    assert sum(calls) == 1
-    assert [s for c, s in zip(calls, shapes) if c] == [(p.J, M, 5)]
-    assert [s for c, s in zip(calls, shapes) if not c] == [(K * p.J, 5)]
+    assert sum(new) == 1
+    assert [s[1] for n, s in zip(new, shapes) if n] == [(p.J, M, 5)]
+    assert [s[1] for n, s in zip(new, shapes) if not n] == [(K * p.J, 5)]
 
 
 def test_log_fa_density_calls_per_update(monkeypatch):
-    # update's gate scores the clutter density of each finite measurement
-    # offered once (the below-threshold one too, which that rejects) and
-    # hands the (M,) array to the proposals and the association weights.
-    calls, _, K, M = counted_update(monkeypatch, "log_fa_density",
-                                    params(J=100))
-    assert len(calls) == M + 1
-    assert not any(calls)
+    # update's gate scores the clutter density of every measurement offered
+    # (the below-threshold one too, which that rejects) in one array call
+    # and hands the accepted (M,) rows to the proposals and the association
+    # weights, which make none of their own.
+    calls, shapes, K, M = counted_update(monkeypatch, "log_fa_density",
+                                         params(J=100))
+    assert len(calls) == 1
+    assert "_build_proposals" not in calls[0]
+    assert shapes[0][0] == (M + 1, 3)
 
 
 @pytest.mark.parametrize("name", ["sigma_d_sq", "sigma_phi_sq"])
 def test_variance_calls_per_update(monkeypatch, name):
-    # update's gate computes each finite measurement's distance and angle
-    # standard deviations once, by scalar calls, and hands them to the
-    # proposals, which make none of their own (log_lik_matrix's array calls
-    # on the particles are not counted).
-    calls, _, K, M = counted_update(monkeypatch, name, params(J=100),
-                                    scalar_only=True)
-    assert len(calls) == M + 1
-    assert not any(calls)
+    # update's gate computes the distance and angle variances of every
+    # measurement offered in one array call and hands the accepted standard
+    # deviations to the proposals, which make none of their own (the calls
+    # log_lik_matrix makes on the particles are not counted).
+    calls, shapes, K, M = counted_update(monkeypatch, name, params(J=100))
+    gate = [(c, s) for c, s in zip(calls, shapes)
+            if "log_lik_matrix" not in c]
+    assert len(gate) == 1
+    assert "_build_proposals" not in gate[0][0]
+    assert gate[0][1][0] == (M + 1,)
 
 
 def test_marcum_q1_calls_per_update_exact(monkeypatch):
@@ -523,14 +558,14 @@ def test_marcum_q1_calls_per_update_exact(monkeypatch):
     calls, _, K, M = counted_update(monkeypatch, "marcum_q1",
                                     params(J=100, amp_mode="exact"))
     assert len(calls) == 2
-    assert sum(calls) == 1
+    assert sum("_build_proposals" in c for c in calls) == 1
 
 
 def test_log_detection_prob_calls_per_update_gauss(monkeypatch):
     calls, _, K, M = counted_update(monkeypatch, "log_detection_prob",
                                     params(J=100, amp_mode="gauss"))
     assert len(calls) == 1
-    assert all(calls)
+    assert "_build_proposals" in calls[0]
 
 
 @pytest.mark.parametrize("n_meas", [0, 1])
@@ -565,32 +600,66 @@ def burst(M, seed):
     return [Measurement(5.0, 3.1, 2.1)] + ms
 
 
+def proposal_log_weights(z, log_fa, sd, sp, x, p):
+    """The one-measurement importance log weights of proposal particles x
+    (5, J) for the measurement row z = (z_d, z_phi, z_u) with clutter log
+    density log_fa and distance and angle standard deviations sd and sp:
+    birth prior times likelihood, over proposal density times clutter
+    density."""
+    d, phi, u = x[:3]
+    zd, zp, zu = z
+    su = np.sqrt(model.amp_scale_sq(zu, GEOM.n_eff))
+    log_lik = model.log_lik_matrix(z[None], x.T[:, None], p, GEOM)[:, 0]
+    u_prior_max = max(p.u_birth_max, zu + 6.0 * su)
+    log_birth = np.where((d >= 0.0) & (d <= p.d_max) & (u <= u_prior_max),
+                         -np.log(TWO_PI * p.d_max * u_prior_max), -np.inf)
+    log_prop = -0.5 * (((d - zd) / sd) ** 2
+                       + (model.ang_diff(phi, zp) / sp) ** 2
+                       + ((u - zu) / su) ** 2)
+    log_prop -= np.log(TWO_PI ** 1.5 * sd * sp * su) + log_ndtr(zu / su)
+    return log_birth + log_lik - log_prop - log_fa
+
+
 class TestBatchedProposals:
     @pytest.mark.parametrize("mode", ["gauss", "exact"])
     @pytest.mark.parametrize("M", [1, 3, 200])
     def test_batch_equals_one_at_a_time(self, M, mode):
-        # The batch draws in the same order as building each proposal alone
-        # from one continuing rng, and computes the same floats.
+        # One (5, M, J) draw of standard normals in the field order d, phi,
+        # u, v_d, v_phi, then redraws of the amplitudes that would be
+        # non-positive; each row's weights and log mass are the
+        # one-measurement formula on that row's particles, to the bit.
         p = params(J=2000, amp_mode=mode)
         ms = burst(M, M)
-        rng_batch, rng_one = (np.random.default_rng(5) for _ in range(2))
+        rng = np.random.default_rng(5)
+        z, log_fa, sd, sp = proposal_inputs(ms, p, GEOM)
         particles, weights, log_mass = tracker._build_proposals(
-            *proposal_inputs(ms, p, GEOM), p, GEOM, rng_batch)
-        alone = [tracker._build_proposals(*proposal_inputs([z], p, GEOM), p,
-                                          GEOM, rng_one) for z in ms]
-        assert rng_batch.bit_generator.state == rng_one.bit_generator.state
-        assert particles.shape[1] == len(alone) == M
+            z, log_fa, sd, sp, p, GEOM, rng)
+        assert particles.shape == (5, M, p.J)
         assert weights.shape == (M, p.J) and log_mass.shape == (M,)
-        for m, (x, w, lm) in enumerate(alone):
-            assert particles[:, m].shape == (5, p.J)
-            assert np.array_equal(particles[:, m], x[:, 0])
-            assert np.array_equal(weights[m], w[0])
-            assert log_mass[m] == lm[0]
+        n = np.random.default_rng(5).standard_normal((5, M, p.J))
+        zd, zp, zu = z[:, 0:1], z[:, 1:2], z[:, 2:3]
+        assert np.array_equal(particles[0], n[0] * sd + zd)
+        assert np.array_equal(particles[1], model.wrap_angle(n[1] * sp + zp))
+        assert np.array_equal(particles[3], n[3] * p.sigma_v_d)
+        assert np.array_equal(particles[4], n[4] * p.sigma_v_phi)
+        su = np.sqrt(model.amp_scale_sq(zu, GEOM.n_eff))
+        kept = n[2] * su + zu > 0.0
+        assert np.array_equal(particles[2][kept], np.maximum(
+            n[2] * su + zu, model.U_FLOOR)[kept])
+        assert np.all(particles[2] > 0.0)
+        for m in range(M):
+            log_w = proposal_log_weights(z[m], log_fa[m], sd[m, 0], sp[m, 0],
+                                         particles[:, m], p)
+            top = np.max(log_w)
+            assert np.isfinite(top)
+            shifted = np.exp(log_w - top)
+            assert np.array_equal(weights[m], shifted / shifted.sum())
+            assert log_mass[m] == np.log(shifted.sum() / p.J) + top
         # The near-threshold measurement's redraws consumed extra normals.
+        assert not kept[0].all()
         plain = np.random.default_rng(5)
         plain.standard_normal(5 * M * p.J)
-        assert plain.bit_generator.state != rng_batch.bit_generator.state
-        assert np.all(particles[2, 0] > 0.0)
+        assert plain.bit_generator.state != rng.bit_generator.state
 
     def test_empty_measurement_set(self):
         rng = np.random.default_rng(0)
@@ -1024,12 +1093,11 @@ def oracle_predict(beliefs, far, params, rng):
 
 def oracle_legacy_weights(beliefs, ms, far, params):
     """Per-track det_prob, ratio matrices R, row scales c and unshifted
-    log_beta of evaluate_weights."""
+    log_beta of evaluate_weights, for the rate particles far (J,)."""
     K, M = len(beliefs), len(ms)
-    log_n = (-far.particles + M * np.log(far.particles)) / (K + M)
-    log_w = np.log(np.maximum(far.weights, 1e-300))
-    log_t = model.log_sum_exp(log_n - np.log(far.particles) + log_w) \
-        - model.log_sum_exp(log_n + log_w)
+    log_n = (-far + M * np.log(far)) / (K + M)
+    log_t = model.log_sum_exp(log_n - np.log(far)) \
+        - model.log_sum_exp(log_n)
     log_fa = np.array([model.log_fa_density(z, params.u_de, params.d_max)
                        for z in ms])
     det_prob, ratio, scale = [], [], []
@@ -1046,13 +1114,12 @@ def oracle_legacy_weights(beliefs, ms, far, params):
         det_prob.append(p_d)
         ratio.append(lr)
         scale.append(c)
-        miss = (1.0 - tr.p_exist) \
-            + tr.p_exist * float(np.sum(tr.weights * (1.0 - p_d)))
+        miss = (1.0 - tr.p_exist) + tr.p_exist * np.mean(1.0 - p_d)
         log_beta[k, 0] = np.log(max(miss, 1e-300))
         if M and tr.p_exist > 0.0:
             with np.errstate(divide="ignore"):
                 log_beta[k, 1:] = (log_t + np.log(tr.p_exist)
-                                   + np.log(lr @ tr.weights) + c)
+                                   + np.log(lr.mean(axis=1)) + c)
     return det_prob, ratio, scale, log_beta
 
 
@@ -1070,14 +1137,11 @@ def oracle_update_legacy(tr, w, k, log_nu):
         else:
             log_psi = log_miss
     log_lw = np.log(np.maximum(tr.weights, 1e-300))
-    log_s1 = math.log(tr.p_exist) + model.log_sum_exp(log_lw + log_psi) \
-        if tr.p_exist > 0.0 else -np.inf
-    log_s0 = math.log(1.0 - tr.p_exist) if tr.p_exist < 1.0 else -np.inf
-    if log_s1 == -np.inf and log_s0 == -np.inf:
-        tr.p_exist = 0.0
-    else:
-        gap = min(log_s0 - log_s1, 700.0) if log_s1 > -np.inf else np.inf
-        tr.p_exist = 0.0 if gap == np.inf else 1.0 / (1.0 + math.exp(gap))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_s1 = np.log(tr.p_exist) + model.log_sum_exp(log_lw + log_psi)
+        gap = min(np.log(1.0 - tr.p_exist) - log_s1, 700.0)
+    tr.p_exist = float(1.0 / (1.0 + np.exp(gap))) if log_s1 > -np.inf \
+        else 0.0
     with np.errstate(invalid="ignore"):
         new_w = np.exp(log_lw + log_psi - np.max(log_lw + log_psi)) \
             if np.any(np.isfinite(log_psi)) else np.ones_like(tr.weights)
@@ -1085,14 +1149,14 @@ def oracle_update_legacy(tr, w, k, log_nu):
 
 
 def oracle_summary(tr):
-    w, p = tr.weights, tr.particles
-    d = float(np.sum(w * p[:, 0]))
-    u = float(np.sum(w * p[:, 2]))
-    phi = float(np.arctan2(np.sum(w * np.sin(p[:, 1])),
-                           np.sum(w * np.cos(p[:, 1]))))
-    sigma_d = float(np.sqrt(max(np.sum(w * (p[:, 0] - d) ** 2), 0.0)))
+    p = tr.particles
+    d = float(np.mean(p[:, 0]))
+    u = float(np.mean(p[:, 2]))
+    phi = float(np.arctan2(np.mean(np.sin(p[:, 1])),
+                           np.mean(np.cos(p[:, 1]))))
+    sigma_d = float(np.sqrt(np.mean((p[:, 0] - d) ** 2)))
     dphi = model.ang_diff(p[:, 1], phi)
-    sigma_phi = float(np.sqrt(max(np.sum(w * dphi * dphi), 0.0)))
+    sigma_phi = float(np.sqrt(np.mean(dphi * dphi)))
     return tracker.TrackEstimate(tr.id, d, float(model.wrap_angle(phi)), u,
                                  sigma_d, sigma_phi, tr.p_exist)
 
@@ -1194,9 +1258,9 @@ class TestStackedEqualsPerTrack:
                      for tr in beliefs[:3]],
                     key=lambda z: (z.z_d, z.z_phi, z.z_u))
         st = stacked(copy.deepcopy(beliefs))
-        far = FarBelief(rng.uniform(0.5, 4.0, J), np.full(J, 1.0 / J))
+        far = rng.uniform(0.5, 4.0, J)
         w = dabp.evaluate_weights(st, np.zeros(len(ms)), *packed(ms, p),
-                                  far.particles, p, GEOM)
+                                  far, p, GEOM)
         det_prob, ratio, scale, log_beta = oracle_legacy_weights(
             beliefs, ms, far, p)
         assert w.det_prob.tobytes() == np.array(det_prob).tobytes()

@@ -4,11 +4,12 @@ estimator.
 The transmit pulse is a root-raised-cosine, treated as periodic over the
 observation window (delays wrap), truncated at +-8 symbol periods. The
 snapshot estimator runs a coarse delay-angle matched filter (an np.fft
-inverse transform, in place, over a quarter-sample delay grid; 2 degree
-angle grid), refines candidates with two Newton steps on the exact steering
-vector, estimates the amplitude by least squares, subtracts, and repeats
-while the normalized amplitude exceeds the detection threshold. Feedback
-summaries from the tracker seed the search.
+inverse transform, in place, on a grid sized to the geometry: eight angle
+cells per beamwidth lambda / D, at most 180, and a 2-3-5-smooth count of at
+least four delay cells per sample), refines candidates with two Newton steps
+on the exact steering vector, estimates the amplitude by least squares,
+subtracts, and repeats while the normalized amplitude exceeds the detection
+threshold. Feedback summaries from the tracker seed the search.
 
 The refinement moves all candidates of a component (the coarse peak and the
 feedback seeds) in lock step: one batched steering-vector evaluation covers
@@ -139,10 +140,31 @@ def synth_radio(truth: np.ndarray, phases: np.ndarray, geom: ArrayGeometry,
 # Successive-cancellation snapshot estimator
 # ---------------------------------------------------------------------------
 
-DELAY_OVERSAMPLE = 4          # coarse grid spacing T_s / 4
-ANGLE_GRID_DEG = 2.0
 NEWTON_STEPS = 2
 MAX_COMPONENTS = 25
+
+
+def _smooth_length(n: int) -> int:
+    """The smallest integer >= n (n >= 1) whose only prime factors are 2, 3
+    and 5, a length pocketfft transforms with its fast passes."""
+    while True:
+        m = n
+        for p in (2, 3, 5):
+            while m % p == 0:
+                m //= p
+        if m == 1:
+            return n
+        n += 1
+
+
+def _angle_cells(geom: ArrayGeometry) -> int:
+    """Coarse angle cells for the geometry: eight per beamwidth lambda / D
+    over the full turn, ceil(16 pi D / lambda), with D twice the largest
+    element distance from the centroid; at least 1 (an array without
+    aperture) and at most 180 (a 2 degree grid)."""
+    aperture = 2.0 * max(abs(d) for d, _ in geom.element_offsets)
+    cells = 16.0 * math.pi * aperture * geom.f_c / SPEED_OF_LIGHT
+    return max(1, math.ceil(min(180.0, cells)))
 
 
 def _pulse_harmonics(geom: ArrayGeometry) -> np.ndarray:
@@ -163,17 +185,21 @@ def _pulse_harmonics(geom: ArrayGeometry) -> np.ndarray:
 
 
 class MatchedFilterBank:
-    """Precomputed coarse delay-angle correlation machinery for one geometry."""
+    """Precomputed coarse delay-angle correlation machinery for one geometry:
+    L delay cells of delay_step seconds over the period, and
+    _angle_cells(geom) angles evenly over [-pi, pi)."""
 
     def __init__(self, geom: ArrayGeometry):
         self.geom = geom
         self.period = geom.N_s * geom.T_s
-        self.L = DELAY_OVERSAMPLE * geom.N_s
+        self.L = _smooth_length(4 * geom.N_s)
+        self.delay_step = self.period / self.L
         self.ks, coeff = _pulse_harmonics(geom)
         self.coeff_conj = np.conj(coeff)
         self.fft_cols = np.mod(self.ks, geom.N_s)   # harmonic k's FFT bin
         self.pad_cols = np.mod(self.ks, self.L)     # and its fine-grid bin
-        self.angles = np.deg2rad(np.arange(-180.0, 180.0, ANGLE_GRID_DEG))
+        self.angles = np.linspace(-np.pi, np.pi, _angle_cells(geom),
+                                  endpoint=False)
         # Per-angle, per-element phase factors on each harmonic.
         g = geom.delay_shift(self.angles).T           # (A, H)
         carrier = np.exp(-2j * np.pi * geom.f_c * g)  # (A, H)
@@ -187,7 +213,7 @@ class MatchedFilterBank:
         # Mean sampled pulse energy per element (snapshot_estimate's
         # overflow guard).
         times = _sample_times(geom)
-        taus = np.arange(self.L) * geom.T_s / DELAY_OVERSAMPLE
+        taus = np.arange(self.L) * self.delay_step
         e = _pulse_periodic(times[None, :] - taus[:, None], self.period)
         self.mean_energy = float(np.mean(np.sum(e * e, axis=1)))
 
@@ -210,8 +236,7 @@ class MatchedFilterBank:
         C *= C                 # squared real and imaginary parts, in place
         power = C[:, 0::2] + C[:, 1::2]
         ai, qi = np.unravel_index(int(np.argmax(power)), power.shape)
-        tau = qi * geom.T_s / DELAY_OVERSAMPLE
-        return tau * SPEED_OF_LIGHT, float(self.angles[ai])
+        return qi * self.delay_step * SPEED_OF_LIGHT, float(self.angles[ai])
 
 
 def _match(residual: np.ndarray, points: list, geom: ArrayGeometry):
@@ -275,10 +300,15 @@ def _newton_refine(residual: np.ndarray, starts: list, geom: ArrayGeometry):
             hpp = (fpp - 2 * f0[i] + fpm) / hp**2
             hdp = (fxy - fdp - fpp + f0[i]) / (hd * hp)
             det = hdd * hpp - hdp * hdp
-            if det <= 0 or hdd >= 0:  # not a proper local maximum, keep point
+            if hpp == 0 and hdd < 0:
+                # A flat angle stencil (an array without aperture): the
+                # Newton step in d alone.
+                dd, dp = -gd / hdd, 0.0
+            elif det <= 0 or hdd >= 0:  # not a proper local maximum, keep point
                 continue
-            dd = -(hpp * gd - hdp * gp) / det
-            dp = -(-hdp * gd + hdd * gp) / det
+            else:
+                dd = -(hpp * gd - hdp * gp) / det
+                dp = -(-hdp * gd + hdd * gp) / det
             newton.append((i, (d + dd, float(wrap_angle(phi + dp)))))
         if not newton:
             break

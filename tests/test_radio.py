@@ -1,8 +1,9 @@
 """Radio forward model and snapshot-estimator tests: pulse properties and
 a full-evaluation pulse oracle, steering-vector consistency, linearity, the
 batched steering kernel, the coarse matched filter and lock-step refinement
-against their earlier forms, the forward-inverse round trip and hostile
-sample vectors and feedback seeds."""
+against their earlier forms, the coarse grid's sizing rule, refinement on a
+single element, the forward-inverse round trip and hostile sample vectors
+and feedback seeds."""
 
 import logging
 import math
@@ -17,7 +18,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from mpctrack import radio
-from mpctrack.model import SPEED_OF_LIGHT, wrap_angle
+from mpctrack.model import SPEED_OF_LIGHT, ArrayGeometry, wrap_angle
 from mpctrack.radio import (_pulse_periodic, _sample_times,
                             default_geometry, rrc_mean_square_bandwidth,
                             rrc_pulse, snapshot_estimate, steering_vectors,
@@ -302,11 +303,14 @@ def oracle_newton_refine(residual, d, phi, geom):
         hpp = (fpp - 2 * f0 + fpm) / hp**2
         hdp = (fxy - fdp - fpp + f0) / (hd * hp)
         det = hdd * hpp - hdp * hdp
-        if det <= 0 or hdd >= 0:  # not a proper local maximum, keep point
+        if hpp == 0 and hdd < 0:  # flat in phi: the step in d alone
+            dd, dp = -gd / hdd, 0.0
+        elif det <= 0 or hdd >= 0:  # not a proper local maximum, keep point
             stop = "curv"
             break
-        dd = -(hpp * gd - hdp * gp) / det
-        dp = -(-hdp * gd + hdd * gp) / det
+        else:
+            dd = -(hpp * gd - hdp * gp) / det
+            dp = -(-hdp * gd + hdd * gp) / det
         cand_d, cand_p = d + dd, float(wrap_angle(phi + dp))
         f1, _, _, _ = oracle_objective(residual, cand_d, cand_p, geom)
         if f1 <= f0:
@@ -340,8 +344,8 @@ def oracle_coarse_peaks(bank, residuals):
         C *= bank.L
         power = np.abs(C) ** 2 / (geom.H * bank.mean_energy)
         ai, qi = np.unravel_index(int(np.argmax(power)), power.shape)
-        tau = qi * geom.T_s / radio.DELAY_OVERSAMPLE
-        out.append((tau * SPEED_OF_LIGHT, float(bank.angles[ai])))
+        out.append((qi * bank.delay_step * SPEED_OF_LIGHT,
+                    float(bank.angles[ai])))
     return out
 
 
@@ -361,7 +365,7 @@ def coarse_residual(seed):
             phi = float(rng.uniform(-math.pi, math.pi))
         else:
             qi = int(rng.integers(BANK.L))
-            d = qi * GEOM.T_s / radio.DELAY_OVERSAMPLE * SPEED_OF_LIGHT
+            d = qi * BANK.delay_step * SPEED_OF_LIGHT
             phi = float(BANK.angles[rng.integers(len(BANK.angles))])
         comps.append(((d, phi, float(rng.uniform(3.0, 60.0)), 0.0, 0.0),
                       float(rng.uniform(0.0, 2.0 * math.pi))))
@@ -374,23 +378,23 @@ def bits(x):
     return np.asarray(x, dtype=float).tobytes()
 
 
-def check_refined(residual, start, got):
+def check_refined(residual, start, got, geom=GEOM):
     """got is _newton_refine's (d, phi, score, match) for start: (d, phi,
     score) equal the one-candidate oracle's bit for bit, and match is the
     returned point's projection (steering row, nsq, corr), missing exactly
     when the start never moved and wrapping changed its phi. Returns the
     oracle's (stop, taken)."""
-    want, stop = oracle_newton_refine(residual, *start, GEOM)
+    want, stop = oracle_newton_refine(residual, *start, geom)
     assert bits(got[:3]) == bits(want), (start, stop)
     assert (got[3] is None) == (
         stop[1] == 0 and float(wrap_angle(start[1])) != start[1]), start
     if got[3] is not None:
-        check_projection(residual, got[0], got[1], *got[3])
+        check_projection(residual, got[0], got[1], *got[3], geom=geom)
     return stop
 
 
-def check_projection(residual, d, phi, s, nsq, corr):
-    _, s_want, nsq_want, corr_want = oracle_objective(residual, d, phi, GEOM)
+def check_projection(residual, d, phi, s, nsq, corr, geom=GEOM):
+    _, s_want, nsq_want, corr_want = oracle_objective(residual, d, phi, geom)
     assert s.tobytes() == s_want.tobytes()
     assert bits([nsq, corr.real, corr.imag]) == \
         bits([nsq_want, corr_want.real, corr_want.imag])
@@ -512,6 +516,110 @@ class TestBatchedEstimator:
         assert len(per_component) == 3   # two found, one rejected
         assert max(per_component) <= 3
         assert calls[0] == 6 * (1 + n_seeds)   # every start and stencil
+
+
+def square_array(n):
+    """The default array's signal on an n x n array at its 2 cm spacing."""
+    return ArrayGeometry.uniform_rectangular(
+        n, n, 0.02, psi=0.0, f_c=GEOM.f_c, beta_bw_sq=GEOM.beta_bw_sq,
+        N_s=GEOM.N_s, T_s=GEOM.T_s)
+
+
+def with_offsets(offsets):
+    return ArrayGeometry(offsets, 0.0, GEOM.f_c, GEOM.beta_bw_sq, GEOM.N_s,
+                         GEOM.T_s)
+
+
+SINGLE = with_offsets([(0.0, 0.0)])
+
+
+class TestCoarseGrid:
+    """The coarse grid is sized to the geometry: ceil(16 pi D / lambda)
+    angle cells (eight per beamwidth lambda / D, D twice the largest element
+    distance), between 1 and 180, evenly over [-pi, pi), and the first
+    2-3-5-smooth delay length >= 4 N_s."""
+
+    def test_default_array(self):
+        # D = 5.66 cm against lambda = 5.00 cm: 56.9 cells; 4 * 46 = 184 =
+        # 8 * 23, and the next 2-3-5-smooth length is 192 = 2^6 * 3.
+        assert len(BANK.angles) == 57
+        assert BANK.L == 192
+        assert BANK.delay_step == BANK.period / 192
+        assert BANK.angles[0] == -math.pi
+        assert np.allclose(np.diff(BANK.angles), 2.0 * math.pi / 57)
+        assert BANK.angles[-1] < math.pi
+
+    @pytest.mark.parametrize("n, cells", [(4, 86), (6, 143), (8, 180)])
+    def test_square_arrays(self, n, cells):
+        # 85.4 and 142.2 cells; the 8 x 8 array's 199.2 is capped, so the
+        # carrier table is never larger than on a 2 degree grid.
+        bank = radio.MatchedFilterBank(square_array(n))
+        assert len(bank.angles) == cells
+        assert bank.L == 192
+        assert bank.shifted_carrier.shape == (GEOM.N_s, cells, n * n)
+
+    def test_wide_geometry_capped(self):
+        bank = radio.MatchedFilterBank(with_offsets([(5.0, 0.0),
+                                                     (5.0, math.pi)]))
+        assert len(bank.angles) == 180
+        assert bank.L == 192
+        assert bank.shifted_carrier.shape == (GEOM.N_s, 180, 2)
+
+    def test_single_element_one_cell(self):
+        bank = radio.MatchedFilterBank(SINGLE)
+        assert bank.angles.tolist() == [-math.pi]
+        assert bank.L == 192
+
+    def test_smooth_length(self):
+        assert [radio._smooth_length(n) for n in
+                (1, 4, 7, 11, 14, 49, 184, 188, 400)] == \
+            [1, 4, 8, 12, 15, 50, 192, 192, 400]
+
+    @pytest.mark.parametrize("point", [(5.37, math.radians(23.4)),
+                                       (11.2, math.radians(-140.0))])
+    def test_square_4x4_round_trip(self, point):
+        # The default-array round trip's tolerances on the 86-cell grid.
+        geom = square_array(4)
+        d_true, phi_true = point
+        samples = component_sum(
+            *rows([((d_true, phi_true, 30.0, 0.0, 0.0), 0.7)]), geom)
+        ms = snapshot_estimate(samples, None, radio.MatchedFilterBank(geom),
+                               u_de=25.0)
+        assert len(ms) == 1
+        assert abs(ms[0].z_d - d_true) < SPEED_OF_LIGHT * geom.T_s / 20.0
+        assert abs(ms[0].z_phi - phi_true) < math.radians(1.0)
+
+
+class TestSingleElement:
+    """One element has no aperture: its steering vector does not depend on
+    phi, the angle stencil is exactly flat and the refinement steps in d
+    alone."""
+
+    def test_distance_leaves_the_coarse_grid(self):
+        # On the coarse delay grid alone (cells of 9.0 cm) the median error
+        # is about 2 cm; sigma_d at u = 40 is about 5 mm.
+        bank = radio.MatchedFilterBank(SINGLE)
+        errors = []
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            d = float(rng.uniform(2.0, 15.0))
+            samples = synth_radio(*rows([((d, 0.3, 40.0, 0.0, 0.0), 1.0)]),
+                                  SINGLE, rng)
+            (m,) = snapshot_estimate(samples, None, bank, u_de=25.0)
+            errors.append(abs(m.z_d - d))
+        assert np.median(errors) < 0.01
+
+    def test_refinement_equals_oracle(self):
+        # Every start takes the step in d (none stops for want of
+        # curvature) and matches the one-candidate oracle bit for bit.
+        samples = synth_radio(*rows([((6.1, 0.3, 40.0, 0.0, 0.0), 1.0)]),
+                              SINGLE, np.random.default_rng(3))
+        starts = [radio.MatchedFilterBank(SINGLE).coarse_peak(samples),
+                  (6.05, 1.0), (6.2, -2.0), (6.12, 4.0)]
+        got = radio._newton_refine(samples, starts, SINGLE)
+        stops = [check_refined(samples, st_, g, SINGLE)
+                 for st_, g in zip(starts, got)]
+        assert all(stop != "curv" and taken >= 1 for stop, taken in stops)
 
 
 class Records(logging.Handler):

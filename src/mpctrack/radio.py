@@ -3,24 +3,16 @@ estimator.
 
 The transmit pulse is a root-raised-cosine, treated as periodic over the
 observation window (delays wrap), truncated at +-8 symbol periods. The
-snapshot estimator runs a coarse delay-angle matched filter (an np.fft
+snapshot estimator takes the residual's per-element harmonics once per
+component. On them it runs a coarse delay-angle matched filter (an np.fft
 inverse transform, in place, on a grid sized to the geometry: eight angle
 cells per beamwidth lambda / D, at most 180, and a 2-3-5-smooth count of at
-least four delay cells per sample), refines candidates with two Newton steps
-on the exact steering vector, estimates the amplitude by least squares,
-subtracts, and repeats while the normalized amplitude exceeds the detection
-threshold. Feedback summaries from the tracker seed the search.
-
-The refinement moves all candidates of a component (the coarse peak and the
-feedback seeds) in lock step: one batched steering-vector evaluation covers
-every start point with its five-point stencil, and one per Newton step covers
-every candidate's Newton point, with its stencil unless the step is the last;
-a candidate leaves the lock step where it would have stopped alone. Each
-point is scored with one vdot per steering row and the score is formed on
-Python floats, so a point's score does not depend on the batch it is in. The
-winner keeps the steering row and (nsq, corr) it was scored with, so a
-component costs three batched steering evaluations (four when the winner is
-a start point whose phi wrapping changes).
+least four delay cells per sample) and refines the coarse peak and each
+feedback seed with Newton steps on the harmonic matched-filter power, whose
+gradient and Hessian are exact. The best point is projected once onto its
+time-domain steering vector, which gives the least-squares amplitude and the
+subtraction; the estimator repeats while the normalized amplitude exceeds the
+detection threshold.
 """
 
 import logging
@@ -208,6 +200,11 @@ class MatchedFilterBank:
         self.shifted_carrier = np.exp(
             -2j * np.pi * self.ks[:, None, None] * g[None, :, :] / self.period
         ) * carrier[None, :, :]
+        # score's phase derivatives: omega_k / c in d, omega_k + 2 pi f_c
+        # times q_h = -g_h' in phi.
+        omega = 2.0 * np.pi * self.ks / self.period
+        self.omega_d = omega / SPEED_OF_LIGHT
+        self.omega_rf = omega + 2.0 * np.pi * geom.f_c
         i0 = (geom.N_s - 1) / 2.0
         self.center_phase = np.exp(2j * np.pi * self.ks * i0 / geom.N_s)
         # Mean sampled pulse energy per element (snapshot_estimate's
@@ -217,15 +214,20 @@ class MatchedFilterBank:
         e = _pulse_periodic(times[None, :] - taus[:, None], self.period)
         self.mean_energy = float(np.mean(np.sum(e * e, axis=1)))
 
-    def coarse_peak(self, samples: np.ndarray):
-        """Return (delay, angle) of the grid cell with the largest
-        |correlation|^2 (the mean steering norm that would normalize it is
-        the same in every cell)."""
+    def harmonics(self, samples: np.ndarray) -> np.ndarray:
+        """The (H, K) table conj(c_k) Y_hk e^{j 2 pi k i0 / N_s} of a sample
+        vector: each element's FFT on the baseband harmonics k, matched to
+        the pulse's Fourier coefficients c_k and referred to the centre
+        sample i0. coarse_peak and score search it."""
         geom = self.geom
-        y = samples.reshape(geom.H, geom.N_s)
-        Y = np.fft.fft(y, axis=1)                     # (H, N_s)
-        Yk = Y[:, self.fft_cols]                      # harmonics k
-        base = self.coeff_conj[None, :] * Yk * self.center_phase[None, :]
+        Y = np.fft.fft(samples.reshape(geom.H, geom.N_s), axis=1)
+        return self.coeff_conj[None, :] * Y[:, self.fft_cols] \
+            * self.center_phase[None, :]
+
+    def coarse_peak(self, base: np.ndarray):
+        """Return (delay, angle) of the grid cell with the largest
+        |correlation|^2 against a harmonics table (the mean steering norm
+        that would normalize it is the same in every cell)."""
         # (K, A, 1): coherent element sum with angle-dependent shifts.
         W = np.matmul(self.shifted_carrier, base.T[:, :, None])
         # Evaluate C(tau) on the fine grid via an L-point inverse transform;
@@ -238,113 +240,77 @@ class MatchedFilterBank:
         ai, qi = np.unravel_index(int(np.argmax(power)), power.shape)
         return qi * self.delay_step * SPEED_OF_LIGHT, float(self.angles[ai])
 
+    def score(self, base: np.ndarray, d: float, phi: float):
+        """|corr|^2 of the point (d, phi) against a harmonics table, with its
+        gradient and Hessian in (d, phi): (score, (g_d, g_phi), (h_dd,
+        h_dphi, h_phiphi)) as Python floats.
 
-def _match(residual: np.ndarray, points: list, geom: ArrayGeometry):
-    """Steering vectors of the (d, phi) points, from one batched evaluation,
-    and each one's (score, nsq, corr) against the residual: one np.vdot per
-    row and the score |corr|^2 / nsq on Python floats, so a point scores the
-    same in a batch of any size."""
-    d, phi = zip(*points)
-    S = steering_vectors(d, phi, geom)
-    out = []
-    for s in S:
-        nsq = float(np.vdot(s, s).real)
-        if nsq <= 0.0:
-            out.append((-np.inf, nsq, 0j))
-            continue
-        corr = complex(np.vdot(s, residual))
-        out.append((abs(corr) ** 2 / nsq, nsq, corr))
-    return S, out
+        corr sums base_hk e^{j theta_hk} over elements h and harmonics k,
+        theta_hk = omega_k (d / c - g_h) - 2 pi f_c g_h with g_h the delay
+        shift at phi: np.vdot(s, y) for the point's steering vector s, in
+        the harmonic domain. By Parseval ||s|| does not depend on (d, phi),
+        so |corr|^2 is the score. theta's derivatives are omega_k / c in d
+        and (omega_k + 2 pi f_c) q_h in phi, with q_h = -g_h' the delay shift
+        at phi - pi / 2 and q_h' = g_h; without aperture (g_h = 0) every phi
+        term is exactly 0.
+        """
+        g, q = self.geom.delay_shift(np.array([phi, phi - 0.5 * math.pi])).T
+        E = base * np.exp(1j * (self.omega_d * d
+                                - np.multiply.outer(g, self.omega_rf)))
+        # Element sums weighted by 1, q, q^2 and g, per harmonic.
+        S0, Sq, Sqq, Sg = E.sum(axis=0), q @ E, (q * q) @ E, g @ E
+        C = complex(S0.sum())
+        Cd = 1j * complex(self.omega_d @ S0)
+        Cdd = -complex((self.omega_d * self.omega_d) @ S0)
+        Cp = 1j * complex(self.omega_rf @ Sq)
+        Cdp = -complex((self.omega_d * self.omega_rf) @ Sq)
+        Cpp = 1j * complex(self.omega_rf @ Sg) \
+            - complex((self.omega_rf * self.omega_rf) @ Sqq)
+        Cc = C.conjugate()
+        return (abs(C) ** 2,
+                (2.0 * (Cc * Cd).real, 2.0 * (Cc * Cp).real),
+                (2.0 * (abs(Cd) ** 2 + (Cc * Cdd).real),
+                 2.0 * (Cd.conjugate() * Cp + Cc * Cdp).real,
+                 2.0 * (abs(Cp) ** 2 + (Cc * Cpp).real)))
 
 
-def _newton_refine(residual: np.ndarray, starts: list, geom: ArrayGeometry):
-    """Two finite-difference Newton steps on the matched-filter power for
-    every start point (d, phi), moved in lock step.
-
-    One batch scores every start point with its five-point stencil. Each
-    step then scores the Newton points of the candidates still improving in
-    one batch, every non-final one with its own stencil, so a candidate that
-    improves has its next stencil scored already. A candidate stops where
-    the stencil shows no proper local maximum or its Newton point does not
-    score higher. Returns one (d, phi, score, match) per start point: match
-    is the point's steering row and _match's (nsq, corr) when wrapping phi
-    left the point as scored, else None.
-    """
-    if not starts:
-        return []
-    hd = SPEED_OF_LIGHT * geom.T_s / 50.0
-    hp = math.radians(0.2)
-
-    def with_stencils(points):
-        batch = []
-        for d, phi in points:
-            batch += [(d, phi), (d + hd, phi), (d - hd, phi), (d, phi + hp),
-                      (d, phi - hp), (d + hd, phi + hp)]
-        return batch
-
-    pts = list(starts)
-    S, scored = _match(residual, with_stencils(pts), geom)
-    f0 = [score for score, _, _ in scored[::6]]
-    rows = [(s, nsq, corr) for s, (_, nsq, corr) in zip(S[::6], scored[::6])]
-    stencils = [[score for score, _, _ in scored[6 * i + 1:6 * i + 6]]
-                for i in range(len(pts))]
-    active = list(range(len(pts)))
-    for step in range(NEWTON_STEPS):
-        newton = []
-        for i in active:
-            fdp, fdm, fpp, fpm, fxy = stencils[i]
-            d, phi = pts[i]
-            gd = (fdp - fdm) / (2 * hd)
-            gp = (fpp - fpm) / (2 * hp)
-            hdd = (fdp - 2 * f0[i] + fdm) / hd**2
-            hpp = (fpp - 2 * f0[i] + fpm) / hp**2
-            hdp = (fxy - fdp - fpp + f0[i]) / (hd * hp)
-            det = hdd * hpp - hdp * hdp
-            if hpp == 0 and hdd < 0:
-                # A flat angle stencil (an array without aperture): the
-                # Newton step in d alone.
-                dd, dp = -gd / hdd, 0.0
-            elif det <= 0 or hdd >= 0:  # not a proper local maximum, keep point
-                continue
-            else:
-                dd = -(hpp * gd - hdp * gp) / det
-                dp = -(-hdp * gd + hdd * gp) / det
-            newton.append((i, (d + dd, float(wrap_angle(phi + dp)))))
-        if not newton:
+def _newton_refine(base: np.ndarray, start, bank: MatchedFilterBank):
+    """Newton steps on the bank's score of a harmonics table from the point
+    start = (d, phi), at most NEWTON_STEPS of them. The search stops where
+    the Hessian shows no proper local maximum or the Newton point does not
+    score higher; where the phi curvature is exactly 0 (an array without
+    aperture) it steps in d alone. phi is not wrapped: the score is
+    2 pi-periodic in it. Returns (d, phi, score)."""
+    d, phi = start
+    f, (gd, gp), (hdd, hdp, hpp) = bank.score(base, d, phi)
+    for _ in range(NEWTON_STEPS):
+        det = hdd * hpp - hdp * hdp
+        if hpp == 0 and hdd < 0:    # no aperture: the step in d alone
+            dd, dp = -gd / hdd, 0.0
+        elif det <= 0 or hdd >= 0:  # not a proper local maximum
             break
-        cands = [c for _, c in newton]
-        width = 1 if step == NEWTON_STEPS - 1 else 6
-        S, scored = _match(residual,
-                           cands if width == 1 else with_stencils(cands), geom)
-        active = []
-        for j, (i, cand) in enumerate(newton):
-            f1, nsq, corr = scored[width * j]
-            if f1 > f0[i]:
-                pts[i], f0[i], rows[i] = cand, f1, (S[width * j], nsq, corr)
-                stencils[i] = [score for score, _, _
-                               in scored[width * j + 1:width * j + width]]
-                active.append(i)
-    out = []
-    for (d, phi), f, row in zip(pts, f0, rows):
-        wrapped = float(wrap_angle(phi))
-        out.append((d, wrapped, f, row if wrapped == phi else None))
-    return out
+        else:
+            dd = -(hpp * gd - hdp * gp) / det
+            dp = -(-hdp * gd + hdd * gp) / det
+        f1, (gd, gp), (hdd, hdp, hpp) = bank.score(base, d + dd, phi + dp)
+        if not f1 > f:              # a NaN score is no higher either
+            break
+        d, phi, f = d + dd, phi + dp, f1
+    return d, phi, f
 
 
 def _extract(residual: np.ndarray, seeds: list, bank: MatchedFilterBank):
     """The strongest component left in the residual: the coarse grid peak
-    and the seed points (d, phi) refined in lock step on the bank's
-    geometry, the best of them (max keeps the first of equal scores), its
-    steering vector s and _match's (nsq, corr), taken from the refinement
-    unless wrapping moved the point. Returns (d, phi, s, nsq, corr)."""
-    geom = bank.geom
-    d0, p0 = bank.coarse_peak(residual)
-    d, phi, _, row = max(_newton_refine(residual, [(d0, p0)] + seeds, geom),
-                         key=lambda c: c[2])
-    if row is None:
-        (s,), ((_, nsq, corr),) = _match(residual, [(d, phi)], geom)
-        row = s, nsq, corr
-    return (d, phi) + row
+    and the seed points (d, phi) each refined on the residual's harmonics,
+    the best of them (max keeps the first of equal scores), and its
+    steering vector s with nsq = ||s||^2 and corr = np.vdot(s, residual).
+    Returns (d, phi, s, nsq, corr)."""
+    base = bank.harmonics(residual)
+    starts = [bank.coarse_peak(base)] + seeds
+    d, phi, _ = max((_newton_refine(base, st, bank) for st in starts),
+                    key=lambda c: c[2])
+    (s,) = steering_vectors([d], [phi], bank.geom)
+    return d, phi, s, float(np.vdot(s, s).real), complex(np.vdot(s, residual))
 
 
 def snapshot_estimate(samples: np.ndarray, prior_tracks,

@@ -1,10 +1,12 @@
 """Radio forward model and snapshot-estimator tests: pulse properties and
 a full-evaluation pulse oracle, steering-vector consistency, linearity, the
-batched steering kernel, the coarse matched filter and lock-step refinement
-against their earlier forms, the coarse grid's sizing rule, refinement on a
-single element, the forward-inverse round trip and hostile sample vectors
-and feedback seeds."""
+batched steering kernel, the coarse matched filter against its earlier form,
+the harmonic score against a loop oracle, the time-domain correlation and
+its own finite differences, the Newton refinement's stops, the coarse grid's
+sizing rule, refinement on a single element, the forward-inverse round trip
+and hostile sample vectors and feedback seeds."""
 
+import cmath
 import logging
 import math
 import types
@@ -18,7 +20,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from mpctrack import radio
-from mpctrack.model import SPEED_OF_LIGHT, ArrayGeometry, wrap_angle
+from mpctrack.model import SPEED_OF_LIGHT, ArrayGeometry
 from mpctrack.radio import (_pulse_periodic, _sample_times,
                             default_geometry, rrc_mean_square_bandwidth,
                             rrc_pulse, snapshot_estimate, steering_vectors,
@@ -258,8 +260,8 @@ class TestSnapshotEstimator:
 
 
 # ---------------------------------------------------------------------------
-# One-point oracles: the estimator as it was before batching, one steering
-# vector per point and one candidate per refinement.
+# Oracles: one steering vector and its projection per point, the coarse
+# filter in its earlier form and the harmonic score as explicit loops.
 # ---------------------------------------------------------------------------
 
 def oracle_steering_vector(d, phi, geom):
@@ -282,44 +284,18 @@ def oracle_objective(residual, d, phi, geom):
     return abs(corr) ** 2 / nsq, s, nsq, corr
 
 
-def oracle_newton_refine(residual, d, phi, geom):
-    """The one-candidate refinement; also returns why it stopped ("curv":
-    no proper local maximum, "gain": the Newton point scored no higher,
-    "steps": both steps taken) and the number of accepted steps."""
-    hd = SPEED_OF_LIGHT * geom.T_s / 50.0
-    hp = math.radians(0.2)
-    best, _, _, _ = oracle_objective(residual, d, phi, geom)
-    stop, taken = "steps", 0
-    for _ in range(radio.NEWTON_STEPS):
-        f0, _, _, _ = oracle_objective(residual, d, phi, geom)
-        fdp, _, _, _ = oracle_objective(residual, d + hd, phi, geom)
-        fdm, _, _, _ = oracle_objective(residual, d - hd, phi, geom)
-        fpp, _, _, _ = oracle_objective(residual, d, phi + hp, geom)
-        fpm, _, _, _ = oracle_objective(residual, d, phi - hp, geom)
-        fxy, _, _, _ = oracle_objective(residual, d + hd, phi + hp, geom)
-        gd = (fdp - fdm) / (2 * hd)
-        gp = (fpp - fpm) / (2 * hp)
-        hdd = (fdp - 2 * f0 + fdm) / hd**2
-        hpp = (fpp - 2 * f0 + fpm) / hp**2
-        hdp = (fxy - fdp - fpp + f0) / (hd * hp)
-        det = hdd * hpp - hdp * hdp
-        if hpp == 0 and hdd < 0:  # flat in phi: the step in d alone
-            dd, dp = -gd / hdd, 0.0
-        elif det <= 0 or hdd >= 0:  # not a proper local maximum, keep point
-            stop = "curv"
-            break
-        else:
-            dd = -(hpp * gd - hdp * gp) / det
-            dp = -(-hdp * gd + hdd * gp) / det
-        cand_d, cand_p = d + dd, float(wrap_angle(phi + dp))
-        f1, _, _, _ = oracle_objective(residual, cand_d, cand_p, geom)
-        if f1 <= f0:
-            stop = "gain"
-            break
-        d, phi = cand_d, cand_p
-        best = f1
-        taken += 1
-    return (d, float(wrap_angle(phi)), best), (stop, taken)
+def oracle_score(bank, base, d, phi):
+    """|corr|^2 of the point against a harmonics table, summed one element h
+    and one harmonic k at a time on Python complex numbers: base_hk times
+    e^{j (omega_k (d / c - g_h) - 2 pi f_c g_h)}."""
+    carrier = 2.0 * math.pi * bank.geom.f_c
+    corr = 0j
+    for h, g in enumerate(bank.geom.delay_shift(phi).tolist()):
+        for i, k in enumerate(bank.ks.tolist()):
+            omega = 2.0 * math.pi * k / bank.period
+            corr += complex(base[h, i]) * cmath.exp(
+                1j * (omega * (d / SPEED_OF_LIGHT - g) - carrier * g))
+    return abs(corr) ** 2
 
 
 def oracle_coarse_peaks(bank, residuals):
@@ -378,21 +354,6 @@ def bits(x):
     return np.asarray(x, dtype=float).tobytes()
 
 
-def check_refined(residual, start, got, geom=GEOM):
-    """got is _newton_refine's (d, phi, score, match) for start: (d, phi,
-    score) equal the one-candidate oracle's bit for bit, and match is the
-    returned point's projection (steering row, nsq, corr), missing exactly
-    when the start never moved and wrapping changed its phi. Returns the
-    oracle's (stop, taken)."""
-    want, stop = oracle_newton_refine(residual, *start, geom)
-    assert bits(got[:3]) == bits(want), (start, stop)
-    assert (got[3] is None) == (
-        stop[1] == 0 and float(wrap_angle(start[1])) != start[1]), start
-    if got[3] is not None:
-        check_projection(residual, got[0], got[1], *got[3], geom=geom)
-    return stop
-
-
 def check_projection(residual, d, phi, s, nsq, corr, geom=GEOM):
     _, s_want, nsq_want, corr_want = oracle_objective(residual, d, phi, geom)
     assert s.tobytes() == s_want.tobytes()
@@ -427,64 +388,76 @@ class TestBatchedEstimator:
         residuals = [coarse_residual(seed) for seed in range(600)]
         want = oracle_coarse_peaks(BANK, residuals)
         for seed, (residual, cell) in enumerate(zip(residuals, want)):
-            assert BANK.coarse_peak(residual) == cell, seed
+            assert BANK.coarse_peak(BANK.harmonics(residual)) == cell, seed
 
-    def test_lock_step_stops_each_candidate_like_the_oracle(self):
-        # Three candidates leave the lock step at different points: one at
-        # once for want of a local maximum, one after its first Newton point
-        # scored no higher, and the coarse peak after both steps. Wrapping
-        # changes the first one's phi, so it returns no projection.
-        residual = noisy_snapshot(7)
-        d0, p0 = BANK.coarse_peak(residual)
-        starts = [(6.5, math.radians(150.0)), (2.0, -2.5), (d0, p0)]
-        got = radio._newton_refine(residual, starts, GEOM)
-        stops = [check_refined(residual, st_, g)
-                 for st_, g in zip(starts, got)]
-        assert stops == [("curv", 0), ("gain", 0), ("steps", 2)]
-        assert [g[3] is None for g in got] == [True, False, False]
+    @staticmethod
+    def newton_point(base, start):
+        """The score at start and the full Newton step's point and score,
+        or None for the point where the Hessian shows no proper maximum."""
+        f, (gd, gp), (hdd, hdp, hpp) = BANK.score(base, *start)
+        det = hdd * hpp - hdp * hdp
+        if det <= 0 or hdd >= 0:
+            return f, None, None
+        point = (start[0] - (hpp * gd - hdp * gp) / det,
+                 start[1] - (-hdp * gd + hdd * gp) / det)
+        return f, point, BANK.score(base, *point)[0]
 
-    @pytest.mark.parametrize("seed", [7, 8, 9])
-    def test_lock_step_refinement_equals_oracle(self, seed):
-        residual = noisy_snapshot(seed)
-        d0, p0 = BANK.coarse_peak(residual)
-        # The coarse peak, feedback seeds near both components, and points
-        # away from them; float64 and Python floats mixed as in the estimator.
-        starts = [(d0, p0), (4.03, math.radians(-34.0)),
-                  (9.45, math.radians(71.0))]
-        rng = np.random.default_rng(seed)
-        starts += [(float(rng.uniform(1, 15)), float(rng.uniform(-3, 3)))
-                   for _ in range(15)]
-        got = radio._newton_refine(residual, starts, GEOM)
-        for st_, g in zip(starts, got):
-            check_refined(residual, st_, g)
+    def test_no_local_maximum_stays(self):
+        base = BANK.harmonics(noisy_snapshot(7))
+        start = (6.5, math.radians(150.0))
+        f, point, _ = self.newton_point(base, start)
+        assert point is None
+        assert radio._newton_refine(base, start, BANK) == start + (f,)
 
-    def test_single_candidate_and_empty(self):
-        residual = noisy_snapshot(7)
-        (got,) = radio._newton_refine(residual, [(4.03, -0.6)], GEOM)
-        check_refined(residual, (4.03, -0.6), got)
-        assert radio._newton_refine(residual, [], GEOM) == []
+    def test_newton_point_no_higher_stays(self):
+        base = BANK.harmonics(noisy_snapshot(7))
+        start = (12.39, 2.48)
+        f, point, f1 = self.newton_point(base, start)
+        assert point is not None and f1 <= f
+        assert radio._newton_refine(base, start, BANK) == start + (f,)
+
+    @pytest.mark.parametrize("offset", [None, (0.04, 3.0), (-0.04, -3.0),
+                                        (0.04, -3.0)])
+    def test_near_a_component_steps_onto_it(self, offset):
+        # From the coarse peak, or from points just inside half a coarse
+        # cell (4.6 cm, 3.2 degrees) off the noiseless component, at least
+        # the first Newton point is taken and the search ends on the
+        # component within the round trip's tolerances.
+        d_true, phi_true = 5.37, math.radians(23.4)
+        residual = component_sum(
+            *rows([((d_true, phi_true, 30.0, 0.0, 0.0), 0.7)]), GEOM)
+        base = BANK.harmonics(residual)
+        start = BANK.coarse_peak(base) if offset is None else (
+            d_true + offset[0], phi_true + math.radians(offset[1]))
+        f, point, f1 = self.newton_point(base, start)
+        d, phi, score = radio._newton_refine(base, start, BANK)
+        assert f1 > f and score >= f1
+        assert abs(d - d_true) < SPEED_OF_LIGHT * GEOM.T_s / 20.0
+        assert abs(phi - phi_true) < math.radians(1.0)
 
     @pytest.mark.parametrize("phi", [math.radians(23.4), 1.0, -2.0])
     @pytest.mark.parametrize("turns", [1, -1])
     def test_extract_projects_the_wrapped_winner(self, phi, turns):
-        # A seed exactly on a noiseless component but a full turn off
-        # scores highest without moving, so the winner's projection is
-        # evaluated afresh at the wrapped angle.
+        # A seed a full turn off a noiseless component is refined unwrapped
+        # (the score is 2 pi-periodic in phi) and may win; the winner's
+        # projection is the point's own, and the reported angle is wrapped.
         residual = component_sum(
             *rows([((5.37, phi, 30.0, 0.0, 0.0), 0.7)]), GEOM)
         seed = (5.37, phi + turns * 2.0 * math.pi)
         d, phi_hat, s, nsq, corr = radio._extract(residual, [seed], BANK)
-        assert (d, phi_hat) == (seed[0], float(wrap_angle(seed[1])))
         check_projection(residual, d, phi_hat, s, nsq, corr)
+        if phi == 1.0:    # here the seed's refinement scores highest
+            assert abs(phi_hat - seed[1]) < math.radians(0.1)
+        (m,) = snapshot_estimate(residual, [types.SimpleNamespace(
+            d=seed[0], phi=seed[1])], BANK, u_de=25.0)
+        assert -math.pi <= m.z_phi < math.pi
+        assert abs(m.z_phi - phi) < math.radians(0.1)
 
     @pytest.mark.parametrize("n_seeds", [0, 2, 12])
     def test_steering_calls_per_component(self, monkeypatch, n_seeds):
-        # Whatever the candidate count, a component costs at most three
-        # batched steering evaluations here: start points with their
-        # stencils, the first Newton points with theirs, and the second
-        # Newton points. The winner's projection comes from the refinement
-        # (a fourth call only when the winner is a start point that
-        # wrapping moves).
+        # Whatever the candidate count, the search runs on the harmonics
+        # table and a component costs one steering vector, the winner's,
+        # for its projection.
         calls = []
         kernel = radio.steering_vectors
 
@@ -502,9 +475,9 @@ class TestBatchedEstimator:
         iterations = []
         peak = radio.MatchedFilterBank.coarse_peak
 
-        def counting_peak(bank, samples):
+        def counting_peak(bank, base):
             iterations.append(len(calls))
-            return peak(bank, samples)
+            return peak(bank, base)
 
         samples = noisy_snapshot(7)
         monkeypatch.setattr(radio, "steering_vectors", counting)
@@ -513,9 +486,8 @@ class TestBatchedEstimator:
         ms = snapshot_estimate(samples, seeds, BANK, u_de=25.0)
         assert len(ms) == 2
         per_component = np.diff(iterations + [len(calls)])
-        assert len(per_component) == 3   # two found, one rejected
-        assert max(per_component) <= 3
-        assert calls[0] == 6 * (1 + n_seeds)   # every start and stencil
+        assert per_component.tolist() == [1, 1, 1]  # two found, one rejected
+        assert calls == [1, 1, 1]
 
 
 def square_array(n):
@@ -531,6 +503,82 @@ def with_offsets(offsets):
 
 
 SINGLE = with_offsets([(0.0, 0.0)])
+
+
+class TestScore:
+    """MatchedFilterBank.score: the harmonic |corr|^2 against a loop oracle
+    and against the time-domain projection, and its analytic gradient and
+    Hessian against central differences of itself."""
+
+    COMPS = [((4.0, math.radians(-35.0), 40.0, 0, 0), 0.4),
+             ((9.5, math.radians(70.0), 25.0, 0, 0), 2.0)]
+
+    def table(self, geom):
+        bank = radio.MatchedFilterBank(geom)
+        samples = synth_radio(*rows(self.COMPS), geom,
+                              np.random.default_rng(7))
+        return bank, samples, bank.harmonics(samples)
+
+    def points(self, geom, seed):
+        """Points within half a sample and half a beamwidth lambda / D of
+        each component, and points anywhere."""
+        rng = np.random.default_rng(seed)
+        half_beam = SPEED_OF_LIGHT / geom.f_c / (
+            4.0 * max(d for d, _ in geom.element_offsets) or 1.0)
+        half_cell = SPEED_OF_LIGHT * geom.T_s / 2.0
+        near = [(c[0] + rng.uniform(-half_cell, half_cell),
+                 c[1] + rng.uniform(-half_beam, half_beam))
+                for c, _ in self.COMPS for _ in range(4)]
+        anywhere = [(rng.uniform(1.0, 15.0), rng.uniform(-3.0, 3.0))
+                    for _ in range(6)]
+        return near, anywhere
+
+    def test_equals_loop_oracle(self):
+        bank, _, base = self.table(GEOM)
+        near, anywhere = self.points(GEOM, 0)
+        for d, phi in near + anywhere:
+            assert bank.score(base, d, phi)[0] == pytest.approx(
+                oracle_score(bank, base, d, phi), rel=1e-12)
+
+    def test_near_components_is_the_time_domain_correlation(self):
+        # The pulse is not quite band-limited (its +-8 symbol truncation),
+        # so the harmonic sum is |np.vdot(s, y)|^2 up to a small error.
+        bank, samples, base = self.table(GEOM)
+        near, _ = self.points(GEOM, 1)
+        for d, phi in near:
+            s = oracle_steering_vector(d, phi, GEOM)
+            assert bank.score(base, d, phi)[0] == pytest.approx(
+                abs(np.vdot(s, samples)) ** 2, rel=5e-3)
+
+    @pytest.mark.parametrize("geom", [GEOM, square_array(4), SINGLE],
+                             ids=["3x3", "4x4", "single"])
+    def test_derivatives_are_central_differences(self, geom):
+        # Steps of c T_s / 1e4 in d and 1e-5 rad in phi; each error is
+        # relative to the largest entry of the gradient or the Hessian.
+        bank, _, base = self.table(geom)
+        hd, hp = SPEED_OF_LIGHT * geom.T_s / 1e4, 1e-5
+        near, anywhere = self.points(geom, 2)
+        for d, phi in near + anywhere:
+            _, grad, hess = bank.score(base, d, phi)
+            f_dp, g_dp, h_dp = bank.score(base, d + hd, phi)
+            f_dm, g_dm, h_dm = bank.score(base, d - hd, phi)
+            f_pp, g_pp, h_pp = bank.score(base, d, phi + hp)
+            f_pm, g_pm, h_pm = bank.score(base, d, phi - hp)
+            num_grad = ((f_dp - f_dm) / (2 * hd), (f_pp - f_pm) / (2 * hp))
+            num_hess = ((g_dp[0] - g_dm[0]) / (2 * hd),
+                        (g_pp[0] - g_pm[0]) / (2 * hp),
+                        (g_pp[1] - g_pm[1]) / (2 * hp))
+            for got, want in ((grad, num_grad), (hess, num_hess)):
+                scale = max(abs(x) for x in got)
+                assert max(abs(a - b) for a, b in zip(got, want)) \
+                    <= 1e-6 * scale, (d, phi)
+
+    def test_single_element_phi_terms_are_zero(self):
+        bank, _, base = self.table(SINGLE)
+        near, anywhere = self.points(SINGLE, 3)
+        for d, phi in near + anywhere:
+            _, (gd, gp), (hdd, hdp, hpp) = bank.score(base, d, phi)
+            assert gp == hdp == hpp == 0.0 and hdd != 0.0
 
 
 class TestCoarseGrid:
@@ -609,17 +657,19 @@ class TestSingleElement:
             errors.append(abs(m.z_d - d))
         assert np.median(errors) < 0.01
 
-    def test_refinement_equals_oracle(self):
+    def test_refinement_steps_in_d(self):
         # Every start takes the step in d (none stops for want of
-        # curvature) and matches the one-candidate oracle bit for bit.
+        # curvature) and keeps its phi.
+        bank = radio.MatchedFilterBank(SINGLE)
         samples = synth_radio(*rows([((6.1, 0.3, 40.0, 0.0, 0.0), 1.0)]),
                               SINGLE, np.random.default_rng(3))
-        starts = [radio.MatchedFilterBank(SINGLE).coarse_peak(samples),
-                  (6.05, 1.0), (6.2, -2.0), (6.12, 4.0)]
-        got = radio._newton_refine(samples, starts, SINGLE)
-        stops = [check_refined(samples, st_, g, SINGLE)
-                 for st_, g in zip(starts, got)]
-        assert all(stop != "curv" and taken >= 1 for stop, taken in stops)
+        base = bank.harmonics(samples)
+        starts = [bank.coarse_peak(base), (6.05, 1.0), (6.2, -2.0),
+                  (6.12, 4.0)]
+        for start in starts:
+            d, phi, score = radio._newton_refine(base, start, bank)
+            assert d != start[0] and phi == start[1], start
+            assert score > bank.score(base, *start)[0]
 
 
 class Records(logging.Handler):

@@ -179,7 +179,9 @@ def _pulse_harmonics(geom: ArrayGeometry) -> np.ndarray:
 class MatchedFilterBank:
     """Precomputed coarse delay-angle correlation machinery for one geometry:
     L delay cells of delay_step seconds over the period, and
-    _angle_cells(geom) angles evenly over [-pi, pi)."""
+    _angle_cells(geom) angles evenly over [-pi, pi). Nothing here depends
+    on the samples' scale; snapshot_estimate brings each snapshot to unit
+    scale by one power of two before it searches."""
 
     def __init__(self, geom: ArrayGeometry):
         self.geom = geom
@@ -207,12 +209,6 @@ class MatchedFilterBank:
         self.omega_rf = omega + 2.0 * np.pi * geom.f_c
         i0 = (geom.N_s - 1) / 2.0
         self.center_phase = np.exp(2j * np.pi * self.ks * i0 / geom.N_s)
-        # Mean sampled pulse energy per element (snapshot_estimate's
-        # overflow guard).
-        times = _sample_times(geom)
-        taus = np.arange(self.L) * self.delay_step
-        e = _pulse_periodic(times[None, :] - taus[:, None], self.period)
-        self.mean_energy = float(np.mean(np.sum(e * e, axis=1)))
 
     def harmonics(self, samples: np.ndarray) -> np.ndarray:
         """The (H, K) table conj(c_k) Y_hk e^{j 2 pi k i0 / N_s} of a sample
@@ -299,18 +295,28 @@ def _newton_refine(base: np.ndarray, start, bank: MatchedFilterBank):
     return d, phi, f
 
 
-def _extract(residual: np.ndarray, seeds: list, bank: MatchedFilterBank):
-    """The strongest component left in the residual: the coarse grid peak
-    and the seed points (d, phi) each refined on the residual's harmonics,
-    the best of them (max keeps the first of equal scores), and its
-    steering vector s with nsq = ||s||^2 and corr = np.vdot(s, residual).
-    Returns (d, phi, s, nsq, corr)."""
+def _cancel(residual: np.ndarray, seeds: list, bank: MatchedFilterBank):
+    """One cancellation step: the coarse grid peak and the seed points
+    (d, phi) each refined on the residual's harmonics, the best of them (max
+    keeps the first of equal scores), and the residual's projection alpha s
+    on its steering vector. Returns (d, phi, amp, z_u, rest, rest_energy):
+    amp = |alpha| ||s||, z_u = amp / sigma_hat with sigma_hat^2 the rest's
+    energy per sample, rest = residual - alpha s; None where ||s|| = 0."""
     base = bank.harmonics(residual)
     starts = [bank.coarse_peak(base)] + seeds
     d, phi, _ = max((_newton_refine(base, st, bank) for st in starts),
                     key=lambda c: c[2])
     (s,) = steering_vectors([d], [phi], bank.geom)
-    return d, phi, s, float(np.vdot(s, s).real), complex(np.vdot(s, residual))
+    nsq = float(np.vdot(s, s).real)
+    if nsq <= 0.0:
+        return None
+    alpha = complex(np.vdot(s, residual)) / nsq
+    rest = residual - alpha * s
+    rest_energy = float(np.vdot(rest, rest).real)
+    sigma_hat = math.sqrt(max(rest_energy / bank.geom.n_eff,
+                              np.finfo(float).tiny))
+    amp = abs(alpha) * math.sqrt(nsq)
+    return d, phi, amp, amp / sigma_hat, rest, rest_energy
 
 
 def snapshot_estimate(samples: np.ndarray, prior_tracks,
@@ -322,30 +328,29 @@ def snapshot_estimate(samples: np.ndarray, prior_tracks,
     and .phi) used as additional search seeds before the global grid. The
     acceptance test during extraction uses the running residual, while the
     reported amplitudes are normalized by the final noise estimate so they
-    are not biased low by components still awaiting subtraction. A sample
-    vector with a non-finite sample, or with an energy so large that the
-    squared correlations would overflow, gives [] and one warning; feedback
-    summaries with a non-finite d or phi are dropped with one warning.
+    are not biased low by components still awaiting subtraction. Every
+    output is scale-free, and the samples are first scaled, exactly, by the
+    power of two that brings their largest real or imaginary part into
+    [1, 2): any power-of-two multiple of a snapshot measures the same bit
+    for bit. A sample vector with a non-finite sample gives [] and one
+    warning; feedback summaries with a non-finite d or phi are dropped with
+    one warning.
     """
     n = bank.geom.n_eff
     residual = np.array(samples, dtype=complex)
-    energy = initial_energy = float(np.vdot(residual, residual).real)
-    # Non-finite samples, or an energy that would overflow the squared
-    # correlations (|corr|^2 <= nsq * energy, nsq < n * mean_energy).
-    if not math.isfinite(energy * n * bank.mean_energy):
-        log.warning("snapshot_estimate: %d of %d samples not finite, sample "
-                    "energy %.3g out of range; no measurements",
-                    np.count_nonzero(~np.isfinite(residual)), n, energy)
+    # The peak is taken over the parts, whose moduli could overflow; it is
+    # NaN or inf exactly when a sample is not finite.
+    parts = residual.view(float)
+    peak = float(np.max(np.abs(parts)))
+    if not math.isfinite(peak):
+        log.warning("snapshot_estimate: %d of %d samples not finite; no "
+                    "measurements", np.count_nonzero(~np.isfinite(residual)),
+                    n)
         return []
-    # Far from unit scale the Newton determinant over- or underflows; a
-    # power of two brings the largest sample into [1, 2), in two exact
-    # steps so each factor stays representable. Every output is scale-free.
-    peak = float(np.max(np.abs(residual)))
-    if peak and not 2.0**-64 <= peak <= 2.0**64:
-        k = 1 - math.frexp(peak)[1]
-        residual *= 2.0 ** (k // 2)
-        residual *= 2.0 ** (k - k // 2)
-        energy = initial_energy = float(np.vdot(residual, residual).real)
+    # At unit scale nothing in the search over- or underflows (the Newton
+    # determinant goes as the residual's scale to the fourth power).
+    np.ldexp(parts, 1 - math.frexp(peak)[1], out=parts)
+    energy = initial_energy = float(np.vdot(residual, residual).real)
     thresh = math.sqrt(u_de)
     seeds = [(t.d, float(t.phi)) for t in (prior_tracks or [])]
     finite = [sd for sd in seeds
@@ -358,22 +363,16 @@ def snapshot_estimate(samples: np.ndarray, prior_tracks,
 
     for _ in range(MAX_COMPONENTS):
         # Below this the residual is cancellation error, not signal.
-        if initial_energy > 0 and energy < 1e-9 * initial_energy:
+        if energy < 1e-9 * initial_energy:
             break
-        d, phi, s, nsq, corr = _extract(residual, seeds, bank)
-        if nsq <= 0.0:
+        step = _cancel(residual, seeds, bank)
+        if step is None:
             break
-        alpha = corr / nsq
-        new_residual = residual - alpha * s
-        new_energy = float(np.vdot(new_residual, new_residual).real)
-        sigma_hat_sq = new_energy / n
-        if sigma_hat_sq <= 0.0:
-            sigma_hat_sq = np.finfo(float).tiny
-        z_u = abs(alpha) * math.sqrt(nsq) / math.sqrt(sigma_hat_sq)
+        d, phi, amp, z_u, rest, rest_energy = step
         if z_u <= thresh:
             break
-        found.append((d, float(wrap_angle(phi)), abs(alpha) * math.sqrt(nsq)))
-        residual, energy = new_residual, new_energy
+        found.append((d, float(wrap_angle(phi)), amp))
+        residual, energy = rest, rest_energy
         seeds = [sd for sd in seeds
                  if abs(sd[0] - d) > 0.3 or abs(wrap_angle(sd[1] - phi)) > 0.1]
 
@@ -386,7 +385,8 @@ def calibrate_detection_threshold(geom: ArrayGeometry, fa_prob: float = 0.01,
                                   trials: int = 100,
                                   rng: np.random.Generator = None) -> float:
     """Monte-Carlo calibration of the estimator's detection threshold: the
-    (1 - fa_prob) quantile of the strongest pure-noise amplitude statistic."""
+    (1 - fa_prob) quantile of the estimator's own acceptance statistic
+    z_u^2 on the first cancellation step of pure unit-variance noise."""
     if rng is None:
         rng = np.random.default_rng(0)
     bank = MatchedFilterBank(geom)
@@ -395,9 +395,6 @@ def calibrate_detection_threshold(geom: ArrayGeometry, fa_prob: float = 0.01,
     for _ in range(trials):
         residual = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) \
             / math.sqrt(2.0)
-        _, _, s, nsq, corr = _extract(residual, [], bank)
-        alpha = corr / nsq
-        sigma_hat_sq = float(np.vdot(residual - alpha * s,
-                                     residual - alpha * s).real) / n
-        stats.append(abs(alpha) ** 2 * nsq / sigma_hat_sq)
+        step = _cancel(residual, [], bank)
+        stats.append(step[3] ** 2 if step else 0.0)
     return float(np.quantile(np.array(stats), 1.0 - fa_prob))

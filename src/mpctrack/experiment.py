@@ -1,10 +1,11 @@
 """Seeded Monte-Carlo experiment runner.
 
 One run = synthesize measurements (or radio snapshots plus the snapshot
-estimator), track them sequentially, and evaluate against truth. Runs are
-independently seeded from (base_seed XOR run index) through a splittable
-seed sequence, so per-run outputs are identical whether executed serially or
-across workers.
+estimator), track them sequentially, and evaluate against truth. The stages
+run one way only: the estimator sees each snapshot's samples alone, never
+the tracker's state. Runs are independently seeded from (base_seed XOR run
+index) through a splittable seed sequence, so per-run outputs are identical
+whether executed serially or across workers.
 """
 
 import concurrent.futures
@@ -27,7 +28,7 @@ def _run_rngs(base_seed: int, run_index: int):
 
 
 def _radio_measurements(scn: Scenario, step: int, cfg: ExperimentConfig,
-                        feedback, bank, rng: np.random.Generator) -> list:
+                        bank, rng: np.random.Generator) -> list:
     """Synthesize one radio snapshot from truth with unit noise variance,
     so the truth amplitudes are the normalized amplitudes u, and run the
     snapshot estimator on it."""
@@ -36,7 +37,7 @@ def _radio_measurements(scn: Scenario, step: int, cfg: ExperimentConfig,
     samples = radio.synth_radio(truth, phases, cfg.geom, rng)
     u_de = cfg.snapshot_u_de if cfg.snapshot_u_de is not None \
         else cfg.hyper.u_de
-    return radio.snapshot_estimate(samples, feedback, bank, u_de)
+    return radio.snapshot_estimate(samples, bank, u_de)
 
 
 def run_single(cfg: ExperimentConfig, run_index: int) -> RunLog:
@@ -46,18 +47,15 @@ def run_single(cfg: ExperimentConfig, run_index: int) -> RunLog:
     state = tracker.init(cfg.hyper, cfg.geom, tracker_seed)
     if cfg.mode == "radio_pipeline":
         bank = radio.MatchedFilterBank(cfg.geom)
-    feedback = []
     log = RunLog()
     for step in range(scn.steps):
         state = tracker.predict(state, cfg.hyper)
         if cfg.mode == "radio_pipeline":
-            ms = _radio_measurements(scn, step, cfg, feedback, bank,
-                                     synth_rng)
+            ms = _radio_measurements(scn, step, cfg, bank, synth_rng)
         else:
             ms = synth.synth_measurements(scn, step, cfg.hyper, cfg.geom,
                                           synth_rng)
         state, est, _ = tracker.update(state, ms, cfg.hyper, cfg.geom)
-        feedback = est.detected
         rec = metrics.evaluate_step(scn.truth_arrays(step), est.detected,
                                     cfg.geom.n_eff)
         log.append(step=step, mu_fa_true=float(scn.far_profile[step]),

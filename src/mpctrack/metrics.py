@@ -15,17 +15,19 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import TWO_PI, ang_diff
+from .model import TWO_PI
 
-# Metric order and per-dimension cutoffs: 10 cm, 10 degrees and 6 dB.
+# Metric order (_cost_matrix squares) and per-dimension cutoffs: 10 cm, 10
+# degrees and 6 dB.
 OSPA_P = 2.0
 CUTOFF_D = 0.1
 CUTOFF_PHI = math.radians(10.0)
 CUTOFF_SNR_DB = 6.0
 
 
-def ospa(truth, est, p: float, cutoff: float, angular: bool = False) -> float:
-    """Optimal-subpattern-assignment distance between two scalar sets.
+def ospa(truth, est, cutoff: float, angular: bool = False) -> float:
+    """Optimal-subpattern-assignment distance of order OSPA_P between two
+    scalar sets.
 
     With angular=True the base distance is the wrapped angular difference
     (inputs in radians). Both sets empty gives 0. The assignment comes from
@@ -41,27 +43,25 @@ def ospa(truth, est, p: float, cutoff: float, angular: bool = False) -> float:
         return 0.0
     if n == 0 or m == 0:
         return float(cutoff)
-    cost = _cost_matrix(x, y, p, cutoff, angular)
+    cost = _cost_matrix(x, y, cutoff, angular)
     ri, ci = _linear_sum_assignment(cost)
     costs = [cost[i][j] for i, j in zip(ri, ci)]
     # numpy adds fewer than 8 values one after another, as sum() does.
     matched = sum(costs) if len(costs) < 8 else float(np.sum(costs))
     n_max, n_min = max(n, m), min(n, m)
-    return float(((matched + cutoff**p * (n_max - n_min)) / n_max) ** (1.0 / p))
+    return float(((matched + cutoff**OSPA_P * (n_max - n_min)) / n_max)
+                 ** (1.0 / OSPA_P))
 
 
-def _cost_matrix(x: list, y: list, p: float, cutoff: float, angular: bool):
-    """np.minimum(np.abs(diff), cutoff) ** p as a list of rows, diff being
-    x[i] - y[j], wrapped into [-pi, pi) by model.ang_diff when angular.
+def _cost_matrix(x: list, y: list, cutoff: float, angular: bool):
+    """np.minimum(np.abs(diff), cutoff) ** OSPA_P as a list of rows, diff
+    being x[i] - y[j], wrapped into [-pi, pi) by model.ang_diff when
+    angular.
 
-    For p = 2 the entries are computed in Python floats to the same bits:
-    numpy's ** 2.0 is a square, and Python's float % wraps by np.mod's rule
-    (fmod, then add the period to a remainder of the wrong sign).
+    The entries are computed in Python floats to numpy's bits: numpy's
+    ** 2.0 is a square, and Python's float % wraps by np.mod's rule (fmod,
+    then add the period to a remainder of the wrong sign).
     """
-    if p != 2.0:
-        xa, ya = np.array(x)[:, None], np.array(y)
-        diff = ang_diff(xa, ya) if angular else xa - ya
-        return (np.minimum(np.abs(diff), cutoff) ** p).tolist()
     cc = cutoff * cutoff
     if angular:
         h = TWO_PI / 2.0
@@ -203,11 +203,10 @@ def evaluate_step(truth_states: np.ndarray, detected, n_eff: int) -> dict:
     ep = [t.phi for t in detected]
     eu = [t.u for t in detected]
     return {
-        "ospa_d_m": ospa(td, ed, OSPA_P, CUTOFF_D),
-        "ospa_phi_deg": math.degrees(
-            ospa(tp, ep, OSPA_P, CUTOFF_PHI, angular=True)),
+        "ospa_d_m": ospa(td, ed, CUTOFF_D),
+        "ospa_phi_deg": math.degrees(ospa(tp, ep, CUTOFF_PHI, angular=True)),
         "ospa_snr_db": ospa(snr_in_db(tu, n_eff), snr_in_db(eu, n_eff),
-                            OSPA_P, CUTOFF_SNR_DB),
+                            CUTOFF_SNR_DB),
         "nom_true": len(truth_states),
         "nom_hat": len(detected),
     }

@@ -7,12 +7,12 @@ snapshot estimator takes the residual's per-element harmonics once per
 component. On them it runs a coarse delay-angle matched filter (an np.fft
 inverse transform, in place, on a grid sized to the geometry: eight angle
 cells per beamwidth lambda / D, at most 180, and a 2-3-5-smooth count of at
-least four delay cells per sample) and refines the coarse peak and each
-feedback seed with Newton steps on the harmonic matched-filter power, whose
-gradient and Hessian are exact. The best point is projected once onto its
-time-domain steering vector, which gives the least-squares amplitude and the
+least four delay cells per sample) and refines the coarse peak once, with
+Newton steps on the harmonic matched-filter power, whose gradient and
+Hessian are exact. The refined point is projected once onto its time-domain
+steering vector, which gives the least-squares amplitude and the
 subtraction; the estimator repeats while the normalized amplitude exceeds the
-detection threshold.
+detection threshold. Its measurements depend on the samples alone.
 """
 
 import logging
@@ -295,17 +295,14 @@ def _newton_refine(base: np.ndarray, start, bank: MatchedFilterBank):
     return d, phi, f
 
 
-def _cancel(residual: np.ndarray, seeds: list, bank: MatchedFilterBank):
-    """One cancellation step: the coarse grid peak and the seed points
-    (d, phi) each refined on the residual's harmonics, the best of them (max
-    keeps the first of equal scores), and the residual's projection alpha s
-    on its steering vector. Returns (d, phi, amp, z_u, rest, rest_energy):
+def _cancel(residual: np.ndarray, bank: MatchedFilterBank):
+    """One cancellation step: the coarse grid peak refined on the residual's
+    harmonics, and the residual's projection alpha s on the refined point's
+    steering vector. Returns (d, phi, amp, z_u, rest, rest_energy):
     amp = |alpha| ||s||, z_u = amp / sigma_hat with sigma_hat^2 the rest's
     energy per sample, rest = residual - alpha s; None where ||s|| = 0."""
     base = bank.harmonics(residual)
-    starts = [bank.coarse_peak(base)] + seeds
-    d, phi, _ = max((_newton_refine(base, st, bank) for st in starts),
-                    key=lambda c: c[2])
+    d, phi, _ = _newton_refine(base, bank.coarse_peak(base), bank)
     (s,) = steering_vectors([d], [phi], bank.geom)
     nsq = float(np.vdot(s, s).real)
     if nsq <= 0.0:
@@ -319,22 +316,20 @@ def _cancel(residual: np.ndarray, seeds: list, bank: MatchedFilterBank):
     return d, phi, amp, amp / sigma_hat, rest, rest_energy
 
 
-def snapshot_estimate(samples: np.ndarray, prior_tracks,
-                      bank: MatchedFilterBank, u_de: float) -> list:
+def snapshot_estimate(samples: np.ndarray, bank: MatchedFilterBank,
+                      u_de: float) -> list:
     """Extract measurement triples from a sample vector of the bank's
-    geometry by successive cancellation.
+    geometry by successive cancellation, one refinement of the coarse peak
+    per extracted component; the measurements depend on the samples alone.
 
-    prior_tracks: optional iterable of feedback summaries (objects with .d
-    and .phi) used as additional search seeds before the global grid. The
-    acceptance test during extraction uses the running residual, while the
-    reported amplitudes are normalized by the final noise estimate so they
-    are not biased low by components still awaiting subtraction. Every
+    The acceptance test during extraction uses the running residual, while
+    the reported amplitudes are normalized by the final noise estimate so
+    they are not biased low by components still awaiting subtraction. Every
     output is scale-free, and the samples are first scaled, exactly, by the
     power of two that brings their largest real or imaginary part into
     [1, 2): any power-of-two multiple of a snapshot measures the same bit
     for bit. A sample vector with a non-finite sample gives [] and one
-    warning; feedback summaries with a non-finite d or phi are dropped with
-    one warning.
+    warning.
     """
     n = bank.geom.n_eff
     residual = np.array(samples, dtype=complex)
@@ -352,20 +347,13 @@ def snapshot_estimate(samples: np.ndarray, prior_tracks,
     np.ldexp(parts, 1 - math.frexp(peak)[1], out=parts)
     energy = initial_energy = float(np.vdot(residual, residual).real)
     thresh = math.sqrt(u_de)
-    seeds = [(t.d, float(t.phi)) for t in (prior_tracks or [])]
-    finite = [sd for sd in seeds
-              if math.isfinite(sd[0]) and math.isfinite(sd[1])]
-    if len(finite) < len(seeds):
-        log.warning("snapshot_estimate: %d of %d feedback seeds not finite; "
-                    "dropped", len(seeds) - len(finite), len(seeds))
-        seeds = finite
     found = []
 
     for _ in range(MAX_COMPONENTS):
         # Below this the residual is cancellation error, not signal.
         if energy < 1e-9 * initial_energy:
             break
-        step = _cancel(residual, seeds, bank)
+        step = _cancel(residual, bank)
         if step is None:
             break
         d, phi, amp, z_u, rest, rest_energy = step
@@ -373,8 +361,6 @@ def snapshot_estimate(samples: np.ndarray, prior_tracks,
             break
         found.append((d, float(wrap_angle(phi)), amp))
         residual, energy = rest, rest_energy
-        seeds = [sd for sd in seeds
-                 if abs(sd[0] - d) > 0.3 or abs(wrap_angle(sd[1] - phi)) > 0.1]
 
     sigma_final = math.sqrt(max(energy / n, np.finfo(float).tiny))
     return [Measurement(float(d), float(phi), float(amp / sigma_final))
@@ -395,6 +381,6 @@ def calibrate_detection_threshold(geom: ArrayGeometry, fa_prob: float = 0.01,
     for _ in range(trials):
         residual = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) \
             / math.sqrt(2.0)
-        step = _cancel(residual, [], bank)
+        step = _cancel(residual, bank)
         stats.append(step[3] ** 2 if step else 0.0)
     return float(np.quantile(np.array(stats), 1.0 - fa_prob))

@@ -46,7 +46,7 @@ class PmpcBelief:
 class FarBelief:
     """Reweighted rate particles, as update() hands them to resample()."""
     particles: np.ndarray   # (J,), all > 0
-    weights: np.ndarray     # (J,), normalized
+    weights: np.ndarray     # (J,), max-scaled (largest 1), not normalized
 
 
 @dataclass
@@ -124,7 +124,8 @@ def predict(state: TrackerState, params: HyperParams) -> TrackerState:
 
 
 def _systematic(w: np.ndarray, u: float, J: int) -> np.ndarray:
-    """Indices of systematic resampling of w to J particles at uniform u."""
+    """Indices of systematic resampling of w to J particles at uniform u.
+    The weights need not be normalized: this is where they are."""
     total = w.sum()
     if not np.isfinite(total) or total <= 0.0:
         raise ValueError("degenerate particle weights")
@@ -174,7 +175,8 @@ def _build_proposals(z: np.ndarray, log_fa: np.ndarray, sd: np.ndarray,
     and importance-weight it against the birth prior times the measurement
     likelihood. Returns (particles, weights, log_mass), row m for
     measurement m: field-major particles (5, M, J), laid out like the
-    legacy stack, normalized weights (M, J) and log_mass (M,), the log
+    legacy stack, weights (M, J) max-scaled per row (largest 1; all 1 on a
+    row without a finite weight), not normalized, and log_mass (M,), the log
     importance estimate of <f(z | x)>_birth-prior / f_fa(z), the evidence
     that the measurement was produced by a newly appearing component
     rather than clutter.
@@ -233,14 +235,14 @@ def _build_proposals(z: np.ndarray, log_fa: np.ndarray, sd: np.ndarray,
     with np.errstate(divide="ignore"):
         log_mass = np.log(total / J) + top[:, 0]
     shifted[flat] = 1.0
-    total[flat] = J
-    return X, shifted / total[:, None], log_mass
+    return X, shifted, log_mass
 
 
 def _update_legacy(p_exist: np.ndarray, w: dabp.AssociationWeights,
                    log_nu: np.ndarray) -> tuple:
     """The legacy rows' posterior weights (K, J), 1/J reweighted with the
-    converged extrinsic messages, and their existence probabilities (K,).
+    converged extrinsic messages and max-scaled per row (largest 1), not
+    normalized, and their existence probabilities (K,).
 
     Row k's association sum per particle, log sum_m nu[m] t P_d f(z_m|x) /
     f_fa(z_m), comes from the linear ratio matrix R = w.ratio[k] as
@@ -265,15 +267,16 @@ def _update_legacy(p_exist: np.ndarray, w: dabp.AssociationWeights,
         gap = np.minimum(np.log(1.0 - p_exist) - log_s1, 700.0)
         p_next = np.where(log_s1 > -np.inf, 1.0 / (1.0 + np.exp(gap)), 0.0)
     new_w[~np.any(np.isfinite(log_psi), axis=1)] = 1.0
-    return new_w / new_w.sum(axis=1, keepdims=True), p_next
+    return new_w, p_next
 
 
 def _update_far(mu: np.ndarray, w: dabp.AssociationWeights,
                 marg: AssociationMarginals, log_d: np.ndarray) -> FarBelief:
     """The FarBelief of the equally weighted rate particles mu (J,),
     reweighted by the particle-marginalized association factors evaluated at
-    each rate particle. log_d is the (M,) array of log(1 + sum_k zeta[k, m]),
-    each measurement's legacy message sum.
+    each rate particle, its weights max-scaled (largest 1), not normalized.
+    log_d is the (M,) array of log(1 + sum_k zeta[k, m]), each
+    measurement's legacy message sum.
 
     Factor i is log(a_i + b_i / mu): one row per legacy component (b_i its
     message-weighted association sum), then one per measurement, all built
@@ -286,8 +289,7 @@ def _update_far(mu: np.ndarray, w: dabp.AssociationWeights,
         w.log_new_mass]) - math.log(w.far_ratio)
     rows = np.logaddexp(log_a[:, None], log_b[:, None] - log_mu)
     log_w = len(log_d) * log_mu - mu + rows.sum(axis=0)
-    shifted = np.exp(log_w - np.max(log_w))
-    return FarBelief(mu, shifted / shifted.sum())
+    return FarBelief(mu, np.exp(log_w - np.max(log_w)))
 
 
 def _prune_and_resample(state: TrackerState, legacy_weights: np.ndarray,
@@ -347,9 +349,14 @@ def update(state: TrackerState, measurements: Sequence[Measurement],
     set semantics: the accepted rows are sorted (lexicographically by z_d,
     z_phi, z_u), so the output is invariant to their input order. A state
     with legacy components but no false-alarm-rate belief raises
-    RuntimeError.
+    RuntimeError, and a non-empty set that is not M rows of three fields
+    raises ValueError.
     """
-    z = np.array(measurements, dtype=float).reshape(-1, 3)
+    z = np.array(measurements, dtype=float)
+    if z.size and (z.ndim != 2 or z.shape[1] != 3):
+        raise ValueError("measurements must be M rows of (z_d, z_phi, z_u); "
+                         f"got shape {z.shape}")
+    z = z.reshape(-1, 3)
     # Non-finite rows give NaN, and a huge amplitude overflows the
     # variances' denominators to inf (standard deviation 0).
     with np.errstate(over="ignore", invalid="ignore"):

@@ -233,11 +233,10 @@ def test_c08_ospa_metric_suite():
         sizes = rng.integers(0, 6, size=3)
         x, y, z = (list(rng.uniform(-10, 10, s)) for s in sizes)
         c = float(rng.uniform(0.5, 3.0))
-        dxy = ospa(x, y, 2.0, c)
-        worst_axiom = max(worst_axiom, abs(dxy - ospa(y, x, 2.0, c)))
+        dxy = ospa(x, y, c)
+        worst_axiom = max(worst_axiom, abs(dxy - ospa(y, x, c)))
         worst_axiom = max(worst_axiom,
-                          max(0.0, ospa(x, z, 2.0, c)
-                              - (dxy + ospa(y, z, 2.0, c))))
+                          max(0.0, ospa(x, z, c) - (dxy + ospa(y, z, c))))
         worst_axiom = max(worst_axiom, max(0.0, dxy - c))
 
     def brute(x, y, pp, c):
@@ -260,7 +259,7 @@ def test_c08_ospa_metric_suite():
         y = list(rng.uniform(0, 10, int(m)))
         c = float(rng.uniform(0.5, 4.0))
         worst_assign = max(worst_assign,
-                           abs(ospa(x, y, 2.0, c) - brute(x, y, 2.0, c)))
+                           abs(ospa(x, y, c) - brute(x, y, 2.0, c)))
     report(8, worst_axiom < 1e-9 and worst_assign < 1e-12,
            f"axiom violation {worst_axiom:.1e} (<1e-9), assignment vs brute "
            f"force {worst_assign:.1e}")
@@ -271,7 +270,7 @@ def test_c09_radio_pipeline_round_trip():
     d_true, phi_true = 5.37, math.radians(23.4)
     s = (d_true, phi_true, 30.0, 0.0, 0.0)
     samples = component_sum(*rows([(s, 0.7)]), GEOM)
-    ms = radio.snapshot_estimate(samples, None, radio.MatchedFilterBank(GEOM),
+    ms = radio.snapshot_estimate(samples, radio.MatchedFilterBank(GEOM),
                                  u_de=25.0)
     d_err = abs(ms[0].z_d - d_true) if ms else math.inf
     phi_err = abs(ms[0].z_phi - phi_true) if ms else math.inf
@@ -291,6 +290,24 @@ def test_c09_radio_pipeline_round_trip():
            f"noiseless d err {d_err*1000:.2f}mm (<{d_tol*1000:.1f}), "
            f"phi err {math.degrees(phi_err):.3f}deg (<1), pipeline NOM err "
            f"{nom_err:.2f} (<0.5)")
+
+
+def test_radio_pipeline_desk_steady_state():
+    # The desk scenario's three components through the radio front end: the
+    # snapshot estimator alone turns each snapshot into measurements, and
+    # the tracker meets criterion 6's steady-state bounds on them.
+    cfg = ExperimentConfig(scenario="desk", mode="radio_pipeline", runs=2,
+                           base_seed=20240601)
+    cfg.hyper = HyperParams(J=1000, u_de=25.0)
+    cfg.snapshot_u_de = 25.0
+    agg = aggregate([run_single(cfg, i) for i in range(cfg.runs)])
+    steady = agg["per_step"]["step"] >= 20
+    d_cm = float(agg["per_step"]["ospa_d_m"][steady].mean()) * 100.0
+    phi_deg = float(agg["per_step"]["ospa_phi_deg"][steady].mean())
+    nom_err = abs(float(agg["per_step"]["nom_hat"][steady].mean()) - 3.0)
+    assert d_cm < 2.0 and phi_deg < 2.0 and nom_err < 0.3, (
+        f"MOSPA(d) {d_cm:.2f}cm (<2), MOSPA(AoA) {phi_deg:.2f}deg (<2), "
+        f"NOM err {nom_err:.3f} (<0.3)")
 
 
 def test_c10_determinism(desk_results, tmp_path):

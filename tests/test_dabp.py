@@ -403,6 +403,7 @@ class TestLinearDomainMessages:
         log_nu = rng.normal(0.0, 1.0, (len(zs), len(trs)))
         post, p_exist = tracker._update_legacy(stacked(trs).p_exist, w,
                                                log_nu)
+        post /= post.sum(axis=1, keepdims=True)
         for k, tr in enumerate(trs):
             want_w, want_p = reference_legacy_update(tr, zs, log_nu[:, k],
                                                      log_t, p)

@@ -113,22 +113,21 @@ class TestAssignmentSolver:
 
 class TestOspaValues:
     def test_identical_sets(self):
-        assert ospa([1.0, 2.0, 3.0], [3.0, 1.0, 2.0], 2.0, 0.1) == 0.0
+        assert ospa([1.0, 2.0, 3.0], [3.0, 1.0, 2.0], 0.1) == 0.0
 
     def test_pure_cardinality_penalty(self):
-        assert ospa([1.0], [], 2.0, 0.1) == pytest.approx(0.1)
-        assert ospa([], [1.0], 2.0, 0.1) == pytest.approx(0.1)
-        assert ospa([], [], 2.0, 0.1) == 0.0
+        assert ospa([1.0], [], 0.1) == pytest.approx(0.1)
+        assert ospa([], [1.0], 0.1) == pytest.approx(0.1)
+        assert ospa([], [], 0.1) == 0.0
 
     def test_single_pair(self):
-        assert ospa([1.00], [1.05], 2.0, 0.1) == pytest.approx(0.05)
+        assert ospa([1.00], [1.05], 0.1) == pytest.approx(0.05)
 
     def test_cutoff_bound(self):
-        assert ospa([0.0], [100.0], 2.0, 0.1) == pytest.approx(0.1)
+        assert ospa([0.0], [100.0], 0.1) == pytest.approx(0.1)
 
     def test_angular_base_distance(self):
-        got = ospa([math.pi - 0.01], [-math.pi + 0.01], 2.0, 0.5,
-                   angular=True)
+        got = ospa([math.pi - 0.01], [-math.pi + 0.01], 0.5, angular=True)
         assert got == pytest.approx(0.02)
 
     def test_assignment_optimality_vs_brute_force(self):
@@ -138,9 +137,8 @@ class TestOspaValues:
             x = rng.uniform(0, 10, int(n))
             y = rng.uniform(0, 10, int(m))
             c = rng.uniform(0.5, 5.0)
-            p = rng.choice([1.0, 2.0])
-            assert ospa(x, y, p, c) == pytest.approx(
-                brute_force_ospa(list(x), list(y), p, c), abs=1e-12)
+            assert ospa(x, y, c) == pytest.approx(
+                brute_force_ospa(list(x), list(y), OSPA_P, c), abs=1e-12)
 
 
 class TestOspaOnTies:
@@ -161,13 +159,12 @@ class TestOspaOnTies:
             est = np.concatenate([
                 truth[near] + rng.normal(0.0, 0.3 * c, len(near)),
                 rng.uniform(-span, span, m - len(near))])
-            got = ospa(truth, est, OSPA_P, c, angular=angular)
+            got = ospa(truth, est, c, angular=angular)
             assert got == scipy_ospa(truth, est, OSPA_P, c, angular), \
                 (truth, est)
 
-    @pytest.mark.parametrize("p", [OSPA_P, 3.0])
     @pytest.mark.parametrize("angular", [False, True])
-    def test_random_sets_match_scipy(self, p, angular):
+    def test_random_sets_match_scipy(self, angular):
         # Every shape up to 10 x 10, so some sums have 8 or more terms.
         rng = np.random.default_rng(2016)
         c = CUTOFF_PHI if angular else CUTOFF_D
@@ -177,18 +174,19 @@ class TestOspaOnTies:
                 for _ in range(20):
                     truth = rng.uniform(-span, span, n)
                     est = rng.uniform(-span, span, m)
-                    assert ospa(truth, est, p, c, angular) == \
-                        scipy_ospa(truth, est, p, c, angular), (truth, est)
+                    assert ospa(truth, est, c, angular) == \
+                        scipy_ospa(truth, est, OSPA_P, c, angular), \
+                        (truth, est)
 
     @pytest.mark.parametrize("angular", [False, True])
     def test_non_finite_input_raises_like_scipy(self, angular):
         with pytest.raises(ValueError):
-            ospa([0.0, np.nan], [0.0], OSPA_P, CUTOFF_PHI, angular)
+            ospa([0.0, np.nan], [0.0], CUTOFF_PHI, angular)
         if angular:
             with pytest.raises(ValueError):
-                ospa([0.0], [np.inf, 1.0], OSPA_P, CUTOFF_PHI, angular)
+                ospa([0.0], [np.inf, 1.0], CUTOFF_PHI, angular)
         else:
-            assert ospa([0.0], [np.inf, 1.0], OSPA_P, CUTOFF_D) == \
+            assert ospa([0.0], [np.inf, 1.0], CUTOFF_D) == \
                 scipy_ospa([0.0], [np.inf, 1.0], OSPA_P, CUTOFF_D)
 
     def test_short_sums_add_in_order_as_numpy(self):
@@ -202,10 +200,9 @@ class TestOspaOnTies:
 
 
 class TestCostMatrix:
-    @pytest.mark.parametrize("p", [OSPA_P, 3.0])
     @pytest.mark.parametrize("angular", [False, True])
     @pytest.mark.parametrize("cutoff", [0.1, 4.0, 1e7])
-    def test_same_bits_as_numpy_form(self, p, angular, cutoff):
+    def test_same_bits_as_numpy_form(self, angular, cutoff):
         # Normal draws, values up to +-1e6, +-pi, multiples of 2 pi, signed
         # zeros, +-1e300 and the smallest subnormal, against each other.
         rng = np.random.default_rng(22)
@@ -217,8 +214,8 @@ class TestCostMatrix:
         diff = ang_diff(x[:, None], y[None, :]) if angular \
             else x[:, None] - y[None, :]
         with np.errstate(over="ignore"):
-            expect = np.minimum(np.abs(diff), cutoff) ** p
-            got = np.array(metrics._cost_matrix(x.tolist(), y.tolist(), p,
+            expect = np.minimum(np.abs(diff), cutoff) ** OSPA_P
+            got = np.array(metrics._cost_matrix(x.tolist(), y.tolist(),
                                                 cutoff, angular))
         assert np.array_equal(got.view(np.int64), expect.view(np.int64))
 
@@ -228,9 +225,9 @@ class TestOspaAxioms:
            st.lists(st.floats(-50, 50), max_size=5))
     @settings(max_examples=200, deadline=None)
     def test_symmetry_and_bounds(self, x, y):
-        c, p = 1.7, 2.0
-        d_xy = ospa(x, y, p, c)
-        assert d_xy == pytest.approx(ospa(y, x, p, c), abs=1e-9)
+        c = 1.7
+        d_xy = ospa(x, y, c)
+        assert d_xy == pytest.approx(ospa(y, x, c), abs=1e-9)
         assert -1e-12 <= d_xy <= c + 1e-12
 
     @given(st.lists(st.floats(-20, 20), max_size=4),
@@ -238,12 +235,12 @@ class TestOspaAxioms:
            st.lists(st.floats(-20, 20), max_size=4))
     @settings(max_examples=200, deadline=None)
     def test_triangle_inequality(self, x, y, z):
-        c, p = 1.0, 2.0
-        assert ospa(x, z, p, c) <= ospa(x, y, p, c) + ospa(y, z, p, c) + 1e-9
+        c = 1.0
+        assert ospa(x, z, c) <= ospa(x, y, c) + ospa(y, z, c) + 1e-9
 
     def test_zero_iff_equal_multisets(self):
-        assert ospa([1.0, 1.0, 2.0], [1.0, 2.0, 1.0], 2.0, 1.0) == 0.0
-        assert ospa([1.0, 1.0], [1.0, 2.0], 2.0, 1.0) > 1e-6
+        assert ospa([1.0, 1.0, 2.0], [1.0, 2.0, 1.0], 1.0) == 0.0
+        assert ospa([1.0, 1.0], [1.0, 2.0], 1.0) > 1e-6
 
 
 class TestRunLogAndAggregate:

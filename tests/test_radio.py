@@ -4,13 +4,11 @@ batched steering kernel, the coarse matched filter against its earlier form,
 the harmonic score against a loop oracle, the time-domain correlation and
 its own finite differences, the Newton refinement's stops, the coarse grid's
 sizing rule, refinement on a single element, the forward-inverse round trip
-and hostile sample vectors and feedback seeds."""
+and hostile sample vectors."""
 
 import cmath
 import logging
 import math
-import types
-import warnings
 
 import numpy as np
 import pytest
@@ -212,7 +210,7 @@ class TestSnapshotEstimator:
         d_true, phi_true = 5.37, math.radians(23.4)
         s = (d_true, phi_true, 30.0, 0.0, 0.0)
         samples = component_sum(*rows([(s, 0.7)]), GEOM)
-        ms = snapshot_estimate(samples, None, BANK, u_de=25.0)
+        ms = snapshot_estimate(samples, BANK, u_de=25.0)
         assert len(ms) == 1
         assert abs(ms[0].z_d - d_true) < SPEED_OF_LIGHT * GEOM.T_s / 20.0
         assert abs(ms[0].z_phi - phi_true) < math.radians(1.0)
@@ -223,7 +221,7 @@ class TestSnapshotEstimator:
         s2 = (9.0, math.radians(60.0), u, 0, 0)
         samples = synth_radio(*rows([(s1, 0.3), (s2, 2.1)]), GEOM,
                               np.random.default_rng(1))
-        ms = snapshot_estimate(samples, None, BANK, u_de=25.0)
+        ms = snapshot_estimate(samples, BANK, u_de=25.0)
         assert len(ms) == 2
         ds = sorted(z.z_d for z in ms)
         assert ds[0] == pytest.approx(3.0, abs=0.05)
@@ -242,21 +240,9 @@ class TestSnapshotEstimator:
         for _ in range(trials):
             noise = (rng.standard_normal(GEOM.n_eff)
                      + 1j * rng.standard_normal(GEOM.n_eff)) / math.sqrt(2)
-            ms = snapshot_estimate(noise, None, BANK, u_de=u_de)
+            ms = snapshot_estimate(noise, BANK, u_de=u_de)
             spurious += len(ms)
         assert spurious <= 5  # a handful on average, not per snapshot
-
-    def test_feedback_seeds_accepted(self):
-        s = (7.0, math.radians(-10.0), 40.0, 0.0, 0.0)
-        samples = synth_radio(*rows([(s, 1.0)]), GEOM,
-                              np.random.default_rng(4))
-
-        class Seed:
-            d, phi = 7.02, math.radians(-10.3)
-
-        ms = snapshot_estimate(samples, [Seed()], BANK, u_de=25.0)
-        assert len(ms) == 1
-        assert ms[0].z_d == pytest.approx(7.0, abs=0.02)
 
 
 # ---------------------------------------------------------------------------
@@ -428,33 +414,55 @@ class TestBatchedEstimator:
         assert abs(d - d_true) < SPEED_OF_LIGHT * GEOM.T_s / 20.0
         assert abs(phi - phi_true) < math.radians(1.0)
 
-    @pytest.mark.parametrize("phi", [math.radians(23.4), 1.0, -2.0])
-    @pytest.mark.parametrize("turns", [1, -1])
-    def test_extract_projects_the_wrapped_winner(self, phi, turns):
-        # A seed a full turn off a noiseless component is refined unwrapped
-        # (the score is 2 pi-periodic in phi) and may win; the cancellation
-        # step's amplitude and rest are the projection onto the point's own
-        # steering vector, and the reported angle is wrapped.
+    @pytest.mark.parametrize("phi", [math.pi - 0.005, math.pi - 0.04,
+                                     -math.pi + 0.02])
+    def test_cancel_projects_the_unwrapped_point(self, phi):
+        # A noiseless component just inside the +-pi seam: its coarse peak
+        # is the -pi cell, and from just below +pi the refinement crosses
+        # the seam unwrapped (the score is 2 pi-periodic in phi). The
+        # cancellation step's amplitude and rest are the projection onto
+        # the refined point's own steering vector, and the reported angle is
+        # wrapped.
         residual = component_sum(
             *rows([((5.37, phi, 30.0, 0.0, 0.0), 0.7)]), GEOM)
-        seed = (5.37, phi + turns * 2.0 * math.pi)
-        d, phi_hat, amp, _, rest, _ = radio._cancel(residual, [seed], BANK)
+        assert BANK.coarse_peak(BANK.harmonics(residual))[1] == -math.pi
+        d, phi_hat, amp, _, rest, _ = radio._cancel(residual, BANK)
         _, s, nsq, corr = oracle_objective(residual, d, phi_hat, GEOM)
         alpha = corr / nsq
         assert bits([amp]) == bits([abs(alpha) * math.sqrt(nsq)])
         assert rest.tobytes() == (residual - alpha * s).tobytes()
-        if phi == 1.0:    # here the seed's refinement scores highest
-            assert abs(phi_hat - seed[1]) < math.radians(0.1)
-        (m,) = snapshot_estimate(residual, [types.SimpleNamespace(
-            d=seed[0], phi=seed[1])], BANK, u_de=25.0)
+        if phi > 0:
+            assert abs(phi_hat - (phi - 2.0 * math.pi)) < math.radians(0.1)
+        (m,) = snapshot_estimate(residual, BANK, u_de=25.0)
         assert -math.pi <= m.z_phi < math.pi
         assert abs(m.z_phi - phi) < math.radians(0.1)
 
-    @pytest.mark.parametrize("n_seeds", [0, 2, 12])
-    def test_steering_calls_per_component(self, monkeypatch, n_seeds):
-        # Whatever the candidate count, the search runs on the harmonics
-        # table and a component costs one steering vector, the winner's,
-        # for its projection.
+    @pytest.mark.parametrize("phi", [math.radians(23.4), 1.0, -2.0])
+    @pytest.mark.parametrize("turns", [1, -1])
+    def test_extract_projects_the_wrapped_winner(self, monkeypatch, phi,
+                                                 turns):
+        # A coarse peak a full turn off a noiseless component is refined
+        # unwrapped (the score is 2 pi-periodic in phi); the cancellation
+        # step's amplitude and rest are the projection onto the refined
+        # point's own steering vector, and the reported angle is wrapped.
+        residual = component_sum(
+            *rows([((5.37, phi, 30.0, 0.0, 0.0), 0.7)]), GEOM)
+        start = (5.37, phi + turns * 2.0 * math.pi)
+        monkeypatch.setattr(radio.MatchedFilterBank, "coarse_peak",
+                            lambda bank, base: start)
+        d, phi_hat, amp, _, rest, _ = radio._cancel(residual, BANK)
+        _, s, nsq, corr = oracle_objective(residual, d, phi_hat, GEOM)
+        alpha = corr / nsq
+        assert bits([amp]) == bits([abs(alpha) * math.sqrt(nsq)])
+        assert rest.tobytes() == (residual - alpha * s).tobytes()
+        assert abs(phi_hat - start[1]) < math.radians(0.1)
+        (m,) = snapshot_estimate(residual, BANK, u_de=25.0)
+        assert -math.pi <= m.z_phi < math.pi
+        assert abs(m.z_phi - phi) < math.radians(0.1)
+
+    def test_steering_calls_per_component(self, monkeypatch):
+        # The search runs on the harmonics table and a component costs one
+        # steering vector, the refined point's, for its projection.
         calls = []
         kernel = radio.steering_vectors
 
@@ -462,13 +470,6 @@ class TestBatchedEstimator:
             calls.append(len(d))
             return kernel(d, phi, geom)
 
-        class Seed:
-            def __init__(self, d, phi):
-                self.d, self.phi = d, phi
-
-        rng = np.random.default_rng(n_seeds)
-        seeds = [Seed(rng.uniform(1, 15), rng.uniform(-3, 3))
-                 for _ in range(n_seeds)]
         iterations = []
         peak = radio.MatchedFilterBank.coarse_peak
 
@@ -480,7 +481,7 @@ class TestBatchedEstimator:
         monkeypatch.setattr(radio, "steering_vectors", counting)
         monkeypatch.setattr(radio.MatchedFilterBank, "coarse_peak",
                             counting_peak)
-        ms = snapshot_estimate(samples, seeds, BANK, u_de=25.0)
+        ms = snapshot_estimate(samples, BANK, u_de=25.0)
         assert len(ms) == 2
         per_component = np.diff(iterations + [len(calls)])
         assert per_component.tolist() == [1, 1, 1]  # two found, one rejected
@@ -628,7 +629,7 @@ class TestCoarseGrid:
         d_true, phi_true = point
         samples = component_sum(
             *rows([((d_true, phi_true, 30.0, 0.0, 0.0), 0.7)]), geom)
-        ms = snapshot_estimate(samples, None, radio.MatchedFilterBank(geom),
+        ms = snapshot_estimate(samples, radio.MatchedFilterBank(geom),
                                u_de=25.0)
         assert len(ms) == 1
         assert abs(ms[0].z_d - d_true) < SPEED_OF_LIGHT * geom.T_s / 20.0
@@ -650,7 +651,7 @@ class TestSingleElement:
             d = float(rng.uniform(2.0, 15.0))
             samples = synth_radio(*rows([((d, 0.3, 40.0, 0.0, 0.0), 1.0)]),
                                   SINGLE, rng)
-            (m,) = snapshot_estimate(samples, None, bank, u_de=25.0)
+            (m,) = snapshot_estimate(samples, bank, u_de=25.0)
             errors.append(abs(m.z_d - d))
         assert np.median(errors) < 0.01
 
@@ -693,7 +694,7 @@ class TestHostileSamples:
         radio.log.addHandler(handler)
         try:
             with np.errstate(over="ignore", invalid="ignore"):
-                ms = snapshot_estimate(samples, None, BANK, u_de=25.0)
+                ms = snapshot_estimate(samples, BANK, u_de=25.0)
         finally:
             radio.log.removeHandler(handler)
         assert ms == []
@@ -718,8 +719,8 @@ class TestHostileSamples:
         # measurements: the estimator runs on the samples brought to unit
         # scale by a power of two.
         samples = noisy_snapshot(seed)
-        want = snapshot_estimate(samples, None, BANK, u_de=25.0)
-        got = snapshot_estimate(samples * scale, None, BANK, u_de=25.0)
+        want = snapshot_estimate(samples, BANK, u_de=25.0)
+        got = snapshot_estimate(samples * scale, BANK, u_de=25.0)
         assert len(got) == len(want) == 2
         for a, b in zip(got, want):
             assert a == pytest.approx(b, rel=1e-9)
@@ -729,34 +730,8 @@ class TestHostileSamples:
         # normal, and so is the estimator's own normalisation: every such
         # scale gives the unit-scale measurements bit for bit.
         samples = noisy_snapshot(0)
-        want = snapshot_estimate(samples, None, BANK, u_de=25.0)
+        want = snapshot_estimate(samples, BANK, u_de=25.0)
         assert len(want) == 2
         for e in range(-1000, 1001):
-            assert snapshot_estimate(samples * 2.0 ** e, None, BANK,
+            assert snapshot_estimate(samples * 2.0 ** e, BANK,
                                      u_de=25.0) == want, e
-
-    @pytest.mark.parametrize("bad", [(math.inf, 0.3), (-math.inf, 0.3),
-                                     (4.0, math.nan), (math.nan, math.inf)])
-    def test_non_finite_seeds_are_dropped(self, bad):
-        # A feedback seed with a non-finite d or phi is dropped before the
-        # Newton search, with one logged warning and no RuntimeWarning: the
-        # output is the one without it.
-        samples = noisy_snapshot(0)
-        good = types.SimpleNamespace(d=4.03, phi=math.radians(-34.0))
-        seed = types.SimpleNamespace(d=bad[0], phi=bad[1])
-        handler = Records()
-        radio.log.addHandler(handler)
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("error", RuntimeWarning)
-                alone = snapshot_estimate(samples, [seed], BANK, u_de=25.0)
-                mixed = snapshot_estimate(samples, [seed, good], BANK,
-                                          u_de=25.0)
-        finally:
-            radio.log.removeHandler(handler)
-        assert alone == snapshot_estimate(samples, None, BANK, u_de=25.0)
-        assert mixed == snapshot_estimate(samples, [good], BANK, u_de=25.0)
-        assert len(alone) == 2
-        assert [r.getMessage() for r in handler.records] == [
-            "snapshot_estimate: 1 of 1 feedback seeds not finite; dropped",
-            "snapshot_estimate: 1 of 2 feedback seeds not finite; dropped"]

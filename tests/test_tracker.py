@@ -3,6 +3,7 @@ pruning, determinism and measurement-order invariance."""
 
 import copy
 import math
+import re
 import traceback
 
 import numpy as np
@@ -483,6 +484,25 @@ class TestInputGate:
         assert st_bad.rng.bit_generator.state == st_ok.rng.bit_generator.state
 
 
+    @pytest.mark.parametrize("ms", [
+        [(5.0, 0.1), (8.0, 0.2), (30.0, 0.3)],
+        [(5.0, 0.1, 12.0, 0.0), (9.0, -1.0, 7.0, 0.0)],
+        [5.0, 0.1, 12.0]], ids=["rows_of_two", "rows_of_four", "flat"])
+    def test_malformed_set_raises(self, ms):
+        # A non-empty set that is not M rows of three fields raises
+        # ValueError naming its shape (three 2-tuples would otherwise
+        # re-row into two measurements), before the generator or the state
+        # is touched.
+        p = params(J=100)
+        st = tracker.predict(tracked_state(p, 9), p)
+        before = copy.deepcopy(st)
+        est = tracker.estimate(st, p)
+        with pytest.raises(ValueError, match=re.escape(str(np.shape(ms)))):
+            tracker.update(st, ms, p, GEOM)
+        assert_unchanged(st, before)
+        assert tracker.estimate(st, p) == est
+
+
 def counted_update(monkeypatch, name, p):
     """One update with K = 2 legacy tracks and M = 3 accepted measurements
     (the fourth is below the detection threshold), counting the calls of
@@ -653,7 +673,8 @@ class TestBatchedProposals:
             top = np.max(log_w)
             assert np.isfinite(top)
             shifted = np.exp(log_w - top)
-            assert np.array_equal(weights[m], shifted / shifted.sum())
+            assert np.array_equal(weights[m] / weights[m].sum(),
+                                  shifted / shifted.sum())
             assert log_mass[m] == np.log(shifted.sum() / p.J) + top
         # The near-threshold measurement's redraws consumed extra normals.
         assert not kept[0].all()
@@ -1273,6 +1294,7 @@ class TestStackedEqualsPerTrack:
         post, p_exist = tracker._update_legacy(st.p_exist, w, log_nu)
         for k, tr in enumerate(beliefs):
             oracle_update_legacy(tr, w, k, log_nu)
+        post /= post.sum(axis=1, keepdims=True)
         assert post.tobytes() == np.array([tr.weights
                                            for tr in beliefs]).tobytes()
         assert p_exist.tolist() == [tr.p_exist for tr in beliefs]

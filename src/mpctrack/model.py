@@ -30,32 +30,26 @@ SIGMA_PHI_SQ_MAX = TWO_PI**2
 SPEED_OF_LIGHT = 299792458.0
 
 
-def wrap_periodic(x, period: float):
-    """Wrap x into [-period/2, period/2) as
-    np.mod(x + period/2, period) - period/2. Works on scalars and arrays.
+def wrap_angle(phi):
+    """Wrap angles (radians) into [-pi, pi) as
+    np.mod(phi + pi, 2 pi) - pi. Works on scalars and arrays.
 
-    A float64 array whose shifted values y = x + period/2 all lie in
-    [-period, 2 period), such as a residual of two wrapped angles, an angle
-    one motion step off the circle or the radio's sample-time-minus-delay
-    grid, is wrapped by adding or subtracting the period where y < 0 or
-    y >= period. Subtracting is exact (Sterbenz) and adding rounds as
-    np.mod's own correction does, so the result is bit-for-bit the np.mod
-    form at a fraction of its cost. Every other input (0-d, empty,
+    A float64 array whose shifted values y = phi + pi all lie in
+    [-2 pi, 4 pi), such as a residual of two wrapped angles or an angle one
+    motion step off the circle, is wrapped by adding or subtracting 2 pi
+    where y < 0 or y >= 2 pi. Subtracting is exact (Sterbenz) and adding
+    rounds as np.mod's own correction does, so the result is bit-for-bit the
+    np.mod form at a fraction of its cost. Every other input (0-d, empty,
     non-finite, further out) takes np.mod.
     """
-    y = np.asarray(x) + period / 2.0
+    y = np.asarray(phi) + TWO_PI / 2.0
     if (np.ndim(y) and y.dtype == np.float64 and y.size
-            and y.min() >= -period and y.max() < 2.0 * period):
-        np.subtract(y, period, out=y, where=y >= period)
-        np.add(y, period, out=y, where=y < 0.0)
-        y -= period / 2.0
+            and y.min() >= -TWO_PI and y.max() < 2.0 * TWO_PI):
+        np.subtract(y, TWO_PI, out=y, where=y >= TWO_PI)
+        np.add(y, TWO_PI, out=y, where=y < 0.0)
+        y -= TWO_PI / 2.0
         return y
-    return np.mod(y, period) - period / 2.0
-
-
-def wrap_angle(phi):
-    """Wrap angles (radians) into [-pi, pi): wrap_periodic with period 2 pi."""
-    return wrap_periodic(phi, TWO_PI)
+    return np.mod(y, TWO_PI) - TWO_PI / 2.0
 
 
 def ang_diff(a, b):

@@ -1,18 +1,19 @@
 """Radio-signal forward synthesis and a successive-cancellation snapshot
 estimator.
 
-The transmit pulse is a root-raised-cosine, treated as periodic over the
-observation window (delays wrap), truncated at +-8 symbol periods. The
-snapshot estimator takes the residual's per-element harmonics once per
-component. On them it runs a coarse delay-angle matched filter (an np.fft
-inverse transform, in place, on a grid sized to the geometry: eight angle
-cells per beamwidth lambda / D, at most 180, and a 2-3-5-smooth count of at
-least four delay cells per sample) and refines the coarse peak once, with
-Newton steps on the harmonic matched-filter power, whose gradient and
-Hessian are exact. The refined point is projected once onto its time-domain
-steering vector, which gives the least-squares amplitude and the
-subtraction; the estimator repeats while the normalized amplitude exceeds the
-detection threshold. Its measurements depend on the samples alone.
+The transmit pulse is a root-raised-cosine defined by its spectrum: its
+Fourier-series coefficients on the N_s baseband harmonics of the observation
+window, over which it is periodic (delays wrap). Synthesis places them on
+each element's FFT bins, and the estimator works on the per-element
+harmonics of a snapshot, taken once. On them it runs a coarse delay-angle
+matched filter (an np.fft inverse transform, in place, on a grid sized to the
+geometry: eight angle cells per beamwidth lambda / D, at most 180, and a
+2-3-5-smooth count of at least four delay cells per sample) and refines the
+coarse peak once, with Newton steps on the harmonic matched-filter power,
+whose gradient and Hessian are exact. The refined component's least-squares
+amplitude and its subtraction are taken on the harmonics too; the estimator
+repeats while the normalized amplitude exceeds the detection threshold. Its
+measurements depend on the samples alone.
 """
 
 import logging
@@ -20,45 +21,12 @@ import math
 
 import numpy as np
 
-from .model import (SPEED_OF_LIGHT, ArrayGeometry, Measurement, wrap_angle,
-                    wrap_periodic)
+from .model import SPEED_OF_LIGHT, ArrayGeometry, Measurement, wrap_angle
 
 log = logging.getLogger(__name__)
 
 PULSE_DURATION = 2e-9     # root-raised-cosine symbol period, seconds
 PULSE_ROLLOFF = 0.6
-PULSE_TRUNC_SYMBOLS = 8.0  # pulse support is +- this many symbol periods
-
-
-def rrc_pulse(t):
-    """Root-raised-cosine pulse of symbol period T = PULSE_DURATION and
-    rolloff b = PULSE_ROLLOFF, unit peak scale 1/T convention, zero outside
-    +-PULSE_TRUNC_SYMBOLS symbol periods (NaN stays NaN)."""
-    T, b = PULSE_DURATION, PULSE_ROLLOFF
-    x = np.asarray(t, dtype=float) / T
-    out = np.zeros_like(x)
-    # Only the support is evaluated; NaN fails the comparison, so it is kept.
-    inside = ~(np.abs(x) > PULSE_TRUNC_SYMBOLS)
-    x = x[inside]
-    val = np.empty_like(x)
-
-    near_zero = np.abs(x) < 1e-8
-    val[near_zero] = (1.0 + b * (4.0 / np.pi - 1.0)) / T
-
-    near_sing = np.abs(np.abs(x) - 1.0 / (4.0 * b)) < 1e-8
-    val[near_sing] = (b / (T * math.sqrt(2.0))) * (
-        (1.0 + 2.0 / np.pi) * math.sin(np.pi / (4.0 * b))
-        + (1.0 - 2.0 / np.pi) * math.cos(np.pi / (4.0 * b)))
-
-    rest = ~(near_zero | near_sing)
-    xr = x[rest]
-    num = (np.sin(np.pi * xr * (1.0 - b))
-           + 4.0 * b * xr * np.cos(np.pi * xr * (1.0 + b)))
-    den = np.pi * xr * (1.0 - (4.0 * b * xr) ** 2)
-    val[rest] = num / den / T
-
-    out[inside] = val
-    return out
 
 
 def rrc_mean_square_bandwidth(T: float = PULSE_DURATION,
@@ -82,28 +50,43 @@ def default_geometry() -> ArrayGeometry:
 # Steering vectors and snapshots
 # ---------------------------------------------------------------------------
 
-def _sample_times(geom: ArrayGeometry) -> np.ndarray:
-    return (np.arange(geom.N_s) - (geom.N_s - 1) / 2.0) * geom.T_s
-
-
-def _pulse_periodic(t, period: float) -> np.ndarray:
-    """Transmit pulse with delays wrapped onto the observation period."""
-    return rrc_pulse(wrap_periodic(t, period))
+def _pulse_harmonics(geom: ArrayGeometry):
+    """The baseband harmonics k in [-N_s/2, N_s/2) of the observation period
+    and the pulse's Fourier-series coefficients on them, c_k = P(k / period)
+    / period. P is the root-raised-cosine spectrum of symbol period T and
+    rolloff b: 1 in the pass band |f| <= (1 - b) / 2T, the square root of a
+    raised cosine in the roll-off and 0 beyond (1 + b) / 2T. The c_k are
+    real and even."""
+    T, b = PULSE_DURATION, PULSE_ROLLOFF
+    period = geom.N_s * geom.T_s
+    half = geom.N_s // 2
+    ks = np.arange(-half, geom.N_s - half)
+    # 0 in the pass band, 1 at the band edge and beyond.
+    roll = np.clip((np.abs(ks) * T / period - 0.5 * (1.0 - b)) / b, 0.0, 1.0)
+    return ks, np.sqrt(0.5 + 0.5 * np.cos(np.pi * roll)) / period
 
 
 def steering_vectors(d, phi, geom: ArrayGeometry) -> np.ndarray:
     """Sampled, element-major stacked signals of unit-amplitude components at
     distances d and arrival angles phi (equal-length sequences); shape
-    (P, N_s * H), one row per (d, phi) pair."""
+    (P, N_s * H), one row per (d, phi) pair.
+
+    Element h samples sum_k c_k e^{j omega_k (t_n - tau_h)} e^{j 2 pi f_c g_h}
+    at the times t_n = (n - i0) T_s about the centre sample i0 = (N_s - 1) / 2,
+    with omega_k = 2 pi k / period, g_h the delay shift at phi and tau_h =
+    d / c - g_h: the inverse FFT of N_s c_k e^{-j theta_hk} e^{-j 2 pi k i0 /
+    N_s} on bin k mod N_s, theta_hk = omega_k tau_h - 2 pi f_c g_h.
+    """
     d = np.asarray(d, dtype=float)
-    times = _sample_times(geom)
-    period = geom.N_s * geom.T_s
-    g = geom.delay_shift(np.asarray(phi, dtype=float)).T  # (P, H)
-    tau = d[:, None] / SPEED_OF_LIGHT - g          # per-element delay
-    ph = np.exp(2j * np.pi * geom.f_c * g)         # per-element carrier phase
-    blocks = _pulse_periodic(times[None, None, :] - tau[:, :, None], period) \
-        * ph[:, :, None]
-    return blocks.reshape(d.size, geom.n_eff)
+    ks, coeff = _pulse_harmonics(geom)
+    omega = 2.0 * np.pi * ks / (geom.N_s * geom.T_s)
+    g = geom.delay_shift(np.asarray(phi, dtype=float)).T[:, :, None]  # (P,H,1)
+    theta = omega * (d[:, None, None] / SPEED_OF_LIGHT - g) \
+        - 2.0 * np.pi * geom.f_c * g
+    spec = np.empty((d.size, geom.H, geom.N_s), dtype=complex)
+    spec[:, :, np.mod(ks, geom.N_s)] = geom.N_s * coeff * np.exp(
+        -1j * (theta + np.pi * ks * (geom.N_s - 1) / geom.N_s))
+    return np.fft.ifft(spec, axis=2).reshape(d.size, geom.n_eff)
 
 
 def synth_radio(truth: np.ndarray, phases: np.ndarray, geom: ArrayGeometry,
@@ -119,10 +102,7 @@ def synth_radio(truth: np.ndarray, phases: np.ndarray, geom: ArrayGeometry,
     samples = np.zeros(geom.n_eff, dtype=complex)
     S = steering_vectors(truth[:, 0], truth[:, 1], geom)
     for u, phase, s in zip(truth[:, 2].tolist(), phases.tolist(), S):
-        norm = np.linalg.norm(s)
-        if norm == 0.0:
-            continue
-        samples += u / norm * np.exp(1j * phase) * s
+        samples += u / np.linalg.norm(s) * np.exp(1j * phase) * s
     samples += math.sqrt(0.5) * (rng.standard_normal(geom.n_eff)
                                  + 1j * rng.standard_normal(geom.n_eff))
     return samples
@@ -159,23 +139,6 @@ def _angle_cells(geom: ArrayGeometry) -> int:
     return max(1, math.ceil(min(180.0, cells)))
 
 
-def _pulse_harmonics(geom: ArrayGeometry) -> np.ndarray:
-    """Fourier-series coefficients of the periodic pulse on the baseband
-    harmonics k in [-N_s/2, N_s/2), computed from a fine sampling."""
-    period = geom.N_s * geom.T_s
-    Q = 16 * geom.N_s
-    tq = (np.arange(Q) / Q - 0.5) * period
-    p = _pulse_periodic(tq, period)
-    spec = np.fft.fft(p) / Q
-    # fft of samples p(tq): coefficient k lives at bin k with a phase from
-    # the -period/2 start offset.
-    k = np.fft.fftfreq(Q, d=1.0 / Q)
-    coeff = spec * np.exp(-1j * np.pi * k)  # shift start to t = -T/2
-    half = geom.N_s // 2
-    ks = np.arange(-half, geom.N_s - half)
-    return ks, coeff[ks % Q]
-
-
 class MatchedFilterBank:
     """Precomputed coarse delay-angle correlation machinery for one geometry:
     L delay cells of delay_step seconds over the period, and
@@ -188,8 +151,12 @@ class MatchedFilterBank:
         self.period = geom.N_s * geom.T_s
         self.L = _smooth_length(4 * geom.N_s)
         self.delay_step = self.period / self.L
-        self.ks, coeff = _pulse_harmonics(geom)
-        self.coeff_conj = np.conj(coeff)
+        self.ks, self.coeff = _pulse_harmonics(geom)
+        # A unit steering vector's harmonics table is power_k e^{-j theta_hk}
+        # (see rotation), and by Parseval its squared norm is nsq at every
+        # point.
+        self.power = geom.N_s * self.coeff * self.coeff
+        self.nsq = geom.H * float(self.power.sum())
         self.fft_cols = np.mod(self.ks, geom.N_s)   # harmonic k's FFT bin
         self.pad_cols = np.mod(self.ks, self.L)     # and its fine-grid bin
         self.angles = np.linspace(-np.pi, np.pi, _angle_cells(geom),
@@ -211,13 +178,13 @@ class MatchedFilterBank:
         self.center_phase = np.exp(2j * np.pi * self.ks * i0 / geom.N_s)
 
     def harmonics(self, samples: np.ndarray) -> np.ndarray:
-        """The (H, K) table conj(c_k) Y_hk e^{j 2 pi k i0 / N_s} of a sample
-        vector: each element's FFT on the baseband harmonics k, matched to
-        the pulse's Fourier coefficients c_k and referred to the centre
-        sample i0. coarse_peak and score search it."""
+        """The (H, K) table c_k Y_hk e^{j 2 pi k i0 / N_s} of a sample vector:
+        each element's FFT on the baseband harmonics k, matched to the
+        pulse's Fourier coefficients c_k and referred to the centre sample
+        i0. coarse_peak and score search it."""
         geom = self.geom
         Y = np.fft.fft(samples.reshape(geom.H, geom.N_s), axis=1)
-        return self.coeff_conj[None, :] * Y[:, self.fft_cols] \
+        return self.coeff[None, :] * Y[:, self.fft_cols] \
             * self.center_phase[None, :]
 
     def coarse_peak(self, base: np.ndarray):
@@ -236,23 +203,29 @@ class MatchedFilterBank:
         ai, qi = np.unravel_index(int(np.argmax(power)), power.shape)
         return qi * self.delay_step * SPEED_OF_LIGHT, float(self.angles[ai])
 
+    def rotation(self, d: float, phi: float):
+        """The (H, K) table e^{j theta_hk} of the point (d, phi), theta_hk =
+        omega_k (d / c - g_h) - 2 pi f_c g_h, with the delay shifts g_h at
+        phi and q_h at phi - pi / 2: (table, g, q). The sum of a harmonics
+        table times it is np.vdot(s, y) for the point's steering vector s,
+        whose own harmonics table is power_k e^{-j theta_hk}."""
+        g, q = self.geom.delay_shift(np.array([phi, phi - 0.5 * math.pi])).T
+        return np.exp(1j * (self.omega_d * d
+                            - np.multiply.outer(g, self.omega_rf))), g, q
+
     def score(self, base: np.ndarray, d: float, phi: float):
         """|corr|^2 of the point (d, phi) against a harmonics table, with its
         gradient and Hessian in (d, phi): (score, (g_d, g_phi), (h_dd,
         h_dphi, h_phiphi)) as Python floats.
 
-        corr sums base_hk e^{j theta_hk} over elements h and harmonics k,
-        theta_hk = omega_k (d / c - g_h) - 2 pi f_c g_h with g_h the delay
-        shift at phi: np.vdot(s, y) for the point's steering vector s, in
-        the harmonic domain. By Parseval ||s|| does not depend on (d, phi),
-        so |corr|^2 is the score. theta's derivatives are omega_k / c in d
-        and (omega_k + 2 pi f_c) q_h in phi, with q_h = -g_h' the delay shift
-        at phi - pi / 2 and q_h' = g_h; without aperture (g_h = 0) every phi
-        term is exactly 0.
+        corr sums base_hk e^{j theta_hk} over elements h and harmonics k (see
+        rotation). ||s||^2 = nsq does not depend on (d, phi), so |corr|^2 is
+        the score. theta's derivatives are omega_k / c in d and (omega_k +
+        2 pi f_c) q_h in phi, with q_h = -g_h' and q_h' = g_h; without
+        aperture (g_h = 0) every phi term is exactly 0.
         """
-        g, q = self.geom.delay_shift(np.array([phi, phi - 0.5 * math.pi])).T
-        E = base * np.exp(1j * (self.omega_d * d
-                                - np.multiply.outer(g, self.omega_rf)))
+        rot, g, q = self.rotation(d, phi)
+        E = base * rot
         # Element sums weighted by 1, q, q^2 and g, per harmonic.
         S0, Sq, Sqq, Sg = E.sum(axis=0), q @ E, (q * q) @ E, g @ E
         C = complex(S0.sum())
@@ -295,32 +268,33 @@ def _newton_refine(base: np.ndarray, start, bank: MatchedFilterBank):
     return d, phi, f
 
 
-def _cancel(residual: np.ndarray, bank: MatchedFilterBank):
-    """One cancellation step: the coarse grid peak refined on the residual's
-    harmonics, and the residual's projection alpha s on the refined point's
-    steering vector. Returns (d, phi, amp, z_u, rest, rest_energy):
-    amp = |alpha| ||s||, z_u = amp / sigma_hat with sigma_hat^2 the rest's
-    energy per sample, rest = residual - alpha s; None where ||s|| = 0."""
-    base = bank.harmonics(residual)
+def _cancel(base: np.ndarray, energy: float, bank: MatchedFilterBank):
+    """One cancellation step on a residual's harmonics table base and its
+    energy ||residual||^2: the coarse grid peak refined on the table, and the
+    residual's least-squares projection alpha s on the refined point's
+    steering vector s, alpha = np.vdot(s, residual) / nsq, taken off in the
+    harmonic domain. Returns (d, phi, amp, z_u, rest, rest_energy): amp =
+    |alpha| ||s||, z_u = amp / sigma_hat with sigma_hat^2 the rest's energy
+    per sample, rest the harmonics table of residual - alpha s and
+    rest_energy = energy - |np.vdot(s, residual)|^2 / nsq its energy."""
     d, phi, _ = _newton_refine(base, bank.coarse_peak(base), bank)
-    (s,) = steering_vectors([d], [phi], bank.geom)
-    nsq = float(np.vdot(s, s).real)
-    if nsq <= 0.0:
-        return None
-    alpha = complex(np.vdot(s, residual)) / nsq
-    rest = residual - alpha * s
-    rest_energy = float(np.vdot(rest, rest).real)
+    rot = bank.rotation(d, phi)[0]
+    corr = complex((base * rot).sum())
+    alpha = corr / bank.nsq
+    rest = base - alpha * bank.power * rot.conj()
+    rest_energy = energy - abs(corr) ** 2 / bank.nsq
     sigma_hat = math.sqrt(max(rest_energy / bank.geom.n_eff,
                               np.finfo(float).tiny))
-    amp = abs(alpha) * math.sqrt(nsq)
+    amp = abs(alpha) * math.sqrt(bank.nsq)
     return d, phi, amp, amp / sigma_hat, rest, rest_energy
 
 
 def snapshot_estimate(samples: np.ndarray, bank: MatchedFilterBank,
                       u_de: float) -> list:
     """Extract measurement triples from a sample vector of the bank's
-    geometry by successive cancellation, one refinement of the coarse peak
-    per extracted component; the measurements depend on the samples alone.
+    geometry by successive cancellation on its harmonics table, taken once,
+    with one refinement of the coarse peak per extracted component; the
+    measurements depend on the samples alone.
 
     The acceptance test during extraction uses the running residual, while
     the reported amplitudes are normalized by the final noise estimate so
@@ -332,20 +306,21 @@ def snapshot_estimate(samples: np.ndarray, bank: MatchedFilterBank,
     warning.
     """
     n = bank.geom.n_eff
-    residual = np.array(samples, dtype=complex)
+    samples = np.array(samples, dtype=complex)
     # The peak is taken over the parts, whose moduli could overflow; it is
     # NaN or inf exactly when a sample is not finite.
-    parts = residual.view(float)
+    parts = samples.view(float)
     peak = float(np.max(np.abs(parts)))
     if not math.isfinite(peak):
         log.warning("snapshot_estimate: %d of %d samples not finite; no "
-                    "measurements", np.count_nonzero(~np.isfinite(residual)),
+                    "measurements", np.count_nonzero(~np.isfinite(samples)),
                     n)
         return []
     # At unit scale nothing in the search over- or underflows (the Newton
     # determinant goes as the residual's scale to the fourth power).
     np.ldexp(parts, 1 - math.frexp(peak)[1], out=parts)
-    energy = initial_energy = float(np.vdot(residual, residual).real)
+    energy = initial_energy = float(np.vdot(samples, samples).real)
+    base = bank.harmonics(samples)
     thresh = math.sqrt(u_de)
     found = []
 
@@ -353,14 +328,11 @@ def snapshot_estimate(samples: np.ndarray, bank: MatchedFilterBank,
         # Below this the residual is cancellation error, not signal.
         if energy < 1e-9 * initial_energy:
             break
-        step = _cancel(residual, bank)
-        if step is None:
-            break
-        d, phi, amp, z_u, rest, rest_energy = step
+        d, phi, amp, z_u, rest, rest_energy = _cancel(base, energy, bank)
         if z_u <= thresh:
             break
         found.append((d, float(wrap_angle(phi)), amp))
-        residual, energy = rest, rest_energy
+        base, energy = rest, rest_energy
 
     sigma_final = math.sqrt(max(energy / n, np.finfo(float).tiny))
     return [Measurement(float(d), float(phi), float(amp / sigma_final))
@@ -381,6 +353,6 @@ def calibrate_detection_threshold(geom: ArrayGeometry, fa_prob: float = 0.01,
     for _ in range(trials):
         residual = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) \
             / math.sqrt(2.0)
-        step = _cancel(residual, bank)
-        stats.append(step[3] ** 2 if step else 0.0)
+        stats.append(_cancel(bank.harmonics(residual), float(
+            np.vdot(residual, residual).real), bank)[3] ** 2)
     return float(np.quantile(np.array(stats), 1.0 - fa_prob))

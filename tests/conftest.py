@@ -64,9 +64,7 @@ def component_sum(truth, phases, geom):
     samples = np.zeros(geom.n_eff, dtype=complex)
     S = radio.steering_vectors(truth[:, 0], truth[:, 1], geom)
     for u, phase, s in zip(truth[:, 2].tolist(), phases.tolist(), S):
-        norm = np.linalg.norm(s)
-        if norm > 0.0:
-            samples += u / norm * np.exp(1j * phase) * s
+        samples += u / np.linalg.norm(s) * np.exp(1j * phase) * s
     return samples
 
 

@@ -1,10 +1,11 @@
-"""Radio forward model and snapshot-estimator tests: pulse properties and
-a full-evaluation pulse oracle, steering-vector consistency, linearity, the
-batched steering kernel, the coarse matched filter against its earlier form,
-the harmonic score against a loop oracle, the time-domain correlation and
-its own finite differences, the Newton refinement's stops, the coarse grid's
-sizing rule, refinement on a single element, the forward-inverse round trip
-and hostile sample vectors."""
+"""Radio forward model and snapshot-estimator tests: the pulse's Fourier
+coefficients against its spectrum and their Nyquist property, steering
+vectors against an explicit Fourier-series loop, linearity, the coarse
+matched filter against its earlier form, the harmonic score against a loop
+oracle, the time-domain correlation and its own finite differences, the
+cancellation step against the time-domain projection, the Newton
+refinement's stops, the coarse grid's sizing rule, refinement on a single
+element, the forward-inverse round trip and hostile sample vectors."""
 
 import cmath
 import logging
@@ -19,10 +20,8 @@ from scipy.integrate import quad
 
 from mpctrack import radio
 from mpctrack.model import SPEED_OF_LIGHT, ArrayGeometry
-from mpctrack.radio import (_pulse_periodic, _sample_times,
-                            default_geometry, rrc_mean_square_bandwidth,
-                            rrc_pulse, snapshot_estimate, steering_vectors,
-                            synth_radio)
+from mpctrack.radio import (default_geometry, rrc_mean_square_bandwidth,
+                            snapshot_estimate, steering_vectors, synth_radio)
 
 from conftest import component_sum, rows
 
@@ -30,30 +29,58 @@ GEOM = default_geometry()
 BANK = radio.MatchedFilterBank(GEOM)
 
 
-class TestPulse:
-    def test_peak_and_singularities_finite(self):
-        T, b = radio.PULSE_DURATION, radio.PULSE_ROLLOFF
-        ts = np.array([0.0, T / (4 * b), -T / (4 * b), 0.3 * T, 5 * T])
-        vals = rrc_pulse(ts)
-        assert np.all(np.isfinite(vals))
-        assert vals[0] == pytest.approx((1 + b * (4 / np.pi - 1)) / T)
+def oracle_coefficients(geom):
+    """The pulse's Fourier-series coefficients P(k / period) / period on the
+    harmonics k in [-N_s/2, N_s/2), one at a time: P is 1 in the pass band,
+    cos(pi T / 2b (|f| - (1 - b) / 2T)) in the roll-off and 0 beyond."""
+    T, b = radio.PULSE_DURATION, radio.PULSE_ROLLOFF
+    period = geom.N_s * geom.T_s
+    lo, hi = (1 - b) / (2 * T), (1 + b) / (2 * T)
+    out = []
+    for k in range(-(geom.N_s // 2), geom.N_s - geom.N_s // 2):
+        f = abs(k) / period
+        if f <= lo:
+            p = 1.0
+        elif f <= hi:
+            p = math.cos(math.pi * T / (2 * b) * (f - lo))
+        else:
+            p = 0.0
+        out.append(p / period)
+    return np.array(out)
 
-    def test_truncation(self):
-        T = radio.PULSE_DURATION
-        assert rrc_pulse(np.array([8.5 * T]))[0] == 0.0
+
+UNDERSAMPLED = ArrayGeometry(GEOM.element_offsets, 0.0, GEOM.f_c,
+                             GEOM.beta_bw_sq, 23, 2.5e-9)
+
+
+class TestPulse:
+    @pytest.mark.parametrize("geom", [GEOM, UNDERSAMPLED],
+                             ids=["default", "undersampled"])
+    def test_coefficients_equal_spectrum_oracle(self, geom):
+        # Real and even, 1 / period in the pass band and positive inside
+        # the band; the default window's harmonics reach the band edge
+        # (k = -23), the undersampled one's stop inside the roll-off.
+        ks, coeff = radio._pulse_harmonics(geom)
+        period = geom.N_s * geom.T_s
+        assert ks.tolist() == list(range(-(geom.N_s // 2),
+                                         geom.N_s - geom.N_s // 2))
+        assert coeff.dtype == float and coeff[ks == 0] == 1.0 / period
+        assert np.allclose(coeff, oracle_coefficients(geom), rtol=0.0,
+                           atol=1e-12 / period)
+        inner = np.abs(ks) < geom.N_s / 2
+        assert np.array_equal(coeff[inner], coeff[inner][::-1])
+        assert np.all(coeff[1:] > 0.0)
 
     def test_matched_filter_nyquist_property(self):
-        # The pulse autocorrelation (raised cosine) has nulls at multiples
-        # of the symbol period.
+        # The pulse's periodic autocorrelation sum_k |c_k|^2 e^{j omega_k t}
+        # (a raised cosine) has nulls at multiples of the symbol period.
         T = radio.PULSE_DURATION
-        dt = T / 400.0
-        t = np.arange(-10 * T, 10 * T, dt)
-        p = rrc_pulse(t)
-        for k in (1, 2, 3):
-            lag = int(round(k * T / dt))
-            ac = float(np.sum(p[:-lag] * p[lag:]) * dt)
-            ac0 = float(np.sum(p * p) * dt)
-            assert abs(ac / ac0) < 1e-3
+        ks, coeff = radio._pulse_harmonics(GEOM)
+        omega = 2.0 * np.pi * ks / (GEOM.N_s * GEOM.T_s)
+        ac0 = float(np.sum(coeff * coeff))
+        for n in (1, 2, 3):
+            ac = complex(np.sum(coeff * coeff * np.exp(1j * omega * n * T)))
+            assert abs(ac) < 1e-3 * ac0
 
     def test_mean_square_bandwidth_quadrature_oracle(self):
         # Second moment of the raised-cosine energy spectrum, by quadrature.
@@ -75,79 +102,6 @@ class TestPulse:
                       points=[-4e8, -1e8, 0, 1e8, 4e8])
         assert rrc_mean_square_bandwidth(T, b) == pytest.approx(num / den,
                                                                 rel=1e-6)
-
-
-def oracle_rrc_pulse(t):
-    """The pulse as first written: the formula at every sample, then zero
-    outside the support."""
-    T, b = radio.PULSE_DURATION, radio.PULSE_ROLLOFF
-    x = np.asarray(t, dtype=float) / T
-    out = np.zeros_like(x)
-    near_zero = np.abs(x) < 1e-8
-    out[near_zero] = (1.0 + b * (4.0 / np.pi - 1.0)) / T
-    near_sing = np.abs(np.abs(x) - 1.0 / (4.0 * b)) < 1e-8
-    out[near_sing] = (b / (T * math.sqrt(2.0))) * (
-        (1.0 + 2.0 / np.pi) * math.sin(np.pi / (4.0 * b))
-        + (1.0 - 2.0 / np.pi) * math.cos(np.pi / (4.0 * b)))
-    rest = ~(near_zero | near_sing)
-    xr = x[rest]
-    num = (np.sin(np.pi * xr * (1.0 - b))
-           + 4.0 * b * xr * np.cos(np.pi * xr * (1.0 + b)))
-    den = np.pi * xr * (1.0 - (4.0 * b * xr) ** 2)
-    out[rest] = num / den / T
-    out[np.abs(x) > radio.PULSE_TRUNC_SYMBOLS] = 0.0
-    return out
-
-
-def oracle_pulse_periodic(t, period):
-    return oracle_rrc_pulse(
-        np.mod(np.asarray(t) + period / 2.0, period) - period / 2.0)
-
-
-# +-1e300 / T overflows, and sin, cos and np.mod of +-inf are invalid.
-@pytest.mark.filterwarnings("ignore:overflow encountered",
-                            "ignore:invalid value encountered")
-class TestPulseOracle:
-    PERIOD = GEOM.N_s * GEOM.T_s
-    EDGE = radio.PULSE_TRUNC_SYMBOLS * radio.PULSE_DURATION
-    SING = radio.PULSE_DURATION / (4 * radio.PULSE_ROLLOFF)
-    SPECIAL = [0.0, -0.0, SING, -SING, np.nextafter(SING, 0.0),
-               np.nextafter(-SING, 0.0), EDGE, -EDGE, np.nan, np.inf, -np.inf,
-               1e300, -1e300]
-    SPECIAL += [np.nextafter(e, to) for e in (EDGE, -EDGE)
-                for to in (-1.0, 1.0)]
-
-    def grid(self):
-        # Dense over three periods (so past one period either way), random
-        # points and the special points; 1-d, 3-d, 0-d and empty.
-        rng = np.random.default_rng(5)
-        return [np.concatenate([
-            np.linspace(-1.5 * self.PERIOD, 1.5 * self.PERIOD, 100_001),
-            rng.uniform(-self.PERIOD, self.PERIOD, 20_000), self.SPECIAL]),
-            rng.uniform(-self.PERIOD, self.PERIOD, (7, 9, 46)),
-            np.array(self.EDGE), np.array([])]
-
-    def test_rrc_pulse_equals_full_evaluation(self):
-        for t in self.grid():
-            got = rrc_pulse(t)
-            assert got.shape == t.shape
-            assert got.tobytes() == oracle_rrc_pulse(t).tobytes()
-
-    def test_pulse_periodic_equals_mod_then_full_evaluation(self):
-        for t in self.grid():
-            got = _pulse_periodic(t, self.PERIOD)
-            assert got.tobytes() == \
-                oracle_pulse_periodic(t, self.PERIOD).tobytes()
-            # The steering delays' range, where wrapping adds or subtracts.
-            inner = np.clip(t, -0.99 * self.PERIOD, 0.99 * self.PERIOD)
-            assert _pulse_periodic(inner, self.PERIOD).tobytes() == \
-                oracle_pulse_periodic(inner, self.PERIOD).tobytes()
-
-    def test_special_points(self):
-        vals = rrc_pulse(np.array(self.SPECIAL))
-        assert np.isnan(vals[8]) and vals[9] == vals[10] == 0.0
-        assert vals[6] != 0.0 and vals[7] != 0.0      # +-8 T is inside
-        assert np.all(np.isfinite(np.delete(vals, 8)))
 
 
 class TestSteeringAndSynth:
@@ -251,23 +205,49 @@ class TestSnapshotEstimator:
 # ---------------------------------------------------------------------------
 
 def oracle_steering_vector(d, phi, geom):
-    times = _sample_times(geom)
+    """The steering vector as an explicit Fourier series, one element h,
+    sample n and harmonic k at a time on Python complex numbers: c_k
+    e^{j omega_k (t_n - tau_h)} e^{j 2 pi f_c g_h}, with t_n = (n - i0) T_s,
+    tau_h = d / c - g_h and g_h the delay shift at phi."""
     period = geom.N_s * geom.T_s
-    g = geom.delay_shift(phi).reshape(-1)          # (H,)
-    tau = d / SPEED_OF_LIGHT - g                   # per-element delay
-    ph = np.exp(2j * np.pi * geom.f_c * g)         # per-element carrier phase
-    blocks = oracle_pulse_periodic(times[None, :] - tau[:, None], period) \
-        * ph[:, None]
-    return blocks.reshape(-1)
+    i0 = (geom.N_s - 1) / 2.0
+    ks = range(-(geom.N_s // 2), geom.N_s - geom.N_s // 2)
+    coeff = oracle_coefficients(geom).tolist()
+    out = []
+    for g in geom.delay_shift(phi).tolist():
+        tau = d / SPEED_OF_LIGHT - g
+        carrier = cmath.exp(2j * math.pi * geom.f_c * g)
+        for n in range(geom.N_s):
+            t = (n - i0) * geom.T_s
+            out.append(carrier * sum(
+                c * cmath.exp(2j * math.pi * k / period * (t - tau))
+                for k, c in zip(ks, coeff)))
+    return np.array(out)
 
 
-def oracle_objective(residual, d, phi, geom):
-    s = oracle_steering_vector(d, phi, geom)
+def check_cancel(residual, step):
+    """A cancellation step of a residual against its time-domain projection
+    on the refined point's steering vector s, alpha = np.vdot(s, residual) /
+    ||s||^2: rest is the harmonics table of residual - alpha s, rest_energy
+    its energy and amp |alpha| ||s||, each to rounding."""
+    d, phi, amp, _, rest, rest_energy = step
+    (s,) = steering_vectors([d], [phi], GEOM)
     nsq = float(np.vdot(s, s).real)
-    if nsq <= 0.0:
-        return -np.inf, s, nsq, 0j
-    corr = complex(np.vdot(s, residual))
-    return abs(corr) ** 2 / nsq, s, nsq, corr
+    alpha = complex(np.vdot(s, residual)) / nsq
+    energy = float(np.vdot(residual, residual).real)
+    scale = np.abs(BANK.harmonics(residual)).max()
+    assert np.abs(rest - BANK.harmonics(residual - alpha * s)).max() \
+        <= 1e-12 * scale
+    assert abs(rest_energy - float(np.vdot(residual - alpha * s,
+                                           residual - alpha * s).real)) \
+        <= 1e-12 * energy
+    assert amp == pytest.approx(abs(alpha) * math.sqrt(nsq), rel=1e-12)
+
+
+def cancel(residual):
+    """radio._cancel on a residual's harmonics table and energy."""
+    return radio._cancel(BANK.harmonics(residual),
+                         float(np.vdot(residual, residual).real), BANK)
 
 
 def oracle_score(bank, base, d, phi):
@@ -297,7 +277,7 @@ def oracle_coarse_peaks(bank, residuals):
     out = []
     for samples in residuals:
         Y = np.fft.fft(samples.reshape(geom.H, geom.N_s), axis=1)
-        base = bank.coeff_conj[None, :] * Y[:, bank.fft_cols] \
+        base = bank.coeff[None, :] * Y[:, bank.fft_cols] \
             * bank.center_phase[None, :]
         W = np.einsum("ahk,hk->ak", shifted, base)
         Wpad = np.zeros((len(bank.angles), bank.L), dtype=complex)
@@ -336,10 +316,6 @@ def coarse_residual(seed):
     return synth_radio(*rows(comps), GEOM, rng)
 
 
-def bits(x):
-    return np.asarray(x, dtype=float).tobytes()
-
-
 def noisy_snapshot(seed):
     comps = [((4.0, math.radians(-35.0), 40.0, 0, 0), 0.4),
              ((9.5, math.radians(70.0), 25.0, 0, 0), 2.0)]
@@ -349,16 +325,19 @@ def noisy_snapshot(seed):
 class TestBatchedEstimator:
     @pytest.mark.parametrize("P", [1, 2, 5, 6, 17])
     def test_steering_rows_equal_oracle(self, P):
+        # Each row is the explicit Fourier series within 1e-12 of its
+        # largest sample (rounding measured at 6e-15), and a batch of points
+        # gives each point's own row bit for bit.
         rng = np.random.default_rng(P)
         d = rng.uniform(0.1, 20.0, P)
-        phi = rng.uniform(-4.0, 4.0, P)   # past +-pi, as stencil points go
+        phi = rng.uniform(-4.0, 4.0, P)   # past +-pi
         S = steering_vectors(d, phi, GEOM)
         assert S.shape == (P, GEOM.n_eff)
         for i in range(P):
             want = oracle_steering_vector(float(d[i]), float(phi[i]), GEOM)
-            assert np.array_equal(S[i].view(float), want.view(float))
-            assert np.array_equal(steering_vectors([d[i]], [phi[i]], GEOM)[0],
-                                  want)
+            assert np.abs(S[i] - want).max() <= 1e-12 * np.abs(want).max()
+            one = steering_vectors([d[i]], [phi[i]], GEOM)[0]
+            assert np.array_equal(S[i].view(float), one.view(float))
 
     def test_coarse_peak_equals_oracle(self):
         # The batched product and the unscaled power pick the earlier
@@ -420,17 +399,15 @@ class TestBatchedEstimator:
         # A noiseless component just inside the +-pi seam: its coarse peak
         # is the -pi cell, and from just below +pi the refinement crosses
         # the seam unwrapped (the score is 2 pi-periodic in phi). The
-        # cancellation step's amplitude and rest are the projection onto
-        # the refined point's own steering vector, and the reported angle is
-        # wrapped.
+        # cancellation step's amplitude, rest and rest energy are, to
+        # rounding, the time-domain projection onto the refined point's own
+        # steering vector, and the reported angle is wrapped.
         residual = component_sum(
             *rows([((5.37, phi, 30.0, 0.0, 0.0), 0.7)]), GEOM)
         assert BANK.coarse_peak(BANK.harmonics(residual))[1] == -math.pi
-        d, phi_hat, amp, _, rest, _ = radio._cancel(residual, BANK)
-        _, s, nsq, corr = oracle_objective(residual, d, phi_hat, GEOM)
-        alpha = corr / nsq
-        assert bits([amp]) == bits([abs(alpha) * math.sqrt(nsq)])
-        assert rest.tobytes() == (residual - alpha * s).tobytes()
+        step = cancel(residual)
+        check_cancel(residual, step)
+        phi_hat = step[1]
         if phi > 0:
             assert abs(phi_hat - (phi - 2.0 * math.pi)) < math.radians(0.1)
         (m,) = snapshot_estimate(residual, BANK, u_de=25.0)
@@ -443,26 +420,36 @@ class TestBatchedEstimator:
                                                  turns):
         # A coarse peak a full turn off a noiseless component is refined
         # unwrapped (the score is 2 pi-periodic in phi); the cancellation
-        # step's amplitude and rest are the projection onto the refined
-        # point's own steering vector, and the reported angle is wrapped.
+        # step's amplitude, rest and rest energy are, to rounding, the
+        # time-domain projection onto the refined point's own steering
+        # vector, and the reported angle is wrapped.
         residual = component_sum(
             *rows([((5.37, phi, 30.0, 0.0, 0.0), 0.7)]), GEOM)
         start = (5.37, phi + turns * 2.0 * math.pi)
         monkeypatch.setattr(radio.MatchedFilterBank, "coarse_peak",
                             lambda bank, base: start)
-        d, phi_hat, amp, _, rest, _ = radio._cancel(residual, BANK)
-        _, s, nsq, corr = oracle_objective(residual, d, phi_hat, GEOM)
-        alpha = corr / nsq
-        assert bits([amp]) == bits([abs(alpha) * math.sqrt(nsq)])
-        assert rest.tobytes() == (residual - alpha * s).tobytes()
-        assert abs(phi_hat - start[1]) < math.radians(0.1)
+        step = cancel(residual)
+        check_cancel(residual, step)
+        assert abs(step[1] - start[1]) < math.radians(0.1)
         (m,) = snapshot_estimate(residual, BANK, u_de=25.0)
         assert -math.pi <= m.z_phi < math.pi
         assert abs(m.z_phi - phi) < math.radians(0.1)
 
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_cancel_is_the_time_domain_projection(self, seed):
+        # Each step of the extraction from a noisy two-component snapshot,
+        # the rejected one too, against the projection of the time-domain
+        # residual that the steps before it leave.
+        residual = noisy_snapshot(seed)
+        for _ in range(3):
+            step = cancel(residual)
+            check_cancel(residual, step)
+            (s,) = steering_vectors([step[0]], [step[1]], GEOM)
+            residual = residual - np.vdot(s, residual) / np.vdot(s, s) * s
+
     def test_steering_calls_per_component(self, monkeypatch):
-        # The search runs on the harmonics table and a component costs one
-        # steering vector, the refined point's, for its projection.
+        # The search and the cancellation run on the harmonics table, taken
+        # once per snapshot; no steering vector is built.
         calls = []
         kernel = radio.steering_vectors
 
@@ -470,22 +457,21 @@ class TestBatchedEstimator:
             calls.append(len(d))
             return kernel(d, phi, geom)
 
-        iterations = []
-        peak = radio.MatchedFilterBank.coarse_peak
+        tables = []
+        harmonics = radio.MatchedFilterBank.harmonics
 
-        def counting_peak(bank, base):
-            iterations.append(len(calls))
-            return peak(bank, base)
+        def counting_harmonics(bank, samples):
+            tables.append(len(samples))
+            return harmonics(bank, samples)
 
         samples = noisy_snapshot(7)
         monkeypatch.setattr(radio, "steering_vectors", counting)
-        monkeypatch.setattr(radio.MatchedFilterBank, "coarse_peak",
-                            counting_peak)
+        monkeypatch.setattr(radio.MatchedFilterBank, "harmonics",
+                            counting_harmonics)
         ms = snapshot_estimate(samples, BANK, u_de=25.0)
         assert len(ms) == 2
-        per_component = np.diff(iterations + [len(calls)])
-        assert per_component.tolist() == [1, 1, 1]  # two found, one rejected
-        assert calls == [1, 1, 1]
+        assert calls == []
+        assert tables == [GEOM.n_eff]
 
 
 def square_array(n):
@@ -539,14 +525,15 @@ class TestScore:
                 oracle_score(bank, base, d, phi), rel=1e-12)
 
     def test_near_components_is_the_time_domain_correlation(self):
-        # The pulse is not quite band-limited (its +-8 symbol truncation),
-        # so the harmonic sum is |np.vdot(s, y)|^2 up to a small error.
+        # Synthesis and the harmonics share one band-limited pulse, so the
+        # harmonic sum is |np.vdot(s, y)|^2 to rounding, near the components
+        # and anywhere.
         bank, samples, base = self.table(GEOM)
-        near, _ = self.points(GEOM, 1)
-        for d, phi in near:
+        near, anywhere = self.points(GEOM, 1)
+        for d, phi in near + anywhere:
             s = oracle_steering_vector(d, phi, GEOM)
             assert bank.score(base, d, phi)[0] == pytest.approx(
-                abs(np.vdot(s, samples)) ** 2, rel=5e-3)
+                abs(np.vdot(s, samples)) ** 2, rel=1e-9)
 
     @pytest.mark.parametrize("geom", [GEOM, square_array(4), SINGLE],
                              ids=["3x3", "4x4", "single"])

@@ -275,18 +275,30 @@ def propagate_kinematics(particles: np.ndarray, params: HyperParams,
     and the random walk u + eps_u, with one (..., 3) noise draw.
 
     The amplitude driving noise is scaled per particle: sigma_u_rel * u_j.
-    Angles are re-wrapped and amplitudes clamped at zero.
+    Angles are re-wrapped and amplitudes clamped at zero. The draw is
+    copied once to field-major order and each field is written into one
+    fresh (5, ...) array, the velocity rows first holding the half steps.
     """
     d, phi, u, v_d, v_phi = particles
-    eps = rng.standard_normal(u.shape + (3,))
-    eps[..., 0] *= params.sigma_d
-    eps[..., 1] *= params.sigma_phi
-    eps[..., 2] *= params.sigma_u_rel * u
-    return np.stack([d + v_d + 0.5 * eps[..., 0],
-                     wrap_angle(phi + v_phi + 0.5 * eps[..., 1]),
-                     np.maximum(u + eps[..., 2], 0.0),
-                     v_d + eps[..., 0],
-                     v_phi + eps[..., 1]])
+    eps = np.moveaxis(rng.standard_normal(u.shape + (3,)), -1, 0).copy()
+    eps_d, eps_phi, eps_u = eps
+    eps_d *= params.sigma_d
+    eps_phi *= params.sigma_phi
+    eps_u *= params.sigma_u_rel * u
+    out = np.empty((5,) + u.shape)
+    new_d, new_phi, new_u, new_v_d, new_v_phi = out
+    np.add(d, v_d, out=new_d)
+    np.multiply(eps_d, 0.5, out=new_v_d)
+    new_d += new_v_d
+    np.add(v_d, eps_d, out=new_v_d)
+    np.add(phi, v_phi, out=new_phi)
+    np.multiply(eps_phi, 0.5, out=new_v_phi)
+    new_phi += new_v_phi
+    new_phi[...] = wrap_angle(new_phi)
+    np.add(v_phi, eps_phi, out=new_v_phi)
+    np.add(u, eps_u, out=new_u)
+    np.maximum(new_u, 0.0, out=new_u)
+    return out
 
 
 def reflect_positive(mu):
@@ -397,7 +409,14 @@ def detection_prob(u, u_de: float, n_eff, mode: str):
     if mode == "exact":
         return marcum_q1(u / s, math.sqrt(u_de) / s)
     if mode == "gauss":
-        return special.ndtr((u - math.sqrt(u_de)) / s)
+        # ndtr is exactly 1 from x = 8.2924 up: call it only below 8.5
+        # (NaN included). Boolean indexing, not the ufunc where= argument,
+        # with which scipy 1.17's ndtr corrupts the heap.
+        x = (u - math.sqrt(u_de)) / s
+        low = ~(x >= 8.5)
+        out = np.ones_like(x)
+        out[low] = special.ndtr(x[low])
+        return out
     raise ValueError(f"unknown amplitude mode: {mode!r}")
 
 
@@ -447,12 +466,14 @@ def log_lik_matrix(measurements, particles: np.ndarray, params: HyperParams,
     the detection probability that normalizes the truncated amplitude
     likelihood cancels, so it is not evaluated at all.
 
-    Per-particle constants (the three inverse variances and one log
-    normalizer) are computed once, as J-vectors for a shared set and as
-    (M, J) arrays for paired sets. The residuals are built
-    measurement-major as an (M, J) array and updated in place; the result
-    is its (J, M) transposed view, so reductions over particles run along
-    contiguous memory.
+    Per-particle constants (the three half inverse variances h = 1/(2
+    sigma^2) and one log normalizer, a single np.log of their product) are
+    computed once, as J-vectors for a shared set and as (M, J) arrays for
+    paired sets. The residuals are built measurement-major as an (M, J)
+    array and updated in place; the result is its (J, M) transposed view,
+    so reductions over particles run along contiguous memory. The squared
+    wrapped angle residual is min(|r|, 2 pi - |r|)^2, exact for |r| up to
+    3 pi (any two wrapped angles); other residuals take wrap_angle.
     """
     J = particles.shape[0]
     M = len(measurements)
@@ -462,13 +483,17 @@ def log_lik_matrix(measurements, particles: np.ndarray, params: HyperParams,
     if not exact and params.amp_mode != "gauss":
         raise ValueError(f"unknown amplitude mode: {params.amp_mode!r}")
     d, phi, u = (particles[..., i].T for i in range(3))
-    var_d = sigma_d_sq(u, geom)
-    var_p = sigma_phi_sq(u, phi, geom)
-    s2 = amp_scale_sq(u, geom.n_eff)
-    log_norm = -0.5 * np.log(TWO_PI * var_d) - 0.5 * np.log(TWO_PI * var_p)
-    # Rician: (z/s2) exp(-(z-u)^2/(2 s2)) i0e(z u / s2), written with the
-    # exponentially scaled Bessel i0e for overflow safety.
-    log_norm -= np.log(s2) if exact else 0.5 * np.log(TWO_PI * s2)
+    h_d = 0.5 / sigma_d_sq(u, geom)
+    h_p = 0.5 / sigma_phi_sq(u, phi, geom)
+    h_u = 0.5 / amp_scale_sq(u, geom.n_eff)
+    # Gaussian distance and angle, times in "gauss" mode a Gaussian and in
+    # "exact" mode a Rician amplitude: (z/s2) exp(-(z-u)^2/(2 s2))
+    # i0e(z u / s2), written with the exponentially scaled Bessel i0e for
+    # overflow safety. h_u is multiplied in first, so the product stays in
+    # range for every amplitude whose variances do.
+    hdu = h_d * h_u
+    log_norm = 0.5 * np.log(hdu * (h_p * h_u) * (4.0 / np.pi**2) if exact
+                            else hdu * h_p * (1.0 / np.pi**3))
     if not detected:
         log_norm -= log_detection_prob(u, params.u_de, geom.n_eff,
                                        params.amp_mode)
@@ -476,18 +501,22 @@ def log_lik_matrix(measurements, particles: np.ndarray, params: HyperParams,
     zd, zp, zu = z[:, 0:1], z[:, 1:2], z[:, 2:3]
     out = zd - d
     out *= out
-    out *= 0.5 / var_d
-    r = wrap_angle(zp - phi)
+    out *= h_d
+    r = np.abs(zp - phi)
+    if np.max(r, initial=0.0) <= 1.5 * TWO_PI:
+        np.minimum(r, TWO_PI - r, out=r)
+    else:
+        r = wrap_angle(r)
     r *= r
-    r *= 0.5 / var_p
+    r *= h_p
     out += r
     np.subtract(zu, u, out=r)
     r *= r
-    r *= 0.5 / s2
+    r *= h_u
     out += r
     np.subtract(log_norm, out, out=out)
     if exact:
-        np.multiply(zu, u / s2, out=r)
+        np.multiply(zu, 2.0 * h_u * u, out=r)
         out += np.log(special.i0e(r, out=r), out=r)
         out += np.log(np.maximum(zu, 1e-300))
     out[z[:, 2] <= math.sqrt(params.u_de)] = -np.inf

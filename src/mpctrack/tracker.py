@@ -244,29 +244,34 @@ def _update_legacy(p_exist: np.ndarray, w: dabp.AssociationWeights,
     converged extrinsic messages and max-scaled per row (largest 1), not
     normalized, and their existence probabilities (K,).
 
-    Row k's association sum per particle, log sum_m nu[m] t P_d f(z_m|x) /
-    f_fa(z_m), comes from the linear ratio matrix R = w.ratio[k] as
-    log(exp(b - max b) @ R) + max b, with b = log nu + log t + c and c the
-    row scales of R: one vector-matrix product per row.
-
-    Existence odds are taken in log space: the alternative (non-existence)
-    branch evaluates the same factor at r = 0, i.e. 1. A row with p_exist 0
-    (or NaN), or whose every particle has zero weight, gets 0; p_exist 1
-    stays 1."""
-    log_t = math.log(w.far_ratio)
+    Row k's factor per particle is psi = 1 - P_d + sum_m nu[m] t P_d
+    f(z_m|x) / f_fa(z_m). With the linear ratio matrix R = w.ratio[k] and
+    its row scales c, the sum is exp(b) @ R for b = log nu + log t + c. The
+    row is held in the linear domain as psi e^-s, (1 - P_d) e^-s +
+    exp(b - s) @ R: one vector-matrix product and no per-particle
+    transcendental. s is the larger of max b and log max (1 - P_d), so the
+    term it belongs to peaks at 1 and no row underflows; a nonzero 1 - P_d
+    is at least 2^-53, so e^-s can overflow only on a row where 1 - P_d is
+    0 throughout, and is capped there. The weights are psi / max psi,
+    and the existence odds take log S1 = log p_exist + s + log mean psi,
+    against the non-existence branch's factor 1. A row with p_exist 0 (or
+    NaN), or whose every particle has zero weight, gets 0 and, in the
+    second case, weights 1; p_exist 1 stays 1."""
+    b = log_nu.T + math.log(w.far_ratio) + w.ratio_log_scale
+    miss = np.maximum(1.0 - w.det_prob, 0.0)
     with np.errstate(divide="ignore", invalid="ignore"):
-        log_psi = np.log(np.maximum(1.0 - w.det_prob, 0.0))
-        b = log_nu.T + log_t + w.ratio_log_scale
-        top = np.max(b, axis=1, keepdims=True, initial=-np.inf)
-        assoc = np.reshape([x @ R for x, R in zip(np.exp(b - top), w.ratio)],
-                           log_psi.shape)
-        log_psi = np.logaddexp(log_psi, np.log(assoc) + top)
-        log_post = log_psi + np.log(1.0 / log_psi.shape[1])
-        new_w = np.exp(log_post - np.max(log_post, axis=1, keepdims=True))
-        log_s1 = np.log(p_exist) + log_sum_exp(log_post, axis=1)
+        s = np.maximum(np.max(b, axis=1, initial=-np.inf),
+                       np.log(np.max(miss, axis=1, initial=0.0)))
+        s[s == -np.inf] = 0.0
+        psi = np.reshape([x @ R for x, R in zip(np.exp(b - s[:, None]),
+                                                w.ratio)], miss.shape)
+        psi += miss * np.exp(np.minimum(-s, 700.0))[:, None]
+        peak = np.max(psi, axis=1)
+        new_w = psi / peak[:, None]
+        log_s1 = np.log(p_exist) + s + np.log(np.mean(psi, axis=1))
         gap = np.minimum(np.log(1.0 - p_exist) - log_s1, 700.0)
         p_next = np.where(log_s1 > -np.inf, 1.0 / (1.0 + np.exp(gap)), 0.0)
-    new_w[~np.any(np.isfinite(log_psi), axis=1)] = 1.0
+    new_w[~(peak > 0.0)] = 1.0
     return new_w, p_next
 
 
@@ -279,16 +284,23 @@ def _update_far(mu: np.ndarray, w: dabp.AssociationWeights,
     measurement's legacy message sum.
 
     Factor i is log(a_i + b_i / mu): one row per legacy component (b_i its
-    message-weighted association sum), then one per measurement, all built
-    by one (K+M, J) logaddexp and summed over the rows (with M = 0,
-    b_i = 0)."""
+    message-weighted association sum), then one per measurement (with
+    M = 0, b_i = 0). Each is its leading term plus log1p of the other's
+    ratio to it, x_i = exp(-|log b_i - log a_i|) <= 1: log a_i +
+    log1p(x_i / mu) where log b_i <= log a_i, else log b_i - log mu +
+    log1p(x_i mu). The leading terms sum to scalars, so only the log1p
+    runs per particle."""
     log_mu = np.log(mu)
     log_a = np.concatenate([w.log_beta[:, 0], log_d])
     log_b = np.concatenate([
         log_sum_exp(marg.log_nu.T + w.log_beta[:, 1:], axis=1),
         w.log_new_mass]) - math.log(w.far_ratio)
-    rows = np.logaddexp(log_a[:, None], log_b[:, None] - log_mu)
-    log_w = len(log_d) * log_mu - mu + rows.sum(axis=0)
+    b_leads = log_b > log_a
+    lead = np.maximum(log_a, log_b)
+    x = np.exp(np.minimum(log_a, log_b) - lead)[:, None]
+    log_w = ((len(log_d) - np.count_nonzero(b_leads)) * log_mu - mu
+             + np.sum(lead) + np.log1p(x[~b_leads] / mu).sum(axis=0)
+             + np.log1p(x[b_leads] * mu).sum(axis=0))
     return FarBelief(mu, np.exp(log_w - np.max(log_w)))
 
 

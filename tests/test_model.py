@@ -16,11 +16,11 @@ from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.integrate import quad
-from scipy.special import log_ndtr, ndtr
+from scipy.special import i0e, log_ndtr, ndtr
 
 from mpctrack import dabp, model, radio, tracker
 from mpctrack.dabp import AssociationMarginals, AssociationWeights
-from mpctrack.model import ArrayGeometry, HyperParams, Measurement
+from mpctrack.model import TWO_PI, ArrayGeometry, HyperParams, Measurement
 from mpctrack.tracker import PmpcBelief
 
 from conftest import packed, stacked
@@ -632,6 +632,16 @@ class TestDetectionProb:
         assert float(model.detection_prob(u, u_de, 414, "gauss")) == \
             pytest.approx(float(ndtr((u - math.sqrt(u_de)) / s)))
 
+    def test_gauss_mode_skips_ndtr_only_where_it_reads_one(self):
+        # ndtr runs below x = 8.5 only, NaN included; above, it is exactly
+        # 1, so the whole array equals ndtr bit for bit.
+        u = np.append(np.linspace(0.0, 60.0, 4001), np.nan)
+        x = (u - math.sqrt(PARAMS.u_de)) / np.sqrt(model.amp_scale_sq(u, 414))
+        assert np.any((x >= 8.2) & (x < 8.5)) and np.any(x >= 8.5)
+        got = model.detection_prob(u, PARAMS.u_de, 414, "gauss")
+        assert np.array_equal(got, ndtr(x), equal_nan=True)
+        assert np.isnan(got[-1])
+
 
 def fa_density(z, u_de=PARAMS.u_de, d_max=PARAMS.d_max):
     return math.exp(model.log_fa_density(z, u_de, d_max))
@@ -916,6 +926,87 @@ class TestBatchLikelihood:
         params = HyperParams(amp_mode=mode)
         val = log_lik((5.0, 0.2, 25.0), (5.0, 0.2, 25.0, 0.0, 0.0), params)
         assert np.isfinite(val)
+
+
+def oracle_log_lik(z, x, params, geom, detected):
+    """log f(z | x_j) of one measurement row z for the particles x (J, 5),
+    term by term from the variances, wrap_angle and log_detection_prob."""
+    if z[2] <= math.sqrt(params.u_de):
+        return np.full(len(x), -np.inf)
+    d, phi, u = x[:, 0], x[:, 1], x[:, 2]
+    var_d = model.sigma_d_sq(u, geom)
+    var_p = model.sigma_phi_sq(u, phi, geom)
+    s2 = model.amp_scale_sq(u, geom.n_eff)
+    r = model.wrap_angle(z[1] - phi)
+    terms = [-0.5 * np.log(TWO_PI * var_d), -(z[0] - d) ** 2 / (2 * var_d),
+             -0.5 * np.log(TWO_PI * var_p), -r ** 2 / (2 * var_p),
+             -(z[2] - u) ** 2 / (2 * s2)]
+    if params.amp_mode == "exact":
+        terms += [np.log(z[2] / s2), np.log(i0e(z[2] * u / s2))]
+    else:
+        terms += [-0.5 * np.log(TWO_PI * s2)]
+    if not detected:
+        terms += [-model.log_detection_prob(u, params.u_de, geom.n_eff,
+                                            params.amp_mode)]
+    return sum(terms)
+
+
+LINEAR_3X1 = ArrayGeometry.uniform_rectangular(
+    3, 1, 0.02, psi=GEOM.psi, f_c=GEOM.f_c, beta_bw_sq=GEOM.beta_bw_sq,
+    N_s=GEOM.N_s, T_s=GEOM.T_s)
+ORACLE_GEOMS = {"default": GEOM, "single": simple_geom(),
+                "linear_3x1": LINEAR_3X1}
+
+
+class TestLikelihoodOracle:
+    """log_lik_matrix (one log of the normaliser, the squared angle
+    residual as min(|r|, 2 pi - |r|)^2) against the per-term formula, at
+    amplitudes from 0 through the clamp to 50 and angle residuals across
+    the +-pi seam out to 3 pi."""
+
+    AMPS = [0.0, model.U_FLOOR / 2, 1e-4, 1e-2, 0.5, 2.0, 2.1, 4.0, 9.0,
+            20.0, 50.0]
+
+    def particles(self, z_phi, residuals):
+        rng = np.random.default_rng(5)
+        u, r = (a.ravel() for a in np.meshgrid(self.AMPS, residuals))
+        return np.column_stack([rng.uniform(0.0, 17.0, len(u)), z_phi - r,
+                                u, rng.normal(0, 0.1, len(u)),
+                                rng.normal(0, 0.01, len(u))])
+
+    def check(self, zs, x, params, geom, detected):
+        got = model.log_lik_matrix(zs, x, params, geom, detected)
+        for m, z in enumerate(zs):
+            want = oracle_log_lik(np.asarray(z, float), x, params, geom,
+                                  detected)
+            np.testing.assert_allclose(got[:, m], want, rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("detected", [False, True])
+    @pytest.mark.parametrize("mode", ["gauss", "exact"])
+    @pytest.mark.parametrize("geom", ORACLE_GEOMS, ids=str)
+    def test_matches_per_term_formula(self, geom, mode, detected):
+        params = HyperParams(amp_mode=mode)
+        pi = math.pi
+        residuals = np.concatenate([
+            np.linspace(-3 * pi, 3 * pi, 61),
+            [-pi, pi, np.nextafter(pi, 0), np.nextafter(-pi, 0),
+             np.nextafter(pi, 4), 2 * pi, -2 * pi, 1e-9, 0.0]])
+        thresh = math.sqrt(params.u_de)
+        for z in (Measurement(4.0, 3.0, 9.0), Measurement(11.0, -0.5, 2.1),
+                  Measurement(0.5, -pi, 50.0)):
+            # The residual grid around z, and a column at the threshold.
+            x = self.particles(z.z_phi, residuals)
+            self.check([z, Measurement(7.0, z.z_phi, thresh)], x, params,
+                       ORACLE_GEOMS[geom], detected)
+
+    @pytest.mark.parametrize("mode", ["gauss", "exact"])
+    def test_residual_beyond_three_pi_takes_wrap_angle(self, mode):
+        # One residual of 3.2 pi: min(|r|, 2 pi - |r|)^2 would read
+        # (1.2 pi)^2 for the wrapped (0.8 pi)^2.
+        params = HyperParams(amp_mode=mode)
+        x = self.particles(0.5, [0.3, 3.2 * math.pi])
+        self.check([Measurement(4.0, 0.5, 9.0)], x, params, LINEAR_3X1,
+                   False)
 
 
 def test_log_sum_exp_helper():

@@ -1295,9 +1295,10 @@ class TestStackedEqualsPerTrack:
         for k, tr in enumerate(beliefs):
             oracle_update_legacy(tr, w, k, log_nu)
         post /= post.sum(axis=1, keepdims=True)
-        assert post.tobytes() == np.array([tr.weights
-                                           for tr in beliefs]).tobytes()
-        assert p_exist.tolist() == [tr.p_exist for tr in beliefs]
+        np.testing.assert_allclose(post, [tr.weights for tr in beliefs],
+                                   rtol=1e-12, atol=0)
+        np.testing.assert_allclose(p_exist, [tr.p_exist for tr in beliefs],
+                                   rtol=1e-12, atol=0)
 
     @pytest.mark.parametrize("K,J", STACK_SIZES)
     def test_survivors(self, K, J):
@@ -1327,6 +1328,94 @@ class TestStackedEqualsPerTrack:
         oracle_rng = np.random.default_rng(11)
         oracle_rng.random(K + 5)
         assert st.rng.bit_generator.state == oracle_rng.bit_generator.state
+
+
+def oracle_update_far(mu, w, marg, log_d):
+    """_update_far's weights in the logaddexp form: one (K+M, J) row of
+    log(a_i + b_i / mu) per factor."""
+    log_a = np.concatenate([w.log_beta[:, 0], log_d])
+    log_b = np.concatenate([
+        model.log_sum_exp(marg.log_nu.T + w.log_beta[:, 1:], axis=1),
+        w.log_new_mass]) - math.log(w.far_ratio)
+    rows = np.logaddexp(log_a[:, None], log_b[:, None] - np.log(mu))
+    log_w = len(log_d) * np.log(mu) - mu + rows.sum(axis=0)
+    return np.exp(log_w - np.max(log_w))
+
+
+def legacy_weights(rng, log_scale, det_prob, J):
+    """AssociationWeights for _update_legacy: per row an (M, J) ratio
+    matrix whose rows peak at 1, the row scales log_scale (K, M) and the
+    detection probabilities det_prob (K, J)."""
+    K, M = log_scale.shape
+    ratio = []
+    for _ in range(K):
+        R = np.exp(np.maximum(-rng.exponential(20.0, (M, J)),
+                              dabp._LOG_RATIO_FLOOR))
+        R[np.arange(M), rng.integers(0, J, M)] = 1.0
+        ratio.append(R)
+    return dabp.AssociationWeights(
+        log_beta=np.zeros((K, M + 1)), log_xi0=np.zeros(M), far_ratio=0.4,
+        det_prob=det_prob, ratio=ratio, ratio_log_scale=log_scale)
+
+
+class TestWeightKernelOracles:
+    """The linear-domain legacy update and the log1p rate reweighting
+    against the log-domain forms they replace, at the extremes: sums past
+    e^745, empty sums, P_d = 1 throughout and p_exist 0, NaN and 1."""
+
+    @pytest.mark.parametrize("K,M", [(4, 5), (0, 5), (4, 0), (0, 0)])
+    def test_update_far_matches_logaddexp(self, K, M):
+        rng = np.random.default_rng(10 * K + M)
+        mu = np.concatenate([[model.MU_FA_FLOOR, 50.0],
+                             rng.uniform(0.01, 30.0, 300)])
+        log_beta = rng.normal(0.0, 3.0, (K, M + 1))
+        log_new_mass = rng.normal(0.0, 3.0, M)
+        log_d = np.abs(rng.normal(0.0, 2.0, M))
+        if K:
+            # log b - log a beyond 700, and log b = -inf.
+            log_beta[0, 1:] += log_beta[0, 0] + 710.0
+            log_beta[-1, 1:] = -np.inf
+        if M:
+            log_new_mass[0] = log_d[0] + 720.0
+            log_new_mass[-1] = -np.inf
+        w = dabp.AssociationWeights(log_beta=log_beta, log_xi0=np.zeros(M),
+                                    log_new_mass=log_new_mass, far_ratio=0.4)
+        marg = dabp.AssociationMarginals(
+            np.zeros((K, M + 1)), np.zeros((M, K + 1)), 1, True,
+            log_nu=rng.normal(0.0, 1.0, (M, K)))
+        got = tracker._update_far(mu, w, marg, log_d)
+        assert got.particles is mu
+        np.testing.assert_allclose(got.weights,
+                                   oracle_update_far(mu, w, marg, log_d),
+                                   rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("M", [0, 3])
+    def test_update_legacy_matches_log_domain(self, M):
+        J = 500
+        rng = np.random.default_rng(M)
+        # Rows: ordinary; sums past e^745; P_d = 1 throughout, with
+        # ordinary sums and with sums below e^-745; and p_exist 0, NaN, 1.
+        log_scale = rng.normal(0.0, 5.0, (7, M))
+        log_scale[1] += 800.0
+        log_scale[3] -= 900.0
+        det_prob = rng.uniform(0.0, 1.0, (7, J))
+        det_prob[2:4] = 1.0
+        det_prob[4, :10] = 1.0
+        p_exist = np.array([0.5, 0.7, 0.3, 1.0, 0.0, math.nan, 1.0])
+        w = legacy_weights(rng, log_scale, det_prob, J)
+        log_nu = rng.normal(0.0, 1.0, (M, 7))
+        post, p_next = tracker._update_legacy(p_exist, w, log_nu)
+        assert np.all(np.max(post, axis=1) == 1.0)
+        for k, q in enumerate(p_exist):
+            tr = PmpcBelief(k, 0, np.zeros((J, 5)), np.full(J, 1.0 / J), q)
+            oracle_update_legacy(tr, w, k, log_nu)
+            np.testing.assert_allclose(post[k] / post[k].sum(), tr.weights,
+                                       rtol=1e-12, atol=0)
+            np.testing.assert_allclose(p_next[k], tr.p_exist, rtol=1e-12,
+                                       atol=0)
+        assert p_next[4] == p_next[5] == 0.0 and p_next[6] == 1.0
+        # P_d = 1 throughout with nothing to associate: no finite weight.
+        assert p_next[3] == (1.0 if M else 0.0)
 
 
 class TestEmptyStack:
